@@ -30,7 +30,6 @@ from .theory import (
     compute_constants,
     core_limit,
     forward_degree_asymptote,
-    gamma_function,
     horizon_for_forward_degree,
     laplace_sum_exact,
     limit_curve_max,
@@ -57,7 +56,7 @@ from .graphgen import (
 from .components import (
     ComponentSummary,
     CoreReport,
-    UnionFind,
+    component_labels,
     component_sizes,
     core_report,
     extract_core,
@@ -81,7 +80,6 @@ from .experiments import (
     ExperimentResult,
     derive_seed,
     run,
-    single_vs_multi_suite,
     summarize,
     write_result,
 )

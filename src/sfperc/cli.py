@@ -13,7 +13,6 @@ from .errors import SfpercError
 from .exploration import run_exploration, write_trace_csv
 from .graphgen import percolate_coupled, sample_mnr, sample_percolated_mnr_direct, write_edge_list
 from .params import LambdaRule, build_weights, make_schedule, model_params
-from .theory import compute_constants
 
 _SUBCOMMAND_EXPERIMENT = {
     "theory": "theory_tables",
@@ -177,12 +176,10 @@ def _cmd_explore(args) -> int:
     if getattr(args, "trace", None):
         config = _config_from_args(args, "exploration_limit")
         n = config.n_grid[0]
-        params = model_params(config.tau, config.C, n)
-        ws = build_weights(params)
-        schedule = make_schedule(params, "multi", config.lambda_rule)
-        horizon = config.T if config.T is not None else 1.5 * compute_constants(params).zeta
+        ctx = xp._build_context(config, n)
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        trace = run_exploration(ws, schedule, math.floor(horizon * schedule.beta_n), rng)
+        steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
+        trace = run_exploration(ctx.weights, ctx.schedule, steps, rng)
         write_trace_csv(trace, args.trace)
         print(f"wrote {args.trace}")
     return code

@@ -1,9 +1,10 @@
 """Connected components, the high-weight core, and its one-neighborhood.
 
-Components are computed with a deterministic union-find (path halving, union
-by size, ties attaching the larger root id under the smaller).  The giant is
-the largest component, with ties broken by smallest contained vertex id, so
-summaries are reproducible run to run.
+Components are labelled in numpy by min-label hooking with pointer jumping
+(Shiloach & Vishkin, J. Algorithms 3, 1982), so every vertex carries the
+smallest id in its component.  The giant is the largest component, with ties
+broken by smallest contained vertex id, so summaries are reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -16,44 +17,6 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .graphgen import MultiGraph, SimpleGraph
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
-
-
-class UnionFind:
-    """Disjoint sets over vertices 1..n; find uses path halving."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, u: int, v: int) -> int:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return ru
-        su, sv = self.size[ru], self.size[rv]
-        # union by size; equal sizes keep the smaller root id as root
-        if sv > su or (sv == su and rv < ru):
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] = su + sv
-        return ru
-
-    def roots(self) -> np.ndarray:
-        """Fully resolved root of every vertex, via vectorized pointer jumping."""
-        p = np.asarray(self.parent, dtype=np.int64)
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                return p
-            p = pp
 
 
 @dataclass(frozen=True)
@@ -70,26 +33,34 @@ class ComponentSummary:
         return int(self.sizes[0])
 
 
-def _union_edges(n: int, src: np.ndarray, dst: np.ndarray) -> UnionFind:
-    uf = UnionFind(n)
-    union = uf.union
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if u != v:
-            union(u, v)
-    return uf
+def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Smallest vertex id in each vertex's component, indexed by id 0..n.
+
+    Each round hooks the larger endpoint label of every edge onto the smaller
+    and pointer-jumps until every label is a root.  Labels only fall and every
+    round removes a root, so the loop ends; loops and parallel edges need no
+    special case.
+    """
+    label = np.arange(n + 1, dtype=np.int64)
+    while True:
+        lo, hi = label[src], label[dst]
+        live = lo != hi
+        if not live.any():
+            return label
+        src, dst, lo, hi = src[live], dst[live], lo[live], hi[live]
+        np.minimum.at(label, np.maximum(lo, hi), np.minimum(lo, hi))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     """All component sizes of the graph; loops and multiplicities are ignored."""
-    uf = _union_edges(g.n, g.src, g.dst)
-    roots = uf.roots()
-    counts = np.bincount(roots[1:], minlength=g.n + 1)
+    labels = component_labels(g.n, g.src, g.dst)[1:]
+    counts = np.bincount(labels, minlength=g.n + 1)
     sizes = np.sort(counts[counts > 0])[::-1]
-    giant_size = int(sizes[0])
-    # Tie-break: among maximal components, pick the one holding the smallest id.
-    is_max = counts[roots[1:]] == giant_size
-    giant_root = int(roots[1:][np.argmax(is_max)])
-    giant_members = np.nonzero(roots[1:] == giant_root)[0] + 1
+    # A label is its component's smallest id, so the first maximal count is
+    # the largest component holding the smallest id.
+    giant_members = np.nonzero(labels == np.argmax(counts))[0] + 1
     second = int(sizes[1]) if sizes.size > 1 else 0
     if int(sizes.sum()) != g.n:
         raise AssertionError("component sizes do not partition the vertex set")
@@ -103,10 +74,8 @@ def largest_component_among(g: MultiGraph | SimpleGraph, vertices: np.ndarray) -
     ids = np.asarray(vertices, dtype=np.int64)
     if ids.size == 0:
         return 0
-    uf = _union_edges(g.n, g.src, g.dst)
-    roots = uf.roots()
-    counts = np.bincount(roots[ids], minlength=g.n + 1)
-    return int(counts.max())
+    labels = component_labels(g.n, g.src, g.dst)
+    return int(np.bincount(labels[ids], minlength=g.n + 1).max())
 
 
 # --------------------------------------------------------------------------

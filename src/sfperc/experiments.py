@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -102,6 +103,15 @@ def default_n_grid(experiment: str) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A number of the given kind; bools do not count."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    return _is_number(value, numbers.Integral) or (_is_number(value) and float(value).is_integer())
+
+
 _CONFIG_FIELDS = {
     "version", "experiment", "tau", "C", "n_grid", "lambda_rule", "a", "T",
     "replicas", "master_seed", "output_path", "output_format",
@@ -131,9 +141,17 @@ class ExperimentConfig:
             )
         if self.n_grid is None:
             object.__setattr__(self, "n_grid", default_n_grid(self.experiment))
+        if not all(_is_whole(n) for n in self.n_grid):
+            raise ConfigError(f"n_grid entries must be whole numbers, got {self.n_grid}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.lambda_rule is None:
             object.__setattr__(self, "lambda_rule", default_lambda_rule(self.experiment))
+        for name in ("replicas", "master_seed"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.T is not None and not (_is_number(self.T) and 0.0 < self.T < math.inf):
+            raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if not self.n_grid:
@@ -142,7 +160,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid must be strictly ascending, got {self.n_grid}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
-        if not (0 <= int(self.master_seed) < 2**64):
+        if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
         if self.experiment in _CORE_EXPERIMENTS and not (self.a > 0):
             raise ConfigError(f"core experiments need a > 0, got a={self.a}")
@@ -483,15 +501,6 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if config.output_path is not None:
         write_result(result, config.output_path, config.output_format)
     return result
-
-
-def single_vs_multi_suite(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """The coupled percolation suite; thin alias that insists on the right experiment."""
-    if config.experiment != "single_vs_multi":
-        raise ConfigError(
-            f"single_vs_multi_suite needs a single_vs_multi config, got {config.experiment!r}"
-        )
-    return run(config, threads=threads)
 
 
 def summarize(result: ExperimentResult) -> list:

@@ -20,43 +20,6 @@ from .errors import DomainError, NumericalFailureError
 from .params import ModelParams
 
 # --------------------------------------------------------------------------
-# gamma function (Lanczos, g=7, 9 coefficients)
-# --------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_function(x: float) -> float:
-    """Gamma(x) for real x > 0.
-
-    Lanczos approximation with g=7 and 9 coefficients, using the reflection
-    formula below 1/2.  Accurate to well under 1e-12 relative error on (0, 2],
-    which covers every Gamma(3 - tau) evaluation in this package.
-    """
-    if not (x > 0.0):
-        raise DomainError(f"gamma_function requires x > 0, got x={x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_function(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-# --------------------------------------------------------------------------
 # limit constants
 # --------------------------------------------------------------------------
 
@@ -86,7 +49,7 @@ def c_F_bar(params: ModelParams) -> float:
 def compute_constants(params: ModelParams) -> TheoryConstants:
     """Evaluate the limit constants, cross-checking equivalent closed forms."""
     tau, cf, mu = params.tau, params.c_F, params.mu
-    g = gamma_function(3.0 - tau)
+    g = math.gamma(3.0 - tau)
     kappa = cf ** (tau - 2.0) * g
     cbar = c_F_bar(params)
     if abs(cbar - cf) > 1e-10 * cf:
@@ -367,7 +330,7 @@ def forward_degree_asymptote(t: float, params: ModelParams) -> float:
     if not (t > 0.0):
         raise DomainError(f"time must be positive, got t={t}")
     alpha, mu, cf, tau = params.alpha, params.mu, params.c_F, params.tau
-    coef = (1.0 / alpha) * mu ** (1.0 - 1.0 / alpha) * cf ** (1.0 / alpha) * gamma_function(3.0 - tau)
+    coef = (1.0 / alpha) * mu ** (1.0 - 1.0 / alpha) * cf ** (1.0 / alpha) * math.gamma(3.0 - tau)
     return coef * t ** (-(3.0 - tau))
 
 

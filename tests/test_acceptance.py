@@ -28,14 +28,13 @@ from scipy.stats import chi2, ks_2samp
 
 from conftest import SCOREBOARD
 from sfperc.components import (
-    UnionFind,
     component_sizes,
     core_giant_and_weight,
     extract_core,
     kernel_convergence_check,
     one_neighborhood,
 )
-from sfperc.experiments import ExperimentConfig, derive_seed, run, single_vs_multi_suite
+from sfperc.experiments import ExperimentConfig, derive_seed, run
 from sfperc.exploration import run_exploration
 from sfperc.graphgen import (
     MultiGraph,
@@ -59,7 +58,6 @@ from sfperc.theory import (
     c_F_bar,
     compute_constants,
     core_limit,
-    gamma_function,
     laplace_sum_exact,
     rho_a_of_u,
 )
@@ -185,7 +183,7 @@ def test_criterion_1_closed_form_constants():
         tau = float(rng.uniform(2.05, 2.95))
         big_c = float(rng.uniform(0.2, 5.0))
         q = model_params(tau, big_c, 10)
-        g = gamma_function(3.0 - tau)
+        g = math.gamma(3.0 - tau)
         direct = q.mu * (q.c_F ** (tau - 2.0) * g) ** (1.0 / (3.0 - tau))
         alt = (g ** (1.0 / (3.0 - tau)) * q.c_F
                * c_F_bar(q) ** ((tau - 2.0) / (3.0 - tau))
@@ -430,7 +428,7 @@ def test_criterion_6_single_vs_multi():
     # se of each median is < 15% of the step between grid points)
     config = ExperimentConfig("single_vs_multi", replicas=100, master_seed=MASTER)
     # every replica hard-asserts |C1| >= |C1*| inside the runner
-    result = single_vs_multi_suite(config)
+    result = run(config)
     med = [result.aggregates[str(n)]["diff_over_beta"]["median"] for n in config.n_grid]
     decreasing = all(x > y for x, y in zip(med, med[1:]))
     ok = decreasing and med[-1] < 0.2
@@ -587,15 +585,15 @@ def test_criterion_9_structural_invariants():
     explored_ok = all(trace.explored(l).size == l - trace.repeats[l]
                       for l in range(trace.steps + 1))
 
-    # union-find vs BFS: every simple graph on <= 4 vertices, then random
+    # component labels vs BFS: every simple graph on <= 4 vertices, then random
     # multigraphs (loops and multiplicities included) up to 8 vertices
-    uf_ok = True
+    labels_ok = True
     for n in (1, 2, 3, 4):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for r in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
                 got = component_sizes(SimpleGraph.from_pairs(n, edges)).sizes.tolist()
-                uf_ok &= got == _bfs_sizes(n, edges)
+                labels_ok &= got == _bfs_sizes(n, edges)
     check_rng = np.random.default_rng(derive_seed(MASTER, 8, 0))
     for _ in range(500):
         n = int(check_rng.integers(1, 9))
@@ -603,10 +601,10 @@ def test_criterion_9_structural_invariants():
         pairs = [(int(check_rng.integers(1, n + 1)), int(check_rng.integers(1, n + 1)), 1)
                  for _ in range(m)]
         got = component_sizes(MultiGraph.from_pairs(n, pairs)).sizes.tolist()
-        uf_ok &= got == _bfs_sizes(n, [(i, j) for i, j, _ in pairs])
+        labels_ok &= got == _bfs_sizes(n, [(i, j) for i, j, _ in pairs])
 
-    ok = degree_ok and coupling_ok and explored_ok and uf_ok
+    ok = degree_ok and coupling_ok and explored_ok and labels_ok
     report(9, "structural invariants", ok,
            f"degree-sum {degree_ok}, coupling subgraph {coupling_ok}, "
-           f"explored-set identity {explored_ok}, union-find vs BFS {uf_ok} "
+           f"explored-set identity {explored_ok}, component labels vs BFS {labels_ok} "
            f"(exhaustive n<=4 plus 500 random multigraphs n<=8)")

@@ -54,6 +54,31 @@ def test_infeasible_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--T", "nan"], "T must be finite"),
+    (["--T", "inf"], "T must be finite"),
+    (["--T", "0"], "T must be finite"),
+    (["--T", "-1"], "T must be finite"),
+    ({"replicas": 2.5}, "replicas must be an integer"),
+    ({"master_seed": 1.5}, "master_seed must be an integer"),
+    ({"n_grid": [10000.7]}, "whole numbers"),
+], ids=["T-nan", "T-inf", "T-zero", "T-negative", "replicas-float", "seed-float",
+        "n_grid-fraction"])
+def test_explore_bad_config_exits_2(extra, message, tmp_path, monkeypatch, capsys):
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    argv = ["explore", "--n-grid", "400", "--replicas", "1"]
+    if isinstance(extra, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "exploration_limit", **extra}))
+        argv = ["explore", "--config", str(path)]
+    rc = main(argv + (extra if isinstance(extra, list) else []))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_core_variant_flag(capsys):
     rc = main(["core", "--variant", "weight", "--n-grid", "5000", "--replicas", "1",
                "--lambda-kind", "constant", "--lambda-value", "4"])

@@ -8,7 +8,7 @@ import pytest
 
 from sfperc.components import (
     ComponentSummary,
-    UnionFind,
+    component_labels,
     component_sizes,
     core_giant_and_weight,
     core_report,
@@ -24,7 +24,7 @@ from sfperc.params import LambdaRule, build_weights, core_prefix_size, make_sche
 
 
 def bfs_components(n, edges):
-    """Reference component finder: list of vertex sets, no union-find."""
+    """Reference component finder: list of vertex sets by depth-first search."""
     adj = {v: set() for v in range(1, n + 1)}
     for i, j in edges:
         if i != j:
@@ -62,46 +62,45 @@ def check_against_oracle(g, edges):
 
 
 # --------------------------------------------------------------------------
-# union-find
+# component labels
 # --------------------------------------------------------------------------
 
 
-def test_union_find_basic():
-    uf = UnionFind(5)
-    assert uf.find(3) == 3
-    r = uf.union(1, 2)
-    assert r == 1
-    assert uf.find(2) == 1
-    uf.union(3, 4)
-    uf.union(2, 4)
-    assert len({uf.find(v) for v in (1, 2, 3, 4)}) == 1
-    assert uf.find(5) == 5
+def check_labels(n, src, dst):
+    label = component_labels(n, np.asarray(src, dtype=np.int64),
+                             np.asarray(dst, dtype=np.int64))
+    assert label.shape == (n + 1,) and label[0] == 0
+    expected = np.zeros(n + 1, dtype=np.int64)
+    for comp in bfs_components(n, zip(np.asarray(src).tolist(), np.asarray(dst).tolist())):
+        expected[list(comp)] = min(comp)
+    assert label.tolist() == expected.tolist()
 
 
-def test_union_find_deterministic_ties():
-    # equal sizes: smaller root id becomes the root
-    uf = UnionFind(4)
-    assert uf.union(4, 2) == 2
-    assert uf.union(3, 1) == 1
-    assert uf.union(4, 3) == 1
-    # larger component absorbs the smaller regardless of id order
-    uf2 = UnionFind(6)
-    assert uf2.union(5, 6) == 5
-    assert uf2.union(4, 5) == 5
-    assert uf2.union(1, 4) == 5
-    assert uf2.size[5] == 4
+def test_component_labels_random_multigraphs():
+    # loops, repeated pairs and either endpoint order, on shuffled ids
+    rng = np.random.default_rng(77)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n))
+        perm = rng.permutation(n) + 1
+        src = perm[rng.integers(0, n, size=m)]
+        dst = perm[rng.integers(0, n, size=m)]
+        check_labels(n, src, dst)
 
 
-def test_union_find_roots_vectorized():
-    uf = UnionFind(6)
-    uf.union(1, 2)
-    uf.union(2, 3)
-    uf.union(5, 6)
-    roots = uf.roots()
-    assert roots[1] == roots[2] == roots[3]
-    assert roots[5] == roots[6]
-    assert roots[4] == 4
-    assert roots[1] != roots[5]
+def test_component_labels_empty_and_loops_only():
+    check_labels(5, [], [])
+    check_labels(3, [2, 2, 3], [2, 2, 3])
+    assert component_labels(0, np.empty(0, np.int64), np.empty(0, np.int64)).tolist() == [0]
+
+
+def test_component_labels_long_path_in_random_order():
+    # a path through a random vertex order takes many hooking rounds
+    rng = np.random.default_rng(3)
+    n = 10_000
+    order = rng.permutation(n) + 1
+    check_labels(n, order[:-1], order[1:])
+    check_labels(n + 5, order[1:], order[:-1])
 
 
 # --------------------------------------------------------------------------

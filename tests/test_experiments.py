@@ -15,7 +15,6 @@ from sfperc.experiments import (
     default_n_grid,
     derive_seed,
     run,
-    single_vs_multi_suite,
     summarize,
     write_result,
 )
@@ -78,6 +77,23 @@ def test_config_validation_errors():
     # constant-10 single schedule has pi >= 1 at n = 10^4
     with pytest.raises(ConfigError):
         ExperimentConfig("core_giant", n_grid=(10_000,))
+    for bad_T in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2.0"):
+        with pytest.raises(ConfigError):
+            small_config(T=bad_T)
+    for bad in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ConfigError):
+            small_config(replicas=bad)
+    for bad in (1.5, 1.0, False, "7", None):
+        with pytest.raises(ConfigError):
+            small_config(master_seed=bad)
+    for bad_grid in ((10_000.7,), (200, 400.5), (True, 400), ("200",), (math.nan,)):
+        with pytest.raises(ConfigError):
+            small_config(n_grid=bad_grid)
+    for bad in ({"T": "2.0"}, {"replicas": 2.5}, {"master_seed": 1.5}, {"n_grid": [10_000.7]}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**small_config().to_dict(), **bad})
+    # whole-number floats in the grid are still accepted and stored as ints
+    assert small_config(n_grid=(200.0, 4e2)).n_grid == (200, 400)
 
 
 def test_config_dict_round_trip():
@@ -191,12 +207,10 @@ def test_write_result_csv(tmp_path):
         write_result(ExperimentResult(config=result.config), path, output_format="csv")
 
 
-def test_single_vs_multi_suite_guard():
-    with pytest.raises(ConfigError):
-        single_vs_multi_suite(small_config())
+def test_single_vs_multi_coupling():
     config = ExperimentConfig("single_vs_multi", n_grid=(200,), replicas=3,
                               lambda_rule=LambdaRule("power", 0.1))
-    result = single_vs_multi_suite(config)
+    result = run(config)
     for rec in result.records:
         assert rec["diff_over_beta"] >= 0.0
         assert rec["c1_over_beta"] >= rec["c1_star_over_beta"]

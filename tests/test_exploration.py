@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp
 
-from sfperc.components import UnionFind
+from sfperc.components import component_labels
 from sfperc.errors import DomainError, RangeError
 from sfperc.exploration import (
     ExplorationTrace,
@@ -255,11 +255,8 @@ def test_residual_moderate_time():
 
 
 def component_size_of(n, g, vertex):
-    uf = UnionFind(n)
-    for i, j in zip(g.src.tolist(), g.dst.tolist()):
-        if i != j:
-            uf.union(i, j)
-    return uf.size[uf.find(vertex)]
+    label = component_labels(n, g.src, g.dst)
+    return int(np.count_nonzero(label[1:] == label[vertex]))
 
 
 def test_first_excursion_matches_size_biased_component():

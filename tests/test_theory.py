@@ -36,28 +36,8 @@ RHO_MEAN = {
 
 
 # --------------------------------------------------------------------------
-# gamma and closed-form constants
+# closed-form constants
 # --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 3.7, 7.25, 10.0])
-def test_gamma_matches_stdlib(x):
-    assert th.gamma_function(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-
-def test_gamma_reflection_branch():
-    # x < 1/2 goes through the reflection formula internally
-    assert th.gamma_function(0.3) == pytest.approx(math.gamma(0.3), rel=1e-12)
-    assert th.gamma_function(0.05) == pytest.approx(math.gamma(0.05), rel=1e-12)
-    for bad in (0.0, -0.5):
-        with pytest.raises(DomainError):
-            th.gamma_function(bad)
-
-
-@given(x=st.floats(min_value=0.05, max_value=12.0))
-@settings(max_examples=80, deadline=None)
-def test_gamma_accuracy_sweep(x):
-    assert th.gamma_function(x) == pytest.approx(math.gamma(x), rel=1e-10)
 
 
 def test_reference_constants():
@@ -81,10 +61,10 @@ def test_size_biased_scale_identity():
 @settings(max_examples=30, deadline=None)
 def test_two_zeta_forms_agree(tau, c):
     p = model_params(tau, c, 10)
-    kappa = p.c_F ** (tau - 2.0) * th.gamma_function(3.0 - tau)
+    kappa = p.c_F ** (tau - 2.0) * math.gamma(3.0 - tau)
     direct = p.mu * kappa ** (1.0 / (3.0 - tau))
     alt = (
-        th.gamma_function(3.0 - tau) ** (1.0 / (3.0 - tau))
+        math.gamma(3.0 - tau) ** (1.0 / (3.0 - tau))
         * p.c_F
         * th.c_F_bar(p) ** ((tau - 2.0) / (3.0 - tau))
         * (tau - 1.0)
