@@ -21,12 +21,7 @@ _SUBCOMMAND_EXPERIMENT = {
     "single-vs-multi": "single_vs_multi",
     "residual": "residual_components",
     "repeat-fraction": "repeat_fraction",
-}
-
-_CORE_VARIANTS = {
-    "giant": "core_giant",
-    "weight": "core_weight",
-    "neighborhood": "one_neighborhood",
+    "core": "one_neighborhood",
 }
 
 
@@ -40,7 +35,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--C", type=float, dest="big_c", help="weight scale constant")
     sub.add_argument("--n-grid", type=int, nargs="+", help="ascending graph sizes")
     sub.add_argument("--replicas", type=int, help="replicas per n")
-    sub.add_argument("--a", type=float, help="core level (core experiments)")
+    sub.add_argument("--a", type=float, help="core level (core subcommand)")
     sub.add_argument("--T", type=float, help="rescaled time horizon")
     sub.add_argument("--lambda-kind", choices=("constant", "power", "logpower"))
     sub.add_argument("--lambda-value", type=float, help="lambda rule value/exponent")
@@ -60,16 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("single-vs-multi", "coupled percolation: giant gap across windows"),
         ("residual", "largest component left after the exploration horizon"),
         ("repeat-fraction", "repeat-rate diagnostic of the exploration walk"),
+        ("core", "core giant, its weight and its one-neighborhood"),
     ]:
         sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
         if name == "explore":
             sub.add_argument("--trace", help="also write one walk trace CSV here")
-
-    core = subs.add_parser("core", help="high-weight core structure checks")
-    _add_common(core)
-    core.add_argument("--variant", choices=sorted(_CORE_VARIANTS), default="giant",
-                      help="which core statistic to sample (default giant)")
 
     gen = subs.add_parser("generate", help="sample one graph and write its edge list")
     gen.add_argument("--n", type=int, required=True, help="number of vertices")
@@ -138,7 +129,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_experiment(args, experiment: str) -> int:
+def _run_experiment(args, experiment: str) -> xp.ExperimentConfig:
+    """Run one ensemble, print its summary table, and return the parsed config."""
     config = _config_from_args(args, experiment)
     result = xp.run(config, threads=args.threads)
     _print_table(xp.summarize(result))
@@ -147,7 +139,7 @@ def _run_experiment(args, experiment: str) -> int:
         _print_table(result.theory["a_table"])
     if config.output_path:
         print(f"\nwrote {config.output_path}")
-    return 0
+    return config
 
 
 def _cmd_generate(args) -> int:
@@ -159,7 +151,7 @@ def _cmd_generate(args) -> int:
     else:
         mode = "multi" if args.mode == "multi" else "single"
         rule = _lambda_rule_from_args(args) or xp.default_lambda_rule(
-            "multi_giant" if mode == "multi" else "core_giant"
+            "multi_giant" if mode == "multi" else "one_neighborhood"
         )
         schedule = make_schedule(params, mode, rule)
         if args.mode == "multi":
@@ -172,9 +164,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    code = _run_experiment(args, "exploration_limit")
-    if getattr(args, "trace", None):
-        config = _config_from_args(args, "exploration_limit")
+    config = _run_experiment(args, "exploration_limit")
+    if args.trace:
         n = config.n_grid[0]
         ctx = xp._build_context(config, n)
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
@@ -182,7 +173,7 @@ def _cmd_explore(args) -> int:
         trace = run_exploration(ctx.weights, ctx.schedule, steps, rng)
         write_trace_csv(trace, args.trace)
         print(f"wrote {args.trace}")
-    return code
+    return 0
 
 
 def main(argv=None) -> int:
@@ -192,9 +183,8 @@ def main(argv=None) -> int:
             return _cmd_generate(args)
         if args.command == "explore":
             return _cmd_explore(args)
-        if args.command == "core":
-            return _run_experiment(args, _CORE_VARIANTS[args.variant])
-        return _run_experiment(args, _SUBCOMMAND_EXPERIMENT[args.command])
+        _run_experiment(args, _SUBCOMMAND_EXPERIMENT[args.command])
+        return 0
     except SfpercError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

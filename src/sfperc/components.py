@@ -176,12 +176,10 @@ class CoreReport:
     core_giant_size: int
     core_giant_weight: float
     one_neighborhood_size: int
-    kernel_check: list[KernelCheckEntry]
 
 
 def core_report(g_full: SimpleGraph, weights: WeightSequence,
-                schedule: PercolationSchedule, a: float,
-                kernel_grid=None) -> CoreReport:
+                schedule: PercolationSchedule, a: float) -> CoreReport:
     """Extract the level-a core from a percolated simple graph and summarize it.
 
     Also asserts the deterministic lower-bound chain: the component of the
@@ -197,12 +195,8 @@ def core_report(g_full: SimpleGraph, weights: WeightSequence,
         raise AssertionError(
             "largest full-graph component is smaller than core giant + one-neighborhood"
         )
-    if kernel_grid is None:
-        kernel_grid = [(a / 4, a / 4), (a / 4, a), (a, a)]
-    checks = kernel_convergence_check(weights, schedule, a, kernel_grid)
     return CoreReport(a=a, core_size=core_size, core_giant_size=giant.size,
-                      core_giant_weight=giant.weight, one_neighborhood_size=n1,
-                      kernel_check=checks)
+                      core_giant_weight=giant.weight, one_neighborhood_size=n1)
 
 
 def write_component_table(summary: ComponentSummary, path) -> None:

@@ -59,8 +59,6 @@ EXPERIMENTS = (
     "exploration_limit",
     "repeat_fraction",
     "residual_components",
-    "core_giant",
-    "core_weight",
     "one_neighborhood",
     "theory_tables",
 )
@@ -72,24 +70,20 @@ _MODE = {
     "residual_components": "multi",
     "theory_tables": "multi",
     "single_vs_multi": "single",
-    "core_giant": "single",
-    "core_weight": "single",
     "one_neighborhood": "single",
 }
 
-_CORE_EXPERIMENTS = ("core_giant", "core_weight", "one_neighborhood")
-
 
 def default_lambda_rule(experiment: str) -> LambdaRule:
-    # Core experiments keep lambda constant so the core scale N_n grows with n;
-    # everything else uses the slowly growing power rule.
-    if experiment in _CORE_EXPERIMENTS:
+    # The core experiment keeps lambda constant so the core scale N_n grows
+    # with n; everything else uses the slowly growing power rule.
+    if experiment == "one_neighborhood":
         return LambdaRule("constant", 10.0)
     return LambdaRule("power", 0.1)
 
 
 def default_n_grid(experiment: str) -> tuple[int, ...]:
-    if experiment in _CORE_EXPERIMENTS:
+    if experiment == "one_neighborhood":
         return (10**5, 10**6)
     if experiment == "residual_components":
         return (10**4, 10**5)
@@ -162,8 +156,8 @@ class ExperimentConfig:
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
-        if self.experiment in _CORE_EXPERIMENTS and not (self.a > 0):
-            raise ConfigError(f"core experiments need a > 0, got a={self.a}")
+        if self.experiment == "one_neighborhood" and not (self.a > 0):
+            raise ConfigError(f"the core experiment needs a > 0, got a={self.a}")
         # every schedule must be feasible before any sampling happens
         for n in self.n_grid:
             try:
@@ -320,26 +314,21 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
     elif kind == "residual_components":
         largest = residual_largest_component(ws, sch, ctx.horizon, rng)
         rec.update(residual_largest=largest, residual_over_beta=largest / sch.beta_n)
-    elif kind in _CORE_EXPERIMENTS:
+    elif kind == "one_neighborhood":
         g = sample_mnr(ws, rng)
         _, g_simple = percolate_coupled(g, sch.pi_n, rng)
         g_simple.validate()
         report = core_report(g_simple, ws, sch, config.a)
-        rec.update(core_size=report.core_size, core_giant_size=report.core_giant_size)
-        if kind == "core_giant":
-            rec.update(core_giant_fraction=report.core_giant_size / report.core_size)
-        elif kind == "core_weight":
-            rec.update(
-                core_giant_weight=report.core_giant_weight,
-                weight_over_beta=report.core_giant_weight / sch.beta_n,
-            )
-        else:
-            gap = abs(report.one_neighborhood_size - report.core_giant_weight)
-            rec.update(
-                one_neighborhood_size=report.one_neighborhood_size,
-                core_giant_weight=report.core_giant_weight,
-                relative_gap=gap / report.core_giant_weight,
-            )
+        weight = report.core_giant_weight
+        rec.update(
+            core_size=report.core_size,
+            core_giant_size=report.core_giant_size,
+            core_giant_fraction=report.core_giant_size / report.core_size,
+            core_giant_weight=weight,
+            weight_over_beta=weight / sch.beta_n,
+            one_neighborhood_size=report.one_neighborhood_size,
+            relative_gap=abs(report.one_neighborhood_size - weight) / weight,
+        )
     elif kind == "theory_tables":
         rec.update(lambda_n=sch.lambda_n, pi_n=sch.pi_n, beta_n=sch.beta_n, N_n=sch.N_n)
     else:  # pragma: no cover - EXPERIMENTS is closed
@@ -386,7 +375,7 @@ def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> di
         block["slope_target"] = (params.tau - 2.0) / (3.0 - params.tau)
     elif kind == "residual_components":
         block["horizon"] = {str(n): ctx.horizon for n, ctx in contexts.items()}
-    elif kind in _CORE_EXPERIMENTS:
+    elif kind == "one_neighborhood":
         limit = core_limit(config.a, params)
         block["a"] = config.a
         block["rho_star_a"] = limit.rho_star_a

@@ -55,14 +55,10 @@ class MultiGraph:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "MultiGraph":
         """Build from an iterable of (i, j, mult); pairs are canonicalized and merged."""
-        agg: dict[tuple[int, int], int] = {}
-        for i, j, m in pairs:
-            key = (i, j) if i <= j else (j, i)
-            agg[key] = agg.get(key, 0) + int(m)
-        keys = sorted(agg)
-        src = np.array([k[0] for k in keys], dtype=np.int64)
-        dst = np.array([k[1] for k in keys], dtype=np.int64)
-        mult = np.array([agg[k] for k in keys], dtype=np.int64)
+        i, j, m = _pair_columns(n, pairs, 3)
+        if np.any(m < 1):
+            raise DomainError("multiplicities must be >= 1")
+        src, dst, mult = _aggregate_pairs(n, np.repeat(i, m), np.repeat(j, m))
         g = cls(n=n, src=src, dst=dst, mult=mult)
         g.validate()
         return g
@@ -107,12 +103,12 @@ class SimpleGraph:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SimpleGraph":
-        uniq = sorted({(i, j) if i < j else (j, i) for i, j in pairs})
-        for i, j in uniq:
-            if i == j:
-                raise DomainError(f"simple graph cannot hold the loop ({i}, {j})")
-        src = np.array([p[0] for p in uniq], dtype=np.int64)
-        dst = np.array([p[1] for p in uniq], dtype=np.int64)
+        """Build from an iterable of (i, j); pairs are canonicalized and deduplicated."""
+        i, j = _pair_columns(n, pairs, 2)
+        loops = i[i == j]
+        if loops.size:
+            raise DomainError(f"simple graph cannot hold the loop ({loops[0]}, {loops[0]})")
+        src, dst, _ = _aggregate_pairs(n, i, j)
         g = cls(n=n, src=src, dst=dst)
         g.validate()
         return g
@@ -144,6 +140,19 @@ def draw_marks(weights: WeightSequence, size: int, rng) -> np.ndarray:
         raise DomainError(f"sample size must be nonnegative, got {size}")
     u = rng.random(size) * weights.ell_n
     return np.searchsorted(weights.cum_weights, u, side="right").astype(np.int64) + 1
+
+
+def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
+    """Columns of an iterable of ``width``-tuples as int64 rows, endpoints checked.
+
+    The check must come first: _aggregate_pairs keys a pair by i*(n+1) + j,
+    which maps out-of-range ids onto valid pairs.
+    """
+    cols = np.array(list(pairs), dtype=np.int64).reshape(-1, width).T
+    ends = cols[:2]
+    if ends.size and (ends.min() < 1 or ends.max() > n):
+        raise DomainError(f"edge endpoint outside [1, {n}]")
+    return cols
 
 
 def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):

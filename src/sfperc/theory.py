@@ -119,11 +119,10 @@ QUAD_TOL = 1e-10
 QUAD_MAX_PANELS = 2**20
 
 
-def _adaptive_simpson(f, lo: float, hi: float, tol: float = QUAD_TOL,
-                      max_panels: int = QUAD_MAX_PANELS) -> float:
-    """Adaptive Simpson on [lo, hi] to absolute tolerance tol.
+def _adaptive_simpson(f, lo: float, hi: float) -> float:
+    """Adaptive Simpson on [lo, hi] to absolute tolerance QUAD_TOL.
 
-    Raises NumericalFailureError when the panel budget is exhausted.
+    Raises NumericalFailureError when the QUAD_MAX_PANELS budget is exhausted.
     """
     if hi <= lo:
         raise DomainError(f"empty integration interval [{lo}, {hi}]")
@@ -131,7 +130,7 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float = QUAD_TOL,
     flo, fm, fhi = f(lo), f(m), f(hi)
     whole = (hi - lo) * (flo + 4.0 * fm + fhi) / 6.0
     # Stack entries: (a, b, fa, fm, fb, S_ab, local tol)
-    stack = [(lo, hi, flo, fm, fhi, whole, tol)]
+    stack = [(lo, hi, flo, fm, fhi, whole, QUAD_TOL)]
     total = 0.0
     panels = 1
     while stack:
@@ -147,9 +146,9 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float = QUAD_TOL,
             total += s_left + s_right + err / 15.0
             continue
         panels += 1
-        if panels > max_panels:
+        if panels > QUAD_MAX_PANELS:
             raise NumericalFailureError(
-                f"adaptive Simpson exceeded {max_panels} panels on [{lo}, {hi}]"
+                f"adaptive Simpson exceeded {QUAD_MAX_PANELS} panels on [{lo}, {hi}]"
             )
         half = 0.5 * eps
         stack.append((a, m_, fa, flm, fm_, s_left, half))
@@ -157,8 +156,7 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float = QUAD_TOL,
     return total
 
 
-def _integrate_power_weighted(g, a: float, alpha: float, g_at_zero: float,
-                              tol: float = QUAD_TOL) -> float:
+def _integrate_power_weighted(g, a: float, alpha: float, g_at_zero: float) -> float:
     """integral_0^a u**(-alpha) * g(u) du for bounded g, alpha in (1/2, 1).
 
     The substitution u = y**(1/(1-alpha)) removes the endpoint singularity:
@@ -174,7 +172,7 @@ def _integrate_power_weighted(g, a: float, alpha: float, g_at_zero: float,
             return g_at_zero
         return g(y**inv_p)
 
-    return _adaptive_simpson(h, 0.0, upper, tol) / p
+    return _adaptive_simpson(h, 0.0, upper) / p
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def _integrate_power_weighted(g, a: float, alpha: float, g_at_zero: float,
 # --------------------------------------------------------------------------
 
 
-def survival_map(rho: float, a: float, params: ModelParams, tol: float = QUAD_TOL) -> float:
+def survival_map(rho: float, a: float, params: ModelParams) -> float:
     """One application of the consistency map whose largest fixed point is rho_star_a.
 
     Phi(rho) = ((1-alpha)/a**(1-alpha)) *
@@ -203,26 +201,29 @@ def survival_map(rho: float, a: float, params: ModelParams, tol: float = QUAD_TO
     def g(u: float) -> float:
         return -math.expm1(-scale * u ** (-alpha))
 
-    integral = _integrate_power_weighted(g, a, alpha, g_at_zero=1.0, tol=tol)
+    integral = _integrate_power_weighted(g, a, alpha, g_at_zero=1.0)
     return (1.0 - alpha) / a ** (1.0 - alpha) * integral
 
 
-def rho_star_fixed_point(a: float, params: ModelParams, tol: float = 1e-12,
-                         max_iter: int = 100_000) -> float:
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 100_000
+
+
+def rho_star_fixed_point(a: float, params: ModelParams) -> float:
     """Largest fixed point of the survival map, by simple iteration from 1.
 
     Phi is concave with Phi(0) = 0 and infinite slope at 0, so iterates from
     rho_0 = 1 decrease monotonically to the unique positive fixed point.
-    Stops when successive iterates differ by less than tol.
+    Stops when successive iterates differ by less than FIXED_POINT_TOL.
     """
     rho = 1.0
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         nxt = survival_map(rho, a, params)
-        if abs(nxt - rho) < tol:
+        if abs(nxt - rho) < FIXED_POINT_TOL:
             return nxt
         rho = nxt
     raise NumericalFailureError(
-        f"fixed point did not converge within {max_iter} iterations at a={a}; "
+        f"fixed point did not converge within {FIXED_POINT_MAX_ITER} iterations at a={a}; "
         f"last residual {abs(nxt - rho):.3e}"
     )
 
@@ -242,8 +243,7 @@ def rho_a_of_u(u: float, a: float, rho_star_a: float, params: ModelParams) -> fl
     return -math.expm1(-scale * u ** (-params.alpha))
 
 
-def zeta_a(a: float, params: ModelParams, rho_star: float | None = None,
-           tol: float = QUAD_TOL) -> float:
+def zeta_a(a: float, params: ModelParams, rho_star: float | None = None) -> float:
     """Weight of the level-a giant on the beta_n scale:
     zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du, increasing to zeta."""
     if not (a > 0.0):
@@ -258,11 +258,10 @@ def zeta_a(a: float, params: ModelParams, rho_star: float | None = None,
     def g(u: float) -> float:
         return -math.expm1(-scale * u ** (-alpha))
 
-    return params.c_F * _integrate_power_weighted(g, a, alpha, g_at_zero=1.0, tol=tol)
+    return params.c_F * _integrate_power_weighted(g, a, alpha, g_at_zero=1.0)
 
 
-def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None,
-               tol: float = QUAD_TOL) -> float:
+def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None) -> float:
     """Unconditional survival probability rho_a = (1/a) * integral_0^a rho_a(u) du."""
     if not (a > 0.0):
         raise DomainError(f"core level a must be positive, got a={a}")
@@ -278,7 +277,7 @@ def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None,
             return 1.0
         return -math.expm1(-scale * u ** (-alpha))
 
-    return _adaptive_simpson(f, 0.0, a, tol) / a
+    return _adaptive_simpson(f, 0.0, a) / a
 
 
 @dataclass(frozen=True)
@@ -365,30 +364,31 @@ def _spawn(lam: np.ndarray, rep: np.ndarray, a: float, params: ModelParams, rng)
     return counts, child_rep, child_types
 
 
+MC_DEPTH_CAP = 50
+MC_POP_CAP = 1_000
+MC_MEAN_CAP = 100.0
+
+
 def branching_survival_mc(u: float, a: float, params: ModelParams,
-                          depth_cap: int = 50, replicas: int = 10_000,
-                          rng=None, pop_cap: int = 1_000,
-                          mean_cap: float = 100.0) -> float:
+                          replicas: int = 10_000, rng=None) -> float:
     """Monte Carlo estimate of the survival probability rho_a(u).
 
     Runs ``replicas`` independent copies of the branching process rooted at a
     single particle of type u and reports the fraction still alive at
-    generation ``depth_cap``.  Two early-survival shortcuts keep the simulation
+    generation MC_DEPTH_CAP.  Two early-survival shortcuts keep the simulation
     bounded (the process is supercritical on (0, a], so the chance of dying out
     from either state is negligible next to the binomial noise):
 
-    - populations reaching ``pop_cap`` are declared survivors;
-    - so is any replica holding a particle with offspring mean >= ``mean_cap``.
+    - populations reaching MC_POP_CAP are declared survivors;
+    - so is any replica holding a particle with offspring mean >= MC_MEAN_CAP.
       The type density blows up near 0, so single particles of tiny type can
       carry means in the millions, and sampling their children would exhaust
-      memory; their extinction odds are below exp(-mean_cap / 4).
+      memory; their extinction odds are below exp(-MC_MEAN_CAP / 4).
     """
     if not (a > 0.0):
         raise DomainError(f"core level a must be positive, got a={a}")
     if not (0.0 < u <= a):
         raise DomainError(f"root type u must lie in (0, a], got u={u}")
-    if depth_cap < 10:
-        raise DomainError(f"depth_cap must be at least 10, got {depth_cap}")
     if replicas < 1_000:
         raise DomainError(f"need at least 1000 replicas, got {replicas}")
     if rng is None:
@@ -399,11 +399,11 @@ def branching_survival_mc(u: float, a: float, params: ModelParams,
     rep = np.arange(replicas, dtype=np.int64)
     types = np.full(replicas, float(u))
     scale = c_F_bar(params) * a ** (1.0 - params.alpha)
-    for _ in range(depth_cap):
+    for _ in range(MC_DEPTH_CAP):
         if rep.size == 0:
             break
         lam = scale * types ** (-params.alpha)
-        hot = lam >= mean_cap
+        hot = lam >= MC_MEAN_CAP
         if hot.any():
             status[rep[hot]] = SURVIVED
             live = status[rep] == UNDECIDED
@@ -415,9 +415,9 @@ def branching_survival_mc(u: float, a: float, params: ModelParams,
         pop = np.bincount(rep, weights=counts, minlength=replicas)
         undecided = status == UNDECIDED
         status[undecided & (pop == 0)] = DEAD
-        status[undecided & (pop >= pop_cap)] = SURVIVED
+        status[undecided & (pop >= MC_POP_CAP)] = SURVIVED
         keep = status[child_rep] == UNDECIDED
         rep = child_rep[keep]
         types = child_types[keep]
-    # Survivors: capped populations plus anything still alive at depth_cap.
+    # Survivors: capped populations plus anything still alive at MC_DEPTH_CAP.
     return float(np.count_nonzero(status != DEAD)) / replicas

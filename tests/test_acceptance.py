@@ -452,17 +452,13 @@ def test_criterion_7_core_structure():
     worst_kernel = max(abs(e.ratio - 1.0) for e in entries)
     kernel_ok = worst_kernel <= 0.10
 
-    frac_cfg = ExperimentConfig("core_giant", n_grid=(10**6,), replicas=5,
-                                master_seed=MASTER, a=a)
-    frac_res = run(frac_cfg)
-    frac_mean = frac_res.aggregates[str(10**6)]["core_giant_fraction"]["mean"]
-    rho_a = frac_res.theory["rho_a"]
-    frac_err = abs(frac_mean - rho_a) / rho_a
-    frac_ok = frac_err <= 0.05
-
     n1_cfg = ExperimentConfig("one_neighborhood", n_grid=(10**5, 10**6), replicas=5,
                               master_seed=MASTER, a=a)
     n1_res = run(n1_cfg)
+    frac_mean = n1_res.aggregates[str(10**6)]["core_giant_fraction"]["mean"]
+    rho_a = n1_res.theory["rho_a"]
+    frac_err = abs(frac_mean - rho_a) / rho_a
+    frac_ok = frac_err <= 0.05
     gaps = [n1_res.aggregates[str(n)]["relative_gap"]["mean"] for n in n1_cfg.n_grid]
 
     # Rebuild each replica's core giant G and test N1 against its exact
@@ -498,7 +494,7 @@ def test_criterion_7_core_structure():
              and all(abs(z) <= 3.0 for z in pooled_z) and centre_gap[0] > centre_gap[1])
 
     ok = kernel_ok and frac_ok and n1_ok
-    core_n = frac_res.records[0]["core_size"]
+    core_n = next(r["core_size"] for r in n1_res.records if r["n"] == 10**6)
     report(7, "core structure", ok,
            f"worst kernel ratio gap {worst_kernel:.3f} (need <= 0.10), core giant "
            f"fraction off rho_a by {frac_err:.3f} at core size {core_n} (need <= 0.05), "

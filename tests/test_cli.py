@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from sfperc.cli import build_parser, main
-from sfperc.experiments import ExperimentConfig
+from sfperc.cli import _SUBCOMMAND_EXPERIMENT, build_parser, main
+from sfperc.experiments import EXPERIMENTS, ExperimentConfig
 from sfperc.graphgen import read_edge_list
 
 
@@ -79,11 +79,35 @@ def test_explore_bad_config_exits_2(extra, message, tmp_path, monkeypatch, capsy
     assert message in capsys.readouterr().err
 
 
-def test_core_variant_flag(capsys):
-    rc = main(["core", "--variant", "weight", "--n-grid", "5000", "--replicas", "1",
-               "--lambda-kind", "constant", "--lambda-value", "4"])
-    assert rc == 0
-    assert "weight_over_beta_mean" in capsys.readouterr().out
+def test_core_variant_flag(tmp_path, monkeypatch, capsys):
+    # `core` runs the one core experiment, which records every core statistic
+    argv = ["core", "--n-grid", "5000", "--replicas", "1",
+            "--lambda-kind", "constant", "--lambda-value", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for key in ("core_size", "core_giant_size", "core_giant_fraction", "core_giant_weight",
+                "weight_over_beta", "one_neighborhood_size", "relative_gap"):
+        assert f"{key}_mean" in out
+
+    # the variant flag and the experiments it selected are gone, and fail closed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--variant", "giant"])
+    assert exc.value.code == 2
+
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    path = tmp_path / "config.json"
+    for name in ("core_giant", "core_weight"):
+        path.write_text(json.dumps({"experiment": name, "n_grid": [5000], "replicas": 1}))
+        assert main(["core", "--config", str(path)]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_subcommands_cover_every_experiment_once():
+    assert sorted(_SUBCOMMAND_EXPERIMENT.values()) == sorted(EXPERIMENTS)
+    assert len(set(_SUBCOMMAND_EXPERIMENT.values())) == len(_SUBCOMMAND_EXPERIMENT)
 
 
 def test_lambda_flags_must_pair():

@@ -267,9 +267,6 @@ def test_core_report_chain():
     assert 0 < report.core_giant_size <= report.core_size
     assert report.core_giant_weight > 0.0
     assert report.one_neighborhood_size >= 0
-    assert len(report.kernel_check) == 3
-    for entry in report.kernel_check:
-        assert 0.5 < entry.ratio < 2.0
     # the report asserts the giant lower bound internally; re-check here
     full = component_sizes(gs)
     assert full.giant_size >= report.core_giant_size + report.one_neighborhood_size

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sfperc.components import core_report
 from sfperc.errors import ConfigError, DomainError
 from sfperc.experiments import (
     RESULT_VERSION,
@@ -18,7 +19,14 @@ from sfperc.experiments import (
     summarize,
     write_result,
 )
-from sfperc.params import LambdaRule, core_prefix_size, make_schedule, model_params
+from sfperc.graphgen import percolate_coupled, sample_mnr
+from sfperc.params import (
+    LambdaRule,
+    build_weights,
+    core_prefix_size,
+    make_schedule,
+    model_params,
+)
 
 
 def small_config(**overrides):
@@ -39,7 +47,7 @@ def test_config_defaults_per_experiment():
     assert giant.replicas == 20 and giant.master_seed == 1
     assert giant.mode == "multi"
 
-    core = ExperimentConfig("core_giant")
+    core = ExperimentConfig("one_neighborhood")
     assert core.n_grid == (100_000, 1_000_000)
     assert core.lambda_rule == LambdaRule("constant", 10.0)
     assert core.mode == "single"
@@ -56,8 +64,12 @@ def test_config_defaults_per_experiment():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        ExperimentConfig("no_such_experiment")
+    # core_giant and core_weight were folded into one_neighborhood
+    for name in ("no_such_experiment", "core_giant", "core_weight"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(name)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "experiment": name})
     with pytest.raises(ConfigError):
         small_config(replicas=0)
     with pytest.raises(ConfigError):
@@ -73,10 +85,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         small_config(master_seed=2**64)
     with pytest.raises(ConfigError):
-        ExperimentConfig("core_giant", n_grid=(100_000,), a=0.0)
+        ExperimentConfig("one_neighborhood", n_grid=(100_000,), a=0.0)
     # constant-10 single schedule has pi >= 1 at n = 10^4
     with pytest.raises(ConfigError):
-        ExperimentConfig("core_giant", n_grid=(10_000,))
+        ExperimentConfig("one_neighborhood", n_grid=(10_000,))
     for bad_T in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2.0"):
         with pytest.raises(ConfigError):
             small_config(T=bad_T)
@@ -267,28 +279,34 @@ def test_residual_records_and_theory():
 
 def test_core_experiment_records_and_theory():
     rule = LambdaRule("constant", 4.0)
-    config = ExperimentConfig("core_giant", n_grid=(5000,), replicas=2,
-                              lambda_rule=rule, a=1.0)
-    result = run(config)
-    schedule = make_schedule(model_params(2.5, 1.0, 5000), "single", rule)
-    for rec in result.records:
-        assert rec["core_size"] == core_prefix_size(schedule, 1.0)
-        assert 0 < rec["core_giant_size"] <= rec["core_size"]
-        assert 0.0 < rec["core_giant_fraction"] <= 1.0
-    assert result.theory["a"] == 1.0
-    assert 0.0 < result.theory["rho_star_a"] < 1.0
-    assert result.theory["zeta_a"] == pytest.approx(3.0 * result.theory["rho_star_a"])
-
-
-def test_one_neighborhood_records():
-    rule = LambdaRule("constant", 4.0)
     config = ExperimentConfig("one_neighborhood", n_grid=(5000,), replicas=2,
                               lambda_rule=rule, a=1.0)
     result = run(config)
+    params = model_params(2.5, 1.0, 5000)
+    ws = build_weights(params)
+    schedule = make_schedule(params, "single", rule)
+    core_size = core_prefix_size(schedule, 1.0)
     for rec in result.records:
+        # rebuild the replica's core report from its seed
+        rng = np.random.default_rng(rec["seed"])
+        _, g_simple = percolate_coupled(sample_mnr(ws, rng), schedule.pi_n, rng)
+        report = core_report(g_simple, ws, schedule, 1.0)
+        weight = report.core_giant_weight
+        gap = abs(report.one_neighborhood_size - weight)
+        assert {k: v for k, v in rec.items() if k not in ("n", "replica", "seed")} == {
+            "core_size": core_size,
+            "core_giant_size": report.core_giant_size,
+            "core_giant_fraction": report.core_giant_size / core_size,
+            "core_giant_weight": weight,
+            "weight_over_beta": weight / schedule.beta_n,
+            "one_neighborhood_size": report.one_neighborhood_size,
+            "relative_gap": gap / weight,
+        }
+        assert 0 < rec["core_giant_size"] <= rec["core_size"]
         assert rec["one_neighborhood_size"] >= 0
-        gap = abs(rec["one_neighborhood_size"] - rec["core_giant_weight"])
-        assert rec["relative_gap"] == pytest.approx(gap / rec["core_giant_weight"])
+    assert result.theory["a"] == 1.0
+    assert 0.0 < result.theory["rho_star_a"] < 1.0
+    assert result.theory["zeta_a"] == pytest.approx(3.0 * result.theory["rho_star_a"])
 
 
 def test_theory_tables_content():

@@ -39,6 +39,10 @@ def test_from_pairs_canonicalizes_and_merges():
     assert g.as_tuples() == [(1, 2, 3), (2, 4, 5), (3, 3, 1)]
     assert g.pair_count == 3
     assert g.total_edge_count == 9
+    # (1, 6) at n = 3 would alias onto the loop (2, 2) without the range check
+    for bad in ([(1, 6, 1)], [(0, 2, 1)], [(1, 2, 0)], [(1, 2, 1), (2, 3, 0)]):
+        with pytest.raises(DomainError):
+            MultiGraph.from_pairs(3, bad)
 
 
 def test_degrees_count_loops_twice():
@@ -66,8 +70,9 @@ def test_multigraph_validate_rejects_bad_arrays():
 
 
 def test_simple_graph_rejects_loops_and_checks_order():
-    with pytest.raises(DomainError):
-        SimpleGraph.from_pairs(3, [(1, 1)])
+    for bad in ([(1, 1)], [(1, 2), (3, 3)], [(1, 6)], [(0, 2)]):
+        with pytest.raises(DomainError):
+            SimpleGraph.from_pairs(3, bad)
     g = SimpleGraph.from_pairs(3, [(3, 1), (1, 2), (2, 1)])
     assert g.as_tuples() == [(1, 2), (1, 3)]
     bad = SimpleGraph(n=3, src=np.array([2]), dst=np.array([2]))

@@ -262,8 +262,6 @@ def test_branching_mc_input_checks():
         th.branching_survival_mc(2.0, 1.0, P, rng=rng)
     with pytest.raises(DomainError):
         th.branching_survival_mc(0.5, 1.0, P, replicas=10, rng=rng)
-    with pytest.raises(DomainError):
-        th.branching_survival_mc(0.5, 1.0, P, depth_cap=2, rng=rng)
 
 
 def test_branching_mc_is_seed_deterministic():
