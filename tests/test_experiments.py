@@ -309,6 +309,17 @@ def test_core_experiment_records_and_theory():
     assert result.theory["zeta_a"] == pytest.approx(3.0 * result.theory["rho_star_a"])
 
 
+def test_one_neighborhood_records():
+    rule = LambdaRule("constant", 4.0)
+    config = ExperimentConfig("one_neighborhood", n_grid=(5000,), replicas=2,
+                              lambda_rule=rule, a=1.0)
+    result = run(config)
+    for rec in result.records:
+        assert rec["one_neighborhood_size"] >= 0
+        gap = abs(rec["one_neighborhood_size"] - rec["core_giant_weight"])
+        assert rec["relative_gap"] == pytest.approx(gap / rec["core_giant_weight"])
+
+
 def test_theory_tables_content():
     config = ExperimentConfig("theory_tables", n_grid=(1000,), replicas=1)
     result = run(config)
