@@ -48,6 +48,7 @@ from .graphgen import (
     percolate_coupled,
     percolate_multigraph,
     read_edge_list,
+    sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
     sample_percolated_mnr_subset,

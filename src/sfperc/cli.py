@@ -11,7 +11,12 @@ import numpy as np
 from . import experiments as xp
 from .errors import SfpercError
 from .exploration import run_exploration, write_trace_csv
-from .graphgen import percolate_coupled, sample_mnr, sample_percolated_mnr_direct, write_edge_list
+from .graphgen import (
+    sample_coupled_direct,
+    sample_mnr,
+    sample_percolated_mnr_direct,
+    write_edge_list,
+)
 from .params import LambdaRule, build_weights, make_schedule, model_params
 
 _SUBCOMMAND_EXPERIMENT = {
@@ -157,7 +162,7 @@ def _cmd_generate(args) -> int:
         if args.mode == "multi":
             graph = sample_percolated_mnr_direct(ws, schedule.pi_n, rng)
         else:
-            _, graph = percolate_coupled(sample_mnr(ws, rng), schedule.pi_n, rng)
+            _, graph = sample_coupled_direct(ws, schedule.pi_n, rng)
     write_edge_list(graph, args.out)
     print(f"wrote {args.out} ({graph.n} vertices, {graph.src.size} edge rows)")
     return 0

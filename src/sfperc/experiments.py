@@ -30,11 +30,7 @@ from .exploration import (
     run_exploration,
     sup_distance_to_limit,
 )
-from .graphgen import (
-    percolate_coupled,
-    sample_mnr,
-    sample_percolated_mnr_direct,
-)
+from .graphgen import sample_coupled_direct, sample_percolated_mnr_direct
 from .params import (
     LambdaRule,
     WeightSequence,
@@ -51,7 +47,7 @@ from .theory import (
     truncated_operator_norm,
 )
 
-RESULT_VERSION = 1
+RESULT_VERSION = 2
 
 EXPERIMENTS = (
     "multi_giant",
@@ -288,8 +284,7 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
             c2_over_beta=summary.second_size / sch.beta_n,
         )
     elif kind == "single_vs_multi":
-        g = sample_mnr(ws, rng)
-        g_multi, g_simple = percolate_coupled(g, sch.pi_n, rng)
+        g_multi, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
         g_multi.validate()
         g_simple.validate()
         c1 = component_sizes(g_multi).giant_size
@@ -315,8 +310,7 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
         largest = residual_largest_component(ws, sch, ctx.horizon, rng)
         rec.update(residual_largest=largest, residual_over_beta=largest / sch.beta_n)
     elif kind == "one_neighborhood":
-        g = sample_mnr(ws, rng)
-        _, g_simple = percolate_coupled(g, sch.pi_n, rng)
+        _, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
         g_simple.validate()
         report = core_report(g_simple, ws, sch, config.a)
         weight = report.core_giant_weight

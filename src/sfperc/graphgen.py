@@ -3,11 +3,16 @@
 Sampling is Poissonized throughout: the total number of edge slots is
 Poisson(ell_n / 2) and both endpoints of each slot are i.i.d. size-biased
 marks, which makes the per-pair multiplicities independent Poissons with
-rate w_i * w_j / ell_n (and w_i^2 / (2*ell_n) for self-loops).  Percolation
-by pi is equivalent to sampling with weights pi * w, which is what the
-"direct" samplers exploit; the coupled percolator realizes the simple-graph
-and multigraph percolations on one uniform per pair so the former is always
-a subgraph of the latter.
+rate w_i * w_j / ell_n (and w_i^2 / (2*ell_n) for self-loops).  Marks are
+drawn by inverse CDF: a batch of uniforms is searched on the cumulative
+weights in sorted order, and the results are scattered back to draw order.
+
+Percolation by pi is equivalent to sampling with weights pi * w, which is
+what the "direct" samplers exploit.  The coupled simple-graph and multigraph
+percolations share the event "some copy of the pair is kept", so the former
+is always a subgraph of the latter.  ``percolate_coupled`` realizes that on
+a raw multigraph; ``sample_coupled_direct`` draws the same joint law from
+the percolated multigraph alone by Poisson thinning.
 """
 
 from __future__ import annotations
@@ -134,12 +139,26 @@ class SimpleGraph:
 def draw_marks(weights: WeightSequence, size: int, rng) -> np.ndarray:
     """i.i.d. size-biased marks, P(M = i) = w_i / ell_n, as 1-based vertex ids.
 
-    Exact inverse-CDF sampling via binary search on the cumulative weights.
+    Exact inverse-CDF sampling: each uniform is located on the cumulative
+    weights by ``_lookup``.
     """
     if size < 0:
         raise DomainError(f"sample size must be nonnegative, got {size}")
     u = rng.random(size) * weights.ell_n
-    return np.searchsorted(weights.cum_weights, u, side="right").astype(np.int64) + 1
+    return _lookup(weights.cum_weights, u) + 1
+
+
+def _lookup(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` as int64, searched in sorted order.
+
+    Successive sorted queries land near each other on the cumulative array,
+    so their binary searches stay in cache; scattering the indices back to
+    u's order makes the result identical to the unsorted search.
+    """
+    order = np.argsort(u)
+    out = np.empty(u.size, dtype=np.int64)
+    out[order] = np.searchsorted(cum, u[order], side="right")
+    return out
 
 
 def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
@@ -173,8 +192,8 @@ def _sample_poissonized(n: int, ids: np.ndarray, eff_weights: np.ndarray,
     total = float(eff_weights.sum())
     m = int(rng.poisson(total * total / (2.0 * ell_div)))
     cum = np.cumsum(eff_weights)
-    a = ids[np.searchsorted(cum, rng.random(m) * cum[-1], side="right")]
-    b = ids[np.searchsorted(cum, rng.random(m) * cum[-1], side="right")]
+    a = ids[_lookup(cum, rng.random(m) * cum[-1])]
+    b = ids[_lookup(cum, rng.random(m) * cum[-1])]
     src, dst, mult = _aggregate_pairs(n, a, b)
     return MultiGraph(n=n, src=src, dst=dst, mult=mult)
 
@@ -251,13 +270,7 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
     _check_pi(pi)
     k = g.mult
     u = rng.random(g.pair_count)
-    if pi >= 1.0:
-        p_any = np.ones(g.pair_count)
-    else:
-        p_any = -np.expm1(k * np.log1p(-pi))
-    # The k == 1 case must use pi bit-for-bit so the coupling cannot leak.
-    p_any = np.where(k == 1, pi, p_any)
-    multi_keep = u <= p_any
+    multi_keep = u <= _any_copy_kept(k, pi)
     simple_keep = (u <= pi) & (g.src != g.dst)
 
     counts = np.zeros(g.pair_count, dtype=np.int64)
@@ -278,6 +291,42 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
                     mult=counts[multi_keep])
     gs = SimpleGraph(n=g.n, src=g.src[simple_keep].copy(), dst=g.dst[simple_keep].copy())
     return gm, gs
+
+
+def sample_coupled_direct(weights: WeightSequence, pi: float,
+                          rng) -> tuple[MultiGraph, SimpleGraph]:
+    """Sample ``percolate_coupled(sample_mnr(weights, rng), pi, rng)`` in law,
+    without the raw multigraph.
+
+    By Poisson thinning the kept count c and the discarded count K' of a pair
+    are independent Poissons with rates pi*w_i*w_j/ell_n and
+    (1-pi)*w_i*w_j/ell_n, so the percolated multigraph is drawn directly and
+    each kept non-loop pair gets K' and its raw count k = c + K'.  Given k and
+    a kept pair, the shared uniform of ``percolate_coupled`` is uniform on
+    [0, 1-(1-pi)^k], and the simple edge is kept iff it is <= pi.  Loops never
+    become simple edges, so they need no K'.
+    """
+    gm = sample_percolated_mnr_direct(weights, pi, rng)
+    pair = gm.src != gm.dst
+    src, dst = gm.src[pair], gm.dst[pair]
+    w = weights.weights
+    k = gm.mult[pair] + rng.poisson((1.0 - pi) * w[src - 1] * w[dst - 1] / weights.ell_n)
+    p_any = _any_copy_kept(k, pi)
+    if np.any(p_any < pi):
+        raise AssertionError("coupling violated: a kept pair is less likely than its simple edge")
+    simple_keep = rng.random(k.size) * p_any <= pi
+    return gm, SimpleGraph(n=gm.n, src=src[simple_keep], dst=dst[simple_keep])
+
+
+def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:
+    """P(at least one of k copies survives pi-percolation) = 1 - (1-pi)^k.
+
+    The k == 1 case is pi bit-for-bit, so a simple edge kept iff U <= pi can
+    never leak outside the multigraph event U <= 1 - (1-pi)^k.
+    """
+    if pi >= 1.0:
+        return np.ones(k.size)
+    return np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
 
 
 def _check_pi(pi: float) -> None:

@@ -42,6 +42,7 @@ from sfperc.graphgen import (
     collapse_to_simple,
     percolate_coupled,
     percolate_multigraph,
+    sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
 )
@@ -475,7 +476,7 @@ def test_criterion_7_core_structure():
         recs = [r for r in n1_res.records if r["n"] == n]
         for rec in recs:
             rng = np.random.default_rng(derive_seed(MASTER, n, rec["replica"]))
-            _, g_simple = percolate_coupled(sample_mnr(ws, rng), sch.pi_n, rng)
+            _, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
             giant = core_giant_and_weight(extract_core(g_simple, core_size), ws, sch)
             n1 = one_neighborhood(g_simple, giant.members, core_size)
             rebuilt &= (n1 == rec["one_neighborhood_size"]
@@ -565,16 +566,19 @@ def test_criterion_9_structural_invariants():
     params = model_params(2.5, 1.0, 2000)
     ws = build_weights(params)
     rng = np.random.default_rng(derive_seed(MASTER, 2000, 0))
+    direct_rng = np.random.default_rng(derive_seed(MASTER, 2000, 1))
     degree_ok = True
     coupling_ok = True
     for _ in range(5):
         g = sample_mnr(ws, rng)
         g.validate()
         degree_ok &= int(g.degrees().sum()) == 2 * g.total_edge_count
-        gm, gs = percolate_coupled(g, 0.4, rng)
-        gm.validate()
-        gs.validate()
-        coupling_ok &= set(gs.as_tuples()) <= {(i, j) for i, j, _ in gm.as_tuples()}
+        # the raw-multigraph operator and the direct sampler both couple
+        for gm, gs in (percolate_coupled(g, 0.4, rng),
+                       sample_coupled_direct(ws, 0.4, direct_rng)):
+            gm.validate()
+            gs.validate()
+            coupling_ok &= set(gs.as_tuples()) <= {(i, j) for i, j, _ in gm.as_tuples()}
 
     sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
     trace = run_exploration(ws, sch, 400, rng)

@@ -124,6 +124,8 @@ def test_config_file_and_subcommand_mismatch(tmp_path):
         main(["single-vs-multi", "--config", str(path)])
     # matching subcommand consumes the same file happily
     assert main(["giant", "--config", str(path)]) == 0
+    path.write_text(json.dumps({**config.to_dict(), "version": 1}))
+    assert main(["giant", "--config", str(path)]) == 2
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

@@ -19,7 +19,7 @@ from sfperc.experiments import (
     summarize,
     write_result,
 )
-from sfperc.graphgen import percolate_coupled, sample_mnr
+from sfperc.graphgen import sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
     build_weights,
@@ -119,10 +119,12 @@ def test_config_from_dict_fail_closed():
     bad["surprise"] = 1
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
-    stale = dict(good)
-    stale["version"] = RESULT_VERSION + 1
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(stale)
+    # version 1 configs predate the direct coupled sampler
+    for version in (1, RESULT_VERSION + 1):
+        stale = dict(good)
+        stale["version"] = version
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(stale)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"tau": 2.5})
     with pytest.raises(ConfigError):
@@ -289,7 +291,7 @@ def test_core_experiment_records_and_theory():
     for rec in result.records:
         # rebuild the replica's core report from its seed
         rng = np.random.default_rng(rec["seed"])
-        _, g_simple = percolate_coupled(sample_mnr(ws, rng), schedule.pi_n, rng)
+        _, g_simple = sample_coupled_direct(ws, schedule.pi_n, rng)
         report = core_report(g_simple, ws, schedule, 1.0)
         weight = report.core_giant_weight
         gap = abs(report.one_neighborhood_size - weight)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from sfperc.errors import DomainError
 from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
+    _lookup,
     collapse_to_simple,
     draw_marks,
     percolate_coupled,
     percolate_multigraph,
     read_edge_list,
+    sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
     sample_percolated_mnr_subset,
@@ -110,6 +113,21 @@ def test_draw_marks_distribution():
     # each cell within 4 binomial standard errors
     se = np.sqrt(size * probs * (1.0 - probs))
     assert np.all(np.abs(counts - size * probs) < 4.0 * se)
+
+
+def test_lookup_matches_unsorted_search():
+    cum = np.cumsum([4.0, 2.0, 2.0, 1.0, 1.0])
+    rng = np.random.default_rng(3)
+    queries = (
+        np.empty(0),
+        np.concatenate([[0.0], cum]),  # exactly on every cumulative boundary
+        np.array([2.5, 8.0, 2.5, 0.0, 8.0, 8.0, 9.75]),  # repeated values
+        rng.random(10_000) * cum[-1],
+    )
+    for u in queries:
+        got = _lookup(cum, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
 
 def test_draw_marks_rejects_negative_size():
@@ -241,6 +259,8 @@ def test_retention_probability_domain():
             percolate_coupled(g, bad, rng)
         with pytest.raises(DomainError):
             sample_percolated_mnr_direct(toy_weights(), bad, rng)
+        with pytest.raises(DomainError):
+            sample_coupled_direct(toy_weights(), bad, rng)
 
 
 def test_percolate_coupled_subgraph_relation():
@@ -293,6 +313,45 @@ def test_percolate_coupled_conditional_multiplicity():
     mean_given = 4 * pi / p_any
     arr = np.asarray(kept_counts, dtype=float)
     assert abs(arr.mean() - mean_given) < 4.0 * arr.std(ddof=1) / math.sqrt(arr.size)
+
+
+def _joint_cells(draw, reps: int) -> Counter:
+    """Tally (pair, min(c, 3), simple kept) over ``reps`` coupled draws."""
+    cells = Counter()
+    for _ in range(reps):
+        gm, gs = draw()
+        simple = set(gs.as_tuples())
+        mult = {(i, j): m for i, j, m in gm.as_tuples()}
+        for pair in ((1, 2), (2, 3), (1, 1)):
+            cells[pair, min(mult.get(pair, 0), 3), pair in simple] += 1
+    return cells
+
+
+def test_sample_coupled_direct_joint_law():
+    # two-sample chi-squared against the raw-multigraph operator: multigraph
+    # count, simple edge and their coupling, on two pairs and a loop
+    ws = WeightSequence.from_array([6.0, 4.0, 2.5, 1.0, 0.5])
+    pi, reps = 0.35, 20_000
+    rng_ref, rng_new = np.random.default_rng(41), np.random.default_rng(43)
+    ref = _joint_cells(lambda: percolate_coupled(sample_mnr(ws, rng_ref), pi, rng_ref), reps)
+    new = _joint_cells(lambda: sample_coupled_direct(ws, pi, rng_new), reps)
+    cells = set(ref) | set(new)
+    assert len(cells) == 18  # 7 per non-loop pair (c = 0 has no simple edge), 4 for the loop
+    stat = sum((ref[c] - new[c]) ** 2 / (ref[c] + new[c]) for c in cells)
+    # each draw fills one cell per pair: (7-1) + (7-1) + (4-1) degrees of freedom
+    assert chi2.sf(stat, 15) > 0.001, stat
+
+
+def test_sample_coupled_direct_full_retention():
+    # at pi = 1 every pair is kept, so every non-loop pair is a simple edge
+    params = model_params(2.5, 1.0, 300)
+    ws = build_weights(params)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        gm, gs = sample_coupled_direct(ws, 1.0, rng)
+        gm.validate()
+        gs.validate()
+        assert gs.as_tuples() == collapse_to_simple(gm).as_tuples()
 
 
 # --------------------------------------------------------------------------
