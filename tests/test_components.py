@@ -231,7 +231,8 @@ def test_one_neighborhood_toy():
 
 
 def test_one_neighborhood_union_bound():
-    # the union of outside neighbors never exceeds the per-member sum
+    # the union of outside neighbors never exceeds the per-member sum, and
+    # equals the set of outside endpoints of edges leaving the members
     rng = np.random.default_rng(5)
     for _ in range(50):
         n, core = 30, 10
@@ -245,6 +246,8 @@ def test_one_neighborhood_union_bound():
             for m in members.tolist()
         )
         assert union <= per_member
+        inside = set(members.tolist())
+        assert union == len({j for i, j in g.as_tuples() if i in inside and j > core})
 
 
 def test_core_giant_and_weight_toy():

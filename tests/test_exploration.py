@@ -46,6 +46,7 @@ def test_trace_invariants():
     # |V_l| = l - R(l) at every step
     for l in (0, 1, 57, 600):
         assert trace.explored(l).size == l - trace.repeats[l]
+        assert trace.explored(l).tolist() == sorted(set(trace.marks[:l].tolist()))
     # stack is empty exactly at step 0 and at closing steps
     closes = {e for _, e in trace.excursions}
     for l in range(trace.steps + 1):
