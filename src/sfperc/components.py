@@ -10,7 +10,6 @@ run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -202,9 +201,3 @@ def core_report(g_full: SimpleGraph, weights: WeightSequence,
     return CoreReport(a=a, core_size=core_size, core_giant_size=giant.size,
                       core_giant_weight=giant.weight, one_neighborhood_size=n1)
 
-
-def write_component_table(summary: ComponentSummary, path) -> None:
-    """CSV of component sizes by rank: header "rank,size"."""
-    lines = ["rank,size"]
-    lines.extend(f"{r},{s}" for r, s in enumerate(summary.sizes.tolist(), start=1))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -261,7 +261,7 @@ def _build_context(config: ExperimentConfig, n: int) -> _Context:
     elif config.experiment == "exploration_limit":
         horizon = 1.5 * constants.zeta
     elif config.experiment == "residual_components":
-        horizon = horizon_for_forward_degree(params, 0.25)
+        horizon = horizon_for_forward_degree(params)
     else:
         horizon = 1.0
     return _Context(n=n, weights=ws, schedule=sch, constants=constants, horizon=horizon)

@@ -1,4 +1,4 @@
-"""Mark-based exploration of the percolated multigraph and its rescaled walk.
+"""Mark-based exploration of the percolated multigraph.
 
 Each step draws a size-biased mark M_l.  A fresh mark contributes
 Poisson(pi_n * w_{M_l}) potential children, a repeated mark contributes
@@ -7,8 +7,11 @@ nothing, and either way the walk pays one unit:
     Z(l) = Z(l-1) + X_l - 1,   X_l = Poisson(pi_n * w_{M_l}) * 1{M_l fresh}.
 
 Components are delimited by new running minima of Z (each excursion's fresh
-marks are exactly one component's vertices), and the rescaled walk
-Z(floor(t*beta_n))/beta_n converges to the deterministic curve z(t).
+marks are exactly one component's vertices).  The rescaled walk
+Z(floor(t*beta_n))/beta_n converges to the deterministic curve z(t);
+``sup_distance_to_limit`` measures the gap, ``repeat_fraction`` counts
+repeated marks, and ``residual_largest_component`` sizes what is left
+unexplored.
 """
 
 from __future__ import annotations
@@ -23,18 +26,16 @@ from .components import largest_component_among
 from .errors import DomainError, RangeError
 from .graphgen import draw_marks, sample_percolated_mnr_subset
 from .params import PercolationSchedule, WeightSequence
-from .theory import TheoryConstants, limit_curve_z
+from .theory import TheoryConstants
 
 
 @dataclass(frozen=True)
 class ExplorationTrace:
     """Step-indexed record of one exploration run.
 
-    Arrays Z, S, repeats, and potential_stack_size have length steps + 1 and
-    start at the step-0 state; marks and new_mark have length steps.
-    ``excursions`` lists the closed excursions as (first_step, last_step)
-    pairs, 1-based inclusive; ``open_excursion`` is True when the walk ended
-    before the final excursion closed.
+    Arrays Z, S and repeats have length steps + 1 and start at the step-0
+    state; marks and new_mark have length steps.  ``excursions`` lists the
+    closed excursions as (first_step, last_step) pairs, 1-based inclusive.
     """
 
     steps: int
@@ -43,9 +44,7 @@ class ExplorationTrace:
     Z: np.ndarray
     S: np.ndarray
     repeats: np.ndarray
-    potential_stack_size: np.ndarray
     excursions: list[tuple[int, int]]
-    open_excursion: bool
 
     def explored(self, upto: int | None = None) -> np.ndarray:
         """Distinct explored marks after ``upto`` steps (default: all steps)."""
@@ -57,11 +56,6 @@ class ExplorationTrace:
         # integer hash path is slow) is needed.
         return np.sort(self.marks[:upto][self.new_mark[:upto]])
 
-    def excursion_vertex_counts(self) -> np.ndarray:
-        """Fresh-mark count (true component size) of each closed excursion."""
-        cum = np.concatenate([[0], np.cumsum(self.new_mark)])
-        return np.array([cum[e] - cum[s - 1] for s, e in self.excursions], dtype=np.int64)
-
 
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
                     max_steps: int, rng) -> ExplorationTrace:
@@ -71,18 +65,19 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     if max_steps < 1:
         raise DomainError(f"max_steps must be positive, got {max_steps}")
     m = int(max_steps)
-    wbar = schedule.percolated_weights(weights)
 
     marks = draw_marks(weights, m, rng)
     new = np.zeros(m, dtype=bool)
     new[np.unique(marks, return_index=True)[1]] = True
+    # Percolated weights pi_n * w of the drawn marks only, not of all n vertices.
+    wbar = schedule.pi_n * weights.weights[marks - 1]
     X = np.zeros(m, dtype=np.int64)
-    X[new] = rng.poisson(wbar[marks[new] - 1])
+    X[new] = rng.poisson(wbar[new])
 
     Z = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(X - 1, out=Z[1:])
     S = np.zeros(m + 1)
-    np.cumsum(np.where(new, wbar[marks - 1], 0.0), out=S[1:])
+    np.cumsum(np.where(new, wbar, 0.0), out=S[1:])
     S[1:] -= np.arange(1, m + 1)
     repeats = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(~new, out=repeats[1:])
@@ -96,16 +91,8 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     closes = np.nonzero(runmin[1:] < runmin[:-1])[0] + 1
     starts = np.concatenate([[1], closes[:-1] + 1]) if closes.size else np.empty(0, np.int64)
     excursions = list(zip(starts.tolist(), closes.tolist()))
-    open_excursion = bool(closes.size == 0 or closes[-1] != m)
-
-    # Pending potential vertices: Z above its running minimum, plus one for
-    # the pending decrement, except at step 0 and at closing steps.
-    stack = Z - runmin + 1
-    stack[0] = 0
-    stack[closes] = 0
     return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, S=S,
-                            repeats=repeats, potential_stack_size=stack,
-                            excursions=excursions, open_excursion=open_excursion)
+                            repeats=repeats, excursions=excursions)
 
 
 def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
@@ -117,17 +104,6 @@ def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
             f"time t={t} needs step {step} but the trace has only {steps} steps"
         )
     return step
-
-
-def rescaled_walk(trace: ExplorationTrace, schedule: PercolationSchedule,
-                  grid) -> np.ndarray:
-    """Sample Z(floor(t*beta_n)) / beta_n on a grid of times; returns (t, value) rows."""
-    out = np.empty((len(grid), 2))
-    for row, t in enumerate(grid):
-        step = _step_of(float(t), schedule, trace.steps)
-        out[row, 0] = t
-        out[row, 1] = trace.Z[step] / schedule.beta_n
-    return out
 
 
 def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule,
@@ -146,21 +122,6 @@ def repeat_fraction(trace: ExplorationTrace, schedule: PercolationSchedule,
     """R(floor(t*beta_n)) / beta_n, the repeats seen by time t on the beta_n scale."""
     step = _step_of(t, schedule, trace.steps)
     return float(trace.repeats[step] / schedule.beta_n)
-
-
-def empirical_forward_degree(trace: ExplorationTrace, weights: WeightSequence,
-                             schedule: PercolationSchedule, t: float) -> float:
-    """Size-biased mean percolated weight of the unexplored set at time t:
-    sum_{i not in V} wbar_i^2 / sum_{i not in V} wbar_i."""
-    step = _step_of(t, schedule, trace.steps)
-    explored = trace.explored(step)
-    wbar_explored = schedule.pi_n * weights.weights[explored - 1]
-    total = schedule.percolated_total(weights)
-    total_sq = schedule.pi_n**2 * float(np.sum(weights.weights**2))
-    denom = total - float(wbar_explored.sum())
-    if denom <= 0.0:
-        raise DomainError("unexplored set has no weight left")
-    return (total_sq - float(np.sum(wbar_explored**2))) / denom
 
 
 def residual_largest_component(weights: WeightSequence, schedule: PercolationSchedule,

@@ -239,23 +239,8 @@ def sample_percolated_mnr_subset(weights: WeightSequence, pi: float,
 
 
 # --------------------------------------------------------------------------
-# collapse and percolation operators
+# coupled percolation
 # --------------------------------------------------------------------------
-
-
-def collapse_to_simple(g: MultiGraph) -> SimpleGraph:
-    """Erase multiplicities and drop self-loops."""
-    keep = g.src != g.dst
-    return SimpleGraph(n=g.n, src=g.src[keep].copy(), dst=g.dst[keep].copy())
-
-
-def percolate_multigraph(g: MultiGraph, pi: float, rng) -> MultiGraph:
-    """Keep every edge copy independently with probability pi."""
-    _check_pi(pi)
-    kept = rng.binomial(g.mult, pi)
-    mask = kept > 0
-    return MultiGraph(n=g.n, src=g.src[mask].copy(), dst=g.dst[mask].copy(),
-                      mult=kept[mask].astype(np.int64))
 
 
 def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, SimpleGraph]:
@@ -351,17 +336,3 @@ def write_edge_list(g: MultiGraph | SimpleGraph, path) -> None:
         lines.append(f"{i} {j} {m}")
     path.write_text("\n".join(lines) + "\n")
 
-
-def read_edge_list(path) -> MultiGraph:
-    """Inverse of write_edge_list (always returns a MultiGraph)."""
-    text = Path(path).read_text().strip().splitlines()
-    n, m = (int(tok) for tok in text[0].split())
-    if len(text) - 1 != m:
-        raise DomainError(f"edge list header promised {m} pairs, found {len(text) - 1}")
-    triples = [tuple(int(tok) for tok in line.split()) for line in text[1:]]
-    src = np.array([t[0] for t in triples], dtype=np.int64)
-    dst = np.array([t[1] for t in triples], dtype=np.int64)
-    mult = np.array([t[2] for t in triples], dtype=np.int64)
-    g = MultiGraph(n=n, src=src, dst=dst, mult=mult)
-    g.validate()
-    return g

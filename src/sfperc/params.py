@@ -190,13 +190,6 @@ class PercolationSchedule:
     beta_n: float
     N_n: float | None
 
-    def percolated_weights(self, weights: WeightSequence) -> np.ndarray:
-        """Retention-thinned weights pi_n * w_i."""
-        return self.pi_n * weights.weights
-
-    def percolated_total(self, weights: WeightSequence) -> float:
-        return self.pi_n * weights.ell_n
-
 
 def make_schedule(params: ModelParams, mode: str, lambda_rule: LambdaRule) -> PercolationSchedule:
     """Evaluate a lambda rule at n and turn it into a feasible schedule."""

@@ -3,18 +3,15 @@
 Everything here is deterministic mathematics on the parameter side of the
 model: the constants (kappa, zeta, rho_star_inf) controlling the giant
 component scale, the deterministic curve z(t) tracked by the rescaled
-exploration walk, truncated-kernel operator norms, survival probabilities of
-the limiting mixed-Poisson branching process (via a fixed point solved by
-simple iteration), and a Monte Carlo branching-process oracle used to
-cross-check the fixed point.
+exploration walk, truncated-kernel operator norms, and survival
+probabilities of the limiting mixed-Poisson branching process (via a fixed
+point solved by simple iteration).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NumericalFailureError
 from .params import ModelParams
@@ -94,25 +91,7 @@ def limit_curve_max(params: ModelParams, constants: TheoryConstants, T: float) -
 
 
 # --------------------------------------------------------------------------
-# finite-n Laplace-type sum behind the exploration drift
-# --------------------------------------------------------------------------
-
-
-def laplace_sum_exact(weights, t: float, beta_n: float) -> float:
-    """Exact sum_i (w_i/ell_n) * (1 - (1 - w_i/ell_n)**(t * beta_n)).
-
-    For t*beta_n in the supercritical window this approaches
-    kappa * (t * pi_n**(1/(3-tau)) / mu)**(tau-2).
-    """
-    if t < 0.0 or beta_n < 0.0:
-        raise DomainError("t and beta_n must be nonnegative")
-    p = weights.weights / weights.ell_n
-    exponent = t * beta_n
-    return float(np.sum(p * (1.0 - (1.0 - p) ** exponent)))
-
-
-# --------------------------------------------------------------------------
-# adaptive Simpson quadrature with a power-law substitution
+# adaptive Simpson quadrature
 # --------------------------------------------------------------------------
 
 QUAD_TOL = 1e-10
@@ -156,25 +135,6 @@ def _adaptive_simpson(f, lo: float, hi: float) -> float:
     return total
 
 
-def _integrate_power_weighted(g, a: float, alpha: float, g_at_zero: float) -> float:
-    """integral_0^a u**(-alpha) * g(u) du for bounded g, alpha in (1/2, 1).
-
-    The substitution u = y**(1/(1-alpha)) removes the endpoint singularity:
-    the integral equals (1/(1-alpha)) * integral_0^{a**(1-alpha)} g(u(y)) dy.
-    ``g_at_zero`` supplies lim_{u->0+} g(u) for the transformed endpoint.
-    """
-    p = 1.0 - alpha
-    upper = a**p
-    inv_p = 1.0 / p
-
-    def h(y: float) -> float:
-        if y <= 0.0:
-            return g_at_zero
-        return g(y**inv_p)
-
-    return _adaptive_simpson(h, 0.0, upper) / p
-
-
 # --------------------------------------------------------------------------
 # survival probabilities of the limiting branching process on (0, a]
 # --------------------------------------------------------------------------
@@ -196,13 +156,20 @@ def survival_map(rho: float, a: float, params: ModelParams) -> float:
     if rho == 0.0:
         return 0.0
     alpha = params.alpha
-    scale = c_F_bar(params) * a ** (1.0 - alpha) * rho
+    p = 1.0 - alpha
+    inv_p = 1.0 / p
+    scale = c_F_bar(params) * a**p * rho
 
-    def g(u: float) -> float:
-        return -math.expm1(-scale * u ** (-alpha))
+    # u = y**(1/(1-alpha)) removes the u**(-alpha) endpoint singularity:
+    # integral_0^a u**(-alpha) g(u) du = (1/(1-alpha)) integral_0^{a**(1-alpha)} g(u(y)) dy,
+    # and g(u) -> 1 as u -> 0+.
+    def h(y: float) -> float:
+        if y <= 0.0:
+            return 1.0
+        return -math.expm1(-scale * (y**inv_p) ** (-alpha))
 
-    integral = _integrate_power_weighted(g, a, alpha, g_at_zero=1.0)
-    return (1.0 - alpha) / a ** (1.0 - alpha) * integral
+    integral = _adaptive_simpson(h, 0.0, a**p) / p
+    return p / a**p * integral
 
 
 FIXED_POINT_TOL = 1e-12
@@ -228,37 +195,19 @@ def rho_star_fixed_point(a: float, params: ModelParams) -> float:
     )
 
 
-def rho_a_of_u(u: float, a: float, rho_star_a: float, params: ModelParams) -> float:
-    """Survival probability of a particle of type u in the level-a process:
-    1 - exp(-c_F_bar * a**(1-alpha) * u**(-alpha) * rho_star_a)."""
-    if not (a > 0.0):
-        raise DomainError(f"core level a must be positive, got a={a}")
-    if not (0.0 < u <= a):
-        raise DomainError(f"type u must lie in (0, a], got u={u}")
-    if rho_star_a < 0.0:
-        raise DomainError(f"rho_star_a must be nonnegative, got {rho_star_a}")
-    if rho_star_a == 0.0:
-        return 0.0
-    scale = c_F_bar(params) * a ** (1.0 - params.alpha) * rho_star_a
-    return -math.expm1(-scale * u ** (-params.alpha))
-
-
 def zeta_a(a: float, params: ModelParams, rho_star: float | None = None) -> float:
-    """Weight of the level-a giant on the beta_n scale:
-    zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du, increasing to zeta."""
+    """Weight of the level-a giant on the beta_n scale,
+    zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du, increasing to zeta.
+
+    The integral is the one survival_map takes, so at its fixed point
+    zeta_a = c_F * a**(1-alpha) * rho_star_a / (1-alpha).
+    """
     if not (a > 0.0):
         raise DomainError(f"core level a must be positive, got a={a}")
     if rho_star is None:
         rho_star = rho_star_fixed_point(a, params)
-    if rho_star == 0.0:
-        return 0.0
-    alpha = params.alpha
-    scale = c_F_bar(params) * a ** (1.0 - alpha) * rho_star
-
-    def g(u: float) -> float:
-        return -math.expm1(-scale * u ** (-alpha))
-
-    return params.c_F * _integrate_power_weighted(g, a, alpha, g_at_zero=1.0)
+    p = 1.0 - params.alpha
+    return params.c_F * a**p * rho_star / p
 
 
 def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None) -> float:
@@ -323,6 +272,10 @@ def truncated_operator_norm(eps: float, a: float, params: ModelParams) -> float:
     return params.c_F**2 / params.mu * integral
 
 
+# Envelope level that ends the residual-components exploration.
+FORWARD_DEGREE_LEVEL = 0.25
+
+
 def forward_degree_asymptote(t: float, params: ModelParams) -> float:
     """Upper envelope for the expected forward degree of the unexplored graph:
     (1/alpha) * mu**(1-1/alpha) * c_F**(1/alpha) * Gamma(3-tau) * t**-(3-tau)."""
@@ -333,91 +286,7 @@ def forward_degree_asymptote(t: float, params: ModelParams) -> float:
     return coef * t ** (-(3.0 - tau))
 
 
-def horizon_for_forward_degree(params: ModelParams, threshold: float = 0.25) -> float:
-    """Smallest t at which the forward-degree envelope drops to ``threshold``."""
-    if not (threshold > 0.0):
-        raise DomainError(f"threshold must be positive, got {threshold}")
+def horizon_for_forward_degree(params: ModelParams) -> float:
+    """Smallest t at which the forward-degree envelope drops to FORWARD_DEGREE_LEVEL."""
     coef = forward_degree_asymptote(1.0, params)
-    return (coef / threshold) ** (1.0 / (3.0 - params.tau))
-
-
-# --------------------------------------------------------------------------
-# Monte Carlo oracle: the mixed-Poisson branching process on (0, a]
-# --------------------------------------------------------------------------
-
-
-def offspring_mean(v: float, a: float, params: ModelParams) -> float:
-    """Poisson offspring mean of a particle of type v: c_F_bar * a**(1-alpha) * v**(-alpha)."""
-    if not (0.0 < v <= a):
-        raise DomainError(f"type v must lie in (0, a], got v={v}")
-    return c_F_bar(params) * a ** (1.0 - params.alpha) * v ** (-params.alpha)
-
-
-def _spawn(lam: np.ndarray, rep: np.ndarray, a: float, params: ModelParams, rng):
-    """Children of particles with the given Poisson offspring means: counts are
-    Poisson(lam), child types are i.i.d. with density proportional to
-    x**(-alpha) on (0, a], i.e. x = a * U**(1/(1-alpha)) for uniform U."""
-    counts = rng.poisson(lam)
-    child_rep = np.repeat(rep, counts)
-    u = rng.random(child_rep.size)
-    child_types = a * u ** (1.0 / (1.0 - params.alpha))
-    return counts, child_rep, child_types
-
-
-MC_DEPTH_CAP = 50
-MC_POP_CAP = 1_000
-MC_MEAN_CAP = 100.0
-
-
-def branching_survival_mc(u: float, a: float, params: ModelParams,
-                          replicas: int = 10_000, rng=None) -> float:
-    """Monte Carlo estimate of the survival probability rho_a(u).
-
-    Runs ``replicas`` independent copies of the branching process rooted at a
-    single particle of type u and reports the fraction still alive at
-    generation MC_DEPTH_CAP.  Two early-survival shortcuts keep the simulation
-    bounded (the process is supercritical on (0, a], so the chance of dying out
-    from either state is negligible next to the binomial noise):
-
-    - populations reaching MC_POP_CAP are declared survivors;
-    - so is any replica holding a particle with offspring mean >= MC_MEAN_CAP.
-      The type density blows up near 0, so single particles of tiny type can
-      carry means in the millions, and sampling their children would exhaust
-      memory; their extinction odds are below exp(-MC_MEAN_CAP / 4).
-    """
-    if not (a > 0.0):
-        raise DomainError(f"core level a must be positive, got a={a}")
-    if not (0.0 < u <= a):
-        raise DomainError(f"root type u must lie in (0, a], got u={u}")
-    if replicas < 1_000:
-        raise DomainError(f"need at least 1000 replicas, got {replicas}")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    UNDECIDED, DEAD, SURVIVED = 0, 1, 2
-    status = np.zeros(replicas, dtype=np.int8)
-    rep = np.arange(replicas, dtype=np.int64)
-    types = np.full(replicas, float(u))
-    scale = c_F_bar(params) * a ** (1.0 - params.alpha)
-    for _ in range(MC_DEPTH_CAP):
-        if rep.size == 0:
-            break
-        lam = scale * types ** (-params.alpha)
-        hot = lam >= MC_MEAN_CAP
-        if hot.any():
-            status[rep[hot]] = SURVIVED
-            live = status[rep] == UNDECIDED
-            rep = rep[live]
-            lam = lam[live]
-            if rep.size == 0:
-                break
-        counts, child_rep, child_types = _spawn(lam, rep, a, params, rng)
-        pop = np.bincount(rep, weights=counts, minlength=replicas)
-        undecided = status == UNDECIDED
-        status[undecided & (pop == 0)] = DEAD
-        status[undecided & (pop >= MC_POP_CAP)] = SURVIVED
-        keep = status[child_rep] == UNDECIDED
-        rep = child_rep[keep]
-        types = child_types[keep]
-    # Survivors: capped populations plus anything still alive at MC_DEPTH_CAP.
-    return float(np.count_nonzero(status != DEAD)) / replicas
+    return (coef / FORWARD_DEGREE_LEVEL) ** (1.0 / (3.0 - params.tau))

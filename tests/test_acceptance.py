@@ -39,9 +39,7 @@ from sfperc.exploration import run_exploration
 from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
-    collapse_to_simple,
     percolate_coupled,
-    percolate_multigraph,
     sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
@@ -54,12 +52,13 @@ from sfperc.params import (
     make_schedule,
     model_params,
 )
-from sfperc.theory import (
+from sfperc.theory import c_F_bar, compute_constants, core_limit
+
+from oracles import (
     branching_survival_mc,
-    c_F_bar,
-    compute_constants,
-    core_limit,
+    collapse_to_simple,
     laplace_sum_exact,
+    percolate_multigraph,
     rho_a_of_u,
 )
 

@@ -6,7 +6,9 @@ import pytest
 
 from sfperc.cli import _SUBCOMMAND_EXPERIMENT, build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
-from sfperc.graphgen import read_edge_list
+from sfperc.graphgen import MultiGraph, SimpleGraph
+
+from oracles import read_edge_rows
 
 
 def test_parser_requires_subcommand():
@@ -144,9 +146,10 @@ def test_generate_raw_edge_list(tmp_path):
     out = tmp_path / "edges.txt"
     rc = main(["generate", "--n", "500", "--seed", "4", "--out", str(out)])
     assert rc == 0
-    g = read_edge_list(out)
-    assert g.n == 500
-    g.validate()
+    n, rows = read_edge_rows(out)
+    assert n == 500
+    assert len(rows) > 0 and bool((rows[:, 2] >= 1).all())
+    MultiGraph(n=n, src=rows[:, 0], dst=rows[:, 1], mult=rows[:, 2]).validate()
 
 
 def test_generate_single_mode(tmp_path):
@@ -154,8 +157,10 @@ def test_generate_single_mode(tmp_path):
     rc = main(["generate", "--n", "5000", "--mode", "single", "--seed", "4",
                "--lambda-kind", "constant", "--lambda-value", "4", "--out", str(out)])
     assert rc == 0
-    g = read_edge_list(out)
-    assert bool((g.src < g.dst).all())
+    n, rows = read_edge_rows(out)
+    assert n == 5000
+    assert len(rows) > 0 and bool((rows[:, 2] == 1).all())
+    SimpleGraph(n=n, src=rows[:, 0], dst=rows[:, 1]).validate()
 
 
 def test_generate_infeasible_schedule(tmp_path, capsys):

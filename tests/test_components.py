@@ -16,7 +16,6 @@ from sfperc.components import (
     kernel_convergence_check,
     largest_component_among,
     one_neighborhood,
-    write_component_table,
 )
 from sfperc.errors import DomainError, RangeError
 from sfperc.graphgen import MultiGraph, SimpleGraph, percolate_coupled, sample_mnr
@@ -274,11 +273,3 @@ def test_core_report_chain():
     full = component_sizes(gs)
     assert full.giant_size >= report.core_giant_size + report.one_neighborhood_size
 
-
-def test_write_component_table(tmp_path):
-    g = SimpleGraph.from_pairs(5, [(1, 2), (3, 4)])
-    path = tmp_path / "comps.csv"
-    write_component_table(component_sizes(g), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rank,size"
-    assert lines[1:] == ["1,2", "2,2", "3,1"]

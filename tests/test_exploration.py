@@ -10,10 +10,7 @@ from scipy.stats import chi2, ks_2samp
 from sfperc.components import component_labels
 from sfperc.errors import DomainError, RangeError
 from sfperc.exploration import (
-    ExplorationTrace,
-    empirical_forward_degree,
     repeat_fraction,
-    rescaled_walk,
     residual_largest_component,
     run_exploration,
     sup_distance_to_limit,
@@ -47,20 +44,13 @@ def test_trace_invariants():
     for l in (0, 1, 57, 600):
         assert trace.explored(l).size == l - trace.repeats[l]
         assert trace.explored(l).tolist() == sorted(set(trace.marks[:l].tolist()))
-    # stack is empty exactly at step 0 and at closing steps
-    closes = {e for _, e in trace.excursions}
-    for l in range(trace.steps + 1):
-        if l == 0 or l in closes:
-            assert trace.potential_stack_size[l] == 0
-        else:
-            assert trace.potential_stack_size[l] >= 1
 
 
 def test_trace_matches_stepwise_oracle():
     # replay the walk rules step by step from the recorded marks
     params, ws, sch, rng = multi_setup(seed=3)
     trace = run_exploration(ws, sch, 400, rng)
-    wbar = sch.percolated_weights(ws)
+    wbar = sch.pi_n * ws.weights
     X = np.diff(trace.Z) + 1
 
     seen: set[int] = set()
@@ -86,11 +76,6 @@ def test_trace_matches_stepwise_oracle():
             excursions.append((start, l))
             start = l + 1
     assert trace.excursions == excursions
-    assert trace.open_excursion == (not excursions or excursions[-1][1] != trace.steps)
-
-    fresh_flags = trace.new_mark.astype(int)
-    counts = [int(fresh_flags[s - 1:e].sum()) for s, e in excursions]
-    assert trace.excursion_vertex_counts().tolist() == counts
 
 
 def test_exploration_rejects_bad_inputs():
@@ -112,24 +97,8 @@ def test_explored_range_checked():
 
 
 # --------------------------------------------------------------------------
-# rescaled views
+# rescaled statistics
 # --------------------------------------------------------------------------
-
-
-def test_rescaled_walk_values():
-    params, ws, sch, rng = multi_setup(seed=9)
-    trace = run_exploration(ws, sch, 500, rng)
-    grid = [0.0, 0.5, 1.7]
-    rows = rescaled_walk(trace, sch, grid)
-    assert rows.shape == (3, 2)
-    for (t, val), t_in in zip(rows, grid):
-        step = math.floor(t_in * sch.beta_n)
-        assert t == t_in
-        assert val == trace.Z[step] / sch.beta_n
-    with pytest.raises(RangeError):
-        rescaled_walk(trace, sch, [500 / sch.beta_n + 1.0])
-    with pytest.raises(DomainError):
-        rescaled_walk(trace, sch, [-0.1])
 
 
 def test_sup_distance_matches_manual():
@@ -152,53 +121,10 @@ def test_repeat_fraction_manual():
     t = 200 / sch.beta_n
     step = math.floor(t * sch.beta_n)
     assert repeat_fraction(trace, sch, t) == trace.repeats[step] / sch.beta_n
-
-
-def test_empirical_forward_degree_manual():
-    params, ws, sch, rng = multi_setup(seed=13)
-    trace = run_exploration(ws, sch, 250, rng)
-    t = 150 / sch.beta_n
-    got = empirical_forward_degree(trace, ws, sch, t)
-    explored = trace.explored(150)
-    mask = np.ones(ws.n, dtype=bool)
-    mask[explored - 1] = False
-    wbar = sch.pi_n * ws.weights
-    expected = float(np.sum(wbar[mask] ** 2)) / float(np.sum(wbar[mask]))
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_forward_degree_exhausted_denominator():
-    # tiny graph, long walk: the explored set swallows every vertex
-    params, ws, sch, rng = multi_setup(n=125, seed=2)
-    trace = run_exploration(ws, sch, 4000, rng)
-    assert trace.explored().size == ws.n
+    with pytest.raises(RangeError):
+        repeat_fraction(trace, sch, 300 / sch.beta_n + 1.0)
     with pytest.raises(DomainError):
-        empirical_forward_degree(trace, ws, sch, 4000 / sch.beta_n)
-
-
-def test_forward_degree_monotone_when_heavy_explored_first():
-    # synthetic trace that explores vertices 1, 2, ... in weight order; the
-    # size-biased mean over the unexplored tail can then only shrink
-    params = model_params(2.5, 1.0, 400)
-    ws = build_weights(params)
-    sch = make_schedule(params, "multi", LambdaRule("constant", 2.0))
-    m = ws.n - 1
-    wbar = sch.pi_n * ws.weights
-    steps = np.arange(1, m + 1)
-    trace = ExplorationTrace(
-        steps=m,
-        marks=steps.copy(),
-        new_mark=np.ones(m, dtype=bool),
-        Z=np.zeros(m + 1, dtype=np.int64),
-        S=np.concatenate([[0.0], np.cumsum(wbar[:m]) - steps]),
-        repeats=np.zeros(m + 1, dtype=np.int64),
-        potential_stack_size=np.ones(m + 1, dtype=np.int64),
-        excursions=[],
-        open_excursion=True,
-    )
-    nus = [empirical_forward_degree(trace, ws, sch, l / sch.beta_n)
-           for l in range(0, m + 1, 21)]
-    assert all(b <= a + 1e-12 for a, b in zip(nus, nus[1:]))
+        repeat_fraction(trace, sch, -0.1)
 
 
 def test_mark_draws_match_weight_distribution():

@@ -170,14 +170,6 @@ def test_bad_mode_rejected():
         make_schedule(model_params(2.5, 1.0, 100), "both", LambdaRule("power", 0.1))
 
 
-def test_percolated_weights_scale_by_pi():
-    params = model_params(2.5, 1.0, 50)
-    ws = build_weights(params)
-    sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
-    np.testing.assert_allclose(sch.percolated_weights(ws), sch.pi_n * ws.weights, rtol=1e-14)
-    assert sch.percolated_total(ws) == pytest.approx(sch.pi_n * ws.ell_n, rel=1e-14)
-
-
 def test_core_prefix_size():
     sch = make_schedule(model_params(2.5, 1.0, 10**6), "single", LambdaRule("constant", 10.0))
     assert core_prefix_size(sch, 1.0) == math.floor(sch.N_n)

@@ -11,6 +11,8 @@ from sfperc.errors import DomainError
 from sfperc.params import LambdaRule, WeightSequence, build_weights, make_schedule, model_params
 from sfperc import theory as th
 
+from oracles import branching_survival_mc, laplace_sum_exact, rho_a_of_u
+
 P = model_params(2.5, 1.0, 10**6)
 
 # Reference values computed independently with mpmath at 30 significant digits
@@ -105,9 +107,9 @@ def test_laplace_sum_exact_by_hand():
     expected = sum(
         (w / 3.0) * (1.0 - (1.0 - w / 3.0) ** (t * beta)) for w in (2.0, 1.0)
     )
-    assert th.laplace_sum_exact(ws, t, beta) == pytest.approx(expected, rel=1e-14)
+    assert laplace_sum_exact(ws, t, beta) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DomainError):
-        th.laplace_sum_exact(ws, -1.0, beta)
+        laplace_sum_exact(ws, -1.0, beta)
 
 
 def test_laplace_sum_approaches_power_asymptote():
@@ -123,7 +125,7 @@ def test_laplace_sum_approaches_power_asymptote():
         ws = build_weights(params)
         sch = make_schedule(params, "multi", rule)
         c = th.compute_constants(params)
-        exact = th.laplace_sum_exact(ws, 1.0, sch.beta_n)
+        exact = laplace_sum_exact(ws, 1.0, sch.beta_n)
         assert exact == pytest.approx(value, rel=1e-12)
         asym = c.kappa * (sch.beta_n / (n * params.mu)) ** (params.tau - 2.0)
         gaps.append(abs(exact / asym - 1.0))
@@ -166,10 +168,14 @@ def test_zeta_a_against_oracle(a, expected):
 
 
 def test_zeta_a_fixed_point_identity():
-    # zeta_a = c_F * a**(1-alpha) * rho_star_a / (1 - alpha), an exact identity
-    for a in (1.0, 4.0, 25.0):
-        rho = th.rho_star_fixed_point(a, P)
-        assert th.zeta_a(a, P) == pytest.approx(3.0 * a ** (1.0 / 3.0) * rho, rel=1e-9)
+    # zeta_a = c_F * integral_0^a u**(-alpha) rho_a(u) du, and survival_map
+    # takes the same integral: it is a**(1-alpha)/(1-alpha) * Phi(rho_star_a).
+    # tau = 2.2, C = 2 moves c_F and alpha off their tau = 2.5, C = 1 values.
+    for p in (P, model_params(2.2, 2.0, 10)):
+        for a in (1.0, 4.0, 25.0):
+            rho = th.rho_star_fixed_point(a, p)
+            integral = a ** (1.0 - p.alpha) / (1.0 - p.alpha) * th.survival_map(rho, a, p)
+            assert th.zeta_a(a, p) == pytest.approx(p.c_F * integral, rel=1e-9)
 
 
 def test_zeta_a_increasing_and_below_zeta():
@@ -188,9 +194,9 @@ def test_rho_a_of_u_formula():
     rho = th.rho_star_fixed_point(a, P)
     u = 1.3
     expected = 1.0 - math.exp(-th.c_F_bar(P) * a ** (1.0 / 3.0) * u ** (-2.0 / 3.0) * rho)
-    assert th.rho_a_of_u(u, a, rho, P) == pytest.approx(expected, rel=1e-12)
+    assert rho_a_of_u(u, a, rho, P) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(DomainError):
-        th.rho_a_of_u(5.0, a, rho, P)
+        rho_a_of_u(5.0, a, rho, P)
 
 
 def test_core_limit_composes():
@@ -237,11 +243,13 @@ def test_forward_degree_envelope():
 
 
 def test_horizon_for_forward_degree():
-    assert th.horizon_for_forward_degree(P, 0.25) == pytest.approx(37.699111843077519, rel=1e-12)
-    t = th.horizon_for_forward_degree(P, 0.1)
+    assert th.horizon_for_forward_degree(P) == pytest.approx(37.699111843077519, rel=1e-12)
+    assert th.forward_degree_asymptote(th.horizon_for_forward_degree(P), P) == pytest.approx(
+        th.FORWARD_DEGREE_LEVEL, rel=1e-10
+    )
+    # the envelope inverts in closed form at any other level
+    t = (th.forward_degree_asymptote(1.0, P) / 0.1) ** (1.0 / (3.0 - P.tau))
     assert th.forward_degree_asymptote(t, P) == pytest.approx(0.1, rel=1e-10)
-    with pytest.raises(DomainError):
-        th.horizon_for_forward_degree(P, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -249,32 +257,25 @@ def test_horizon_for_forward_degree():
 # --------------------------------------------------------------------------
 
 
-def test_offspring_mean_formula():
-    assert th.offspring_mean(1.0, 1.0, P) == pytest.approx(1.0, rel=1e-12)
-    assert th.offspring_mean(0.125, 1.0, P) == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        th.offspring_mean(2.0, 1.0, P)
-
-
 def test_branching_mc_input_checks():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        th.branching_survival_mc(2.0, 1.0, P, rng=rng)
+        branching_survival_mc(2.0, 1.0, P, rng=rng)
     with pytest.raises(DomainError):
-        th.branching_survival_mc(0.5, 1.0, P, replicas=10, rng=rng)
+        branching_survival_mc(0.5, 1.0, P, replicas=10, rng=rng)
 
 
 def test_branching_mc_is_seed_deterministic():
     a = 1.0
-    est1 = th.branching_survival_mc(0.5, a, P, replicas=2000, rng=np.random.default_rng(11))
-    est2 = th.branching_survival_mc(0.5, a, P, replicas=2000, rng=np.random.default_rng(11))
+    est1 = branching_survival_mc(0.5, a, P, replicas=2000, rng=np.random.default_rng(11))
+    est2 = branching_survival_mc(0.5, a, P, replicas=2000, rng=np.random.default_rng(11))
     assert est1 == est2
 
 
 def test_branching_mc_matches_survival_probability():
     a, u = 1.0, 1.0
-    rho = th.rho_a_of_u(u, a, th.rho_star_fixed_point(a, P), P)
-    est = th.branching_survival_mc(u, a, P, replicas=10_000, rng=np.random.default_rng(5))
+    rho = rho_a_of_u(u, a, th.rho_star_fixed_point(a, P), P)
+    est = branching_survival_mc(u, a, P, replicas=10_000, rng=np.random.default_rng(5))
     se = math.sqrt(rho * (1.0 - rho) / 10_000)
     assert abs(est - rho) < 3.0 * se
 
@@ -282,5 +283,5 @@ def test_branching_mc_matches_survival_probability():
 def test_branching_mc_handles_tiny_types():
     # tiny root types carry enormous offspring means; the mean cap must keep
     # this bounded and call it survival
-    est = th.branching_survival_mc(1e-12, 1.0, P, replicas=1000, rng=np.random.default_rng(3))
+    est = branching_survival_mc(1e-12, 1.0, P, replicas=1000, rng=np.random.default_rng(3))
     assert est == 1.0
