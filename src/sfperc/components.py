@@ -2,7 +2,10 @@
 
 Components are labelled in numpy by min-label hooking with pointer jumping
 (Shiloach & Vishkin, J. Algorithms 3, 1982), so every vertex carries the
-smallest id in its component.  The giant is the largest component, with ties
+smallest id in its component.  Only the vertices that touch a non-loop edge
+take part: they are ranked in id order, labelled on the compact ranks and
+scattered back, and because ranking is monotone the smallest rank of a
+component is its smallest id.  The giant is the largest component, with ties
 broken by smallest contained vertex id, so summaries are reproducible run to
 run.
 """
@@ -35,28 +38,67 @@ class ComponentSummary:
 def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Smallest vertex id in each vertex's component, indexed by id 0..n.
 
-    Each round hooks the larger endpoint label of every edge onto the smaller
-    and pointer-jumps until every label is a root.  Labels only fall and every
-    round removes a root, so the loop ends; loops and parallel edges need no
-    special case.
+    Only the ids a non-loop edge touches take part, under their rank in
+    increasing id order.  Each round hooks the larger endpoint label of
+    every edge onto the smaller and pointer-jumps until every label is a
+    root.  Labels only fall and every round removes a root, so the loop
+    ends; parallel edges need no special case.  Ranking is monotone, so a
+    component's smallest rank maps back to its smallest id, and every
+    untouched id labels itself.
     """
-    label = np.arange(n + 1, dtype=np.int64)
+    # Loops join nothing; dropping them first keeps merge_labels' contracted
+    # graph, which is mostly loops, small.
+    live = src != dst
+    src, dst = src[live], dst[live]
+    touched = np.zeros(n + 1, dtype=bool)
+    touched[src] = True
+    touched[dst] = True
+    ids = np.flatnonzero(touched)
+    rank = np.cumsum(touched, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    rank -= 1
+    src, dst = rank[src], rank[dst]
+    sub = np.arange(ids.size, dtype=rank.dtype)
     while True:
-        lo, hi = label[src], label[dst]
+        lo, hi = sub[src], sub[dst]
         live = lo != hi
         if not live.any():
-            return label
+            break
         src, dst, lo, hi = src[live], dst[live], lo[live], hi[live]
-        np.minimum.at(label, np.maximum(lo, hi), np.minimum(lo, hi))
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
+        np.minimum.at(sub, np.maximum(lo, hi), np.minimum(lo, hi))
+        while not np.array_equal(jumped := sub[sub], sub):
+            sub = jumped
+    label = np.arange(n + 1, dtype=np.int64)
+    label[ids] = ids[sub]
+    return label
 
 
-def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
-    """All component sizes of the graph; loops and multiplicities are ignored."""
-    labels = component_labels(g.n, g.src, g.dst)[1:]
+def merge_labels(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component labels after adding the edges (src, dst) to a labelled graph.
+
+    Each labelled component contracts onto its label, the smallest id it
+    holds, so labelling the contracted edges and reading the result back
+    through ``labels`` gives the supergraph's smallest ids.
+    """
+    return component_labels(labels.size - 1, labels[src], labels[dst])[labels]
+
+
+def component_sizes(g: MultiGraph | SimpleGraph,
+                    labels: np.ndarray | None = None) -> ComponentSummary:
+    """All component sizes of the graph; loops and multiplicities are ignored.
+
+    ``labels``, if given, are the graph's ``component_labels`` (length n + 1).
+    """
+    if labels is None:
+        labels = component_labels(g.n, g.src, g.dst)
+    elif labels.shape != (g.n + 1,):
+        raise DomainError(f"labels must have length n + 1 = {g.n + 1}, got {labels.shape}")
+    labels = labels[1:]
     counts = np.bincount(labels, minlength=g.n + 1)
-    sizes = np.sort(counts[counts > 0])[::-1]
+    # Most components are isolated vertices: sort only the larger counts and
+    # fill the rest of the non-increasing order with ones.
+    sizes = np.ones(np.count_nonzero(counts), dtype=counts.dtype)
+    large = np.sort(counts[counts > 1])
+    sizes[:large.size] = large[::-1]
     # A label is its component's smallest id, so the first maximal count is
     # the largest component holding the smallest id.
     giant_members = np.nonzero(labels == np.argmax(counts))[0] + 1

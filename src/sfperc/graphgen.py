@@ -175,12 +175,18 @@ def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
 
 
 def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
-    """Canonicalize endpoint arrays into sorted unique (src, dst, mult)."""
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    key = lo * np.int64(n + 1) + hi
+    """Canonicalize int64 endpoint arrays into sorted unique (src, dst, mult).
+
+    The key min*(n+1) + max is built in place and ``b`` is overwritten with
+    the larger endpoints, so callers hand over arrays they no longer need.
+    """
+    key = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    key *= n + 1
+    key += b
     uniq, counts = np.unique(key, return_counts=True)
-    return uniq // (n + 1), uniq % (n + 1), counts.astype(np.int64)
+    src, dst = np.divmod(uniq, n + 1)
+    return src, dst, counts.astype(np.int64)
 
 
 def _sample_poissonized(n: int, ids: np.ndarray, eff_weights: np.ndarray,

@@ -15,10 +15,17 @@ from sfperc.components import (
     extract_core,
     kernel_convergence_check,
     largest_component_among,
+    merge_labels,
     one_neighborhood,
 )
 from sfperc.errors import DomainError, RangeError
-from sfperc.graphgen import MultiGraph, SimpleGraph, percolate_coupled, sample_mnr
+from sfperc.graphgen import (
+    MultiGraph,
+    SimpleGraph,
+    percolate_coupled,
+    sample_coupled_direct,
+    sample_mnr,
+)
 from sfperc.params import LambdaRule, build_weights, core_prefix_size, make_schedule, model_params
 
 
@@ -58,6 +65,12 @@ def check_against_oracle(g, edges):
     best = min(min(c) for c in comps if len(c) == giant_size)
     expected = next(c for c in comps if len(c) == giant_size and min(c) == best)
     assert set(summary.giant_members.tolist()) == expected
+    # labels handed in give the same summary
+    given = component_sizes(g, component_labels(g.n, g.src, g.dst))
+    assert given.sizes.tolist() == summary.sizes.tolist()
+    assert given.sizes.dtype == summary.sizes.dtype
+    assert given.giant_members.tolist() == summary.giant_members.tolist()
+    assert given.second_size == summary.second_size
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +104,56 @@ def test_component_labels_empty_and_loops_only():
     check_labels(5, [], [])
     check_labels(3, [2, 2, 3], [2, 2, 3])
     assert component_labels(0, np.empty(0, np.int64), np.empty(0, np.int64)).tolist() == [0]
+
+
+def test_component_labels_sparse_touched_ids():
+    # only the touched ids are ranked: edges at vertex n, at high ids only,
+    # across gaps in the id range, and loops beside real edges
+    check_labels(1, [], [])
+    check_labels(9, [9, 9], [9, 9])
+    check_labels(9, [8], [9])
+    check_labels(9, [9, 3], [3, 9])
+    check_labels(1_000, [999, 1_000, 998], [1_000, 997, 997])
+    check_labels(50, [2, 40, 17, 50, 40], [40, 17, 33, 50, 2])
+    check_labels(50, [5, 5, 30, 30, 30], [5, 45, 30, 12, 30])
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 200))
+        pool = rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 8))),
+                          replace=False)
+        m = int(rng.integers(0, 12))
+        check_labels(n, rng.choice(pool, size=m), rng.choice(pool, size=m))
+
+
+def test_merge_labels_matches_direct_labels():
+    # a labelled subgraph plus extra edges, including repeats and loops
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n))
+        src = rng.integers(1, n + 1, size=m)
+        dst = rng.integers(1, n + 1, size=m)
+        sub = rng.random(m) < 0.5
+        base = component_labels(n, src[sub], dst[sub])
+        assert merge_labels(base, src, dst).tolist() == component_labels(n, src, dst).tolist()
+        check_labels(n, src, dst)
+
+
+def test_merge_labels_on_the_coupled_pair():
+    # the single_vs_multi composition: simple labels seed the multigraph's
+    params = model_params(2.5, 1.0, 10_000)
+    ws = build_weights(params)
+    sch = make_schedule(params, "single", LambdaRule("constant", 1.0))
+    differs = 0
+    for seed in range(20):
+        gm, gs = sample_coupled_direct(ws, sch.pi_n, np.random.default_rng(seed))
+        direct = component_labels(gm.n, gm.src, gm.dst)
+        simple = component_labels(gs.n, gs.src, gs.dst)
+        merged = merge_labels(simple, gm.src, gm.dst)
+        assert np.array_equal(merged, direct)
+        assert merged.dtype == direct.dtype
+        differs += not np.array_equal(simple, direct)
+    assert differs  # the multigraph joins some simple components
 
 
 def test_component_labels_long_path_in_random_order():
@@ -136,6 +199,14 @@ def test_component_summary_fields():
     assert s.second_size == 2
     assert s.sizes.tolist() == [3, 2, 1, 1]
     assert s.giant_members.tolist() == [1, 2, 3]
+
+
+def test_component_sizes_rejects_wrong_label_length():
+    g = SimpleGraph.from_pairs(4, [(1, 2)])
+    labels = component_labels(4, g.src, g.dst)
+    for bad in (labels[1:], np.append(labels, 5), labels.reshape(1, -1)):
+        with pytest.raises(DomainError):
+            component_sizes(g, bad)
 
 
 def test_giant_tie_break_prefers_smallest_id():

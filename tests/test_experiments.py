@@ -12,8 +12,6 @@ from sfperc.experiments import (
     RESULT_VERSION,
     ExperimentConfig,
     ExperimentResult,
-    default_lambda_rule,
-    default_n_grid,
     derive_seed,
     run,
     summarize,

@@ -13,6 +13,7 @@ from sfperc.errors import DomainError
 from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
+    _aggregate_pairs,
     _lookup,
     draw_marks,
     percolate_coupled,
@@ -45,6 +46,20 @@ def test_from_pairs_canonicalizes_and_merges():
     for bad in ([(1, 6, 1)], [(0, 2, 1)], [(1, 2, 0)], [(1, 2, 1), (2, 3, 0)]):
         with pytest.raises(DomainError):
             MultiGraph.from_pairs(3, bad)
+
+
+def test_aggregate_pairs_matches_counter():
+    # ids up to n, so the key's divmod split sees its largest remainders
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 10**6):
+        a = rng.integers(max(1, n - 5), n + 1, size=60)
+        b = rng.integers(1, n + 1, size=60)
+        expected = sorted(Counter((min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()))
+                          .items())
+        src, dst, mult = _aggregate_pairs(n, a.copy(), b.copy())
+        assert [((i, j), m) for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist())] \
+            == expected
+        assert src.dtype == dst.dtype == mult.dtype == np.int64
 
 
 def test_degrees_count_loops_twice():
