@@ -38,6 +38,8 @@ class ComponentSummary:
 def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Smallest vertex id in each vertex's component, indexed by id 0..n.
 
+    Labels are int32 when n < 2**31 - 1, else int64.
+
     Only the ids a non-loop edge touches take part, under their rank in
     increasing id order.  Each round hooks the larger endpoint label of
     every edge onto the smaller and pointer-jumps until every label is a
@@ -67,7 +69,7 @@ def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.minimum.at(sub, np.maximum(lo, hi), np.minimum(lo, hi))
         while not np.array_equal(jumped := sub[sub], sub):
             sub = jumped
-    label = np.arange(n + 1, dtype=np.int64)
+    label = np.arange(n + 1, dtype=rank.dtype)
     label[ids] = ids[sub]
     return label
 
@@ -93,15 +95,20 @@ def component_sizes(g: MultiGraph | SimpleGraph,
     elif labels.shape != (g.n + 1,):
         raise DomainError(f"labels must have length n + 1 = {g.n + 1}, got {labels.shape}")
     labels = labels[1:]
-    counts = np.bincount(labels, minlength=g.n + 1)
-    # Most components are isolated vertices: sort only the larger counts and
+    # A label is its component's smallest id, which labels itself, so only
+    # the other members are counted: bincount over all labels would make an
+    # n-length intp copy of int32 labels.
+    joined = np.compress(labels != np.arange(1, g.n + 1, dtype=labels.dtype), labels)
+    others = np.bincount(joined)
+    # The first maximal count is the largest component holding the smallest id.
+    giant = np.argmax(others) if joined.size else 1
+    # Most components are isolated vertices: sort only the larger sizes and
     # fill the rest of the non-increasing order with ones.
-    sizes = np.ones(np.count_nonzero(counts), dtype=counts.dtype)
-    large = np.sort(counts[counts > 1])
+    large = np.sort(others[others > 0]) + 1
+    del others
+    sizes = np.ones(g.n - joined.size, dtype=np.int64)
     sizes[:large.size] = large[::-1]
-    # A label is its component's smallest id, so the first maximal count is
-    # the largest component holding the smallest id.
-    giant_members = np.nonzero(labels == np.argmax(counts))[0] + 1
+    giant_members = np.nonzero(labels == giant)[0] + 1
     second = int(sizes[1]) if sizes.size > 1 else 0
     if int(sizes.sum()) != g.n:
         raise AssertionError("component sizes do not partition the vertex set")

@@ -4,8 +4,9 @@ Sampling is Poissonized throughout: the total number of edge slots is
 Poisson(ell_n / 2) and both endpoints of each slot are i.i.d. size-biased
 marks, which makes the per-pair multiplicities independent Poissons with
 rate w_i * w_j / ell_n (and w_i^2 / (2*ell_n) for self-loops).  Marks are
-drawn by inverse CDF: a batch of uniforms is searched on the cumulative
-weights in sorted order, and the results are scattered back to draw order.
+drawn by exact inverse CDF: each uniform starts at its bucket's entry in a
+guide table of the cumulative weights and steps forward to its mark.  The
+tables of the full vertex set live on the WeightSequence, built once per pi.
 
 Percolation by pi is equivalent to sampling with weights pi * w, which is
 what the "direct" samplers exploit.  The coupled simple-graph and multigraph
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .params import WeightSequence
+from .params import MarkTable, WeightSequence
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,8 @@ class SimpleGraph:
         return int(self.src.size)
 
     def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.src, minlength=self.n + 1)
-        deg += np.bincount(self.dst, minlength=self.n + 1)
-        return deg.astype(np.int64)
+        ends = np.concatenate([self.src, self.dst])
+        return np.bincount(ends, minlength=self.n + 1)
 
     def as_tuples(self) -> list[tuple[int, int]]:
         return list(zip(self.src.tolist(), self.dst.tolist()))
@@ -139,26 +139,13 @@ class SimpleGraph:
 def draw_marks(weights: WeightSequence, size: int, rng) -> np.ndarray:
     """i.i.d. size-biased marks, P(M = i) = w_i / ell_n, as 1-based vertex ids.
 
-    Exact inverse-CDF sampling: each uniform is located on the cumulative
-    weights by ``_lookup``.
+    Exact inverse-CDF sampling: each uniform times ell_n is located on the
+    cumulative weights through the cached ``weights.mark_table()``.
     """
     if size < 0:
         raise DomainError(f"sample size must be nonnegative, got {size}")
     u = rng.random(size) * weights.ell_n
-    return _lookup(weights.cum_weights, u) + 1
-
-
-def _lookup(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u, side="right")`` as int64, searched in sorted order.
-
-    Successive sorted queries land near each other on the cumulative array,
-    so their binary searches stay in cache; scattering the indices back to
-    u's order makes the result identical to the unsorted search.
-    """
-    order = np.argsort(u)
-    out = np.empty(u.size, dtype=np.int64)
-    out[order] = np.searchsorted(cum, u[order], side="right")
-    return out
+    return weights.mark_table().lookup(u) + 1
 
 
 def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
@@ -189,17 +176,21 @@ def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     return src, dst, counts.astype(np.int64)
 
 
-def _sample_poissonized(n: int, ids: np.ndarray, eff_weights: np.ndarray,
-                        ell_div: float, rng) -> MultiGraph:
-    """Poissonized sampler restricted to ``ids``: the slot count is
-    Poisson(W^2 / (2*ell_div)) with W = sum(eff_weights), endpoints i.i.d.
-    proportional to eff_weights.  Pair (i, j) then carries an independent
-    Poisson(w_i*w_j/ell_div) multiplicity (w_i^2/(2*ell_div) for loops)."""
-    total = float(eff_weights.sum())
-    m = int(rng.poisson(total * total / (2.0 * ell_div)))
-    cum = np.cumsum(eff_weights)
-    a = ids[_lookup(cum, rng.random(m) * cum[-1])]
-    b = ids[_lookup(cum, rng.random(m) * cum[-1])]
+def _sample_poissonized(n: int, table: MarkTable, ell_div: float, rng,
+                        ids: np.ndarray | None = None) -> MultiGraph:
+    """Poissonized sampler on the effective weights behind ``table``: the
+    slot count is Poisson(W^2 / (2*ell_div)) with W = table.total, endpoints
+    i.i.d. proportional to the weights.  Pair (i, j) then carries an
+    independent Poisson(w_i*w_j/ell_div) multiplicity (w_i^2/(2*ell_div) for
+    loops).  Table index k is vertex ``ids[k]``, or k + 1 without ``ids``."""
+    m = int(rng.poisson(table.total * table.total / (2.0 * ell_div)))
+    a = table.lookup(rng.random(m) * table.cum[-1])
+    b = table.lookup(rng.random(m) * table.cum[-1])
+    if ids is None:
+        a += 1
+        b += 1
+    else:
+        a, b = ids[a], ids[b]
     src, dst, mult = _aggregate_pairs(n, a, b)
     return MultiGraph(n=n, src=src, dst=dst, mult=mult)
 
@@ -207,9 +198,7 @@ def _sample_poissonized(n: int, ids: np.ndarray, eff_weights: np.ndarray,
 def sample_mnr(weights: WeightSequence, rng) -> MultiGraph:
     """Sample the Poissonian multigraph: multiplicity of {i, j} is
     Poisson(w_i * w_j / ell_n), loops Poisson(w_i^2 / (2*ell_n))."""
-    n = weights.n
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    return _sample_poissonized(n, ids, weights.weights, weights.ell_n, rng)
+    return _sample_poissonized(weights.n, weights.mark_table(), weights.ell_n, rng)
 
 
 def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> MultiGraph:
@@ -220,9 +209,7 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
     original mark distribution.
     """
     _check_pi(pi)
-    n = weights.n
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    return _sample_poissonized(n, ids, pi * weights.weights, pi * weights.ell_n, rng)
+    return _sample_poissonized(weights.n, weights.mark_table(pi), pi * weights.ell_n, rng)
 
 
 def sample_percolated_mnr_subset(weights: WeightSequence, pi: float,
@@ -241,7 +228,8 @@ def sample_percolated_mnr_subset(weights: WeightSequence, pi: float,
     if ids.min() < 1 or ids.max() > weights.n:
         raise DomainError("subset contains vertex ids outside [1, n]")
     eff = pi * weights.weights[ids - 1]
-    return _sample_poissonized(weights.n, ids, eff, pi * weights.ell_n, rng)
+    table = MarkTable.build(np.cumsum(eff), float(eff.sum()))
+    return _sample_poissonized(weights.n, table, pi * weights.ell_n, rng, ids)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ measured on the scale beta_n = n * pi_n**(1/(3-tau)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,20 +81,77 @@ def model_params(tau: float, C: float, n: int) -> ModelParams:
     return ModelParams(tau=float(tau), C=float(C), n=int(n), **derive_constants(tau, C))
 
 
+# Vertices per chunk of the guide-table build, which bounds its temporaries.
+_GUIDE_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class MarkTable:
+    """Exact inverse-CDF lookup on cumulative weights through a guide table.
+
+    The cutpoint method (Chen & Asau 1974; Devroye 1986, III.2.4): with
+    n equal buckets of [0, cum[-1]], ``guide[b]`` is the first vertex worth
+    trying for a query in bucket b = floor(q * inv_h), namely
+    #{i < n-1 : floor(cum[i] * inv_h) < b}.  A correctly rounded product
+    with a positive constant is monotone, so every vertex counted there has
+    cum[i] < q, the start never overshoots, and stepping forward while
+    cum[idx] <= q ends exactly at ``np.searchsorted(cum, q, side="right")``.
+    Leaving the last vertex out of the count keeps every start below n.
+    ``total`` is ``np.sum`` of the weights behind ``cum``; the slot count's
+    rate uses it, and it can differ from cum[-1] in the last bits.
+    """
+
+    cum: np.ndarray
+    total: float
+    inv_h: float
+    guide: np.ndarray
+
+    @classmethod
+    def build(cls, cum: np.ndarray, total: float) -> "MarkTable":
+        n = cum.size
+        inv_h = n / float(cum[-1])
+        # Each chunk's buckets are sorted, so its run lengths count them.
+        guide = np.zeros(n + 2, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+        for lo in range(0, n - 1, _GUIDE_CHUNK):
+            bucket = (cum[lo:min(lo + _GUIDE_CHUNK, n - 1)] * inv_h).astype(np.intp)
+            starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+            guide[bucket[starts] + 1] += np.diff(starts, append=bucket.size)
+        np.cumsum(guide, out=guide)
+        return cls(cum=cum, total=total, inv_h=inv_h, guide=guide)
+
+    def lookup(self, q: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self.cum, q, side="right")`` as int64, for q >= 0."""
+        n = self.cum.size
+        b = q * self.inv_h
+        np.minimum(b, n + 1, out=b)
+        idx = self.guide[b.astype(np.intp)].astype(np.int64)
+        step = self.cum[idx] <= q
+        idx += step
+        act = np.flatnonzero(step)
+        while act.size:
+            i = idx[act]
+            act = act[(i < n) & (self.cum.take(i, mode="clip") <= q[act])]
+            idx[act] += 1
+        return idx
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Non-increasing vertex weights w_1 >= ... >= w_n with their total ell_n.
 
-    ``cum_weights`` holds inclusive prefix sums and backs exact inverse-CDF
-    sampling of the size-biased mark distribution P(M = i) = w_i / ell_n.
-    ``params`` is None for hand-built toy sequences used in diagnostics; the
-    power-law shape is only guaranteed for sequences from build_weights.
+    ``cum_weights`` holds inclusive prefix sums.  ``mark_table(pi)`` looks
+    up size-biased marks P(M = i) = w_i / ell_n on the prefix sums of
+    pi * w by exact inverse CDF; it is built on first use and kept, for
+    pi = 1 and for the last pi < 1 asked for.  ``params`` is None for
+    hand-built toy sequences used in diagnostics; the power-law shape is
+    only guaranteed for sequences from build_weights.
     """
 
     params: ModelParams | None
     weights: np.ndarray
     ell_n: float
     cum_weights: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_array(cls, weights, params: ModelParams | None = None) -> "WeightSequence":
@@ -111,6 +168,23 @@ class WeightSequence:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+    def mark_table(self, pi: float = 1.0) -> MarkTable:
+        """The mark table of the weights pi * w, built once per pi.
+
+        Racing threads may both build it; they build the same table.
+        """
+        thinned = pi != 1.0
+        cached = self._tables.get(thinned)
+        if cached is not None and cached[0] == pi:
+            return cached[1]
+        if thinned:
+            eff = pi * self.weights
+            table = MarkTable.build(np.cumsum(eff), float(eff.sum()))
+        else:
+            table = MarkTable.build(self.cum_weights, float(self.weights.sum()))
+        self._tables[thinned] = (pi, table)
+        return table
 
     def weight_of(self, vertex: int) -> float:
         """Weight of a 1-based vertex id."""

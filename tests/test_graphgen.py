@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
     _aggregate_pairs,
-    _lookup,
     draw_marks,
     percolate_coupled,
     sample_coupled_direct,
@@ -23,7 +24,7 @@ from sfperc.graphgen import (
     sample_percolated_mnr_subset,
     write_edge_list,
 )
-from sfperc.params import WeightSequence, build_weights, model_params
+from sfperc.params import MarkTable, WeightSequence, build_weights, model_params
 
 from oracles import collapse_to_simple, percolate_multigraph, read_edge_rows
 
@@ -129,24 +130,127 @@ def test_draw_marks_distribution():
     assert np.all(np.abs(counts - size * probs) < 4.0 * se)
 
 
+def check_lookup(table, q):
+    got = table.lookup(q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(table.cum, q, side="right"))
+
+
+def check_guide(table):
+    # the guide is the count of vertices in lower buckets, capped at n - 1
+    n = table.cum.size
+    bucket = (table.cum * table.inv_h).astype(np.intp)
+    expected = np.minimum(np.searchsorted(bucket, np.arange(n + 2)), n - 1)
+    assert np.array_equal(table.guide, expected)
+
+
+def adversarial_queries(table, rng, size=20_000):
+    """Random queries plus every cum entry, every bucket edge, their float
+    neighbours on both sides, and queries at and past the total."""
+    cum = table.cum
+    edges = np.arange(cum.size + 2) / table.inv_h
+    exact = np.concatenate([cum, edges])
+    total = cum[-1]
+    q = np.concatenate([
+        rng.random(size) * total,
+        exact,
+        np.nextafter(exact, np.inf),
+        np.nextafter(exact, -np.inf),
+        [0.0, total, np.nextafter(total, np.inf), 2.0 * total, 1e300],
+    ])
+    return q[q >= 0.0]
+
+
 def test_lookup_matches_unsorted_search():
-    cum = np.cumsum([4.0, 2.0, 2.0, 1.0, 1.0])
+    w = np.array([4.0, 2.0, 2.0, 1.0, 1.0])
+    cum = np.cumsum(w)
+    table = MarkTable.build(cum, float(w.sum()))
     rng = np.random.default_rng(3)
     queries = (
         np.empty(0),
         np.concatenate([[0.0], cum]),  # exactly on every cumulative boundary
         np.array([2.5, 8.0, 2.5, 0.0, 8.0, 8.0, 9.75]),  # repeated values
         rng.random(10_000) * cum[-1],
+        adversarial_queries(table, rng),
     )
     for u in queries:
-        got = _lookup(cum, u)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+        check_lookup(table, u)
+
+
+@pytest.mark.parametrize("pi", [1.0, 0.316, 0.126, 0.04])
+def test_lookup_on_power_law_weights(pi):
+    # n spans three build chunks, so bucket runs cross chunk boundaries
+    ws = build_weights(model_params(2.5, 1.0, 150_000))
+    table = ws.mark_table(pi)
+    check_lookup(table, adversarial_queries(table, np.random.default_rng(5)))
+    check_guide(table)
+
+
+@pytest.mark.parametrize("w", [
+    [1.0],
+    [3.0, 1.0],
+    [1.0, 3.0],
+    list(range(1, 300)),  # increasing, as a vertex subset may be: bucket 0 is used
+    [1e4] + [1e-3] * 50,  # one weight holds > 99% of the mass
+    [0.7] * 1000,  # equal weights: cum entries sit on bucket edges
+], ids=["n1", "n2", "n2_increasing", "increasing", "dominant", "equal"])
+def test_lookup_edge_cases(w):
+    ws = WeightSequence.from_array(w)
+    table = ws.mark_table()
+    check_lookup(table, adversarial_queries(table, np.random.default_rng(9), size=2000))
+    check_guide(table)
+    marks = draw_marks(ws, 5000, np.random.default_rng(1))
+    assert marks.min() >= 1 and marks.max() <= ws.n
+
+
+def test_mark_tables_built_on_first_use_and_shared():
+    ws = build_weights(model_params(2.5, 1.0, 1000))
+    assert ws._tables == {}  # build_weights, which set-up times, builds none
+    pi = 0.2
+    rng = np.random.default_rng(2)
+    sample_percolated_mnr_direct(ws, pi, rng)
+    table = ws.mark_table(pi)
+    sample_percolated_mnr_direct(ws, pi, rng)
+    assert ws.mark_table(pi) is table
+    draw_marks(ws, 10, rng)
+    full = ws.mark_table()
+    assert full.cum is ws.cum_weights  # the pi = 1 table copies nothing
+    assert full.total == float(ws.weights.sum())
+    sample_mnr(ws, rng)
+    assert ws.mark_table() is full and ws.mark_table(pi) is table
+    # one slot for pi < 1: a new pi replaces the old table, pi = 1 stays
+    other = ws.mark_table(0.3)
+    assert other is not table and ws.mark_table() is full
+    assert np.array_equal(other.cum, np.cumsum(0.3 * ws.weights))
+    assert other.total == float((0.3 * ws.weights).sum())
 
 
 def test_draw_marks_rejects_negative_size():
     with pytest.raises(DomainError):
         draw_marks(toy_weights(), -1, np.random.default_rng(0))
+
+
+def test_mark_tables_under_racing_threads():
+    # threads race to build the tables and to replace the one pi < 1 slot;
+    # every draw must still see the table of its own pi
+    params = model_params(2.5, 1.0, 20_000)
+    pis = (0.2, 0.3, 1.0)
+
+    def draw(ws, k):
+        g = sample_percolated_mnr_direct(ws, pis[k % 3], np.random.default_rng(k))
+        return g.as_tuples()
+
+    serial = [draw(build_weights(params), k) for k in range(24)]
+    ws = build_weights(params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(draw, ws, k) for k in range(24)]
+            racing = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert racing == serial
 
 
 def test_sample_mnr_pair_rates():

@@ -32,6 +32,10 @@ PINNED = [
      "3747aa6675af5456d8b5c04335dd4171357f440ed50e425d24e6c65d4700c3ad"),
     ("residual_components", (10**4, 10**5),
      "6796dee59172d88fe47e04c57a3039add781620635e825ded38d92a3e7b64c44"),
+    ("exploration_limit", (10**4, 10**5),
+     "f9625a7ebe829833005e31f5633fc5d3e323e76688ede99556928c70733f9c68"),
+    ("repeat_fraction", (10**4, 10**5),
+     "610d696c03b6f4198f3b73f7abe6e12d44e7e9f488bd144228be7f89241e65fa"),
 ]
 
 
