@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,25 +20,19 @@ from .graphgen import (
 )
 from .params import LambdaRule, build_weights, make_schedule, model_params
 
-_SUBCOMMAND_EXPERIMENT = {
-    "theory": "theory_tables",
-    "explore": "exploration_limit",
-    "giant": "multi_giant",
-    "single-vs-multi": "single_vs_multi",
-    "residual": "residual_components",
-    "repeat-fraction": "repeat_fraction",
-    "core": "one_neighborhood",
-}
-
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    # Each dest is the config field the flag sets.
     sub.add_argument("--config", help="JSON config file; flags below override it")
-    sub.add_argument("--seed", type=int, help="master seed (default 1)")
-    sub.add_argument("--out", help="output path for the result report")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format (default json)")
+    sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                     help="master seed (default 1)")
+    sub.add_argument("--out", dest="output_path", metavar="OUT",
+                     help="output path for the result report")
+    sub.add_argument("--format", choices=("csv", "json"), dest="output_format",
+                     help="output format (default json)")
     sub.add_argument("--threads", type=int, default=1, help="replica-level worker threads")
     sub.add_argument("--tau", type=float, help="degree exponent, in (2, 3)")
-    sub.add_argument("--C", type=float, dest="big_c", help="weight scale constant")
+    sub.add_argument("--C", type=float, help="weight scale constant")
     sub.add_argument("--n-grid", type=int, nargs="+", help="ascending graph sizes")
     sub.add_argument("--replicas", type=int, help="replicas per n")
     sub.add_argument("--a", type=float, help="core level (core subcommand)")
@@ -53,24 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("theory", "emit the closed-form constants and a-grid tables"),
-        ("explore", "exploration walks against the limit curve"),
-        ("giant", "largest-component scaling on the multigraph window"),
-        ("single-vs-multi", "coupled percolation: giant gap across windows"),
-        ("residual", "largest component left after the exploration horizon"),
-        ("repeat-fraction", "repeat-rate diagnostic of the exploration walk"),
-        ("core", "core giant, its weight and its one-neighborhood"),
-    ]:
-        sub = subs.add_parser(name, help=help_text)
+    for name, spec in xp.EXPERIMENTS.items():
+        sub = subs.add_parser(spec.command, help=spec.help)
+        sub.set_defaults(experiment=name)
         _add_common(sub)
-        if name == "explore":
+        if name == "exploration_limit":
             sub.add_argument("--trace", help="also write one walk trace CSV here")
 
     gen = subs.add_parser("generate", help="sample one graph and write its edge list")
     gen.add_argument("--n", type=int, required=True, help="number of vertices")
     gen.add_argument("--tau", type=float, default=2.5)
-    gen.add_argument("--C", type=float, dest="big_c", default=1.0)
+    gen.add_argument("--C", type=float, default=1.0)
     gen.add_argument("--mode", choices=("raw", "multi", "single"), default="raw",
                      help="raw multigraph, percolated multigraph, or coupled simple graph")
     gen.add_argument("--lambda-kind", choices=("constant", "power", "logpower"))
@@ -88,30 +76,19 @@ def _lambda_rule_from_args(args) -> LambdaRule | None:
     return LambdaRule(args.lambda_kind, args.lambda_value)
 
 
-def _config_from_args(args, experiment: str) -> xp.ExperimentConfig:
+def _config_from_args(args) -> xp.ExperimentConfig:
     base = {}
     if args.config:
         base = xp.ExperimentConfig.from_json_file(args.config).to_dict()
-        base.pop("version", None)
-        if base["experiment"] != experiment:
+        if base["experiment"] != args.experiment:
             raise SystemExit(
-                f"config file is for {base['experiment']!r} but the subcommand wants {experiment!r}"
+                f"config file is for {base['experiment']!r} but the subcommand wants"
+                f" {args.experiment!r}"
             )
-    base["experiment"] = experiment
-    overrides = {
-        "tau": args.tau,
-        "C": args.big_c,
-        "n_grid": tuple(args.n_grid) if args.n_grid else None,
-        "a": args.a,
-        "T": args.T,
-        "replicas": args.replicas,
-        "master_seed": args.seed,
-        "output_path": args.out,
-        "output_format": args.format,
-    }
-    for key, value in overrides.items():
+    for f in fields(xp.ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            base[key] = value
+            base[f.name] = value
     rule = _lambda_rule_from_args(args)
     if rule is not None:
         base["lambda_rule"] = rule.to_dict()
@@ -134,31 +111,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_experiment(args, experiment: str) -> xp.ExperimentConfig:
-    """Run one ensemble, print its summary table, and return the parsed config."""
-    config = _config_from_args(args, experiment)
+def _run_experiment(args) -> int:
+    """Run one ensemble, print its summary table, and write what was asked for."""
+    config = _config_from_args(args)
     result = xp.run(config, threads=args.threads)
     _print_table(xp.summarize(result))
-    if experiment == "theory_tables":
+    if config.experiment == "theory_tables":
         print()
         _print_table(result.theory["a_table"])
     if config.output_path:
         print(f"\nwrote {config.output_path}")
-    return config
+    if getattr(args, "trace", None):
+        # the walk of the first replica at the smallest n
+        n = config.n_grid[0]
+        ctx = xp._build_context(config, n)
+        rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
+        steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
+        write_trace_csv(run_exploration(ctx.weights, ctx.schedule, steps, rng), args.trace)
+        print(f"wrote {args.trace}")
+    return 0
 
 
 def _cmd_generate(args) -> int:
-    params = model_params(args.tau, args.big_c, args.n)
+    params = model_params(args.tau, args.C, args.n)
     ws = build_weights(params)
     rng = np.random.default_rng(args.seed)
     if args.mode == "raw":
         graph = sample_mnr(ws, rng)
     else:
-        mode = "multi" if args.mode == "multi" else "single"
-        rule = _lambda_rule_from_args(args) or xp.default_lambda_rule(
-            "multi_giant" if mode == "multi" else "one_neighborhood"
-        )
-        schedule = make_schedule(params, mode, rule)
+        default = xp.EXPERIMENTS["multi_giant" if args.mode == "multi" else "one_neighborhood"]
+        rule = _lambda_rule_from_args(args) or default.lambda_rule
+        schedule = make_schedule(params, args.mode, rule)
         if args.mode == "multi":
             graph = sample_percolated_mnr_direct(ws, schedule.pi_n, rng)
         else:
@@ -168,28 +151,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_explore(args) -> int:
-    config = _run_experiment(args, "exploration_limit")
-    if args.trace:
-        n = config.n_grid[0]
-        ctx = xp._build_context(config, n)
-        rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
-        trace = run_exploration(ctx.weights, ctx.schedule, steps, rng)
-        write_trace_csv(trace, args.trace)
-        print(f"wrote {args.trace}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        _run_experiment(args, _SUBCOMMAND_EXPERIMENT[args.command])
-        return 0
+        return _run_experiment(args)
     except SfpercError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -116,16 +116,6 @@ def component_sizes(g: MultiGraph | SimpleGraph,
                             second_size=second)
 
 
-def largest_component_among(g: MultiGraph | SimpleGraph, vertices: np.ndarray) -> int:
-    """Size of the largest component restricted to the given vertex ids
-    (components are counted by their members inside ``vertices``; 0 if empty)."""
-    ids = np.asarray(vertices, dtype=np.int64)
-    if ids.size == 0:
-        return 0
-    labels = component_labels(g.n, g.src, g.dst)
-    return int(np.bincount(labels[ids], minlength=g.n + 1).max())
-
-
 # --------------------------------------------------------------------------
 # core extraction and kernel convergence
 # --------------------------------------------------------------------------

@@ -17,13 +17,13 @@ import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .components import component_labels, component_sizes, core_report, merge_labels
-from .errors import ConfigError, DomainError, ScheduleInfeasibleError
+from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
     repeat_fraction,
     residual_largest_component,
@@ -35,6 +35,7 @@ from .params import (
     LambdaRule,
     WeightSequence,
     build_weights,
+    core_prefix_size,
     make_schedule,
     model_params,
 )
@@ -49,43 +50,44 @@ from .theory import (
 
 RESULT_VERSION = 2
 
-EXPERIMENTS = (
-    "multi_giant",
-    "single_vs_multi",
-    "exploration_limit",
-    "repeat_fraction",
-    "residual_components",
-    "one_neighborhood",
-    "theory_tables",
-)
 
-_MODE = {
-    "multi_giant": "multi",
-    "exploration_limit": "multi",
-    "repeat_fraction": "multi",
-    "residual_components": "multi",
-    "theory_tables": "multi",
-    "single_vs_multi": "single",
-    "one_neighborhood": "single",
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its CLI subcommand and help line, the window it
+    percolates on, and the defaults a config leaves out."""
+
+    command: str
+    help: str
+    mode: str
+    lambda_rule: LambdaRule
+    n_grid: tuple[int, ...]
 
 
-def default_lambda_rule(experiment: str) -> LambdaRule:
+_POWER = LambdaRule("power", 0.1)
+_N_GRID = (10**4, 10**5, 10**6)
+
+# The one place an experiment is declared; the CLI lists them in this order.
+EXPERIMENTS = {
+    "theory_tables": Experiment("theory", "emit the closed-form constants and a-grid tables",
+                                "multi", _POWER, (10**6,)),
+    "exploration_limit": Experiment("explore", "exploration walks against the limit curve",
+                                    "multi", _POWER, _N_GRID),
+    "multi_giant": Experiment("giant", "largest-component scaling on the multigraph window",
+                              "multi", _POWER, _N_GRID),
+    "single_vs_multi": Experiment(
+        "single-vs-multi", "coupled percolation: giant gap across windows",
+        "single", _POWER, _N_GRID),
+    "residual_components": Experiment(
+        "residual", "largest component left after the exploration horizon",
+        "multi", _POWER, (10**4, 10**5)),
+    "repeat_fraction": Experiment(
+        "repeat-fraction", "repeat-rate diagnostic of the exploration walk",
+        "multi", _POWER, _N_GRID),
     # The core experiment keeps lambda constant so the core scale N_n grows
     # with n; everything else uses the slowly growing power rule.
-    if experiment == "one_neighborhood":
-        return LambdaRule("constant", 10.0)
-    return LambdaRule("power", 0.1)
-
-
-def default_n_grid(experiment: str) -> tuple[int, ...]:
-    if experiment == "one_neighborhood":
-        return (10**5, 10**6)
-    if experiment == "residual_components":
-        return (10**4, 10**5)
-    if experiment == "theory_tables":
-        return (10**6,)
-    return (10**4, 10**5, 10**6)
+    "one_neighborhood": Experiment("core", "core giant, its weight and its one-neighborhood",
+                                   "single", LambdaRule("constant", 10.0), (10**5, 10**6)),
+}
 
 
 # --------------------------------------------------------------------------
@@ -100,12 +102,6 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 def _is_whole(value) -> bool:
     return _is_number(value, numbers.Integral) or (_is_number(value) and float(value).is_integer())
-
-
-_CONFIG_FIELDS = {
-    "version", "experiment", "tau", "C", "n_grid", "lambda_rule", "a", "T",
-    "replicas", "master_seed", "output_path", "output_format",
-}
 
 
 @dataclass(frozen=True)
@@ -125,17 +121,23 @@ class ExperimentConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        # a list is unhashable, so test the type before the table lookup
+        if not (isinstance(self.experiment, str) and self.experiment in EXPERIMENTS):
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
+        spec = EXPERIMENTS[self.experiment]
         if self.n_grid is None:
-            object.__setattr__(self, "n_grid", default_n_grid(self.experiment))
-        if not all(_is_whole(n) for n in self.n_grid):
-            raise ConfigError(f"n_grid entries must be whole numbers, got {self.n_grid}")
+            object.__setattr__(self, "n_grid", spec.n_grid)
+        if not (isinstance(self.n_grid, (list, tuple)) and all(_is_whole(n) for n in self.n_grid)):
+            raise ConfigError(f"n_grid must be a list of whole numbers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.lambda_rule is None:
-            object.__setattr__(self, "lambda_rule", default_lambda_rule(self.experiment))
+            object.__setattr__(self, "lambda_rule", spec.lambda_rule)
+        for name in ("tau", "C", "a"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("replicas", "master_seed"):
             value = getattr(self, name)
             if not _is_number(value, numbers.Integral):
@@ -148,60 +150,52 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be nonempty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError(f"n_grid must be strictly ascending, got {self.n_grid}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
-        if self.experiment == "one_neighborhood" and not (self.a > 0):
-            raise ConfigError(f"the core experiment needs a > 0, got a={self.a}")
-        # every schedule must be feasible before any sampling happens
+        if self.experiment == "theory_tables" and not (self.a > max(_THEORY_EPS_GRID)):
+            raise ConfigError(
+                f"the theory tables need a > {max(_THEORY_EPS_GRID)} for their operator norms,"
+                f" got a={self.a}"
+            )
+        # every schedule, and the core experiment's core, must be feasible
+        # before any sampling happens
         for n in self.n_grid:
             try:
-                make_schedule(model_params(self.tau, self.C, n), self.mode, self.lambda_rule)
-            except (ScheduleInfeasibleError, DomainError) as e:
+                sch = make_schedule(model_params(self.tau, self.C, n), self.mode, self.lambda_rule)
+                if self.experiment == "one_neighborhood":
+                    core_prefix_size(sch, self.a)
+            except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
     @property
     def mode(self) -> str:
-        return _MODE[self.experiment]
+        return EXPERIMENTS[self.experiment].mode
 
     def to_dict(self) -> dict:
-        return {
-            "version": RESULT_VERSION,
-            "experiment": self.experiment,
-            "tau": self.tau,
-            "C": self.C,
-            "n_grid": list(self.n_grid),
-            "lambda_rule": self.lambda_rule.to_dict(),
-            "a": self.a,
-            "T": self.T,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "output_path": self.output_path,
-            "output_format": self.output_format,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(n_grid=list(self.n_grid), lambda_rule=self.lambda_rule.to_dict())
+        return {"version": RESULT_VERSION, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Fail-closed parser: unknown fields and version mismatches are errors."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        extra = set(d) - _CONFIG_FIELDS
+        names = {f.name for f in fields(cls)}
+        extra = set(d) - names - {"version"}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         if d.get("version", RESULT_VERSION) != RESULT_VERSION:
             raise ConfigError(f"unsupported config version {d.get('version')!r}")
         if "experiment" not in d:
             raise ConfigError("config needs an 'experiment' field")
-        kwargs = {}
-        for key in ("experiment", "tau", "C", "a", "T", "replicas",
-                    "master_seed", "output_path", "output_format"):
-            if key in d and d[key] is not None:
-                kwargs[key] = d[key]
-        if d.get("n_grid") is not None:
-            kwargs["n_grid"] = tuple(d["n_grid"])
-        if d.get("lambda_rule") is not None:
-            kwargs["lambda_rule"] = LambdaRule.from_dict(d["lambda_rule"])
+        kwargs = {key: value for key, value in d.items() if key in names and value is not None}
+        if "lambda_rule" in kwargs:
+            kwargs["lambda_rule"] = LambdaRule.from_dict(kwargs["lambda_rule"])
         return cls(**kwargs)
 
     @classmethod

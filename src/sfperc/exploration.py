@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import largest_component_among
+from .components import component_sizes
 from .errors import DomainError, RangeError
 from .graphgen import draw_marks, sample_percolated_mnr_subset
 from .params import PercolationSchedule, WeightSequence
@@ -144,7 +144,8 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     if remaining.size == 0:
         return 0
     g = sample_percolated_mnr_subset(weights, schedule.pi_n, remaining, rng)
-    return max(largest_component_among(g, remaining), 1)
+    # edges join only unexplored vertices, so explored ones are isolated
+    return component_sizes(g).giant_size
 
 
 def write_trace_csv(trace: ExplorationTrace, path) -> None:

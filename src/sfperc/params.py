@@ -238,11 +238,15 @@ class LambdaRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LambdaRule":
+        if not isinstance(d, dict):
+            raise DomainError(f"lambda rule must be an object, got {d!r}")
         extra = set(d) - {"kind", "value"}
         if extra:
             raise DomainError(f"unknown lambda rule fields: {sorted(extra)}")
         if "kind" not in d or "value" not in d:
             raise DomainError("lambda rule needs both 'kind' and 'value'")
+        if not isinstance(d["value"], (int, float)) or isinstance(d["value"], bool):
+            raise DomainError(f"lambda rule value must be a number, got {d['value']!r}")
         return cls(kind=d["kind"], value=float(d["value"]))
 
 

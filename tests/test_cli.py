@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from sfperc.cli import _SUBCOMMAND_EXPERIMENT, build_parser, main
+from sfperc.cli import build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
 from sfperc.graphgen import MultiGraph, SimpleGraph
 
@@ -56,27 +57,39 @@ def test_infeasible_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra, message", [
-    (["--T", "nan"], "T must be finite"),
-    (["--T", "inf"], "T must be finite"),
-    (["--T", "0"], "T must be finite"),
-    (["--T", "-1"], "T must be finite"),
-    ({"replicas": 2.5}, "replicas must be an integer"),
-    ({"master_seed": 1.5}, "master_seed must be an integer"),
-    ({"n_grid": [10000.7]}, "whole numbers"),
+@pytest.mark.parametrize("command, fields, flags, message", [
+    ("explore", {}, ["--T", "nan"], "T must be finite"),
+    ("explore", {}, ["--T", "inf"], "T must be finite"),
+    ("explore", {}, ["--T", "0"], "T must be finite"),
+    ("explore", {}, ["--T", "-1"], "T must be finite"),
+    ("explore", {"replicas": 2.5}, [], "replicas must be an integer"),
+    ("explore", {"master_seed": 1.5}, [], "master_seed must be an integer"),
+    ("explore", {"n_grid": [10000.7]}, [], "whole numbers"),
+    ("explore", {"n_grid": 5}, [], "n_grid must be a list"),
+    ("explore", {"lambda_rule": 5}, [], "lambda rule must be an object"),
+    ("explore", {"lambda_rule": {"kind": "power", "value": "x"}}, [], "must be a number"),
+    ("explore", {"tau": "2.5"}, [], "tau must be a finite number"),
+    ("explore", {"C": "1"}, [], "C must be a finite number"),
+    ("explore", {"a": "x"}, [], "a must be a finite number"),
+    ("explore", {"output_path": 5}, [], "output_path must be a string"),
+    ("giant", {"experiment": ["multi_giant"]}, [], "unknown experiment"),
+    ("theory", {"experiment": "theory_tables"}, ["--a", "0.05"], "need a > 0.1"),
+    ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--a", "1e-6"],
+     "is empty"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "replicas-float", "seed-float",
-        "n_grid-fraction"])
-def test_explore_bad_config_exits_2(extra, message, tmp_path, monkeypatch, capsys):
+        "n_grid-fraction", "n_grid-scalar", "lambda_rule-scalar", "lambda_value-string",
+        "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
+        "theory-a-below-eps", "core-empty"])
+def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
+                                    capsys):
     def no_weights(*_):
         raise AssertionError("weights were built for a bad config")
 
     monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
-    argv = ["explore", "--n-grid", "400", "--replicas", "1"]
-    if isinstance(extra, dict):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"experiment": "exploration_limit", **extra}))
-        argv = ["explore", "--config", str(path)]
-    rc = main(argv + (extra if isinstance(extra, list) else []))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "exploration_limit", "n_grid": [400],
+                                "replicas": 1, **fields}))
+    rc = main([command, "--config", str(path), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -108,8 +121,12 @@ def test_core_variant_flag(tmp_path, monkeypatch, capsys):
 
 
 def test_subcommands_cover_every_experiment_once():
-    assert sorted(_SUBCOMMAND_EXPERIMENT.values()) == sorted(EXPERIMENTS)
-    assert len(set(_SUBCOMMAND_EXPERIMENT.values())) == len(_SUBCOMMAND_EXPERIMENT)
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    reached = {command: parser.parse_args([command]).experiment
+               for command in subs.choices if command != "generate"}
+    assert sorted(reached.values()) == sorted(EXPERIMENTS)
+    assert reached == {spec.command: name for name, spec in EXPERIMENTS.items()}
 
 
 def test_lambda_flags_must_pair():

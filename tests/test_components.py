@@ -14,7 +14,6 @@ from sfperc.components import (
     core_report,
     extract_core,
     kernel_convergence_check,
-    largest_component_among,
     merge_labels,
     one_neighborhood,
 )
@@ -214,15 +213,6 @@ def test_giant_tie_break_prefers_smallest_id():
     s = component_sizes(g)
     assert s.giant_size == 2
     assert s.giant_members.tolist() == [2, 6]
-
-
-def test_largest_component_among():
-    g = SimpleGraph.from_pairs(8, [(1, 2), (2, 3), (3, 4), (6, 7)])
-    assert largest_component_among(g, np.array([1, 2, 6])) == 2
-    assert largest_component_among(g, np.array([4, 6, 8])) == 1
-    assert largest_component_among(g, np.array([], dtype=np.int64)) == 0
-    # counted by membership inside the restriction, not total component size
-    assert largest_component_among(g, np.array([1, 4])) == 2
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfperc.components import core_report
-from sfperc.errors import ConfigError, DomainError
+from sfperc.errors import ConfigError, DomainError, SfpercError
 from sfperc.experiments import (
     RESULT_VERSION,
     ExperimentConfig,
@@ -82,8 +82,10 @@ def test_config_validation_errors():
         small_config(master_seed=-1)
     with pytest.raises(ConfigError):
         small_config(master_seed=2**64)
-    with pytest.raises(ConfigError):
-        ExperimentConfig("one_neighborhood", n_grid=(100_000,), a=0.0)
+    # a core level whose core is empty or larger than the graph
+    for a in (0.0, 1e-6, 1e9):
+        with pytest.raises(ConfigError):
+            ExperimentConfig("one_neighborhood", n_grid=(100_000,), a=a)
     # constant-10 single schedule has pi >= 1 at n = 10^4
     with pytest.raises(ConfigError):
         ExperimentConfig("one_neighborhood", n_grid=(10_000,))
@@ -102,6 +104,18 @@ def test_config_validation_errors():
     for bad in ({"T": "2.0"}, {"replicas": 2.5}, {"master_seed": 1.5}, {"n_grid": [10_000.7]}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**small_config().to_dict(), **bad})
+    # wrongly typed values fail closed at construction, not mid-run
+    for bad in ({"n_grid": 5}, {"tau": "2.5"}, {"C": "1"}, {"a": "x"}, {"a": math.nan},
+                {"output_path": 5}, {"experiment": ["multi_giant"]}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**small_config().to_dict(), **bad})
+    for bad_rule in (5, [["kind", "power"]], {"kind": "power", "value": "x"},
+                     {"kind": "power", "value": True}):
+        with pytest.raises(SfpercError):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "lambda_rule": bad_rule})
+    # the theory tables' operator norms need a above every eps of their grid
+    with pytest.raises(ConfigError):
+        ExperimentConfig("theory_tables", n_grid=(1000,), a=0.05)
     # whole-number floats in the grid are still accepted and stored as ints
     assert small_config(n_grid=(200.0, 4e2)).n_grid == (200, 400)
 
