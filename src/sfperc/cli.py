@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 
@@ -11,14 +10,14 @@ import numpy as np
 
 from . import experiments as xp
 from .errors import SfpercError
-from .exploration import run_exploration, write_trace_csv
+from .exploration import write_trace_csv
 from .graphgen import (
     sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
     write_edge_list,
 )
-from .params import LambdaRule, build_weights, make_schedule, model_params
+from .params import LAMBDA_RULE_KINDS, LambdaRule, build_weights, make_schedule, model_params
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -37,7 +36,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--replicas", type=int, help="replicas per n")
     sub.add_argument("--a", type=float, help="core level (core subcommand)")
     sub.add_argument("--T", type=float, help="rescaled time horizon")
-    sub.add_argument("--lambda-kind", choices=("constant", "power", "logpower"))
+    sub.add_argument("--lambda-kind", choices=LAMBDA_RULE_KINDS)
     sub.add_argument("--lambda-value", type=float, help="lambda rule value/exponent")
 
 
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--C", type=float, default=1.0)
     gen.add_argument("--mode", choices=("raw", "multi", "single"), default="raw",
                      help="raw multigraph, percolated multigraph, or coupled simple graph")
-    gen.add_argument("--lambda-kind", choices=("constant", "power", "logpower"))
+    gen.add_argument("--lambda-kind", choices=LAMBDA_RULE_KINDS)
     gen.add_argument("--lambda-value", type=float)
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--out", required=True, help="edge list destination")
@@ -69,10 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _lambda_rule_from_args(args) -> LambdaRule | None:
-    if args.lambda_kind is None and args.lambda_value is None:
+    if args.lambda_kind is None:
         return None
-    if args.lambda_kind is None or args.lambda_value is None:
-        raise SystemExit("--lambda-kind and --lambda-value must be given together")
     return LambdaRule(args.lambda_kind, args.lambda_value)
 
 
@@ -124,10 +121,8 @@ def _run_experiment(args) -> int:
     if getattr(args, "trace", None):
         # the walk of the first replica at the smallest n
         n = config.n_grid[0]
-        ctx = xp._build_context(config, n)
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
-        write_trace_csv(run_exploration(ctx.weights, ctx.schedule, steps, rng), args.trace)
+        write_trace_csv(xp.walk_to_horizon(xp._build_context(config, n), rng), args.trace)
         print(f"wrote {args.trace}")
     return 0
 
@@ -152,7 +147,12 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.lambda_kind is None) != (args.lambda_value is None):
+        parser.error("--lambda-kind and --lambda-value must be given together")
+    if args.command == "generate" and args.mode == "raw" and args.lambda_kind is not None:
+        parser.error("--mode raw samples no percolation, so it takes no lambda rule")
     try:
         if args.command == "generate":
             return _cmd_generate(args)

@@ -25,7 +25,6 @@ from .params import PercolationSchedule, WeightSequence, core_prefix_size
 class ComponentSummary:
     """Component sizes in non-increasing order plus the giant's membership."""
 
-    n: int
     sizes: np.ndarray
     giant_members: np.ndarray
     second_size: int
@@ -112,8 +111,7 @@ def component_sizes(g: MultiGraph | SimpleGraph,
     second = int(sizes[1]) if sizes.size > 1 else 0
     if int(sizes.sum()) != g.n:
         raise AssertionError("component sizes do not partition the vertex set")
-    return ComponentSummary(n=g.n, sizes=sizes, giant_members=giant_members,
-                            second_size=second)
+    return ComponentSummary(sizes=sizes, giant_members=giant_members, second_size=second)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +211,6 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
 class CoreReport:
     """Summary of one core analysis at level a."""
 
-    a: float
     core_size: int
     core_giant_size: int
     core_giant_weight: float
@@ -237,6 +234,6 @@ def core_report(g_full: SimpleGraph, weights: WeightSequence,
         raise AssertionError(
             "largest full-graph component is smaller than core giant + one-neighborhood"
         )
-    return CoreReport(a=a, core_size=core_size, core_giant_size=giant.size,
+    return CoreReport(core_size=core_size, core_giant_size=giant.size,
                       core_giant_weight=giant.weight, one_neighborhood_size=n1)
 

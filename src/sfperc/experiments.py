@@ -25,6 +25,7 @@ import numpy as np
 from .components import component_labels, component_sizes, core_report, merge_labels
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
+    ExplorationTrace,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
@@ -33,6 +34,7 @@ from .exploration import (
 from .graphgen import sample_coupled_direct, sample_percolated_mnr_direct
 from .params import (
     LambdaRule,
+    PercolationSchedule,
     WeightSequence,
     build_weights,
     core_prefix_size,
@@ -134,6 +136,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.lambda_rule is None:
             object.__setattr__(self, "lambda_rule", spec.lambda_rule)
+        elif not isinstance(self.lambda_rule, LambdaRule):
+            object.__setattr__(self, "lambda_rule", LambdaRule.from_dict(self.lambda_rule))
         for name in ("tau", "C", "a"):
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value)):
@@ -142,6 +146,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_number(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.T is not None and not (_is_number(self.T) and 0.0 < self.T < math.inf):
             raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
         if self.replicas < 1:
@@ -193,10 +198,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config version {d.get('version')!r}")
         if "experiment" not in d:
             raise ConfigError("config needs an 'experiment' field")
-        kwargs = {key: value for key, value in d.items() if key in names and value is not None}
-        if "lambda_rule" in kwargs:
-            kwargs["lambda_rule"] = LambdaRule.from_dict(kwargs["lambda_rule"])
-        return cls(**kwargs)
+        return cls(**{key: value for key, value in d.items()
+                      if key in names and value is not None})
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -240,7 +243,7 @@ class _Context:
 
     n: int
     weights: WeightSequence
-    schedule: object
+    schedule: PercolationSchedule
     constants: object
     horizon: float  # exploration horizon in rescaled time
 
@@ -259,6 +262,16 @@ def _build_context(config: ExperimentConfig, n: int) -> _Context:
     else:
         horizon = 1.0
     return _Context(n=n, weights=ws, schedule=sch, constants=constants, horizon=horizon)
+
+
+def walk_to_horizon(ctx: _Context, rng) -> ExplorationTrace:
+    """The exploration walk at ctx.n, run for floor(horizon * beta_n) steps."""
+    steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
+    return run_exploration(ctx.weights, ctx.schedule, steps, rng)
+
+
+def _schedule_row(sch: PercolationSchedule) -> dict:
+    return {"lambda_n": sch.lambda_n, "pi_n": sch.pi_n, "beta_n": sch.beta_n, "N_n": sch.N_n}
 
 
 def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed: int) -> dict:
@@ -297,12 +310,10 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
             diff_over_beta=(c1 - c1_star) / sch.beta_n,
         )
     elif kind == "exploration_limit":
-        steps = math.floor(ctx.horizon * sch.beta_n)
-        trace = run_exploration(ws, sch, steps, rng)
+        trace = walk_to_horizon(ctx, rng)
         rec.update(sup_distance=sup_distance_to_limit(trace, sch, ctx.constants, ctx.horizon))
     elif kind == "repeat_fraction":
-        steps = math.floor(ctx.horizon * sch.beta_n)
-        trace = run_exploration(ws, sch, steps, rng)
+        trace = walk_to_horizon(ctx, rng)
         rec.update(pi_n=sch.pi_n, repeat_fraction=repeat_fraction(trace, sch, ctx.horizon))
     elif kind == "residual_components":
         largest = residual_largest_component(ws, sch, ctx.horizon, rng)
@@ -322,7 +333,7 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
             relative_gap=abs(report.one_neighborhood_size - weight) / weight,
         )
     elif kind == "theory_tables":
-        rec.update(lambda_n=sch.lambda_n, pi_n=sch.pi_n, beta_n=sch.beta_n, N_n=sch.N_n)
+        rec.update(_schedule_row(sch))
     else:  # pragma: no cover - EXPERIMENTS is closed
         raise ConfigError(f"unhandled experiment {kind!r}")
     return rec
@@ -337,33 +348,24 @@ _THEORY_EPS_GRID = (0.1, 0.01, 0.001)
 
 
 def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> dict:
-    params = model_params(config.tau, config.C, max(config.n_grid))
-    constants = contexts[max(config.n_grid)].constants
+    last = contexts[max(config.n_grid)]
+    params, constants = last.schedule.params, last.constants
     block = {
         "alpha": params.alpha,
         "mu": params.mu,
         "kappa": constants.kappa,
         "zeta": constants.zeta,
         "rho_star_inf": constants.rho_star_inf,
-        "schedules": {
-            str(n): {
-                "lambda_n": ctx.schedule.lambda_n,
-                "pi_n": ctx.schedule.pi_n,
-                "beta_n": ctx.schedule.beta_n,
-                "N_n": ctx.schedule.N_n,
-            }
-            for n, ctx in contexts.items()
-        },
+        "schedules": {str(n): _schedule_row(ctx.schedule) for n, ctx in contexts.items()},
     }
     kind = config.experiment
     if kind == "exploration_limit":
-        ctx = contexts[max(config.n_grid)]
-        ts = [round(i * ctx.horizon / 32, 12) for i in range(1, 33)]
-        block["T"] = ctx.horizon
-        block["max_z"] = limit_curve_max(params, constants, ctx.horizon)
+        ts = [round(i * last.horizon / 32, 12) for i in range(1, 33)]
+        block["T"] = last.horizon
+        block["max_z"] = limit_curve_max(params, constants, last.horizon)
         block["z_curve"] = [[t, limit_curve_z(t, params, constants)] for t in ts]
     elif kind == "repeat_fraction":
-        block["t"] = contexts[max(config.n_grid)].horizon
+        block["t"] = last.horizon
         block["slope_target"] = (params.tau - 2.0) / (3.0 - params.tau)
     elif kind == "residual_components":
         block["horizon"] = {str(n): ctx.horizon for n, ctx in contexts.items()}

@@ -26,7 +26,7 @@ from .components import component_sizes
 from .errors import DomainError, RangeError
 from .graphgen import draw_marks, sample_percolated_mnr_subset
 from .params import PercolationSchedule, WeightSequence
-from .theory import TheoryConstants
+from .theory import TheoryConstants, limit_curve_z
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule
                           constants: TheoryConstants, T: float) -> float:
     """sup over the step grid l = 0..floor(T*beta_n) of |Z(l)/beta_n - z(l/beta_n)|."""
     last = _step_of(T, schedule, trace.steps)
-    params = schedule.params
-    t_grid = np.arange(last + 1) / schedule.beta_n
-    z_vals = params.mu ** (3.0 - params.tau) * constants.kappa * t_grid ** (params.tau - 2.0) - t_grid
+    z_vals = limit_curve_z(np.arange(last + 1) / schedule.beta_n, schedule.params, constants)
     walk = trace.Z[: last + 1] / schedule.beta_n
     return float(np.abs(walk - z_vals).max())
 

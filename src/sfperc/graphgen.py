@@ -73,18 +73,9 @@ class MultiGraph:
         """Structural invariants: endpoint ranges, canonical order, degree-sum identity."""
         if self.src.size != self.dst.size or self.src.size != self.mult.size:
             raise AssertionError("edge arrays have mismatched lengths")
-        if self.src.size:
-            if self.src.min() < 1 or self.dst.max() > self.n:
-                raise AssertionError(f"edge endpoint outside [1, {self.n}]")
-            if np.any(self.src > self.dst):
-                raise AssertionError("pairs are not canonicalized (src <= dst)")
-            if np.any(self.mult < 1):
-                raise AssertionError("multiplicities must be >= 1")
-            key = self.src * np.int64(self.n + 1) + self.dst
-            if np.any(np.diff(key) <= 0):
-                raise AssertionError("pairs are not sorted and unique")
-        if int(self.degrees().sum()) != 2 * self.total_edge_count:
-            raise AssertionError("degree-sum identity violated")
+        if np.any(self.mult < 1):
+            raise AssertionError("multiplicities must be >= 1")
+        _check_pairs(self, loops=True, edge_count=self.total_edge_count)
 
 
 @dataclass(frozen=True)
@@ -119,16 +110,23 @@ class SimpleGraph:
         return g
 
     def validate(self) -> None:
-        if self.src.size:
-            if self.src.min() < 1 or self.dst.max() > self.n:
-                raise AssertionError(f"edge endpoint outside [1, {self.n}]")
-            if np.any(self.src >= self.dst):
-                raise AssertionError("simple edges need src < dst")
-            key = self.src * np.int64(self.n + 1) + self.dst
-            if np.any(np.diff(key) <= 0):
-                raise AssertionError("pairs are not sorted and unique")
-        if int(self.degrees().sum()) != 2 * self.edge_count:
-            raise AssertionError("degree-sum identity violated")
+        """Structural invariants: endpoint ranges, src < dst, degree-sum identity."""
+        _check_pairs(self, loops=False, edge_count=self.edge_count)
+
+
+def _check_pairs(g: MultiGraph | SimpleGraph, loops: bool, edge_count: int) -> None:
+    """Endpoints in [1, n], src <= dst (src < dst without ``loops``), pairs
+    sorted and unique, and degrees summing to twice ``edge_count``."""
+    if g.src.size:
+        if g.src.min() < 1 or g.dst.max() > g.n:
+            raise AssertionError(f"edge endpoint outside [1, {g.n}]")
+        if np.any(g.src > g.dst if loops else g.src >= g.dst):
+            raise AssertionError(f"pairs need src {'<=' if loops else '<'} dst")
+        key = g.src * np.int64(g.n + 1) + g.dst
+        if np.any(np.diff(key) <= 0):
+            raise AssertionError("pairs are not sorted and unique")
+    if int(g.degrees().sum()) != 2 * edge_count:
+        raise AssertionError("degree-sum identity violated")
 
 
 # --------------------------------------------------------------------------

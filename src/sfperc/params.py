@@ -142,19 +142,17 @@ class WeightSequence:
     ``cum_weights`` holds inclusive prefix sums.  ``mark_table(pi)`` looks
     up size-biased marks P(M = i) = w_i / ell_n on the prefix sums of
     pi * w by exact inverse CDF; it is built on first use and kept, for
-    pi = 1 and for the last pi < 1 asked for.  ``params`` is None for
-    hand-built toy sequences used in diagnostics; the power-law shape is
+    pi = 1 and for the last pi < 1 asked for.  The power-law shape is
     only guaranteed for sequences from build_weights.
     """
 
-    params: ModelParams | None
     weights: np.ndarray
     ell_n: float
     cum_weights: np.ndarray
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_array(cls, weights, params: ModelParams | None = None) -> "WeightSequence":
+    def from_array(cls, weights) -> "WeightSequence":
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("weights must be a non-empty 1-d array")
@@ -163,7 +161,7 @@ class WeightSequence:
         cum = np.cumsum(w)
         w.setflags(write=False)
         cum.setflags(write=False)
-        return cls(params=params, weights=w, ell_n=float(cum[-1]), cum_weights=cum)
+        return cls(weights=w, ell_n=float(cum[-1]), cum_weights=cum)
 
     @property
     def n(self) -> int:
@@ -197,7 +195,7 @@ def build_weights(params: ModelParams) -> WeightSequence:
     """Materialize w_i = c_F * (n/i)**alpha for i = 1..n."""
     i = np.arange(1, params.n + 1, dtype=np.float64)
     w = params.c_F * (params.n / i) ** params.alpha
-    return WeightSequence.from_array(w, params=params)
+    return WeightSequence.from_array(w)
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,6 @@ class PercolationSchedule:
 
     params: ModelParams
     mode: str
-    lambda_rule: LambdaRule
     lambda_n: float
     pi_n: float
     beta_n: float
@@ -287,10 +284,7 @@ def make_schedule(params: ModelParams, mode: str, lambda_rule: LambdaRule) -> Pe
         )
     beta_n = n * pi_n ** (1.0 / (3.0 - tau))
     # Same scale written directly in terms of (n, lambda_n); both must agree.
-    if mode == "multi":
-        beta_direct = float(n) ** (1.0 - params.eta / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau))
-    else:
-        beta_direct = float(n) ** (1.0 - params.eta_s / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau))
+    beta_direct = float(n) ** (1.0 - exponent / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau))
     _cross_check("beta_n", beta_n, beta_direct)
 
     N_n = None
@@ -301,7 +295,6 @@ def make_schedule(params: ModelParams, mode: str, lambda_rule: LambdaRule) -> Pe
     return PercolationSchedule(
         params=params,
         mode=mode,
-        lambda_rule=lambda_rule,
         lambda_n=lam,
         pi_n=pi_n,
         beta_n=beta_n,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericalFailureError
 from .params import ModelParams
 
@@ -66,15 +68,14 @@ def compute_constants(params: ModelParams) -> TheoryConstants:
     return TheoryConstants(kappa=kappa, zeta=zeta, rho_star_inf=rho_star_inf, c_F_bar=cbar)
 
 
-def limit_curve_z(t: float, params: ModelParams, constants: TheoryConstants) -> float:
-    """The limiting drift curve z(t) = mu**(3-tau) * kappa * t**(tau-2) - t.
+def limit_curve_z(t, params: ModelParams, constants: TheoryConstants):
+    """The limiting drift curve z(t) = mu**(3-tau) * kappa * t**(tau-2) - t,
+    at a time or elementwise on an array of times.
 
-    Extended continuously by z(0) = 0.  Positive exactly on (0, zeta).
+    z(0) = 0 since tau > 2.  Positive exactly on (0, zeta).
     """
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got t={t}")
-    if t == 0.0:
-        return 0.0
+    if np.any(np.less(t, 0.0)):
+        raise DomainError(f"time must be nonnegative, got t={np.min(t)}")
     return params.mu ** (3.0 - params.tau) * constants.kappa * t ** (params.tau - 2.0) - t
 
 

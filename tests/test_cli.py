@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,24 @@ def test_lambda_flags_must_pair():
               "--lambda-kind", "constant"])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda-kind", "power"],
+    ["--mode", "multi", "--lambda-kind", "power"],
+    ["--mode", "single", "--lambda-value", "4"],
+    ["--mode", "raw", "--lambda-kind", "constant", "--lambda-value", "4"],
+], ids=["raw-kind-only", "multi-kind-only", "single-value-only", "raw-pair"])
+def test_generate_lambda_flags_pair_and_need_a_schedule(flags, tmp_path, monkeypatch):
+    def no_weights(*_):
+        raise AssertionError("weights were built for bad flags")
+
+    monkeypatch.setattr("sfperc.cli.build_weights", no_weights)
+    out = tmp_path / "edges.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "5000", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_config_file_and_subcommand_mismatch(tmp_path):
     path = tmp_path / "config.json"
     config = ExperimentConfig("multi_giant", n_grid=(200,), replicas=1)
@@ -196,3 +215,22 @@ def test_explore_trace_flag(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,Z,S,repeats,new_mark"
     assert len(lines) > 1
+
+
+# sha256 of the files the CLI writes, at a fixed small n and seed.
+@pytest.mark.parametrize("argv, digest", [
+    (["explore", "--n-grid", "2000", "--replicas", "1", "--seed", "3", "--T", "2.0",
+      "--trace"],
+     "b19391a47fecf8ac7981062411a3eb9d45d8e7d1afa8d0fa64d1d0bb2d6dac03"),
+    (["generate", "--n", "5000", "--seed", "4", "--out"],
+     "294067611e6dcab7e01a42e16357e5419ce427e99e0e4accfaacf18237cbc6d1"),
+    (["generate", "--n", "5000", "--mode", "multi", "--seed", "4", "--out"],
+     "45ef45ac905f0c417be515c07972214ada95dd40e935d04f4b01049a02794cb7"),
+    (["generate", "--n", "5000", "--mode", "single", "--seed", "4",
+      "--lambda-kind", "constant", "--lambda-value", "4", "--out"],
+     "6a869f47a857c830c840b30d6cd7fd55b40d5399d15f2912c087f4461e23e50a"),
+], ids=["explore-trace", "generate-raw", "generate-multi", "generate-single"])
+def test_cli_output_files_pinned(argv, digest, tmp_path):
+    path = tmp_path / "out.txt"
+    assert main([*argv, str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

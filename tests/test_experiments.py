@@ -125,6 +125,36 @@ def test_config_dict_round_trip():
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
+def test_config_takes_a_lambda_rule_dict():
+    as_dict = small_config(lambda_rule={"kind": "power", "value": 0.1})
+    assert as_dict == small_config(lambda_rule=LambdaRule("power", 0.1))
+    assert isinstance(as_dict.lambda_rule, LambdaRule)
+    assert ExperimentConfig.from_dict(as_dict.to_dict()) == as_dict
+
+
+@pytest.mark.parametrize("rule", [
+    {"kind": "power"},
+    {"kind": "cubic", "value": 1.0},
+    {"kind": "power", "value": 0.1, "extra": 1},
+    {"kind": "constant", "value": "x"},
+    {"kind": "constant", "value": 0.5},
+])
+def test_config_malformed_lambda_rule_dict_fails_closed(rule, monkeypatch):
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    with pytest.raises(SfpercError):
+        run(small_config(lambda_rule=rule))
+
+
+def test_config_stores_numpy_integers_as_int():
+    config = small_config(n_grid=(200,), replicas=np.int64(2), master_seed=np.uint64(7))
+    assert type(config.replicas) is int and type(config.master_seed) is int
+    assert config == small_config(n_grid=(200,), replicas=2)
+    assert json.loads(run(config).to_json())["config"]["replicas"] == 2
+
+
 def test_config_from_dict_fail_closed():
     good = small_config().to_dict()
     bad = dict(good)

@@ -99,7 +99,6 @@ def test_from_array_toy_sequence():
     ws = WeightSequence.from_array([3.0, 2.0, 1.0])
     assert ws.n == 3
     assert ws.ell_n == pytest.approx(6.0)
-    assert ws.params is None
     assert ws.weight_of(2) == pytest.approx(2.0)
 
 

@@ -91,6 +91,21 @@ def test_limit_curve_values():
         th.limit_curve_z(-0.1, P, c)
 
 
+@pytest.mark.parametrize("tau", [2.1, 2.5, 2.9])
+def test_limit_curve_on_arrays(tau):
+    p = model_params(tau, 1.0, 1000)
+    c = th.compute_constants(p)
+    t = np.linspace(0.0, 2.0 * c.zeta, 1001)
+    z = th.limit_curve_z(t, p, c)
+    scalar = np.array([th.limit_curve_z(x, p, c) for x in t.tolist()])
+    assert z[0] == scalar[0] == 0.0
+    # numpy's array power and the C library's pow may round the last bit
+    # differently, so the array form matches the scalar one to a few ulp
+    np.testing.assert_allclose(z, scalar, rtol=0, atol=4 * np.spacing(2.0 * c.zeta))
+    with pytest.raises(DomainError):
+        th.limit_curve_z(np.array([0.5, -1e-12, 1.0]), p, c)
+
+
 def test_limit_curve_max_interior_and_boundary():
     c = th.compute_constants(P)
     # interior maximizer at 3*pi/4 with value 3*pi/4 (tau=2.5, C=1)

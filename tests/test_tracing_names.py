@@ -20,4 +20,7 @@ def test_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"sfperc.{layer}.{name}"
     graphgen = importlib.import_module("sfperc.graphgen")
     for cls_name in ("MultiGraph", "SimpleGraph"):
-        assert callable(getattr(getattr(graphgen, cls_name), "validate", None)), cls_name
+        cls = getattr(graphgen, cls_name)
+        assert callable(getattr(cls, "validate", None)), cls_name
+        # the tracer patches each class; an inherited validate would be wrapped twice
+        assert "validate" in vars(cls), cls_name
