@@ -1,13 +1,14 @@
 """Connected components, the high-weight core, and its one-neighborhood.
 
-Components are labelled in numpy by min-label hooking with pointer jumping
-(Shiloach & Vishkin, J. Algorithms 3, 1982), so every vertex carries the
-smallest id in its component.  Only the vertices that touch a non-loop edge
-take part: they are ranked in id order, labelled on the compact ranks and
-scattered back, and because ranking is monotone the smallest rank of a
-component is its smallest id.  The giant is the largest component, with ties
-broken by smallest contained vertex id, so summaries are reproducible run to
-run.
+Components are found in numpy by min-label hooking with pointer jumping
+(Shiloach & Vishkin, J. Algorithms 3, 1982) over only the vertices that
+touch a non-loop edge.  Those ids are ranked in increasing order, and the
+forest on the ranks ends with every rank pointing at its component's
+smallest rank, which is the component's smallest id.  Every other id is a
+singleton, so sizes and the giant come from the touched ranks alone and no
+pass over all n ids is needed beyond finding the touched ones.  The giant is
+the largest component, with ties broken by smallest contained vertex id, so
+summaries are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -23,42 +24,60 @@ from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """Component sizes in non-increasing order plus the giant's membership."""
+    """The rank forest of a graph on ids 1..n with its giant and runner-up.
 
-    sizes: np.ndarray
-    giant_members: np.ndarray
+    ``ids`` are the ids a non-loop edge touches, in increasing order, and
+    ``root[r]`` is the rank of the smallest id in rank r's component.
+    """
+
+    n: int
+    ids: np.ndarray
+    root: np.ndarray
+    giant_size: int
     second_size: int
+    giant_members: np.ndarray
 
     @property
-    def giant_size(self) -> int:
-        return int(self.sizes[0])
+    def sizes(self) -> np.ndarray:
+        """All component sizes in non-increasing order, as int64."""
+        counts = np.bincount(self.root)
+        large = np.sort(counts[counts > 0])[::-1]
+        sizes = np.ones(self.n - self.ids.size + large.size, dtype=np.int64)
+        sizes[:large.size] = large
+        return sizes
 
 
-def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Smallest vertex id in each vertex's component, indexed by id 0..n.
+def _rank_forest(n: int, src: np.ndarray, dst: np.ndarray,
+                 base: ComponentSummary | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Touched ids in increasing order and each rank's root rank.
 
-    Labels are int32 when n < 2**31 - 1, else int64.
-
-    Only the ids a non-loop edge touches take part, under their rank in
-    increasing id order.  Each round hooks the larger endpoint label of
-    every edge onto the smaller and pointer-jumps until every label is a
-    root.  Labels only fall and every round removes a root, so the loop
-    ends; parallel edges need no special case.  Ranking is monotone, so a
-    component's smallest rank maps back to its smallest id, and every
-    untouched id labels itself.
+    Each round hooks the larger endpoint root of every edge onto the smaller
+    and pointer-jumps until every rank points at a root.  Roots only fall
+    and every round removes one, so the loop ends; parallel edges need no
+    special case.  ``base``'s forest, if given, seeds the ranks, so the
+    result is the forest of the union of both graphs' edges.
     """
-    # Loops join nothing; dropping them first keeps merge_labels' contracted
-    # graph, which is mostly loops, small.
+    # Loops join nothing; dropping them first keeps the hooking rounds small.
     live = src != dst
     src, dst = src[live], dst[live]
     touched = np.zeros(n + 1, dtype=bool)
     touched[src] = True
     touched[dst] = True
+    if base is not None:
+        touched[base.ids] = True
     ids = np.flatnonzero(touched)
-    rank = np.cumsum(touched, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-    rank -= 1
+    del touched
+    # Only touched entries of the rank map are ever read, so the zeroed
+    # array needs no pass over the rest.
+    rank = np.zeros(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    rank[ids] = np.arange(ids.size, dtype=rank.dtype)
     src, dst = rank[src], rank[dst]
     sub = np.arange(ids.size, dtype=rank.dtype)
+    if base is not None:
+        # Ranking is monotone, so a base root stays its component's smallest rank.
+        at = rank[base.ids]
+        sub[at] = at[base.root]
+    del rank
     while True:
         lo, hi = sub[src], sub[dst]
         live = lo != hi
@@ -68,54 +87,54 @@ def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.minimum.at(sub, np.maximum(lo, hi), np.minimum(lo, hi))
         while not np.array_equal(jumped := sub[sub], sub):
             sub = jumped
-    label = np.arange(n + 1, dtype=rank.dtype)
-    label[ids] = ids[sub]
+    return ids, sub
+
+
+def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Smallest vertex id in each vertex's component, indexed by id 0..n.
+
+    Labels are int32 when n < 2**31 - 1, else int64; every id no non-loop
+    edge touches labels itself.
+    """
+    ids, root = _rank_forest(n, src, dst)
+    label = np.arange(n + 1, dtype=root.dtype)
+    label[ids] = ids[root]
     return label
 
 
-def merge_labels(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Component labels after adding the edges (src, dst) to a labelled graph.
-
-    Each labelled component contracts onto its label, the smallest id it
-    holds, so labelling the contracted edges and reading the result back
-    through ``labels`` gives the supergraph's smallest ids.
-    """
-    return component_labels(labels.size - 1, labels[src], labels[dst])[labels]
-
-
 def component_sizes(g: MultiGraph | SimpleGraph,
-                    labels: np.ndarray | None = None) -> ComponentSummary:
-    """All component sizes of the graph; loops and multiplicities are ignored.
+                    base: ComponentSummary | None = None) -> ComponentSummary:
+    """Components of the graph; loops and multiplicities are ignored.
 
-    ``labels``, if given, are the graph's ``component_labels`` (length n + 1).
+    ``base``, the summary of another graph on the same ids, adds that
+    graph's edges: for a subgraph of ``g`` its forest seeds the labelling,
+    so the coupled pair is labelled once.
     """
-    if labels is None:
-        labels = component_labels(g.n, g.src, g.dst)
-    elif labels.shape != (g.n + 1,):
-        raise DomainError(f"labels must have length n + 1 = {g.n + 1}, got {labels.shape}")
-    labels = labels[1:]
-    # A label is its component's smallest id, which labels itself, so only
-    # the other members are counted: bincount over all labels would make an
-    # n-length intp copy of int32 labels.
-    joined = np.compress(labels != np.arange(1, g.n + 1, dtype=labels.dtype), labels)
-    others = np.bincount(joined)
-    # The first maximal count is the largest component holding the smallest id.
-    giant = np.argmax(others) if joined.size else 1
-    # Most components are isolated vertices: sort only the larger sizes and
-    # fill the rest of the non-increasing order with ones.
-    large = np.sort(others[others > 0]) + 1
-    del others
-    sizes = np.ones(g.n - joined.size, dtype=np.int64)
-    sizes[:large.size] = large[::-1]
-    giant_members = np.nonzero(labels == giant)[0] + 1
-    second = int(sizes[1]) if sizes.size > 1 else 0
-    if int(sizes.sum()) != g.n:
+    if base is not None and base.n != g.n:
+        raise DomainError(f"base summary is on n = {base.n} ids, the graph on {g.n}")
+    ids, root = _rank_forest(g.n, g.src, g.dst, base)
+    counts = np.bincount(root)
+    if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
-    return ComponentSummary(sizes=sizes, giant_members=giant_members, second_size=second)
+    if ids.size:
+        # The first maximal count is the largest component holding the smallest id.
+        giant = int(np.argmax(counts))
+        giant_size = int(counts[giant])
+        giant_members = ids[root == giant]
+        counts[giant] = 0
+        second = int(counts.max())
+    else:
+        giant_size, second = 1, 0
+        giant_members = np.ones(1, dtype=np.int64)
+    # Every component past the touched ones is a singleton.
+    if second == 0 and g.n > giant_size:
+        second = 1
+    return ComponentSummary(n=g.n, ids=ids, root=root, giant_size=giant_size,
+                            second_size=second, giant_members=giant_members)
 
 
 # --------------------------------------------------------------------------
-# core extraction and kernel convergence
+# core extraction
 # --------------------------------------------------------------------------
 
 
@@ -125,49 +144,6 @@ def extract_core(g: SimpleGraph, core_size: int) -> SimpleGraph:
         raise RangeError(f"core size {core_size} outside [1, {g.n}]")
     keep = g.dst <= core_size  # src < dst, so this bounds both endpoints
     return SimpleGraph(n=core_size, src=g.src[keep].copy(), dst=g.dst[keep].copy())
-
-
-@dataclass(frozen=True)
-class KernelCheckEntry:
-    """One (u, v) evaluation of the finite-n core kernel against its limit."""
-
-    u: float
-    v: float
-    empirical: float
-    limit: float
-
-    @property
-    def ratio(self) -> float:
-        return self.empirical / self.limit
-
-
-def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSchedule,
-                             a: float, grid) -> list[KernelCheckEntry]:
-    """Compare N_n(a) * p_edge(ceil(N_n u), ceil(N_n v)) with the limit kernel
-    kappa_a(u, v) = a * (c_F^2 / mu) * (u v)^(-alpha) on a grid of type pairs.
-
-    The edge probability is the percolated simple-graph one,
-    pi_n * (1 - exp(-w_i w_j / ell_n)).
-    """
-    if schedule.mode != "single":
-        raise DomainError("kernel check needs a single-mode schedule")
-    params = schedule.params
-    n_a = core_prefix_size(schedule, a)
-    out = []
-    for u, v in grid:
-        if not (0.0 < u <= a and 0.0 < v <= a):
-            raise DomainError(f"grid point ({u}, {v}) outside (0, a]^2 with a={a}")
-        i = int(np.ceil(schedule.N_n * u))
-        j = int(np.ceil(schedule.N_n * v))
-        if i > weights.n or j > weights.n:
-            raise RangeError(f"grid point ({u}, {v}) indexes past n={weights.n}")
-        wi = weights.weight_of(i)
-        wj = weights.weight_of(j)
-        p_edge = schedule.pi_n * -np.expm1(-wi * wj / weights.ell_n)
-        limit = a * params.c_F**2 / params.mu * (u * v) ** (-params.alpha)
-        out.append(KernelCheckEntry(u=float(u), v=float(v),
-                                    empirical=float(n_a * p_edge), limit=float(limit)))
-    return out
 
 
 # --------------------------------------------------------------------------

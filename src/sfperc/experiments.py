@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import component_labels, component_sizes, core_report, merge_labels
+from .components import component_sizes, core_report
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
     ExplorationTrace,
@@ -294,12 +294,11 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
         g_multi, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
         g_multi.validate()
         g_simple.validate()
-        labels = component_labels(ctx.n, g_simple.src, g_simple.dst)
-        c1_star = component_sizes(g_simple, labels).giant_size
-        # The simple graph is a subgraph of the multigraph, so its labels
-        # seed the multigraph's instead of labelling it anew.
-        labels = merge_labels(labels, g_multi.src, g_multi.dst)
-        c1 = component_sizes(g_multi, labels).giant_size
+        simple = component_sizes(g_simple)
+        c1_star = simple.giant_size
+        # The simple graph is a subgraph of the multigraph, so its forest
+        # seeds the multigraph's instead of labelling it anew.
+        c1 = component_sizes(g_multi, base=simple).giant_size
         if c1 < c1_star:
             raise AssertionError(
                 f"coupling violated at n={ctx.n}, replica={replica}: |C1|={c1} < |C1*|={c1_star}"

@@ -4,20 +4,22 @@ No experiment runs these.  They are the slow, direct forms of laws the
 library samples or solves another way: the two-step percolation of a raw
 multigraph and its collapse (criteria 3 and 9), the closed survival
 probability of a type-u particle and a Monte Carlo branching process that
-estimates it (criterion 2), and the exact Laplace-type sum behind the
-exploration drift (criterion 4).  ``read_edge_rows`` parses the edge-list
-dump that ``sfperc generate`` writes.
+estimates it (criterion 2), the exact Laplace-type sum behind the
+exploration drift (criterion 4), and the finite-n core kernel next to its
+limit (criterion 7).  ``read_edge_rows`` parses the edge-list dump that
+``sfperc generate`` writes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from sfperc.errors import DomainError
+from sfperc.errors import DomainError, RangeError
 from sfperc.graphgen import MultiGraph, SimpleGraph, _check_pi
-from sfperc.params import ModelParams
+from sfperc.params import ModelParams, PercolationSchedule, WeightSequence, core_prefix_size
 from sfperc.theory import c_F_bar
 
 # --------------------------------------------------------------------------
@@ -146,6 +148,54 @@ def branching_survival_mc(u: float, a: float, params: ModelParams,
         types = child_types[keep]
     # Survivors: capped populations plus anything still alive at MC_DEPTH_CAP.
     return float(np.count_nonzero(status != DEAD)) / replicas
+
+
+# --------------------------------------------------------------------------
+# the finite-n core kernel against its limit
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KernelCheckEntry:
+    """One (u, v) evaluation of the finite-n core kernel against its limit."""
+
+    u: float
+    v: float
+    empirical: float
+    limit: float
+
+    @property
+    def ratio(self) -> float:
+        return self.empirical / self.limit
+
+
+def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSchedule,
+                             a: float, grid) -> list[KernelCheckEntry]:
+    """Compare N_n(a) * p_edge(ceil(N_n u), ceil(N_n v)) with the limit kernel
+    kappa_a(u, v) = a * (c_F^2 / mu) * (u v)^(-alpha) on a grid of type pairs.
+
+    The edge probability is the percolated simple-graph one,
+    pi_n * (1 - exp(-w_i w_j / ell_n)).
+    """
+    if schedule.mode != "single":
+        raise DomainError("kernel check needs a single-mode schedule")
+    params = schedule.params
+    n_a = core_prefix_size(schedule, a)
+    out = []
+    for u, v in grid:
+        if not (0.0 < u <= a and 0.0 < v <= a):
+            raise DomainError(f"grid point ({u}, {v}) outside (0, a]^2 with a={a}")
+        i = int(np.ceil(schedule.N_n * u))
+        j = int(np.ceil(schedule.N_n * v))
+        if i > weights.n or j > weights.n:
+            raise RangeError(f"grid point ({u}, {v}) indexes past n={weights.n}")
+        wi = weights.weight_of(i)
+        wj = weights.weight_of(j)
+        p_edge = schedule.pi_n * -np.expm1(-wi * wj / weights.ell_n)
+        limit = a * params.c_F**2 / params.mu * (u * v) ** (-params.alpha)
+        out.append(KernelCheckEntry(u=float(u), v=float(v),
+                                    empirical=float(n_a * p_edge), limit=float(limit)))
+    return out
 
 
 # --------------------------------------------------------------------------

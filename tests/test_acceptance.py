@@ -31,7 +31,6 @@ from sfperc.components import (
     component_sizes,
     core_giant_and_weight,
     extract_core,
-    kernel_convergence_check,
     one_neighborhood,
 )
 from sfperc.experiments import ExperimentConfig, derive_seed, run
@@ -57,6 +56,7 @@ from sfperc.theory import c_F_bar, compute_constants, core_limit
 from oracles import (
     branching_survival_mc,
     collapse_to_simple,
+    kernel_convergence_check,
     laplace_sum_exact,
     percolate_multigraph,
     rho_a_of_u,

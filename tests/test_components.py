@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from sfperc.components import (
     core_giant_and_weight,
     core_report,
     extract_core,
-    kernel_convergence_check,
-    merge_labels,
     one_neighborhood,
 )
 from sfperc.errors import DomainError, RangeError
@@ -26,6 +25,8 @@ from sfperc.graphgen import (
     sample_mnr,
 )
 from sfperc.params import LambdaRule, build_weights, core_prefix_size, make_schedule, model_params
+
+from oracles import kernel_convergence_check
 
 
 def bfs_components(n, edges):
@@ -64,12 +65,36 @@ def check_against_oracle(g, edges):
     best = min(min(c) for c in comps if len(c) == giant_size)
     expected = next(c for c in comps if len(c) == giant_size and min(c) == best)
     assert set(summary.giant_members.tolist()) == expected
-    # labels handed in give the same summary
-    given = component_sizes(g, component_labels(g.n, g.src, g.dst))
-    assert given.sizes.tolist() == summary.sizes.tolist()
-    assert given.sizes.dtype == summary.sizes.dtype
-    assert given.giant_members.tolist() == summary.giant_members.tolist()
-    assert given.second_size == summary.second_size
+    assert summary.giant_size == giant_size
+    assert summary.sizes.dtype == np.int64
+    # no runner-up exactly when one component holds every vertex
+    assert (summary.second_size == 0) == (len(comps) == 1)
+    assert np.all(np.diff(summary.giant_members) > 0)
+    # the graph's own forest as a base changes nothing
+    check_same_summary(component_sizes(g, base=summary), summary)
+
+
+def check_same_summary(got, want):
+    assert got.sizes.tolist() == want.sizes.tolist()
+    assert got.sizes.dtype == want.sizes.dtype
+    assert got.giant_size == want.giant_size
+    assert got.giant_members.tolist() == want.giant_members.tolist()
+    assert got.giant_members.dtype == want.giant_members.dtype
+    assert got.second_size == want.second_size
+
+
+def raw(n, src, dst):
+    """Edge list as a graph, loops and repeats kept: component_sizes reads
+    only n, src and dst, so it goes in unvalidated."""
+    return SimpleGraph(n=n, src=np.asarray(src, dtype=np.int64),
+                       dst=np.asarray(dst, dtype=np.int64))
+
+
+def labels_from_summary(s):
+    """(n + 1)-labels read off a summary's rank forest."""
+    label = np.arange(s.n + 1)
+    label[s.ids] = s.ids[s.root]
+    return label
 
 
 # --------------------------------------------------------------------------
@@ -124,8 +149,8 @@ def test_component_labels_sparse_touched_ids():
         check_labels(n, rng.choice(pool, size=m), rng.choice(pool, size=m))
 
 
-def test_merge_labels_matches_direct_labels():
-    # a labelled subgraph plus extra edges, including repeats and loops
+def test_component_sizes_base_matches_direct_labels():
+    # a summarized subgraph plus the full edge list, including repeats and loops
     rng = np.random.default_rng(21)
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -133,13 +158,43 @@ def test_merge_labels_matches_direct_labels():
         src = rng.integers(1, n + 1, size=m)
         dst = rng.integers(1, n + 1, size=m)
         sub = rng.random(m) < 0.5
-        base = component_labels(n, src[sub], dst[sub])
-        assert merge_labels(base, src, dst).tolist() == component_labels(n, src, dst).tolist()
+        base = component_sizes(raw(n, src[sub], dst[sub]))
+        merged = component_sizes(raw(n, src, dst), base=base)
+        direct = component_labels(n, src, dst)
+        assert labels_from_summary(merged).tolist() == direct.tolist()
+        check_same_summary(merged, component_sizes(raw(n, src, dst)))
         check_labels(n, src, dst)
 
 
-def test_merge_labels_on_the_coupled_pair():
-    # the single_vs_multi composition: simple labels seed the multigraph's
+def test_component_sizes_base_adds_its_edges():
+    # the base graph and the added edges each touch ids the other does not:
+    # the result is the union of both edge sets
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n))
+        src = rng.integers(1, n + 1, size=m)
+        dst = rng.integers(1, n + 1, size=m)
+        side = rng.random(m) < 0.5
+        base = component_sizes(raw(n, src[side], dst[side]))
+        added = raw(n, src[~side], dst[~side])
+        merged = component_sizes(added, base=base)
+        assert labels_from_summary(merged).tolist() == component_labels(n, src, dst).tolist()
+        check_same_summary(merged, component_sizes(raw(n, src, dst)))
+    # base-only ids: an empty added graph keeps the base's components
+    base = component_sizes(SimpleGraph.from_pairs(9, [(2, 7), (7, 9), (4, 5)]))
+    merged = component_sizes(SimpleGraph.from_pairs(9, []), base=base)
+    check_same_summary(merged, base)
+    assert merged.giant_members.tolist() == [2, 7, 9]
+    # added ids outside the base, one edge bridging into a base component
+    merged = component_sizes(SimpleGraph.from_pairs(9, [(1, 3), (3, 5), (6, 8)]), base=base)
+    assert merged.sizes.tolist() == [4, 3, 2]
+    assert merged.giant_members.tolist() == [1, 3, 4, 5]
+    assert merged.second_size == 3
+
+
+def test_component_sizes_base_on_the_coupled_pair():
+    # the single_vs_multi composition: the simple forest seeds the multigraph's
     params = model_params(2.5, 1.0, 10_000)
     ws = build_weights(params)
     sch = make_schedule(params, "single", LambdaRule("constant", 1.0))
@@ -147,11 +202,12 @@ def test_merge_labels_on_the_coupled_pair():
     for seed in range(20):
         gm, gs = sample_coupled_direct(ws, sch.pi_n, np.random.default_rng(seed))
         direct = component_labels(gm.n, gm.src, gm.dst)
-        simple = component_labels(gs.n, gs.src, gs.dst)
-        merged = merge_labels(simple, gm.src, gm.dst)
-        assert np.array_equal(merged, direct)
-        assert merged.dtype == direct.dtype
-        differs += not np.array_equal(simple, direct)
+        simple = component_sizes(gs)
+        merged = component_sizes(gm, base=simple)
+        assert np.array_equal(labels_from_summary(merged), direct)
+        check_same_summary(merged, component_sizes(gm))
+        assert merged.giant_size >= simple.giant_size
+        differs += not np.array_equal(labels_from_summary(simple), direct)
     assert differs  # the multigraph joins some simple components
 
 
@@ -200,12 +256,12 @@ def test_component_summary_fields():
     assert s.giant_members.tolist() == [1, 2, 3]
 
 
-def test_component_sizes_rejects_wrong_label_length():
+def test_component_sizes_rejects_base_of_other_n():
     g = SimpleGraph.from_pairs(4, [(1, 2)])
-    labels = component_labels(4, g.src, g.dst)
-    for bad in (labels[1:], np.append(labels, 5), labels.reshape(1, -1)):
+    for n in (3, 5):
+        base = component_sizes(SimpleGraph.from_pairs(n, [(1, 2)]))
         with pytest.raises(DomainError):
-            component_sizes(g, bad)
+            component_sizes(g, base=base)
 
 
 def test_giant_tie_break_prefers_smallest_id():
@@ -213,6 +269,46 @@ def test_giant_tie_break_prefers_smallest_id():
     s = component_sizes(g)
     assert s.giant_size == 2
     assert s.giant_members.tolist() == [2, 6]
+
+
+def test_component_summary_edge_cases():
+    # each against the BFS oracle, which also checks the sizes dtype, that
+    # second_size is 0 exactly when one component spans the graph (n = 1 for
+    # an edgeless one), and that the giant's members ascend
+    cases = [
+        (1, []),                                     # a single vertex
+        (6, []),                                     # no edges
+        (5, [(2, 2), (5, 5), (2, 2)]),               # loops only
+        (6, [(4, 1), (1, 6), (6, 2), (2, 5), (5, 3)]),  # one component spans all
+        (8, [(7, 8), (5, 6), (3, 4)]),               # equal sizes: smallest id wins
+        (9, [(9, 4), (4, 8), (2, 7), (7, 3), (1, 1)]),
+    ]
+    for n, edges in cases:
+        g = MultiGraph.from_pairs(n, [(i, j, 1) for i, j in edges])
+        check_against_oracle(g, edges)
+    single = component_sizes(MultiGraph.from_pairs(1, []))
+    assert single.sizes.tolist() == [1] and single.second_size == 0
+    assert component_sizes(MultiGraph.from_pairs(6, [])).second_size == 1
+    spanning = component_sizes(SimpleGraph.from_pairs(6, cases[3][1]))
+    assert spanning.sizes.tolist() == [6] and spanning.second_size == 0
+    assert component_sizes(SimpleGraph.from_pairs(8, cases[4][1])).giant_members.tolist() == [3, 4]
+
+
+def test_component_sizes_memory_is_edge_bounded():
+    # untouched ids cost no per-vertex arrays beyond the touched mask and the
+    # rank map: a ~2k-edge graph on 2e6 ids peaks under 6 bytes per vertex
+    n = 2_000_000
+    rng = np.random.default_rng(12)
+    pairs = rng.integers(1, n + 1, size=(2_100, 2))
+    g = SimpleGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    tracemalloc.start()
+    try:
+        summary = component_sizes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.giant_size >= 2
+    assert peak / n <= 6.0
 
 
 # --------------------------------------------------------------------------
