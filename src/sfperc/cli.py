@@ -122,7 +122,7 @@ def _run_experiment(args) -> int:
         # the walk of the first replica at the smallest n
         n = config.n_grid[0]
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        write_trace_csv(xp.walk_to_horizon(xp._build_context(config, n), rng), args.trace)
+        write_trace_csv(xp.walk_to_horizon(result.contexts[n], rng), args.trace)
         print(f"wrote {args.trace}")
     return 0
 

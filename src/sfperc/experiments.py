@@ -407,6 +407,9 @@ class ExperimentResult:
     records: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
     theory: dict = field(default_factory=dict)
+    # The per-n contexts run() built, for callers that sample more at the
+    # same n; kept out of to_dict(), so never part of a report.
+    contexts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -479,6 +482,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         records=records,
         aggregates=_aggregate(records),
         theory=_theory_block(config, contexts),
+        contexts=contexts,
     )
     if config.output_path is not None:
         write_result(result, config.output_path, config.output_format)

@@ -34,8 +34,7 @@ class ExplorationTrace:
     """Step-indexed record of one exploration run.
 
     Arrays Z, S and repeats have length steps + 1 and start at the step-0
-    state; marks and new_mark have length steps.  ``excursions`` lists the
-    closed excursions as (first_step, last_step) pairs, 1-based inclusive.
+    state; marks and new_mark have length steps.
     """
 
     steps: int
@@ -44,7 +43,17 @@ class ExplorationTrace:
     Z: np.ndarray
     S: np.ndarray
     repeats: np.ndarray
-    excursions: list[tuple[int, int]]
+
+    @property
+    def excursions(self) -> list[tuple[int, int]]:
+        """Closed excursions as (first_step, last_step) pairs, 1-based inclusive.
+
+        An excursion closes exactly when Z hits a new running minimum.
+        """
+        runmin = np.minimum.accumulate(self.Z)
+        closes = np.flatnonzero(runmin[1:] < runmin[:-1]) + 1
+        starts = np.concatenate([[1], closes[:-1] + 1])
+        return list(zip(starts.tolist(), closes.tolist()))
 
     def explored(self, upto: int | None = None) -> np.ndarray:
         """Distinct explored marks after ``upto`` steps (default: all steps)."""
@@ -52,9 +61,35 @@ class ExplorationTrace:
             upto = self.steps
         if not (0 <= upto <= self.steps):
             raise RangeError(f"step {upto} outside [0, {self.steps}]")
-        # A mark is new exactly at its first draw, so no np.unique (whose
-        # integer hash path is slow) is needed.
         return np.sort(self.marks[:upto][self.new_mark[:upto]])
+
+
+def _check_key_range(n: int, m: int) -> None:
+    """Fail unless the keys mark * m + step of m draws from 1..n fit in int64."""
+    if m * (n + 1) > np.iinfo(np.int64).max:
+        raise DomainError(f"{m} steps over {n} vertices overflow the int64 first-draw keys")
+
+
+def _first_draws(marks: np.ndarray, n: int) -> np.ndarray:
+    """Flags of each mark's first draw; equals the ``np.unique(marks,
+    return_index=True)`` indices set True, for marks in 1..n.
+
+    One unstable sort of the distinct keys mark * m + step: a mark's draws
+    sort together by step, so its first draw is where key - key % m (that
+    is, mark * m) changes, and its step is key % m.
+    """
+    m = marks.size
+    _check_key_range(n, m)
+    key = np.multiply(marks, m, dtype=np.int64)
+    key += np.arange(m)
+    key.sort()
+    step = key % m
+    key -= step
+    first = np.ones(m, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    new = np.zeros(m, dtype=bool)
+    new[step[first]] = True
+    return new
 
 
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
@@ -65,10 +100,10 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     if max_steps < 1:
         raise DomainError(f"max_steps must be positive, got {max_steps}")
     m = int(max_steps)
+    _check_key_range(weights.n, m)
 
     marks = draw_marks(weights, m, rng)
-    new = np.zeros(m, dtype=bool)
-    new[np.unique(marks, return_index=True)[1]] = True
+    new = _first_draws(marks, weights.n)
     # Percolated weights pi_n * w of the drawn marks only, not of all n vertices.
     wbar = schedule.pi_n * weights.weights[marks - 1]
     X = np.zeros(m, dtype=np.int64)
@@ -86,13 +121,8 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     if int(new.sum()) != m - int(repeats[-1]):
         raise AssertionError("explored-set identity |V_l| = l - R(l) violated")
 
-    # Excursions close exactly when Z hits a new running minimum.
-    runmin = np.minimum.accumulate(Z)
-    closes = np.nonzero(runmin[1:] < runmin[:-1])[0] + 1
-    starts = np.concatenate([[1], closes[:-1] + 1]) if closes.size else np.empty(0, np.int64)
-    excursions = list(zip(starts.tolist(), closes.tolist()))
     return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, S=S,
-                            repeats=repeats, excursions=excursions)
+                            repeats=repeats)
 
 
 def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
@@ -132,13 +162,12 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     everything was explored, and counts isolated survivors as size 1.
     """
     steps = _step_of(t, schedule, None)
-    if steps < 1:
-        explored = np.empty(0, dtype=np.int64)
-    else:
-        trace = run_exploration(weights, schedule, steps, rng)
-        explored = trace.explored()
-    remaining = np.setdiff1d(np.arange(1, weights.n + 1, dtype=np.int64), explored,
-                             assume_unique=True)
+    unexplored = np.ones(weights.n + 1, dtype=bool)
+    unexplored[0] = False
+    if steps >= 1:
+        # every drawn mark is explored; repeats clear the same flag again
+        unexplored[run_exploration(weights, schedule, steps, rng).marks] = False
+    remaining = np.flatnonzero(unexplored)
     if remaining.size == 0:
         return 0
     g = sample_percolated_mnr_subset(weights, schedule.pi_n, remaining, rng)

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from sfperc import experiments as xp
 from sfperc.cli import build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
 from sfperc.graphgen import MultiGraph, SimpleGraph
+from sfperc.params import build_weights
 
 from oracles import read_edge_rows
 
@@ -215,6 +217,21 @@ def test_explore_trace_flag(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,Z,S,repeats,new_mark"
     assert len(lines) > 1
+
+
+def test_explore_trace_builds_weights_once_per_n(tmp_path, monkeypatch):
+    # the trace walk reuses the context run() built for the first n
+    built = []
+
+    def counting_build_weights(params):
+        built.append(params.n)
+        return build_weights(params)
+
+    monkeypatch.setattr(xp, "build_weights", counting_build_weights)
+    rc = main(["explore", "--n-grid", "400", "800", "--replicas", "1", "--T", "2.0",
+               "--trace", str(tmp_path / "trace.csv")])
+    assert rc == 0
+    assert sorted(built) == [400, 800]
 
 
 # sha256 of the files the CLI writes, at a fixed small n and seed.

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, ks_2samp
 
 from sfperc.components import component_labels
 from sfperc.errors import DomainError, RangeError
 from sfperc.exploration import (
+    _first_draws,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
@@ -76,6 +80,35 @@ def test_trace_matches_stepwise_oracle():
             excursions.append((start, l))
             start = l + 1
     assert trace.excursions == excursions
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=60))))
+@example((1, [1]))                      # one step
+@example((5, [3] * 20))                 # every draw the same mark
+@example((30, list(range(30, 0, -1))))  # every draw a distinct mark
+@settings(max_examples=200, deadline=None)
+def test_first_draws_match_unique_oracle(case):
+    n, draws = case
+    marks = np.array(draws, dtype=np.int64)
+    oracle = np.zeros(marks.size, dtype=bool)
+    oracle[np.unique(marks, return_index=True)[1]] = True
+    assert np.array_equal(_first_draws(marks, n), oracle)
+
+
+def test_first_draw_keys_must_fit_int64():
+    # keys are mark * m + step < m * (n + 1); m = 3 steps here
+    marks = np.array([2, 1, 2], dtype=np.int64)
+    largest = np.iinfo(np.int64).max // 3 - 1
+    assert _first_draws(marks, largest).tolist() == [True, True, False]
+    with pytest.raises(DomainError):
+        _first_draws(marks, largest + 1)
+    # run_exploration refuses before it draws a single mark
+    params, ws, sch, rng = multi_setup()
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        run_exploration(SimpleNamespace(n=largest + 1), sch, 3, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_exploration_rejects_bad_inputs():
