@@ -140,7 +140,7 @@ def _cmd_generate(args) -> int:
         if args.mode == "multi":
             graph = sample_percolated_mnr_direct(ws, schedule.pi_n, rng)
         else:
-            _, graph = sample_coupled_direct(ws, schedule.pi_n, rng)
+            graph = sample_coupled_direct(ws, schedule.pi_n, rng)[1]
     write_edge_list(graph, args.out)
     print(f"wrote {args.out} ({graph.n} vertices, {graph.src.size} edge rows)")
     return 0

@@ -51,33 +51,53 @@ def _rank_forest(n: int, src: np.ndarray, dst: np.ndarray,
                  base: ComponentSummary | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Touched ids in increasing order and each rank's root rank.
 
-    Each round hooks the larger endpoint root of every edge onto the smaller
-    and pointer-jumps until every rank points at a root.  Roots only fall
-    and every round removes one, so the loop ends; parallel edges need no
-    special case.  ``base``'s forest, if given, seeds the ranks, so the
-    result is the forest of the union of both graphs' edges.
+    ``base``'s forest, if given, seeds the ranks, so the result is the forest
+    of the union of both graphs' edges.  Its ids are extended by the ones
+    only the new edges touch, which costs nothing per untouched id.
     """
     # Loops join nothing; dropping them first keeps the hooking rounds small.
     live = src != dst
     src, dst = src[live], dst[live]
-    touched = np.zeros(n + 1, dtype=bool)
-    touched[src] = True
-    touched[dst] = True
-    if base is not None:
-        touched[base.ids] = True
-    ids = np.flatnonzero(touched)
-    del touched
-    # Only touched entries of the rank map are ever read, so the zeroed
-    # array needs no pass over the rest.
-    rank = np.zeros(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-    rank[ids] = np.arange(ids.size, dtype=rank.dtype)
-    src, dst = rank[src], rank[dst]
-    sub = np.arange(ids.size, dtype=rank.dtype)
-    if base is not None:
-        # Ranking is monotone, so a base root stays its component's smallest rank.
-        at = rank[base.ids]
-        sub[at] = at[base.root]
-    del rank
+    dtype = np.int32 if n < 2**31 - 1 else np.int64
+    if base is None:
+        touched = np.zeros(n + 1, dtype=bool)
+        touched[src] = True
+        touched[dst] = True
+        ids = np.flatnonzero(touched)
+        del touched
+        # Only touched entries of the rank map are ever read, so the zeroed
+        # array needs no pass over the rest.
+        rank = np.zeros(n + 1, dtype=dtype)
+        rank[ids] = np.arange(ids.size, dtype=dtype)
+        src, dst = rank[src], rank[dst]
+        del rank
+        sub = np.arange(ids.size, dtype=dtype)
+    else:
+        ends = np.concatenate([src, dst])
+        pos = np.searchsorted(base.ids, ends)
+        known = pos < base.ids.size
+        known[known] = base.ids[pos[known]] == ends[known]
+        new = np.unique(ends[~known])
+        at = np.searchsorted(base.ids, new)
+        # Inserting keeps ids increasing, so a base root stays its
+        # component's smallest rank once shifted past the new ids below it.
+        ids = np.insert(base.ids, at, new)
+        moved = np.repeat(np.arange(new.size + 1, dtype=dtype),
+                          np.diff(at, prepend=0, append=base.ids.size))
+        moved += np.arange(base.ids.size, dtype=dtype)
+        sub = np.insert(moved[base.root], at, at + np.arange(new.size, dtype=dtype))
+        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    return ids, _hook(sub, src, dst)
+
+
+def _hook(sub: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each rank's root rank, from the forest ``sub`` and the edges on ranks.
+
+    Each round hooks the larger endpoint root of every edge onto the smaller
+    and pointer-jumps until every rank points at a root.  Roots only fall
+    and every round removes one, so the loop ends; parallel edges need no
+    special case.
+    """
     while True:
         lo, hi = sub[src], sub[dst]
         live = lo != hi
@@ -87,7 +107,7 @@ def _rank_forest(n: int, src: np.ndarray, dst: np.ndarray,
         np.minimum.at(sub, np.maximum(lo, hi), np.minimum(lo, hi))
         while not np.array_equal(jumped := sub[sub], sub):
             sub = jumped
-    return ids, sub
+    return sub
 
 
 def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -107,8 +127,9 @@ def component_sizes(g: MultiGraph | SimpleGraph,
     """Components of the graph; loops and multiplicities are ignored.
 
     ``base``, the summary of another graph on the same ids, adds that
-    graph's edges: for a subgraph of ``g`` its forest seeds the labelling,
-    so the coupled pair is labelled once.
+    graph's edges: its forest seeds the labelling, and the cost beyond
+    copying it grows with ``g``'s edges alone.  The coupled multigraph is
+    labelled as its simple graph's summary plus the pairs that graph dropped.
     """
     if base is not None and base.n != g.n:
         raise DomainError(f"base summary is on n = {base.n} ids, the graph on {g.n}")

@@ -291,14 +291,21 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
             c2_over_beta=summary.second_size / sch.beta_n,
         )
     elif kind == "single_vs_multi":
-        g_multi, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
+        g_multi, g_simple, dropped = sample_coupled_direct(ws, sch.pi_n, rng)
         g_multi.validate()
         g_simple.validate()
+        pairs = np.count_nonzero(g_multi.src != g_multi.dst)
+        if g_simple.edge_count + dropped.edge_count != pairs:
+            raise AssertionError(
+                f"the simple graph and its dropped pairs do not partition the multigraph's"
+                f" non-loop pairs at n={ctx.n}, replica={replica}"
+            )
+        del g_multi  # nothing below reads it; labelling need not hold it
         simple = component_sizes(g_simple)
         c1_star = simple.giant_size
-        # The simple graph is a subgraph of the multigraph, so its forest
-        # seeds the multigraph's instead of labelling it anew.
-        c1 = component_sizes(g_multi, base=simple).giant_size
+        # The multigraph's components are the simple graph's joined by the
+        # pairs it dropped; its loops join nothing.
+        c1 = component_sizes(dropped, base=simple).giant_size
         if c1 < c1_star:
             raise AssertionError(
                 f"coupling violated at n={ctx.n}, replica={replica}: |C1|={c1} < |C1*|={c1_star}"
@@ -318,7 +325,8 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
         largest = residual_largest_component(ws, sch, ctx.horizon, rng)
         rec.update(residual_largest=largest, residual_over_beta=largest / sch.beta_n)
     elif kind == "one_neighborhood":
-        _, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
+        # Binding only the simple graph lets the multigraph go before the core report.
+        g_simple = sample_coupled_direct(ws, sch.pi_n, rng)[1]
         g_simple.validate()
         report = core_report(g_simple, ws, sch, config.a)
         weight = report.core_giant_weight
@@ -471,8 +479,11 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         return _replica_record(config, contexts[n], r, seed)
 
     if threads > 1:
+        # The first replica at each n builds the mark table the others read,
+        # so no two threads build the same table.
+        records = [work(job) for job in jobs if job[1] == 0]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, jobs))
+            records += pool.map(work, [job for job in jobs if job[1] > 0])
     else:
         records = [work(job) for job in jobs]
     records.sort(key=lambda rec: (rec["n"], rec["replica"]))

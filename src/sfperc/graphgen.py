@@ -13,7 +13,8 @@ what the "direct" samplers exploit.  The coupled simple-graph and multigraph
 percolations share the event "some copy of the pair is kept", so the former
 is always a subgraph of the latter.  ``percolate_coupled`` realizes that on
 a raw multigraph; ``sample_coupled_direct`` draws the same joint law from
-the percolated multigraph alone by Poisson thinning.
+the percolated multigraph alone by Poisson thinning, and also hands back the
+few non-loop pairs the simple graph dropped.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ class MultiGraph:
 
     def degrees(self) -> np.ndarray:
         """Degree array indexed by vertex id (entry 0 unused); loops count twice."""
-        deg = np.bincount(self.src, weights=self.mult, minlength=self.n + 1)
-        deg += np.bincount(self.dst, weights=self.mult, minlength=self.n + 1)
-        return deg.astype(np.int64)
+        deg = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(deg, self.src, self.mult)
+        np.add.at(deg, self.dst, self.mult)
+        return deg
 
     def as_tuples(self) -> list[tuple[int, int, int]]:
         return list(zip(self.src.tolist(), self.dst.tolist(), self.mult.tolist()))
@@ -271,9 +273,9 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
 
 
 def sample_coupled_direct(weights: WeightSequence, pi: float,
-                          rng) -> tuple[MultiGraph, SimpleGraph]:
+                          rng) -> tuple[MultiGraph, SimpleGraph, SimpleGraph]:
     """Sample ``percolate_coupled(sample_mnr(weights, rng), pi, rng)`` in law,
-    without the raw multigraph.
+    without the raw multigraph, as (multigraph, simple graph, dropped).
 
     By Poisson thinning the kept count c and the discarded count K' of a pair
     are independent Poissons with rates pi*w_i*w_j/ell_n and
@@ -282,6 +284,9 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     a kept pair, the shared uniform of ``percolate_coupled`` is uniform on
     [0, 1-(1-pi)^k], and the simple edge is kept iff it is <= pi.  Loops never
     become simple edges, so they need no K'.
+
+    ``dropped`` holds the non-loop pairs of the multigraph whose simple edge
+    was not kept, so it and the simple graph partition those pairs.
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
     pair = gm.src != gm.dst
@@ -292,7 +297,8 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     if np.any(p_any < pi):
         raise AssertionError("coupling violated: a kept pair is less likely than its simple edge")
     simple_keep = rng.random(k.size) * p_any <= pi
-    return gm, SimpleGraph(n=gm.n, src=src[simple_keep], dst=dst[simple_keep])
+    simple = SimpleGraph(n=gm.n, src=src[simple_keep], dst=dst[simple_keep])
+    return gm, simple, SimpleGraph(n=gm.n, src=src[~simple_keep], dst=dst[~simple_keep])
 
 
 def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:

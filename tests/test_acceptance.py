@@ -475,7 +475,7 @@ def test_criterion_7_core_structure():
         recs = [r for r in n1_res.records if r["n"] == n]
         for rec in recs:
             rng = np.random.default_rng(derive_seed(MASTER, n, rec["replica"]))
-            _, g_simple = sample_coupled_direct(ws, sch.pi_n, rng)
+            g_simple = sample_coupled_direct(ws, sch.pi_n, rng)[1]
             giant = core_giant_and_weight(extract_core(g_simple, core_size), ws, sch)
             n1 = one_neighborhood(g_simple, giant.members, core_size)
             rebuilt &= (n1 == rec["one_neighborhood_size"]
@@ -574,7 +574,7 @@ def test_criterion_9_structural_invariants():
         degree_ok &= int(g.degrees().sum()) == 2 * g.total_edge_count
         # the raw-multigraph operator and the direct sampler both couple
         for gm, gs in (percolate_coupled(g, 0.4, rng),
-                       sample_coupled_direct(ws, 0.4, direct_rng)):
+                       sample_coupled_direct(ws, 0.4, direct_rng)[:2]):
             gm.validate()
             gs.validate()
             coupling_ok &= set(gs.as_tuples()) <= {(i, j) for i, j, _ in gm.as_tuples()}

@@ -194,21 +194,51 @@ def test_component_sizes_base_adds_its_edges():
 
 
 def test_component_sizes_base_on_the_coupled_pair():
-    # the single_vs_multi composition: the simple forest seeds the multigraph's
+    # the single_vs_multi composition: the simple forest plus the pairs the
+    # simple graph dropped gives the multigraph's components
     params = model_params(2.5, 1.0, 10_000)
     ws = build_weights(params)
     sch = make_schedule(params, "single", LambdaRule("constant", 1.0))
     differs = 0
-    for seed in range(20):
-        gm, gs = sample_coupled_direct(ws, sch.pi_n, np.random.default_rng(seed))
-        direct = component_labels(gm.n, gm.src, gm.dst)
-        simple = component_sizes(gs)
-        merged = component_sizes(gm, base=simple)
-        assert np.array_equal(labels_from_summary(merged), direct)
-        check_same_summary(merged, component_sizes(gm))
-        assert merged.giant_size >= simple.giant_size
-        differs += not np.array_equal(labels_from_summary(simple), direct)
+    for pi in (sch.pi_n, 0.05, 0.3):
+        for seed in range(8):
+            gm, gs, dropped = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
+            direct = component_labels(gm.n, gm.src, gm.dst)
+            simple = component_sizes(gs)
+            merged = component_sizes(dropped, base=simple)
+            assert np.array_equal(labels_from_summary(merged), direct)
+            check_same_summary(merged, component_sizes(gm))
+            check_same_summary(merged, component_sizes(gm, base=simple))
+            assert merged.giant_size >= simple.giant_size
+            differs += not np.array_equal(labels_from_summary(simple), direct)
     assert differs  # the multigraph joins some simple components
+
+
+def test_component_sizes_base_edge_cases():
+    # the added edges' new ids sit below, between and above the base's ids,
+    # on either side of a base component, or the base touches no id at all
+    cases = [
+        (9, [], [(2, 5), (5, 9)]),                          # empty base
+        (9, [], []),
+        (9, [(5, 6), (6, 8)], [(1, 2), (2, 5)]),            # new ids below
+        (9, [(1, 2), (8, 9)], [(4, 5), (5, 1)]),            # new ids between
+        (9, [(1, 3)], [(7, 9), (9, 3)]),                    # new ids above, up to n
+        (12, [(3, 4), (7, 8), (10, 11)],
+         [(1, 2), (5, 6), (12, 9), (2, 7), (6, 6), (9, 4), (1, 2)]),  # all three, a loop, a repeat
+        (9, [(1, 9), (4, 6)], [(6, 9), (9, 6)]),            # no new ids
+        (9, [(4, 6)], [(1, 1), (8, 8)]),                    # loops only: no new ids either
+    ]
+    def graph(n, edges):
+        return raw(n, [i for i, _ in edges], [j for _, j in edges])
+
+    for n, base_edges, added in cases:
+        merged = component_sizes(graph(n, added), base=component_sizes(graph(n, base_edges)))
+        expected = np.arange(n + 1)
+        for comp in bfs_components(n, base_edges + added):
+            expected[list(comp)] = min(comp)
+        assert labels_from_summary(merged).tolist() == expected.tolist(), (n, base_edges, added)
+        assert np.all(np.diff(merged.ids) > 0)
+        check_same_summary(merged, component_sizes(graph(n, base_edges + added)))
 
 
 def test_component_labels_long_path_in_random_order():

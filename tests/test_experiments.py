@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sfperc.experiments import (
 from sfperc.graphgen import sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
+    MarkTable,
     build_weights,
     core_prefix_size,
     make_schedule,
@@ -208,6 +210,26 @@ def test_run_is_deterministic_and_thread_invariant():
     assert a.to_json() == b.to_json() == c.to_json()
 
 
+def test_threaded_run_builds_each_mark_table_once(monkeypatch):
+    # a slow build leaves every thread time to find the table missing, so
+    # threads that each built on first use would build it once apiece
+    built = []
+    build = MarkTable.build
+
+    def slow_build(cum, total):
+        built.append(cum.size)
+        time.sleep(0.05)
+        return build(cum, total)
+
+    monkeypatch.setattr(MarkTable, "build", slow_build)
+    config = small_config(n_grid=(200, 400, 800), replicas=6)
+    threaded = run(config, threads=2)
+    assert built == [200, 400, 800]
+    built.clear()
+    assert threaded.to_json() == run(config).to_json()
+    assert built == [200, 400, 800]
+
+
 def test_run_record_layout():
     config = small_config()
     result = run(config)
@@ -333,7 +355,7 @@ def test_core_experiment_records_and_theory():
     for rec in result.records:
         # rebuild the replica's core report from its seed
         rng = np.random.default_rng(rec["seed"])
-        _, g_simple = sample_coupled_direct(ws, schedule.pi_n, rng)
+        g_simple = sample_coupled_direct(ws, schedule.pi_n, rng)[1]
         report = core_report(g_simple, ws, schedule, 1.0)
         weight = report.core_giant_weight
         gap = abs(report.one_neighborhood_size - weight)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -110,6 +111,46 @@ def test_collapse_to_simple_drops_loops_and_mults():
 def test_degree_sum_identity(pairs):
     g = MultiGraph.from_pairs(6, pairs)
     assert int(g.degrees().sum()) == 2 * g.total_edge_count
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(1, n), st.integers(1, n))
+                    .map(lambda p: (min(p), max(p))),
+                    st.integers(1, 2**40), max_size=30))))
+@settings(max_examples=100, deadline=None)
+def test_degrees_match_float_bincount_oracle(case):
+    # multiplicities past 2**31 still sum exactly in float64, so the oracle
+    # is exact; the pairs are canonical, so no np.repeat expands them
+    n, mults = case
+    pairs = sorted(mults)
+    src = np.array([i for i, _ in pairs], dtype=np.int64)
+    dst = np.array([j for _, j in pairs], dtype=np.int64)
+    mult = np.array([mults[p] for p in pairs], dtype=np.int64)
+    g = MultiGraph(n=n, src=src, dst=dst, mult=mult)
+    g.validate()
+    expected = (np.bincount(src, weights=mult, minlength=n + 1)
+                + np.bincount(dst, weights=mult, minlength=n + 1)).astype(np.int64)
+    deg = g.degrees()
+    assert deg.dtype == np.int64
+    assert deg.tolist() == expected.tolist()
+
+
+def test_validate_memory_is_edge_bounded():
+    # validate's only per-vertex array is the int64 degree count: a ~2k-pair
+    # multigraph on 2e6 ids peaks under 10 bytes per vertex
+    n = 2_000_000
+    rng = np.random.default_rng(13)
+    a, b = rng.integers(1, n + 1, size=(2, 2_000))
+    src, dst, mult = _aggregate_pairs(n, a, b)
+    g = MultiGraph(n=n, src=src, dst=dst, mult=mult * 3)
+    tracemalloc.start()
+    try:
+        g.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 10.0
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +493,7 @@ def test_sample_coupled_direct_joint_law():
     pi, reps = 0.35, 20_000
     rng_ref, rng_new = np.random.default_rng(41), np.random.default_rng(43)
     ref = _joint_cells(lambda: percolate_coupled(sample_mnr(ws, rng_ref), pi, rng_ref), reps)
-    new = _joint_cells(lambda: sample_coupled_direct(ws, pi, rng_new), reps)
+    new = _joint_cells(lambda: sample_coupled_direct(ws, pi, rng_new)[:2], reps)
     cells = set(ref) | set(new)
     assert len(cells) == 18  # 7 per non-loop pair (c = 0 has no simple edge), 4 for the loop
     stat = sum((ref[c] - new[c]) ** 2 / (ref[c] + new[c]) for c in cells)
@@ -466,10 +507,27 @@ def test_sample_coupled_direct_full_retention():
     ws = build_weights(params)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        gm, gs = sample_coupled_direct(ws, 1.0, rng)
+        gm, gs, dropped = sample_coupled_direct(ws, 1.0, rng)
         gm.validate()
         gs.validate()
         assert gs.as_tuples() == collapse_to_simple(gm).as_tuples()
+        assert dropped.edge_count == 0
+
+
+@pytest.mark.parametrize("pi", [0.05, 0.3, 0.8])
+def test_sample_coupled_direct_partitions_the_pairs(pi):
+    # the simple graph and the dropped pairs split the multigraph's non-loop
+    # pairs into two disjoint sorted simple graphs
+    ws = build_weights(model_params(2.5, 1.0, 2_000))
+    for seed in range(4):
+        gm, gs, dropped = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
+        gs.validate()
+        dropped.validate()
+        kept, lost = set(gs.as_tuples()), set(dropped.as_tuples())
+        assert not kept & lost
+        assert kept | lost == {(i, j) for i, j, _ in gm.as_tuples() if i != j}
+        assert gs.edge_count + dropped.edge_count == np.count_nonzero(gm.src != gm.dst)
+        assert dropped.edge_count > 0
 
 
 # --------------------------------------------------------------------------
