@@ -8,7 +8,8 @@ smallest rank, which is the component's smallest id.  Every other id is a
 singleton, so sizes and the giant come from the touched ranks alone and no
 pass over all n ids is needed beyond finding the touched ones.  The giant is
 the largest component, with ties broken by smallest contained vertex id, so
-summaries are reproducible run to run.
+summaries are reproducible run to run.  A summary's per-root counts give the
+giant of its graph plus a few more edges at a cost that grows with those alone.
 """
 
 from __future__ import annotations
@@ -26,114 +27,84 @@ from .params import PercolationSchedule, WeightSequence, core_prefix_size
 class ComponentSummary:
     """The rank forest of a graph on ids 1..n with its giant and runner-up.
 
-    ``ids`` are the ids a non-loop edge touches, in increasing order, and
-    ``root[r]`` is the rank of the smallest id in rank r's component.
+    ``ids`` are the ids a non-loop edge touches, in increasing order,
+    ``root[r]`` is the rank of the smallest id in rank r's component,
+    ``counts[r]`` is the size of the component rooted at rank r (0 off the
+    roots), and ``giant_root`` is the giant's root rank when ``ids`` is not
+    empty.
     """
 
     n: int
     ids: np.ndarray
     root: np.ndarray
+    counts: np.ndarray
+    giant_root: int
     giant_size: int
     second_size: int
-    giant_members: np.ndarray
 
     @property
     def sizes(self) -> np.ndarray:
         """All component sizes in non-increasing order, as int64."""
-        counts = np.bincount(self.root)
-        large = np.sort(counts[counts > 0])[::-1]
+        large = np.sort(self.counts[self.counts > 0])[::-1]
         sizes = np.ones(self.n - self.ids.size + large.size, dtype=np.int64)
         sizes[:large.size] = large
         return sizes
 
+    @property
+    def giant_members(self) -> np.ndarray:
+        """The giant's ids in increasing order; vertex 1 when no edge joins two ids."""
+        if not self.ids.size:
+            return np.ones(1, dtype=np.int64)
+        return self.ids[self.root == self.giant_root]
 
-def _rank_forest(n: int, src: np.ndarray, dst: np.ndarray,
-                 base: ComponentSummary | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Touched ids in increasing order and each rank's root rank.
 
-    ``base``'s forest, if given, seeds the ranks, so the result is the forest
-    of the union of both graphs' edges.  Its ids are extended by the ones
-    only the new edges touch, which costs nothing per untouched id.
-    """
-    # Loops join nothing; dropping them first keeps the hooking rounds small.
-    live = src != dst
-    src, dst = src[live], dst[live]
+def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids in 0..n an edge touches, in increasing order, and the edges on their ranks."""
     dtype = np.int32 if n < 2**31 - 1 else np.int64
-    if base is None:
-        touched = np.zeros(n + 1, dtype=bool)
-        touched[src] = True
-        touched[dst] = True
-        ids = np.flatnonzero(touched)
-        del touched
-        # Only touched entries of the rank map are ever read, so the zeroed
-        # array needs no pass over the rest.
-        rank = np.zeros(n + 1, dtype=dtype)
-        rank[ids] = np.arange(ids.size, dtype=dtype)
-        src, dst = rank[src], rank[dst]
-        del rank
-        sub = np.arange(ids.size, dtype=dtype)
-    else:
-        ends = np.concatenate([src, dst])
-        pos = np.searchsorted(base.ids, ends)
-        known = pos < base.ids.size
-        known[known] = base.ids[pos[known]] == ends[known]
-        new = np.unique(ends[~known])
-        at = np.searchsorted(base.ids, new)
-        # Inserting keeps ids increasing, so a base root stays its
-        # component's smallest rank once shifted past the new ids below it.
-        ids = np.insert(base.ids, at, new)
-        moved = np.repeat(np.arange(new.size + 1, dtype=dtype),
-                          np.diff(at, prepend=0, append=base.ids.size))
-        moved += np.arange(base.ids.size, dtype=dtype)
-        sub = np.insert(moved[base.root], at, at + np.arange(new.size, dtype=dtype))
-        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
-    return ids, _hook(sub, src, dst)
+    touched = np.zeros(n + 1, dtype=bool)
+    touched[src] = True
+    touched[dst] = True
+    ids = np.flatnonzero(touched)
+    del touched
+    # Only touched entries of the rank map are ever read, so the zeroed
+    # array needs no pass over the rest.
+    rank = np.zeros(n + 1, dtype=dtype)
+    rank[ids] = np.arange(ids.size, dtype=dtype)
+    return ids, rank[src], rank[dst]
 
 
-def _hook(sub: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Each rank's root rank, from the forest ``sub`` and the edges on ranks.
+def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each of ranks 0..k-1's root rank, the smallest in its component.
 
-    Each round hooks the larger endpoint root of every edge onto the smaller
-    and pointer-jumps until every rank points at a root.  Roots only fall
-    and every round removes one, so the loop ends; parallel edges need no
-    special case.
+    A round hooks the larger endpoint of every edge onto the smaller and
+    pointer-jumps until every rank points at a root; from the identity
+    forest that needs no gathers and no filter.  The roots the still-live
+    edges join are then ranked and hooked alike, so later rounds skip every
+    settled rank.  Two rounds at least halve those roots, so the recursion
+    is O(log k) deep.  Parallel edges and loops need no special case.
     """
-    while True:
-        lo, hi = sub[src], sub[dst]
-        live = lo != hi
-        if not live.any():
-            break
-        src, dst, lo, hi = src[live], dst[live], lo[live], hi[live]
-        np.minimum.at(sub, np.maximum(lo, hi), np.minimum(lo, hi))
-        while not np.array_equal(jumped := sub[sub], sub):
-            sub = jumped
+    sub = np.arange(k, dtype=src.dtype)
+    np.minimum.at(sub, np.maximum(src, dst), np.minimum(src, dst))
+    while not np.array_equal(jumped := sub[sub], sub):
+        sub = jumped
+    lo, hi = sub[src], sub[dst]
+    live = lo != hi
+    if live.any():
+        roots, src, dst = _rank(k - 1, lo[live], hi[live])
+        del lo, hi, live  # not held through the later rounds
+        # A joined root points at its group's smallest root, itself a root,
+        # so one jump settles every rank.
+        sub[roots] = roots[_hook(roots.size, src, dst)]
+        sub = sub[sub]
     return sub
 
 
-def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Smallest vertex id in each vertex's component, indexed by id 0..n.
-
-    Labels are int32 when n < 2**31 - 1, else int64; every id no non-loop
-    edge touches labels itself.
-    """
-    ids, root = _rank_forest(n, src, dst)
-    label = np.arange(n + 1, dtype=root.dtype)
-    label[ids] = ids[root]
-    return label
-
-
-def component_sizes(g: MultiGraph | SimpleGraph,
-                    base: ComponentSummary | None = None) -> ComponentSummary:
-    """Components of the graph; loops and multiplicities are ignored.
-
-    ``base``, the summary of another graph on the same ids, adds that
-    graph's edges: its forest seeds the labelling, and the cost beyond
-    copying it grows with ``g``'s edges alone.  The coupled multigraph is
-    labelled as its simple graph's summary plus the pairs that graph dropped.
-    """
-    if base is not None and base.n != g.n:
-        raise DomainError(f"base summary is on n = {base.n} ids, the graph on {g.n}")
-    ids, root = _rank_forest(g.n, g.src, g.dst, base)
+def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
+    """Components of the graph; loops and multiplicities are ignored."""
+    # Loops join nothing; dropping them first keeps the hooking rounds small.
+    live = g.src != g.dst
+    ids, src, dst = _rank(g.n, g.src[live], g.dst[live])
+    root = _hook(ids.size, src, dst)
     counts = np.bincount(root)
     if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
@@ -141,17 +112,46 @@ def component_sizes(g: MultiGraph | SimpleGraph,
         # The first maximal count is the largest component holding the smallest id.
         giant = int(np.argmax(counts))
         giant_size = int(counts[giant])
-        giant_members = ids[root == giant]
         counts[giant] = 0
         second = int(counts.max())
+        counts[giant] = giant_size
     else:
-        giant_size, second = 1, 0
-        giant_members = np.ones(1, dtype=np.int64)
+        giant, giant_size, second = 0, 1, 0
     # Every component past the touched ones is a singleton.
     if second == 0 and g.n > giant_size:
         second = 1
-    return ComponentSummary(n=g.n, ids=ids, root=root, giant_size=giant_size,
-                            second_size=second, giant_members=giant_members)
+    return ComponentSummary(n=g.n, ids=ids, root=root, counts=counts, giant_root=giant,
+                            giant_size=giant_size, second_size=second)
+
+
+def merged_giant_size(base: ComponentSummary, g: MultiGraph | SimpleGraph) -> int:
+    """Giant size of the union of ``base``'s graph and ``g`` on the same ids.
+
+    Each endpoint of ``g``'s non-loop pairs stands for its base root, or for
+    itself if no base edge touches it.  Hooking those nodes groups the base
+    components ``g`` joins, and a group's size is the sum of its nodes'
+    counts.  Every other base component keeps its size, and a group is at
+    least as large as each base component in it, so the larger of the base
+    giant and the largest group is the union's giant.  The cost grows with
+    ``g``'s pairs alone.
+    """
+    if base.n != g.n:
+        raise DomainError(f"base summary is on n = {base.n} ids, the graph on {g.n}")
+    live = g.src != g.dst
+    ends = np.concatenate([g.src[live], g.dst[live]])
+    pos = np.searchsorted(base.ids, ends)
+    known = pos < base.ids.size
+    known[known] = base.ids[pos[known]] == ends[known]
+    # Untouched ids sit past every rank, so no node key is shared by both kinds.
+    key = ends + base.ids.size
+    key[known] = base.root[pos[known]]
+    nodes, node = np.unique(key, return_inverse=True)
+    size = np.ones(nodes.size, dtype=np.int64)
+    rooted = nodes < base.ids.size
+    size[rooted] = base.counts[nodes[rooted]]
+    group = np.zeros(nodes.size, dtype=np.int64)
+    np.add.at(group, _hook(nodes.size, *np.split(node, 2)), size)
+    return max(base.giant_size, int(group.max(initial=0)))
 
 
 # --------------------------------------------------------------------------

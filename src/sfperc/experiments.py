@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import component_sizes, core_report
+from .components import component_sizes, core_report, merged_giant_size
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
     ExplorationTrace,
@@ -305,7 +305,7 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
         c1_star = simple.giant_size
         # The multigraph's components are the simple graph's joined by the
         # pairs it dropped; its loops join nothing.
-        c1 = component_sizes(dropped, base=simple).giant_size
+        c1 = merged_giant_size(simple, dropped)
         if c1 < c1_star:
             raise AssertionError(
                 f"coupling violated at n={ctx.n}, replica={replica}: |C1|={c1} < |C1*|={c1_star}"

@@ -6,8 +6,9 @@ multigraph and its collapse (criteria 3 and 9), the closed survival
 probability of a type-u particle and a Monte Carlo branching process that
 estimates it (criterion 2), the exact Laplace-type sum behind the
 exploration drift (criterion 4), and the finite-n core kernel next to its
-limit (criterion 7).  ``read_edge_rows`` parses the edge-list dump that
-``sfperc generate`` writes.
+limit (criterion 7).  ``labels_from_summary`` reads each vertex's component
+label off a component summary, and ``read_edge_rows`` parses the edge-list
+dump that ``sfperc generate`` writes.
 """
 
 from __future__ import annotations
@@ -196,6 +197,19 @@ def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSched
         out.append(KernelCheckEntry(u=float(u), v=float(v),
                                     empirical=float(n_a * p_edge), limit=float(limit)))
     return out
+
+
+# --------------------------------------------------------------------------
+# component labels
+# --------------------------------------------------------------------------
+
+
+def labels_from_summary(summary) -> np.ndarray:
+    """Smallest vertex id in each vertex's component, indexed by id 0..n,
+    read off a ``component_sizes`` summary's rank forest."""
+    label = np.arange(summary.n + 1)
+    label[summary.ids] = summary.ids[summary.root]
+    return label
 
 
 # --------------------------------------------------------------------------

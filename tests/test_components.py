@@ -9,11 +9,11 @@ import pytest
 
 from sfperc.components import (
     ComponentSummary,
-    component_labels,
     component_sizes,
     core_giant_and_weight,
     core_report,
     extract_core,
+    merged_giant_size,
     one_neighborhood,
 )
 from sfperc.errors import DomainError, RangeError
@@ -26,7 +26,7 @@ from sfperc.graphgen import (
 )
 from sfperc.params import LambdaRule, build_weights, core_prefix_size, make_schedule, model_params
 
-from oracles import kernel_convergence_check
+from oracles import kernel_convergence_check, labels_from_summary
 
 
 def bfs_components(n, edges):
@@ -70,41 +70,30 @@ def check_against_oracle(g, edges):
     # no runner-up exactly when one component holds every vertex
     assert (summary.second_size == 0) == (len(comps) == 1)
     assert np.all(np.diff(summary.giant_members) > 0)
-    # the graph's own forest as a base changes nothing
-    check_same_summary(component_sizes(g, base=summary), summary)
-
-
-def check_same_summary(got, want):
-    assert got.sizes.tolist() == want.sizes.tolist()
-    assert got.sizes.dtype == want.sizes.dtype
-    assert got.giant_size == want.giant_size
-    assert got.giant_members.tolist() == want.giant_members.tolist()
-    assert got.giant_members.dtype == want.giant_members.dtype
-    assert got.second_size == want.second_size
+    assert summary.giant_members.dtype == np.int64
+    # the graph's own summary as a base changes nothing
+    assert merged_giant_size(summary, g) == giant_size
 
 
 def raw(n, src, dst):
-    """Edge list as a graph, loops and repeats kept: component_sizes reads
-    only n, src and dst, so it goes in unvalidated."""
+    """Edge list as a graph, loops and repeats kept: component_sizes and
+    merged_giant_size read only n, src and dst, so it goes in unvalidated."""
     return SimpleGraph(n=n, src=np.asarray(src, dtype=np.int64),
                        dst=np.asarray(dst, dtype=np.int64))
 
 
-def labels_from_summary(s):
-    """(n + 1)-labels read off a summary's rank forest."""
-    label = np.arange(s.n + 1)
-    label[s.ids] = s.ids[s.root]
-    return label
+def bfs_giant_size(n, src, dst):
+    return max(len(c) for c in bfs_components(n, zip(np.asarray(src).tolist(),
+                                                      np.asarray(dst).tolist())))
 
 
 # --------------------------------------------------------------------------
-# component labels
+# component labels read off the rank forest
 # --------------------------------------------------------------------------
 
 
 def check_labels(n, src, dst):
-    label = component_labels(n, np.asarray(src, dtype=np.int64),
-                             np.asarray(dst, dtype=np.int64))
+    label = labels_from_summary(component_sizes(raw(n, src, dst)))
     assert label.shape == (n + 1,) and label[0] == 0
     expected = np.zeros(n + 1, dtype=np.int64)
     for comp in bfs_components(n, zip(np.asarray(src).tolist(), np.asarray(dst).tolist())):
@@ -127,7 +116,7 @@ def test_component_labels_random_multigraphs():
 def test_component_labels_empty_and_loops_only():
     check_labels(5, [], [])
     check_labels(3, [2, 2, 3], [2, 2, 3])
-    assert component_labels(0, np.empty(0, np.int64), np.empty(0, np.int64)).tolist() == [0]
+    assert labels_from_summary(component_sizes(raw(0, [], []))).tolist() == [0]
 
 
 def test_component_labels_sparse_touched_ids():
@@ -149,8 +138,22 @@ def test_component_labels_sparse_touched_ids():
         check_labels(n, rng.choice(pool, size=m), rng.choice(pool, size=m))
 
 
+# --------------------------------------------------------------------------
+# the giant of a summarized graph plus more edges
+# --------------------------------------------------------------------------
+
+
+def check_merged(n, base_src, base_dst, src, dst):
+    """merged_giant_size of a base plus edges against the union's summary and BFS."""
+    got = merged_giant_size(component_sizes(raw(n, base_src, base_dst)), raw(n, src, dst))
+    union_src, union_dst = np.r_[base_src, src], np.r_[base_dst, dst]
+    assert got == component_sizes(raw(n, union_src, union_dst)).giant_size
+    assert got == bfs_giant_size(n, union_src, union_dst)
+
+
 def test_component_sizes_base_matches_direct_labels():
-    # a summarized subgraph plus the full edge list, including repeats and loops
+    # a summarized subgraph plus the full edge list, including repeats, loops
+    # and either endpoint order
     rng = np.random.default_rng(21)
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -158,17 +161,13 @@ def test_component_sizes_base_matches_direct_labels():
         src = rng.integers(1, n + 1, size=m)
         dst = rng.integers(1, n + 1, size=m)
         sub = rng.random(m) < 0.5
-        base = component_sizes(raw(n, src[sub], dst[sub]))
-        merged = component_sizes(raw(n, src, dst), base=base)
-        direct = component_labels(n, src, dst)
-        assert labels_from_summary(merged).tolist() == direct.tolist()
-        check_same_summary(merged, component_sizes(raw(n, src, dst)))
+        check_merged(n, src[sub], dst[sub], src, dst)
         check_labels(n, src, dst)
 
 
 def test_component_sizes_base_adds_its_edges():
     # the base graph and the added edges each touch ids the other does not:
-    # the result is the union of both edge sets
+    # the result is the giant of the union of both edge sets
     rng = np.random.default_rng(34)
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -176,26 +175,19 @@ def test_component_sizes_base_adds_its_edges():
         src = rng.integers(1, n + 1, size=m)
         dst = rng.integers(1, n + 1, size=m)
         side = rng.random(m) < 0.5
-        base = component_sizes(raw(n, src[side], dst[side]))
-        added = raw(n, src[~side], dst[~side])
-        merged = component_sizes(added, base=base)
-        assert labels_from_summary(merged).tolist() == component_labels(n, src, dst).tolist()
-        check_same_summary(merged, component_sizes(raw(n, src, dst)))
-    # base-only ids: an empty added graph keeps the base's components
+        check_merged(n, src[side], dst[side], src[~side], dst[~side])
+    # base-only ids: an empty added graph keeps the base's giant
     base = component_sizes(SimpleGraph.from_pairs(9, [(2, 7), (7, 9), (4, 5)]))
-    merged = component_sizes(SimpleGraph.from_pairs(9, []), base=base)
-    check_same_summary(merged, base)
-    assert merged.giant_members.tolist() == [2, 7, 9]
+    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [])) == 3
     # added ids outside the base, one edge bridging into a base component
-    merged = component_sizes(SimpleGraph.from_pairs(9, [(1, 3), (3, 5), (6, 8)]), base=base)
-    assert merged.sizes.tolist() == [4, 3, 2]
-    assert merged.giant_members.tolist() == [1, 3, 4, 5]
-    assert merged.second_size == 3
+    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [(1, 3), (3, 5), (6, 8)])) == 4
+    # two added edges join both base components and a new id
+    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [(5, 9), (1, 4)])) == 6
 
 
 def test_component_sizes_base_on_the_coupled_pair():
-    # the single_vs_multi composition: the simple forest plus the pairs the
-    # simple graph dropped gives the multigraph's components
+    # the single_vs_multi composition: the simple summary plus the pairs the
+    # simple graph dropped gives the multigraph's giant
     params = model_params(2.5, 1.0, 10_000)
     ws = build_weights(params)
     sch = make_schedule(params, "single", LambdaRule("constant", 1.0))
@@ -203,20 +195,19 @@ def test_component_sizes_base_on_the_coupled_pair():
     for pi in (sch.pi_n, 0.05, 0.3):
         for seed in range(8):
             gm, gs, dropped = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
-            direct = component_labels(gm.n, gm.src, gm.dst)
+            multi = component_sizes(gm)
             simple = component_sizes(gs)
-            merged = component_sizes(dropped, base=simple)
-            assert np.array_equal(labels_from_summary(merged), direct)
-            check_same_summary(merged, component_sizes(gm))
-            check_same_summary(merged, component_sizes(gm, base=simple))
-            assert merged.giant_size >= simple.giant_size
-            differs += not np.array_equal(labels_from_summary(simple), direct)
+            merged = merged_giant_size(simple, dropped)
+            assert merged == multi.giant_size
+            assert merged_giant_size(simple, gm) == merged
+            assert merged >= simple.giant_size
+            differs += not np.array_equal(labels_from_summary(simple), labels_from_summary(multi))
     assert differs  # the multigraph joins some simple components
 
 
 def test_component_sizes_base_edge_cases():
-    # the added edges' new ids sit below, between and above the base's ids,
-    # on either side of a base component, or the base touches no id at all
+    # the added edges' ids sit below, between and above the base's ids, on
+    # either side of a base component, or the base touches no id at all
     cases = [
         (9, [], [(2, 5), (5, 9)]),                          # empty base
         (9, [], []),
@@ -227,18 +218,14 @@ def test_component_sizes_base_edge_cases():
          [(1, 2), (5, 6), (12, 9), (2, 7), (6, 6), (9, 4), (1, 2)]),  # all three, a loop, a repeat
         (9, [(1, 9), (4, 6)], [(6, 9), (9, 6)]),            # no new ids
         (9, [(4, 6)], [(1, 1), (8, 8)]),                    # loops only: no new ids either
+        (9, [(4, 6), (6, 4)], [(6, 6), (4, 4)]),            # loops on base ids
+        (5, [(2, 4)], [(1, 3), (3, 5), (5, 1)]),            # a new component larger than the base's
     ]
-    def graph(n, edges):
-        return raw(n, [i for i, _ in edges], [j for _, j in edges])
-
     for n, base_edges, added in cases:
-        merged = component_sizes(graph(n, added), base=component_sizes(graph(n, base_edges)))
-        expected = np.arange(n + 1)
-        for comp in bfs_components(n, base_edges + added):
-            expected[list(comp)] = min(comp)
-        assert labels_from_summary(merged).tolist() == expected.tolist(), (n, base_edges, added)
-        assert np.all(np.diff(merged.ids) > 0)
-        check_same_summary(merged, component_sizes(graph(n, base_edges + added)))
+        base_src, base_dst = [i for i, _ in base_edges], [j for _, j in base_edges]
+        check_merged(n, np.array(base_src, dtype=np.int64), np.array(base_dst, dtype=np.int64),
+                     np.array([i for i, _ in added], dtype=np.int64),
+                     np.array([j for _, j in added], dtype=np.int64))
 
 
 def test_component_labels_long_path_in_random_order():
@@ -248,6 +235,32 @@ def test_component_labels_long_path_in_random_order():
     order = rng.permutation(n) + 1
     check_labels(n, order[:-1], order[1:])
     check_labels(n + 5, order[1:], order[:-1])
+
+
+def test_hooking_rounds_halve_the_roots(monkeypatch):
+    # each hooking round recurses on the roots its live edges join; two rounds
+    # at least halve them, so the recursion depth is logarithmic
+    import sfperc.components as components
+    hook, ranks = components._hook, []
+
+    def counted(k, src, dst):
+        ranks.append(k)
+        return hook(k, src, dst)
+
+    monkeypatch.setattr(components, "_hook", counted)
+    rng = np.random.default_rng(6)
+    graphs = []
+    for n in (10, 1_000, 20_000):  # paths through a random vertex order
+        order = rng.permutation(n) + 1
+        graphs.append((n, order[:-1], order[1:]))
+    for n, m in ((50, 40), (5_000, 4_000), (5_000, 6_000)):
+        graphs.append((n, rng.integers(1, n + 1, size=m), rng.integers(1, n + 1, size=m)))
+    graphs.append((9, np.full(8, 9), np.arange(1, 9)))  # a star whose centre is the largest id
+    for n, src, dst in graphs:
+        ranks.clear()
+        check_labels(n, src, dst)
+        assert all(later <= k / 2 for k, later in zip(ranks, ranks[2:])), ranks
+        assert len(ranks) <= 2 * math.log2(max(ranks[0], 2)) + 1, ranks
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +304,7 @@ def test_component_sizes_rejects_base_of_other_n():
     for n in (3, 5):
         base = component_sizes(SimpleGraph.from_pairs(n, [(1, 2)]))
         with pytest.raises(DomainError):
-            component_sizes(g, base=base)
+            merged_giant_size(base, g)
 
 
 def test_giant_tie_break_prefers_smallest_id():
@@ -339,6 +352,26 @@ def test_component_sizes_memory_is_edge_bounded():
         tracemalloc.stop()
     assert summary.giant_size >= 2
     assert peak / n <= 6.0
+
+
+def test_merged_giant_size_memory_is_pair_bounded():
+    # ten added pairs on a base touching 1e6 ids allocate no per-id arrays
+    n = 2_000_000
+    half = 500_000
+    base_src, base_dst = np.arange(1, 2 * half, 2), np.arange(2, 2 * half + 1, 2)
+    base = component_sizes(raw(n, base_src, base_dst))
+    assert base.ids.size == 2 * half and base.giant_size == 2
+    rng = np.random.default_rng(9)
+    src, dst = rng.integers(1, n + 1, size=(2, 10))
+    g = raw(n, src, dst)
+    tracemalloc.start()
+    try:
+        got = merged_giant_size(base, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert got == component_sizes(raw(n, np.r_[base_src, src], np.r_[base_dst, dst])).giant_size
 
 
 # --------------------------------------------------------------------------

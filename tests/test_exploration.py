@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, ks_2samp
 
-from sfperc.components import component_labels
+from sfperc.components import component_sizes
 from sfperc.errors import DomainError, RangeError
 from sfperc.exploration import (
     _first_draws,
@@ -23,6 +23,8 @@ from sfperc.exploration import (
 from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
 from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 from sfperc.theory import compute_constants, limit_curve_z
+
+from oracles import labels_from_summary
 
 
 def multi_setup(n=2000, seed=0):
@@ -214,8 +216,8 @@ def test_residual_moderate_time():
 # --------------------------------------------------------------------------
 
 
-def component_size_of(n, g, vertex):
-    label = component_labels(n, g.src, g.dst)
+def component_size_of(g, vertex):
+    label = labels_from_summary(component_sizes(g))
     return int(np.count_nonzero(label[1:] == label[vertex]))
 
 
@@ -240,7 +242,7 @@ def test_first_excursion_matches_size_biased_component():
     for r in range(reps):
         g = sample_percolated_mnr_direct(ws, sch.pi_n, rng)
         root = int(draw_marks(ws, 1, rng)[0])
-        graph_sizes[r] = component_size_of(ws.n, g, root)
+        graph_sizes[r] = component_size_of(g, root)
 
     assert ks_2samp(walk_sizes, graph_sizes).pvalue > 0.01
 
