@@ -102,7 +102,8 @@ def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     """Components of the graph; loops and multiplicities are ignored."""
     # Loops join nothing; dropping them first keeps the hooking rounds small.
-    live = g.src != g.dst
+    # A simple graph has none, so it is ranked without copies.
+    live = slice(None) if isinstance(g, SimpleGraph) else g.src != g.dst
     ids, src, dst = _rank(g.n, g.src[live], g.dst[live])
     root = _hook(ids.size, src, dst)
     counts = np.bincount(root)

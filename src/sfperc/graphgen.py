@@ -93,8 +93,11 @@ class SimpleGraph:
         return int(self.src.size)
 
     def degrees(self) -> np.ndarray:
-        ends = np.concatenate([self.src, self.dst])
-        return np.bincount(ends, minlength=self.n + 1)
+        """Degree array indexed by vertex id (entry 0 unused)."""
+        deg = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(deg, self.src, 1)
+        np.add.at(deg, self.dst, 1)
+        return deg
 
     def as_tuples(self) -> list[tuple[int, int]]:
         return list(zip(self.src.tolist(), self.dst.tolist()))
@@ -124,8 +127,11 @@ def _check_pairs(g: MultiGraph | SimpleGraph, loops: bool, edge_count: int) -> N
             raise AssertionError(f"edge endpoint outside [1, {g.n}]")
         if np.any(g.src > g.dst if loops else g.src >= g.dst):
             raise AssertionError(f"pairs need src {'<=' if loops else '<'} dst")
-        key = g.src * np.int64(g.n + 1) + g.dst
-        if np.any(np.diff(key) <= 0):
+        key = g.src * np.int64(g.n + 1)
+        key += g.dst
+        unsorted = np.any(key[1:] <= key[:-1])
+        del key  # not held while the degrees are counted
+        if unsorted:
             raise AssertionError("pairs are not sorted and unique")
     if int(g.degrees().sum()) != 2 * edge_count:
         raise AssertionError("degree-sum identity violated")
@@ -164,16 +170,26 @@ def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
 def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     """Canonicalize int64 endpoint arrays into sorted unique (src, dst, mult).
 
-    The key min*(n+1) + max is built in place and ``b`` is overwritten with
-    the larger endpoints, so callers hand over arrays they no longer need.
+    Both arrays are consumed: the key min*(n+1) + max is built and sorted in
+    ``a``.  A caller that keeps no name for them lets ``b`` go before the
+    sort and ``a`` before the pairs are split.
     """
-    key = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    key *= n + 1
-    key += b
-    uniq, counts = np.unique(key, return_counts=True)
+    hi = np.maximum(a, b)
+    np.minimum(a, b, out=a)
+    del b
+    a *= n + 1
+    a += hi
+    del hi
+    a.sort()
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    uniq = a[first]
+    del a
+    mult = np.diff(np.flatnonzero(first), append=first.size)
+    del first
     src, dst = np.divmod(uniq, n + 1)
-    return src, dst, counts.astype(np.int64)
+    return src, dst, mult
 
 
 def _sample_poissonized(n: int, table: MarkTable, ell_div: float, rng,
@@ -184,14 +200,12 @@ def _sample_poissonized(n: int, table: MarkTable, ell_div: float, rng,
     independent Poisson(w_i*w_j/ell_div) multiplicity (w_i^2/(2*ell_div) for
     loops).  Table index k is vertex ``ids[k]``, or k + 1 without ``ids``."""
     m = int(rng.poisson(table.total * table.total / (2.0 * ell_div)))
-    a = table.lookup(rng.random(m) * table.cum[-1])
-    b = table.lookup(rng.random(m) * table.cum[-1])
-    if ids is None:
-        a += 1
-        b += 1
-    else:
-        a, b = ids[a], ids[b]
-    src, dst, mult = _aggregate_pairs(n, a, b)
+
+    def ends():
+        idx = table.lookup(rng.random(m) * table.cum[-1])
+        return idx + 1 if ids is None else ids[idx]
+
+    src, dst, mult = _aggregate_pairs(n, ends(), ends())
     return MultiGraph(n=n, src=src, dst=dst, mult=mult)
 
 
@@ -290,26 +304,37 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
     pair = gm.src != gm.dst
-    src, dst = gm.src[pair], gm.dst[pair]
     w = weights.weights
-    k = gm.mult[pair] + rng.poisson((1.0 - pi) * w[src - 1] * w[dst - 1] / weights.ell_n)
-    p_any = _any_copy_kept(k, pi)
-    if np.any(p_any < pi):
+    # K' rates (1-pi) * w_i * w_j / ell_n, built in place in that order,
+    # then overwritten by P(some copy kept | k).
+    p = w.take(gm.src[pair] - 1)
+    p *= 1.0 - pi
+    p *= w.take(gm.dst[pair] - 1)
+    p /= weights.ell_n
+    p = _any_copy_kept(gm.mult[pair] + rng.poisson(p), pi)
+    if np.any(p < pi):
         raise AssertionError("coupling violated: a kept pair is less likely than its simple edge")
-    simple_keep = rng.random(k.size) * p_any <= pi
-    simple = SimpleGraph(n=gm.n, src=src[simple_keep], dst=dst[simple_keep])
-    return gm, simple, SimpleGraph(n=gm.n, src=src[~simple_keep], dst=dst[~simple_keep])
+    keep = pair.copy()
+    keep[pair] = rng.random(p.size) * p <= pi
+    del p
+    pair ^= keep  # the non-loop pairs whose simple edge was dropped
+    return (gm, SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep]),
+            SimpleGraph(n=gm.n, src=gm.src[pair], dst=gm.dst[pair]))
 
 
 def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:
     """P(at least one of k copies survives pi-percolation) = 1 - (1-pi)^k.
 
     The k == 1 case is pi bit-for-bit, so a simple edge kept iff U <= pi can
-    never leak outside the multigraph event U <= 1 - (1-pi)^k.
+    never leak outside the multigraph event U <= 1 - (1-pi)^k.  Only the
+    k != 1 entries, rare in the percolated graph, are computed.
     """
     if pi >= 1.0:
         return np.ones(k.size)
-    return np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
+    p = np.full(k.size, pi)
+    many = np.flatnonzero(k != 1)
+    p[many] = -np.expm1(k[many] * np.log1p(-pi))
+    return p
 
 
 def _check_pi(pi: float) -> None:

@@ -30,6 +30,9 @@ LAMBDA_RULE_KINDS = ("constant", "power", "logpower")
 # Relative agreement required between equivalent closed forms of the same scale.
 _CROSS_CHECK_RTOL = 1e-12
 
+# Largest n whose pair keys i*(n+1) + j, at most (n+1)**2 - 1, fit in int64.
+_MAX_N = math.isqrt(2**63 - 1) - 1
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -78,6 +81,8 @@ def model_params(tau: float, C: float, n: int) -> ModelParams:
         raise DomainError(f"n must be an integer, got n={n!r}")
     if n < 1:
         raise DomainError(f"n must be at least 1, got n={n}")
+    if n > _MAX_N:
+        raise DomainError(f"n must be at most {_MAX_N}, so that int64 pair keys hold, got n={n}")
     return ModelParams(tau=float(tau), C=float(C), n=int(n), **derive_constants(tau, C))
 
 
@@ -139,16 +144,17 @@ class MarkTable:
 class WeightSequence:
     """Non-increasing vertex weights w_1 >= ... >= w_n with their total ell_n.
 
-    ``cum_weights`` holds inclusive prefix sums.  ``mark_table(pi)`` looks
-    up size-biased marks P(M = i) = w_i / ell_n on the prefix sums of
-    pi * w by exact inverse CDF; it is built on first use and kept, for
-    pi = 1 and for the last pi < 1 asked for.  The power-law shape is
-    only guaranteed for sequences from build_weights.
+    ``ell_n`` is the last inclusive prefix sum of the weights; the sums
+    themselves are not kept.  ``mark_table(pi)`` looks up size-biased marks
+    P(M = i) = w_i / ell_n on the prefix sums of pi * w by exact inverse
+    CDF; it is built on first use and kept, for pi = 1 and for the last
+    pi < 1 asked for, so a sequence holds 8 bytes per vertex plus the
+    tables its callers read (12 bytes per vertex each).  The power-law
+    shape is only guaranteed for sequences from build_weights.
     """
 
     weights: np.ndarray
     ell_n: float
-    cum_weights: np.ndarray
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -158,10 +164,8 @@ class WeightSequence:
             raise DomainError("weights must be a non-empty 1-d array")
         if not np.all(w > 0.0):
             raise DomainError("weights must all be positive")
-        cum = np.cumsum(w)
         w.setflags(write=False)
-        cum.setflags(write=False)
-        return cls(weights=w, ell_n=float(cum[-1]), cum_weights=cum)
+        return cls(weights=w, ell_n=float(np.cumsum(w)[-1]))
 
     @property
     def n(self) -> int:
@@ -176,11 +180,10 @@ class WeightSequence:
         cached = self._tables.get(thinned)
         if cached is not None and cached[0] == pi:
             return cached[1]
-        if thinned:
-            eff = pi * self.weights
-            table = MarkTable.build(np.cumsum(eff), float(eff.sum()))
-        else:
-            table = MarkTable.build(self.cum_weights, float(self.weights.sum()))
+        # The prefix sums overwrite the scaled weights once they are summed.
+        cum = pi * self.weights if thinned else self.weights.copy()
+        total = float(cum.sum())
+        table = MarkTable.build(np.cumsum(cum, out=cum), total)
         self._tables[thinned] = (pi, table)
         return table
 
@@ -193,8 +196,11 @@ class WeightSequence:
 
 def build_weights(params: ModelParams) -> WeightSequence:
     """Materialize w_i = c_F * (n/i)**alpha for i = 1..n."""
-    i = np.arange(1, params.n + 1, dtype=np.float64)
-    w = params.c_F * (params.n / i) ** params.alpha
+    # In place, and bit for bit c_F * (n / i) ** alpha.
+    w = np.arange(1, params.n + 1, dtype=np.float64)
+    np.divide(params.n, w, out=w)
+    np.power(w, params.alpha, out=w)
+    w *= params.c_F
     return WeightSequence.from_array(w)
 
 

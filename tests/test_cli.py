@@ -251,3 +251,18 @@ def test_cli_output_files_pinned(argv, digest, tmp_path):
     path = tmp_path / "out.txt"
     assert main([*argv, str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["giant", "--n-grid", "1000", "3037000499", "--replicas", "1"],
+    ["generate", "--n", "3037000499", "--out", "unused.txt"],
+])
+def test_n_past_int64_pair_keys_exits_2_before_weights(argv, monkeypatch, tmp_path):
+    def refuse(params):
+        raise AssertionError("weights were built")
+
+    monkeypatch.setattr(xp, "build_weights", refuse)
+    monkeypatch.setattr("sfperc.cli.build_weights", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not (tmp_path / "unused.txt").exists()

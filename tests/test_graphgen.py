@@ -17,6 +17,7 @@ from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
     _aggregate_pairs,
+    _any_copy_kept,
     draw_marks,
     percolate_coupled,
     sample_coupled_direct,
@@ -153,6 +154,46 @@ def test_validate_memory_is_edge_bounded():
     assert peak / n <= 10.0
 
 
+@pytest.mark.parametrize("edges", [2_000, 500_000])
+def test_simple_validate_memory_is_degree_bounded(edges):
+    # the int64 degree count is the only per-vertex array, and the pair key
+    # is dropped before it is built: under 9 bytes per vertex at n = 2e6,
+    # with a few edges or with one per four vertices
+    n = 2_000_000
+    rng = np.random.default_rng(14)
+    a, b = rng.integers(1, n + 1, size=(2, edges))
+    keep = a != b
+    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
+    g = SimpleGraph(n=n, src=src, dst=dst)
+    tracemalloc.start()
+    try:
+        g.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 9.0
+
+
+def test_simple_degrees_match_bincount():
+    rng = np.random.default_rng(15)
+    n = 5_000
+    a, b = rng.integers(1, n + 1, size=(2, 20_000))
+    keep = a != b
+    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
+    g = SimpleGraph(n=n, src=src, dst=dst)
+    deg = g.degrees()
+    expected = np.bincount(np.concatenate([src, dst]), minlength=n + 1)
+    assert deg.dtype == expected.dtype and np.array_equal(deg, expected)
+    assert SimpleGraph(n=3, src=src[:0], dst=dst[:0]).degrees().tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("pi", [1e-4, 0.01, 0.316, 0.5, 0.99])
+def test_any_copy_kept_matches_where_form(pi):
+    k = np.random.default_rng(16).integers(1, 61, size=1_000_000)
+    expected = np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
+    assert _any_copy_kept(k, pi).tobytes() == expected.tobytes()
+
+
 # --------------------------------------------------------------------------
 # samplers: exact laws on toy weight sequences
 # --------------------------------------------------------------------------
@@ -255,7 +296,7 @@ def test_mark_tables_built_on_first_use_and_shared():
     assert ws.mark_table(pi) is table
     draw_marks(ws, 10, rng)
     full = ws.mark_table()
-    assert full.cum is ws.cum_weights  # the pi = 1 table copies nothing
+    assert np.array_equal(full.cum, np.cumsum(ws.weights))
     assert full.total == float(ws.weights.sum())
     sample_mnr(ws, rng)
     assert ws.mark_table() is full and ws.mark_table(pi) is table
@@ -533,6 +574,22 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
 # --------------------------------------------------------------------------
 # edge-list round trip
 # --------------------------------------------------------------------------
+
+
+def test_sample_coupled_direct_memory_is_pair_bounded():
+    # the coupled sampler's peak, with its table built beforehand, stays
+    # within a fixed number of bytes per pair of the percolated multigraph
+    # (the three graphs it returns hold 40)
+    ws = build_weights(model_params(2.5, 1.0, 200_000))
+    ws.mark_table(0.3)
+    tracemalloc.start()
+    try:
+        gm = sample_coupled_direct(ws, 0.3, np.random.default_rng(17))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gm.pair_count > 50_000
+    assert peak / gm.pair_count <= 55.0
 
 
 def test_edge_list_round_trip(tmp_path):

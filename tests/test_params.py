@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +79,52 @@ def test_build_weights_power_law():
     w = ws.weights
     assert np.all(np.diff(w) < 0.0)
     assert ws.ell_n == pytest.approx(float(w.sum()), rel=1e-14)
-    np.testing.assert_allclose(ws.cum_weights, np.cumsum(w), rtol=1e-14)
+    np.testing.assert_allclose(ws.mark_table().cum, np.cumsum(w), rtol=1e-14)
+
+
+@pytest.mark.parametrize("tau", [2.2, 2.5, 2.9])
+@pytest.mark.parametrize("n", [1, 7, 10_000, 1_000_003])
+def test_build_weights_bitwise(tau, n):
+    # the in-place build equals the plain expression bit for bit, and so do
+    # ell_n and the mark tables' prefix sums
+    params = model_params(tau, 0.7, n)
+    ws = build_weights(params)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    w = params.c_F * (params.n / i) ** params.alpha
+    assert ws.weights.tobytes() == w.tobytes()
+    assert ws.ell_n == float(np.cumsum(w)[-1])
+    full = ws.mark_table()
+    assert full.cum.tobytes() == np.cumsum(w).tobytes()
+    assert full.total == float(w.sum())
+    thinned = ws.mark_table(0.3)
+    assert thinned.cum.tobytes() == np.cumsum(0.3 * w).tobytes()
+    assert thinned.total == float((0.3 * w).sum())
+
+
+def test_weights_and_one_table_hold_twenty_bytes_per_vertex():
+    # 8 bytes of weights, 8 of prefix sums and 4 of guide per vertex; the
+    # prefix sums overwrite the scaled weights, and no pi = 1 table is built
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        ws = build_weights(model_params(2.5, 1.0, n))
+        ws.mark_table(0.3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(ws._tables) == [True]
+    assert held / n <= 20.1
+    assert peak / n <= 23.0
+
+
+def test_n_past_int64_pair_keys_rejected():
+    # pairs are keyed as i*(n+1) + j, at most (n+1)**2 - 1; checked without
+    # building anything
+    largest = 3_037_000_498
+    assert (largest + 1) ** 2 - 1 <= 2**63 - 1 < (largest + 2) ** 2 - 1
+    assert model_params(2.5, 1.0, largest).n == largest
+    with pytest.raises(DomainError):
+        model_params(2.5, 1.0, largest + 1)
 
 
 def test_weight_of_range_checked():
