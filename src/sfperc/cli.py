@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import experiments as xp
-from .errors import SfpercError
+from .errors import ConfigError, SfpercError
 from .exploration import write_trace_csv
 from .graphgen import (
     sample_coupled_direct,
@@ -128,6 +128,8 @@ def _run_experiment(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
     params = model_params(args.tau, args.C, args.n)
     ws = build_weights(params)
     rng = np.random.default_rng(args.seed)

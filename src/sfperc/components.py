@@ -187,7 +187,7 @@ def core_giant_and_weight(g_core: SimpleGraph, weights: WeightSequence,
     """Largest core component and its percolated weight sum_{i in giant} pi_n w_i."""
     summary = component_sizes(g_core)
     members = summary.giant_members
-    weight = float(schedule.pi_n * weights.weights[members - 1].sum())
+    weight = float(schedule.pi_n * weights.weight(members).sum())
     return CoreGiant(size=summary.giant_size, weight=weight, members=members)
 
 

@@ -50,7 +50,7 @@ from .theory import (
     truncated_operator_norm,
 )
 
-RESULT_VERSION = 2
+RESULT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -461,9 +461,10 @@ def _aggregate(records: list) -> dict:
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the configured ensemble and return (and optionally persist) the result.
 
-    Replica order never affects output: records are keyed and sorted by
-    (n, replica), and each replica's generator is derived, not drawn from a
-    shared stream, so `threads > 1` produces byte-identical reports.
+    Replica order never affects output: records come back in (n, replica)
+    order, each replica's generator is derived, not drawn from a shared
+    stream, and the contexts hold nothing mutable, so `threads > 1`
+    produces byte-identical reports.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -479,14 +480,10 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         return _replica_record(config, contexts[n], r, seed)
 
     if threads > 1:
-        # The first replica at each n builds the mark table the others read,
-        # so no two threads build the same table.
-        records = [work(job) for job in jobs if job[1] == 0]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records += pool.map(work, [job for job in jobs if job[1] > 0])
+            records = list(pool.map(work, jobs))
     else:
         records = [work(job) for job in jobs]
-    records.sort(key=lambda rec: (rec["n"], rec["replica"]))
 
     result = ExperimentResult(
         config=config,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .components import component_sizes
 from .errors import DomainError, RangeError
-from .graphgen import draw_marks, sample_percolated_mnr_subset
+from .graphgen import MultiGraph, draw_marks, sample_percolated_mnr_direct
 from .params import PercolationSchedule, WeightSequence
 from .theory import TheoryConstants, limit_curve_z
 
@@ -105,7 +105,7 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     marks = draw_marks(weights, m, rng)
     new = _first_draws(marks, weights.n)
     # Percolated weights pi_n * w of the drawn marks only, not of all n vertices.
-    wbar = schedule.pi_n * weights.weights[marks - 1]
+    wbar = schedule.pi_n * weights.weight(marks)
     X = np.zeros(m, dtype=np.int64)
     X[new] = rng.poisson(wbar[new])
 
@@ -156,23 +156,23 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
                                t: float, rng) -> int:
     """Largest component among the vertices still unexplored at time t.
 
-    Explores for floor(t*beta_n) steps, then samples the percolated graph on
-    the unexplored set (the conditional law is again Poissonian with the
-    original rates) and measures its largest component.  Returns 0 when
-    everything was explored, and counts isolated survivors as size 1.
+    Explores for floor(t*beta_n) steps, then samples the percolated graph
+    and keeps the pairs whose two ends are both unexplored: by Poisson
+    restriction that is the percolated graph on the unexplored set, with
+    the original rates.  Returns 0 when everything was explored, and counts
+    isolated survivors as size 1.
     """
     steps = _step_of(t, schedule, None)
-    unexplored = np.ones(weights.n + 1, dtype=bool)
-    unexplored[0] = False
+    explored = np.zeros(weights.n + 1, dtype=bool)
     if steps >= 1:
-        # every drawn mark is explored; repeats clear the same flag again
-        unexplored[run_exploration(weights, schedule, steps, rng).marks] = False
-    remaining = np.flatnonzero(unexplored)
-    if remaining.size == 0:
+        explored[run_exploration(weights, schedule, steps, rng).marks] = True
+    if np.count_nonzero(explored) == weights.n:
         return 0
-    g = sample_percolated_mnr_subset(weights, schedule.pi_n, remaining, rng)
+    g = sample_percolated_mnr_direct(weights, schedule.pi_n, rng)
+    keep = ~(explored[g.src] | explored[g.dst])
     # edges join only unexplored vertices, so explored ones are isolated
-    return component_sizes(g).giant_size
+    return component_sizes(MultiGraph(n=g.n, src=g.src[keep], dst=g.dst[keep],
+                                      mult=g.mult[keep])).giant_size
 
 
 def write_trace_csv(trace: ExplorationTrace, path) -> None:

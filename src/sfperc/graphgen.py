@@ -3,10 +3,9 @@
 Sampling is Poissonized throughout: the total number of edge slots is
 Poisson(ell_n / 2) and both endpoints of each slot are i.i.d. size-biased
 marks, which makes the per-pair multiplicities independent Poissons with
-rate w_i * w_j / ell_n (and w_i^2 / (2*ell_n) for self-loops).  Marks are
-drawn by exact inverse CDF: each uniform starts at its bucket's entry in a
-guide table of the cumulative weights and steps forward to its mark.  The
-tables of the full vertex set live on the WeightSequence, built once per pi.
+rate w_i * w_j / ell_n (and w_i^2 / (2*ell_n) for self-loops).  The marks
+follow the bounded Zipf law P(M = i) proportional to i**-alpha, drawn exactly
+by rejection-inversion from (n, alpha) alone, with no per-vertex table.
 
 Percolation by pi is equivalent to sampling with weights pi * w, which is
 what the "direct" samplers exploit.  The coupled simple-graph and multigraph
@@ -19,13 +18,14 @@ few non-loop pairs the simple graph dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .params import MarkTable, WeightSequence
+from .params import WeightSequence
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,47 @@ def _check_pairs(g: MultiGraph | SimpleGraph, loops: bool, edge_count: int) -> N
 
 
 def draw_marks(weights: WeightSequence, size: int, rng) -> np.ndarray:
-    """i.i.d. size-biased marks, P(M = i) = w_i / ell_n, as 1-based vertex ids.
-
-    Exact inverse-CDF sampling: each uniform times ell_n is located on the
-    cumulative weights through the cached ``weights.mark_table()``.
-    """
+    """i.i.d. size-biased marks, P(M = i) = w_i / ell_n, as 1-based vertex ids."""
     if size < 0:
         raise DomainError(f"sample size must be nonnegative, got {size}")
-    u = rng.random(size) * weights.ell_n
-    return weights.mark_table().lookup(u) + 1
+    return _zipf(weights.n, weights.alpha, size, rng)
+
+
+def _zipf(n: int, alpha: float, size: int, rng) -> np.ndarray:
+    """Exact draws of P(M = i) proportional to h(i) = i**-alpha, i = 1..n, 0 <= alpha < 1.
+
+    Rejection-inversion (Hormann & Derflinger, ACM TOMACS 6(3), 1996): with
+    H the integral of h from 1, u uniform on (H(1.5) - 1, H(n + 0.5)] gives
+    x = H^-1(u) and k = floor(x + 0.5).  As h is convex, k is kept when u >=
+    H(k + 0.5) - h(k), an interval of length h(k) inside k's share of the
+    range; k - x <= s implies that.  Rejected draws are drawn again.
+    """
+    # H(x) = expm1(b log x) / b and H^-1(y) = exp(log1p(b y) / b)
+    b = 1.0 - alpha
+    lo, hi = math.expm1(b * math.log(1.5)) / b - 1.0, math.expm1(b * math.log(n + 0.5)) / b
+    s = 2.0 - math.exp(math.log1p(math.expm1(b * math.log(2.5)) - b * 2.0 ** -alpha) / b)
+    u = rng.random(size)
+    u *= lo - hi
+    u += hi
+    x = u * b
+    np.log1p(x, out=x)
+    x /= b
+    np.exp(x, out=x)
+    k = x + 0.5
+    np.floor(k, out=k)
+    # x > 0.5 throughout, as the integral of h over [0.5, 1.5] exceeds h(1)
+    # = 1, so only rounding past n + 0.5 needs a clip.
+    np.minimum(k, n, out=k)
+    np.subtract(k, x, out=x)  # k - x
+    reject = np.flatnonzero(x > s)
+    if reject.size:
+        kr = k[reject]
+        reject = reject[u[reject] < np.expm1(b * np.log(kr + 0.5)) / b - kr ** -alpha]
+    del u, x
+    marks = k.astype(np.int64)
+    if reject.size:
+        marks[reject] = _zipf(n, alpha, reject.size, rng)
+    return marks
 
 
 def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
@@ -192,27 +224,20 @@ def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     return src, dst, mult
 
 
-def _sample_poissonized(n: int, table: MarkTable, ell_div: float, rng,
-                        ids: np.ndarray | None = None) -> MultiGraph:
-    """Poissonized sampler on the effective weights behind ``table``: the
-    slot count is Poisson(W^2 / (2*ell_div)) with W = table.total, endpoints
-    i.i.d. proportional to the weights.  Pair (i, j) then carries an
-    independent Poisson(w_i*w_j/ell_div) multiplicity (w_i^2/(2*ell_div) for
-    loops).  Table index k is vertex ``ids[k]``, or k + 1 without ``ids``."""
-    m = int(rng.poisson(table.total * table.total / (2.0 * ell_div)))
-
-    def ends():
-        idx = table.lookup(rng.random(m) * table.cum[-1])
-        return idx + 1 if ids is None else ids[idx]
-
-    src, dst, mult = _aggregate_pairs(n, ends(), ends())
-    return MultiGraph(n=n, src=src, dst=dst, mult=mult)
+def _sample_poissonized(weights: WeightSequence, pi: float, rng) -> MultiGraph:
+    """Poissonized sampler on the weights pi * w: Poisson(pi * ell_n / 2) slots
+    with i.i.d. size-biased endpoints, so pair (i, j) carries an independent
+    Poisson(pi*w_i*w_j/ell_n) multiplicity (pi*w_i^2/(2*ell_n) for loops)."""
+    m = int(rng.poisson(pi * weights.ell_n / 2.0))
+    src, dst, mult = _aggregate_pairs(weights.n, draw_marks(weights, m, rng),
+                                      draw_marks(weights, m, rng))
+    return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)
 
 
 def sample_mnr(weights: WeightSequence, rng) -> MultiGraph:
     """Sample the Poissonian multigraph: multiplicity of {i, j} is
     Poisson(w_i * w_j / ell_n), loops Poisson(w_i^2 / (2*ell_n))."""
-    return _sample_poissonized(weights.n, weights.mark_table(), weights.ell_n, rng)
+    return _sample_poissonized(weights, 1.0, rng)
 
 
 def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> MultiGraph:
@@ -223,27 +248,7 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
     original mark distribution.
     """
     _check_pi(pi)
-    return _sample_poissonized(weights.n, weights.mark_table(pi), pi * weights.ell_n, rng)
-
-
-def sample_percolated_mnr_subset(weights: WeightSequence, pi: float,
-                                 vertices: np.ndarray, rng) -> MultiGraph:
-    """Percolated multigraph restricted to ``vertices`` (1-based ids).
-
-    Conditionally on removing the complement, the induced subgraph of the
-    percolated model is again Poissonian with the same per-pair rates
-    pi * w_i * w_j / ell_n, which is what this samples.
-    """
-    _check_pi(pi)
-    ids = np.asarray(vertices, dtype=np.int64)
-    if ids.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return MultiGraph(n=weights.n, src=empty, dst=empty.copy(), mult=empty.copy())
-    if ids.min() < 1 or ids.max() > weights.n:
-        raise DomainError("subset contains vertex ids outside [1, n]")
-    eff = pi * weights.weights[ids - 1]
-    table = MarkTable.build(np.cumsum(eff), float(eff.sum()))
-    return _sample_poissonized(weights.n, table, pi * weights.ell_n, rng, ids)
+    return _sample_poissonized(weights, pi, rng)
 
 
 # --------------------------------------------------------------------------
@@ -304,12 +309,11 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
     pair = gm.src != gm.dst
-    w = weights.weights
     # K' rates (1-pi) * w_i * w_j / ell_n, built in place in that order,
     # then overwritten by P(some copy kept | k).
-    p = w.take(gm.src[pair] - 1)
+    p = weights.weight(gm.src[pair])
     p *= 1.0 - pi
-    p *= w.take(gm.dst[pair] - 1)
+    p *= weights.weight(gm.dst[pair])
     p /= weights.ell_n
     p = _any_copy_kept(gm.mult[pair] + rng.poisson(p), pi)
     if np.any(p < pi):

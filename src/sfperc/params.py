@@ -11,7 +11,7 @@ measured on the scale beta_n = n * pi_n**(1/(3-tau)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,122 +86,58 @@ def model_params(tau: float, C: float, n: int) -> ModelParams:
     return ModelParams(tau=float(tau), C=float(C), n=int(n), **derive_constants(tau, C))
 
 
-# Vertices per chunk of the guide-table build, which bounds its temporaries.
-_GUIDE_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class MarkTable:
-    """Exact inverse-CDF lookup on cumulative weights through a guide table.
-
-    The cutpoint method (Chen & Asau 1974; Devroye 1986, III.2.4): with
-    n equal buckets of [0, cum[-1]], ``guide[b]`` is the first vertex worth
-    trying for a query in bucket b = floor(q * inv_h), namely
-    #{i < n-1 : floor(cum[i] * inv_h) < b}.  A correctly rounded product
-    with a positive constant is monotone, so every vertex counted there has
-    cum[i] < q, the start never overshoots, and stepping forward while
-    cum[idx] <= q ends exactly at ``np.searchsorted(cum, q, side="right")``.
-    Leaving the last vertex out of the count keeps every start below n.
-    ``total`` is ``np.sum`` of the weights behind ``cum``; the slot count's
-    rate uses it, and it can differ from cum[-1] in the last bits.
-    """
-
-    cum: np.ndarray
-    total: float
-    inv_h: float
-    guide: np.ndarray
-
-    @classmethod
-    def build(cls, cum: np.ndarray, total: float) -> "MarkTable":
-        n = cum.size
-        inv_h = n / float(cum[-1])
-        # Each chunk's buckets are sorted, so its run lengths count them.
-        guide = np.zeros(n + 2, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-        for lo in range(0, n - 1, _GUIDE_CHUNK):
-            bucket = (cum[lo:min(lo + _GUIDE_CHUNK, n - 1)] * inv_h).astype(np.intp)
-            starts = np.flatnonzero(np.diff(bucket, prepend=-1))
-            guide[bucket[starts] + 1] += np.diff(starts, append=bucket.size)
-        np.cumsum(guide, out=guide)
-        return cls(cum=cum, total=total, inv_h=inv_h, guide=guide)
-
-    def lookup(self, q: np.ndarray) -> np.ndarray:
-        """``np.searchsorted(self.cum, q, side="right")`` as int64, for q >= 0."""
-        n = self.cum.size
-        b = q * self.inv_h
-        np.minimum(b, n + 1, out=b)
-        idx = self.guide[b.astype(np.intp)].astype(np.int64)
-        step = self.cum[idx] <= q
-        idx += step
-        act = np.flatnonzero(step)
-        while act.size:
-            i = idx[act]
-            act = act[(i < n) & (self.cum.take(i, mode="clip") <= q[act])]
-            idx[act] += 1
-        return idx
+# Vertices per chunk of the ell_n sum, which bounds its temporaries.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Non-increasing vertex weights w_1 >= ... >= w_n with their total ell_n.
+    """The power-law weights w_i = c_F * (n/i)**alpha, i = 1..n, and their total ell_n.
 
-    ``ell_n`` is the last inclusive prefix sum of the weights; the sums
-    themselves are not kept.  ``mark_table(pi)`` looks up size-biased marks
-    P(M = i) = w_i / ell_n on the prefix sums of pi * w by exact inverse
-    CDF; it is built on first use and kept, for pi = 1 and for the last
-    pi < 1 asked for, so a sequence holds 8 bytes per vertex plus the
-    tables its callers read (12 bytes per vertex each).  The power-law
-    shape is only guaranteed for sequences from build_weights.
+    No weight is stored: ``weight(ids)`` evaluates w at the ids a caller
+    gathers, and the size-biased mark law P(M = i) = w_i / ell_n, which is
+    proportional to i**-alpha whatever the percolation, is drawn from
+    (n, alpha) alone.  ``ell_n`` is the last inclusive prefix sum of the
+    weights in id order.
     """
 
-    weights: np.ndarray
+    n: int
+    alpha: float
+    c_F: float
     ell_n: float
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_array(cls, weights) -> "WeightSequence":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise DomainError("weights must be a non-empty 1-d array")
-        if not np.all(w > 0.0):
-            raise DomainError("weights must all be positive")
-        w.setflags(write=False)
-        return cls(weights=w, ell_n=float(np.cumsum(w)[-1]))
+    def of(cls, n: int, alpha: float, c_F: float) -> "WeightSequence":
+        """The sequence with ell_n summed in chunks of ``_CHUNK`` ids.
 
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-    def mark_table(self, pi: float = 1.0) -> MarkTable:
-        """The mark table of the weights pi * w, built once per pi.
-
-        Racing threads may both build it; they build the same table.
+        Each chunk's first weight takes the running total before the chunk's
+        cumsum, so ell_n is ``np.cumsum(w)[-1]`` of all n weights bit for bit.
         """
-        thinned = pi != 1.0
-        cached = self._tables.get(thinned)
-        if cached is not None and cached[0] == pi:
-            return cached[1]
-        # The prefix sums overwrite the scaled weights once they are summed.
-        cum = pi * self.weights if thinned else self.weights.copy()
-        total = float(cum.sum())
-        table = MarkTable.build(np.cumsum(cum, out=cum), total)
-        self._tables[thinned] = (pi, table)
-        return table
+        ws = cls(n=n, alpha=alpha, c_F=c_F, ell_n=0.0)
+        total = 0.0
+        for lo in range(1, n + 1, _CHUNK):
+            w = ws.weight(np.arange(lo, min(lo + _CHUNK, n + 1)))
+            w[0] += total
+            total = float(np.cumsum(w, out=w)[-1])
+        return cls(n=n, alpha=alpha, c_F=c_F, ell_n=total)
+
+    def weight(self, ids: np.ndarray) -> np.ndarray:
+        """w at an int array of 1-based ids, bit for bit c_F * (n / ids) ** alpha."""
+        w = self.n / ids
+        np.power(w, self.alpha, out=w)
+        w *= self.c_F
+        return w
 
     def weight_of(self, vertex: int) -> float:
         """Weight of a 1-based vertex id."""
         if not (1 <= vertex <= self.n):
             raise RangeError(f"vertex id {vertex} outside [1, {self.n}]")
-        return float(self.weights[vertex - 1])
+        return float(self.weight(np.array([vertex]))[0])
 
 
 def build_weights(params: ModelParams) -> WeightSequence:
-    """Materialize w_i = c_F * (n/i)**alpha for i = 1..n."""
-    # In place, and bit for bit c_F * (n / i) ** alpha.
-    w = np.arange(1, params.n + 1, dtype=np.float64)
-    np.divide(params.n, w, out=w)
-    np.power(w, params.alpha, out=w)
-    w *= params.c_F
-    return WeightSequence.from_array(w)
+    """The weights w_i = c_F * (n/i)**alpha of ``params`` with their total."""
+    return WeightSequence.of(params.n, params.alpha, params.c_F)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ multigraph and its collapse (criteria 3 and 9), the closed survival
 probability of a type-u particle and a Monte Carlo branching process that
 estimates it (criterion 2), the exact Laplace-type sum behind the
 exploration drift (criterion 4), and the finite-n core kernel next to its
-limit (criterion 7).  ``labels_from_summary`` reads each vertex's component
+limit (criterion 7).  ``weight_array`` lists all n weights of a sequence,
+which the library itself never holds.  ``labels_from_summary`` reads each vertex's component
 label off a component summary, and ``read_edge_rows`` parses the edge-list
 dump that ``sfperc generate`` writes.
 """
@@ -48,15 +49,21 @@ def percolate_multigraph(g: MultiGraph, pi: float, rng) -> MultiGraph:
 # --------------------------------------------------------------------------
 
 
-def laplace_sum_exact(weights, t: float, beta_n: float) -> float:
-    """Exact sum_i (w_i/ell_n) * (1 - (1 - w_i/ell_n)**(t * beta_n)).
+def weight_array(weights: WeightSequence) -> np.ndarray:
+    """All n weights w_1..w_n of a sequence, as one array."""
+    return weights.weight(np.arange(1, weights.n + 1))
+
+
+def laplace_sum_exact(w: np.ndarray, t: float, beta_n: float) -> float:
+    """Exact sum_i (w_i/ell_n) * (1 - (1 - w_i/ell_n)**(t * beta_n)) over an
+    array of weights, with ell_n their last prefix sum as in WeightSequence.
 
     For t*beta_n in the supercritical window this approaches
     kappa * (t * pi_n**(1/(3-tau)) / mu)**(tau-2).
     """
     if t < 0.0 or beta_n < 0.0:
         raise DomainError("t and beta_n must be nonnegative")
-    p = weights.weights / weights.ell_n
+    p = w / np.cumsum(w)[-1]
     exponent = t * beta_n
     return float(np.sum(p * (1.0 - (1.0 - p) ** exponent)))
 

@@ -60,6 +60,7 @@ from oracles import (
     laplace_sum_exact,
     percolate_multigraph,
     rho_a_of_u,
+    weight_array,
 )
 
 MASTER = 1
@@ -87,8 +88,9 @@ def _fresh_mark_sum(ws: WeightSequence, power: float, l_max: float, terms: int =
     expanded in l over their power sums, and the series remainder after
     ``terms`` terms is below e/(terms+1)! of their total.
     """
-    q = np.log1p(-ws.weights / ws.ell_n)
-    coef = ws.weights ** power
+    w = weight_array(ws)
+    q = np.log1p(-w / ws.ell_n)
+    coef = w ** power
     heavy = int(np.count_nonzero(l_max * q < -1.0))
     x = l_max * q[heavy:]  # in [-1, 0]
     term = coef[heavy:].copy()
@@ -158,10 +160,11 @@ def _one_neighborhood_law(ws: WeightSequence, sch, members: np.ndarray, core_siz
     p_j = 1 - prod_{i in G} (1 - pi_n*(1 - exp(-w_i w_j/ell_n))).  The log of
     the product is a power series in w_j/ell_n over the power sums of G.
     """
-    w_giant = ws.weights[members - 1]
+    w_giant = ws.weight(members)
     power_sums = np.array([np.sum(w_giant ** k) for k in range(terms + 1)])
     coef = _log_miss_coefficients(sch.pi_n, terms) * power_sums
-    return -np.expm1(np.polynomial.polynomial.polyval(ws.weights[core_size:] / ws.ell_n, coef))
+    w_out = ws.weight(np.arange(core_size + 1, ws.n + 1))
+    return -np.expm1(np.polynomial.polynomial.polyval(w_out / ws.ell_n, coef))
 
 
 # --------------------------------------------------------------------------
@@ -274,8 +277,9 @@ def _poisson_chi2_pvalue(samples: np.ndarray, rate: float) -> float:
 def test_criterion_3_sampler_correctness():
     draws = 100_000
 
-    # n=2 toy: pair (1, 2) multiplicity is Poisson(1/2)
-    ws2 = WeightSequence.from_array([1.0, 1.0])
+    # n=2 toy, the alpha = 0 member of the family: pair (1, 2) multiplicity
+    # is Poisson(1/2)
+    ws2 = WeightSequence.of(2, 0.0, 1.0)
     rng = np.random.default_rng(derive_seed(MASTER, 2, 0))
     mults2 = np.array([_mult_of(sample_mnr(ws2, rng), 1, 2) for _ in range(draws)])
     p2 = _poisson_chi2_pvalue(mults2, 0.5)
@@ -283,7 +287,7 @@ def test_criterion_3_sampler_correctness():
     # n=5 power-law toy: multiplicity of (1, 2) plus the collapsed edge indicator
     params5 = model_params(2.5, 1.0, 5)
     ws5 = build_weights(params5)
-    rate5 = float(ws5.weights[0] * ws5.weights[1] / ws5.ell_n)
+    rate5 = ws5.weight_of(1) * ws5.weight_of(2) / ws5.ell_n
     rng = np.random.default_rng(derive_seed(MASTER, 5, 0))
     mults5 = np.empty(draws, dtype=np.int64)
     present = 0
@@ -351,7 +355,7 @@ def test_criterion_4_exploration_limit():
         t = l / sch.beta_n
         z = params.mu ** (3.0 - params.tau) * constants.kappa * t ** (params.tau - 2.0) - t
         m = _mean_walk(ws, sch, steps)(l)
-        exact = (sch.pi_n * ws.ell_n * laplace_sum_exact(ws, t[-1], sch.beta_n)
+        exact = (sch.pi_n * ws.ell_n * laplace_sum_exact(weight_array(ws), t[-1], sch.beta_n)
                  - steps) / sch.beta_n
         series_err = max(series_err, abs(m[-1] - exact) / max_z)
         drift.append(float(np.abs(m - z).max()) / max_z)
@@ -482,7 +486,7 @@ def test_criterion_7_core_structure():
                         and giant.weight == rec["core_giant_weight"])
             p_join = _one_neighborhood_law(ws, sch, giant.members, core_size)
             for j in (core_size + 1, n):  # largest and smallest w_i w_j / ell_n
-                x = ws.weights[giant.members - 1] * ws.weights[j - 1] / ws.ell_n
+                x = ws.weight(giant.members) * ws.weight_of(j) / ws.ell_n
                 direct = -math.expm1(float(np.sum(np.log1p(sch.pi_n * np.expm1(-x)))))
                 series_err = max(series_err, abs(p_join[j - core_size - 1] / direct - 1.0))
             mean, var = float(p_join.sum()), float(np.sum(p_join * (1.0 - p_join)))

@@ -164,8 +164,10 @@ def test_config_file_and_subcommand_mismatch(tmp_path):
         main(["single-vs-multi", "--config", str(path)])
     # matching subcommand consumes the same file happily
     assert main(["giant", "--config", str(path)]) == 0
-    path.write_text(json.dumps({**config.to_dict(), "version": 1}))
-    assert main(["giant", "--config", str(path)]) == 2
+    # every earlier version is rejected
+    for version in range(1, xp.RESULT_VERSION):
+        path.write_text(json.dumps({**config.to_dict(), "version": version}))
+        assert main(["giant", "--config", str(path)]) == 2
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -238,19 +240,39 @@ def test_explore_trace_builds_weights_once_per_n(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, digest", [
     (["explore", "--n-grid", "2000", "--replicas", "1", "--seed", "3", "--T", "2.0",
       "--trace"],
-     "b19391a47fecf8ac7981062411a3eb9d45d8e7d1afa8d0fa64d1d0bb2d6dac03"),
+     "7a45a7f0b2bc1f484754dd06f981e1828e5b8e43459170d77a65946eecfaed5d"),
     (["generate", "--n", "5000", "--seed", "4", "--out"],
-     "294067611e6dcab7e01a42e16357e5419ce427e99e0e4accfaacf18237cbc6d1"),
+     "52e0bc9e8f0b0a20fd6c5c39212c92fbb8fc01f45bc549dfdbb0569de3bcdc6c"),
     (["generate", "--n", "5000", "--mode", "multi", "--seed", "4", "--out"],
-     "45ef45ac905f0c417be515c07972214ada95dd40e935d04f4b01049a02794cb7"),
+     "e7edeafe05bde092e8a9b2d36dbc460662e483f459a336ee51553cff167e1c32"),
     (["generate", "--n", "5000", "--mode", "single", "--seed", "4",
       "--lambda-kind", "constant", "--lambda-value", "4", "--out"],
-     "6a869f47a857c830c840b30d6cd7fd55b40d5399d15f2912c087f4461e23e50a"),
+     "bf94969727c1c85de4924dfc5662c3c08ba4ddcc9747b3cdc4d77ab9256cfa8b"),
 ], ids=["explore-trace", "generate-raw", "generate-multi", "generate-single"])
 def test_cli_output_files_pinned(argv, digest, tmp_path):
     path = tmp_path / "out.txt"
     assert main([*argv, str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generate_seed_outside_64_bits_exits_2_before_weights(seed, monkeypatch, tmp_path,
+                                                               capsys):
+    def refuse(params):
+        raise AssertionError("weights were built")
+
+    monkeypatch.setattr("sfperc.cli.build_weights", refuse)
+    out = tmp_path / "never.txt"
+    assert main(["generate", "--n", "10", "--seed", str(seed), "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_seed_at_both_ends_of_64_bits(tmp_path):
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"edges-{seed}.txt"
+        assert main(["generate", "--n", "10", "--seed", str(seed), "--out", str(out)]) == 0
+        assert read_edge_rows(out)[0] == 10
 
 
 @pytest.mark.parametrize("argv", [

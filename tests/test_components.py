@@ -475,7 +475,7 @@ def test_core_giant_and_weight_toy():
     giant = core_giant_and_weight(core, ws, sch)
     assert giant.size == 3
     assert giant.members.tolist() == [1, 2, 3]
-    expected = sch.pi_n * float(ws.weights[:3].sum())
+    expected = sch.pi_n * float(ws.weight(np.arange(1, 4)).sum())
     assert giant.weight == pytest.approx(expected, rel=1e-12)
 
 

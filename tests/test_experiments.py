@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from sfperc.experiments import (
 from sfperc.graphgen import sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
-    MarkTable,
     build_weights,
     core_prefix_size,
     make_schedule,
@@ -163,8 +161,9 @@ def test_config_from_dict_fail_closed():
     bad["surprise"] = 1
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
-    # version 1 configs predate the direct coupled sampler
-    for version in (1, RESULT_VERSION + 1):
+    # version 1 configs predate the direct coupled sampler, version 2 ones
+    # the table-free mark sampler
+    for version in (*range(1, RESULT_VERSION), RESULT_VERSION + 1):
         stale = dict(good)
         stale["version"] = version
         with pytest.raises(ConfigError):
@@ -208,26 +207,6 @@ def test_run_is_deterministic_and_thread_invariant():
     b = run(config)
     c = run(config, threads=4)
     assert a.to_json() == b.to_json() == c.to_json()
-
-
-def test_threaded_run_builds_each_mark_table_once(monkeypatch):
-    # a slow build leaves every thread time to find the table missing, so
-    # threads that each built on first use would build it once apiece
-    built = []
-    build = MarkTable.build
-
-    def slow_build(cum, total):
-        built.append(cum.size)
-        time.sleep(0.05)
-        return build(cum, total)
-
-    monkeypatch.setattr(MarkTable, "build", slow_build)
-    config = small_config(n_grid=(200, 400, 800), replicas=6)
-    threaded = run(config, threads=2)
-    assert built == [200, 400, 800]
-    built.clear()
-    assert threaded.to_json() == run(config).to_json()
-    assert built == [200, 400, 800]
 
 
 def test_run_record_layout():

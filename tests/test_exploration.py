@@ -24,7 +24,7 @@ from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
 from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 from sfperc.theory import compute_constants, limit_curve_z
 
-from oracles import labels_from_summary
+from oracles import labels_from_summary, weight_array
 
 
 def multi_setup(n=2000, seed=0):
@@ -56,7 +56,7 @@ def test_trace_matches_stepwise_oracle():
     # replay the walk rules step by step from the recorded marks
     params, ws, sch, rng = multi_setup(seed=3)
     trace = run_exploration(ws, sch, 400, rng)
-    wbar = sch.pi_n * ws.weights
+    wbar = sch.pi_n * weight_array(ws)
     X = np.diff(trace.Z) + 1
 
     seen: set[int] = set()
@@ -169,7 +169,7 @@ def test_mark_draws_match_weight_distribution():
     draws = 1_000_000
     marks = draw_marks(ws, draws, np.random.default_rng(0))
     observed = np.bincount(marks, minlength=ws.n + 1)[1:]
-    expected = draws * ws.weights / ws.ell_n
+    expected = draws * weight_array(ws) / ws.ell_n
     assert expected.min() > 100.0
     stat = float(np.sum((observed - expected) ** 2 / expected))
     assert chi2.sf(stat, ws.n - 1) > 0.01
@@ -180,7 +180,7 @@ def test_fresh_probability_negative_correlation():
     # deterministic inequality, checked exactly on every pair
     params = model_params(2.5, 1.0, 50)
     ws = build_weights(params)
-    q = ws.weights / ws.ell_n
+    q = weight_array(ws) / ws.ell_n
     i, j = np.triu_indices(ws.n, k=1)
     for l in (1, 2, 5, 10, 100, 1000):
         lhs = (1.0 - (q[i] + q[j])) ** l
@@ -209,6 +209,38 @@ def test_residual_moderate_time():
     params, ws, sch, rng = multi_setup(seed=31)
     size = residual_largest_component(ws, sch, 1.0, rng)
     assert 0 <= size < ws.n
+
+
+def test_residual_graph_is_the_percolated_graph_on_unexplored_pairs(monkeypatch):
+    # no residual pair touches an explored vertex, and a pair whose ends are
+    # both unexplored keeps its rate pi_n * w_i * w_j / ell_n (Poisson
+    # restriction: the walk and the graph are drawn independently)
+    params, ws, sch, rng = multi_setup(n=50, seed=41)
+    seen = {}
+
+    def walk(*args):
+        trace = run_exploration(*args)
+        seen["explored"] = set(trace.marks.tolist())
+        return trace
+
+    def sizes(g):
+        seen["graph"] = g
+        return component_sizes(g)
+
+    monkeypatch.setattr("sfperc.exploration.run_exploration", walk)
+    monkeypatch.setattr("sfperc.exploration.component_sizes", sizes)
+    reps, kept, total = 3000, 0, 0
+    for _ in range(reps):
+        residual_largest_component(ws, sch, 3.5 / sch.beta_n, rng)
+        g, explored = seen["graph"], seen["explored"]
+        assert len(explored) <= 3
+        assert not explored & set(g.src.tolist() + g.dst.tolist())
+        if not explored & {1, 2}:
+            kept += 1
+            total += sum(m for i, j, m in g.as_tuples() if (i, j) == (1, 2))
+    lam = sch.pi_n * ws.weight_of(1) * ws.weight_of(2) / ws.ell_n
+    assert kept > reps // 3
+    assert abs(total - kept * lam) < 4.0 * math.sqrt(kept * lam)
 
 
 # --------------------------------------------------------------------------

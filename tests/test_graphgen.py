@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,16 +21,15 @@ from sfperc.graphgen import (
     sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
-    sample_percolated_mnr_subset,
     write_edge_list,
 )
-from sfperc.params import MarkTable, WeightSequence, build_weights, model_params
+from sfperc.params import WeightSequence, build_weights, model_params
 
-from oracles import collapse_to_simple, percolate_multigraph, read_edge_rows
+from oracles import collapse_to_simple, percolate_multigraph, read_edge_rows, weight_array
 
 
 def toy_weights():
-    return WeightSequence.from_array([4.0, 2.0, 2.0, 1.0, 1.0])
+    return build_weights(model_params(2.5, 1.0, 5))
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def test_any_copy_kept_matches_where_form(pi):
 
 
 # --------------------------------------------------------------------------
-# samplers: exact laws on toy weight sequences
+# the mark sampler: exact bounded Zipf law by rejection-inversion
 # --------------------------------------------------------------------------
 
 
@@ -206,105 +203,69 @@ def test_draw_marks_distribution():
     marks = draw_marks(ws, size, rng)
     assert marks.min() >= 1 and marks.max() <= ws.n
     counts = np.bincount(marks, minlength=ws.n + 1)[1:]
-    probs = ws.weights / ws.ell_n
+    probs = weight_array(ws) / ws.ell_n
     # each cell within 4 binomial standard errors
     se = np.sqrt(size * probs * (1.0 - probs))
     assert np.all(np.abs(counts - size * probs) < 4.0 * se)
 
 
-def check_lookup(table, q):
-    got = table.lookup(q)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.searchsorted(table.cum, q, side="right"))
+@pytest.mark.parametrize("alpha", [0.0, 1 / 1.9, 1 / 1.5, 1 / 1.2, 0.99],
+                         ids=["alpha0", "tau2.9", "tau2.5", "tau2.2", "tau2.01"])
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_draw_marks_chi2_against_exact_pmf(n, alpha):
+    # P(M = i) = i**-alpha / sum_j j**-alpha, chi-squared on 1e6 draws at 1%
+    ws = WeightSequence(n=n, alpha=alpha, c_F=1.0, ell_n=1.0)  # marks read n and alpha
+    draws = 1_000_000
+    marks = draw_marks(ws, draws, np.random.default_rng(n))
+    assert marks.dtype == np.int64 and marks.min() >= 1 and marks.max() <= n
+    if n == 1:
+        return
+    pmf = np.arange(1, n + 1, dtype=np.float64) ** -alpha
+    expected = draws * pmf / pmf.sum()
+    observed = np.bincount(marks, minlength=n + 1)[1:]
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, n - 1) > 0.01, stat
 
 
-def check_guide(table):
-    # the guide is the count of vertices in lower buckets, capped at n - 1
-    n = table.cum.size
-    bucket = (table.cum * table.inv_h).astype(np.intp)
-    expected = np.minimum(np.searchsorted(bucket, np.arange(n + 2)), n - 1)
-    assert np.array_equal(table.guide, expected)
+class _Uniforms:
+    """A generator stand-in whose ``random`` hands out the given uniforms once."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, size):
+        assert size <= len(self.u), "a draw was rejected"
+        out, self.u = self.u[:size], self.u[size:]
+        return np.array(out)
 
 
-def adversarial_queries(table, rng, size=20_000):
-    """Random queries plus every cum entry, every bucket edge, their float
-    neighbours on both sides, and queries at and past the total."""
-    cum = table.cum
-    edges = np.arange(cum.size + 2) / table.inv_h
-    exact = np.concatenate([cum, edges])
-    total = cum[-1]
-    q = np.concatenate([
-        rng.random(size) * total,
-        exact,
-        np.nextafter(exact, np.inf),
-        np.nextafter(exact, -np.inf),
-        [0.0, total, np.nextafter(total, np.inf), 2.0 * total, 1e300],
-    ])
-    return q[q >= 0.0]
+@pytest.mark.parametrize("alpha", [0.0, 1 / 1.9, 1 / 1.5, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 7, 10**6, 3_037_000_498])
+def test_draw_marks_ends_of_the_inverse(n, alpha):
+    # u = 0 maps to the top of [H(1.5) - 1, H(n + 0.5)] and u -> 1 to the
+    # bottom; H^-1 there rounds to ids n and 1, and both are accepted
+    ws = WeightSequence(n=n, alpha=alpha, c_F=1.0, ell_n=1.0)
+    top, bottom = 0.0, np.nextafter(1.0, 0.0)
+    marks = draw_marks(ws, 2, _Uniforms([top, bottom]))
+    assert marks.tolist() == [n, 1]
 
 
-def test_lookup_matches_unsorted_search():
-    w = np.array([4.0, 2.0, 2.0, 1.0, 1.0])
-    cum = np.cumsum(w)
-    table = MarkTable.build(cum, float(w.sum()))
-    rng = np.random.default_rng(3)
-    queries = (
-        np.empty(0),
-        np.concatenate([[0.0], cum]),  # exactly on every cumulative boundary
-        np.array([2.5, 8.0, 2.5, 0.0, 8.0, 8.0, 9.75]),  # repeated values
-        rng.random(10_000) * cum[-1],
-        adversarial_queries(table, rng),
-    )
-    for u in queries:
-        check_lookup(table, u)
-
-
-@pytest.mark.parametrize("pi", [1.0, 0.316, 0.126, 0.04])
-def test_lookup_on_power_law_weights(pi):
-    # n spans three build chunks, so bucket runs cross chunk boundaries
-    ws = build_weights(model_params(2.5, 1.0, 150_000))
-    table = ws.mark_table(pi)
-    check_lookup(table, adversarial_queries(table, np.random.default_rng(5)))
-    check_guide(table)
-
-
-@pytest.mark.parametrize("w", [
-    [1.0],
-    [3.0, 1.0],
-    [1.0, 3.0],
-    list(range(1, 300)),  # increasing, as a vertex subset may be: bucket 0 is used
-    [1e4] + [1e-3] * 50,  # one weight holds > 99% of the mass
-    [0.7] * 1000,  # equal weights: cum entries sit on bucket edges
-], ids=["n1", "n2", "n2_increasing", "increasing", "dominant", "equal"])
-def test_lookup_edge_cases(w):
-    ws = WeightSequence.from_array(w)
-    table = ws.mark_table()
-    check_lookup(table, adversarial_queries(table, np.random.default_rng(9), size=2000))
-    check_guide(table)
-    marks = draw_marks(ws, 5000, np.random.default_rng(1))
-    assert marks.min() >= 1 and marks.max() <= ws.n
-
-
-def test_mark_tables_built_on_first_use_and_shared():
-    ws = build_weights(model_params(2.5, 1.0, 1000))
-    assert ws._tables == {}  # build_weights, which set-up times, builds none
-    pi = 0.2
-    rng = np.random.default_rng(2)
-    sample_percolated_mnr_direct(ws, pi, rng)
-    table = ws.mark_table(pi)
-    sample_percolated_mnr_direct(ws, pi, rng)
-    assert ws.mark_table(pi) is table
-    draw_marks(ws, 10, rng)
-    full = ws.mark_table()
-    assert np.array_equal(full.cum, np.cumsum(ws.weights))
-    assert full.total == float(ws.weights.sum())
-    sample_mnr(ws, rng)
-    assert ws.mark_table() is full and ws.mark_table(pi) is table
-    # one slot for pi < 1: a new pi replaces the old table, pi = 1 stays
-    other = ws.mark_table(0.3)
-    assert other is not table and ws.mark_table() is full
-    assert np.array_equal(other.cum, np.cumsum(0.3 * ws.weights))
-    assert other.total == float((0.3 * ws.weights).sum())
+def test_draw_marks_at_the_largest_n():
+    # at the largest n the pair keys allow, draws stay in [1, n] and the
+    # peak is a fixed number of bytes per draw; ell_n is never summed
+    n = 3_037_000_498
+    ws = WeightSequence(n=n, alpha=1 / 1.5, c_F=1.0, ell_n=1.0)
+    draws = 500_000
+    rng = np.random.default_rng(12)
+    tracemalloc.start()
+    try:
+        marks = draw_marks(ws, draws, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert marks.min() >= 1 and marks.max() <= n
+    assert marks.max() > n // 2  # the tail is reached
+    assert peak / draws <= 41.0
 
 
 def test_draw_marks_rejects_negative_size():
@@ -312,27 +273,9 @@ def test_draw_marks_rejects_negative_size():
         draw_marks(toy_weights(), -1, np.random.default_rng(0))
 
 
-def test_mark_tables_under_racing_threads():
-    # threads race to build the tables and to replace the one pi < 1 slot;
-    # every draw must still see the table of its own pi
-    params = model_params(2.5, 1.0, 20_000)
-    pis = (0.2, 0.3, 1.0)
-
-    def draw(ws, k):
-        g = sample_percolated_mnr_direct(ws, pis[k % 3], np.random.default_rng(k))
-        return g.as_tuples()
-
-    serial = [draw(build_weights(params), k) for k in range(24)]
-    ws = build_weights(params)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(draw, ws, k) for k in range(24)]
-            racing = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert racing == serial
+# --------------------------------------------------------------------------
+# samplers: exact laws on toy weight sequences
+# --------------------------------------------------------------------------
 
 
 def test_sample_mnr_pair_rates():
@@ -351,8 +294,8 @@ def test_sample_mnr_pair_rates():
             if (i, j) == (1, 1):
                 tot_loop1 += m
         edges += g.total_edge_count
-    lam_12 = ws.weights[0] * ws.weights[1] / ws.ell_n
-    lam_loop = ws.weights[0] ** 2 / (2.0 * ws.ell_n)
+    lam_12 = ws.weight_of(1) * ws.weight_of(2) / ws.ell_n
+    lam_loop = ws.weight_of(1) ** 2 / (2.0 * ws.ell_n)
     lam_tot = ws.ell_n / 2.0
     for total, lam in ((tot_12, lam_12), (tot_loop1, lam_loop), (edges, lam_tot)):
         se = math.sqrt(reps * lam)
@@ -368,45 +311,6 @@ def test_direct_percolated_sampler_rate():
                 for _ in range(reps))
     lam = pi * ws.ell_n / 2.0
     assert abs(edges - reps * lam) < 4.0 * math.sqrt(reps * lam)
-
-
-def test_subset_sampler_respects_subset():
-    params = model_params(2.5, 1.0, 500)
-    ws = build_weights(params)
-    rng = np.random.default_rng(5)
-    sub = np.array([3, 8, 13, 21, 34], dtype=np.int64)
-    g = sample_percolated_mnr_subset(ws, 0.8, sub, rng)
-    g.validate()
-    assert g.n == ws.n
-    members = set(sub.tolist())
-    assert set(g.src.tolist()) <= members and set(g.dst.tolist()) <= members
-
-
-def test_subset_sampler_edge_cases():
-    ws = toy_weights()
-    rng = np.random.default_rng(0)
-    empty = sample_percolated_mnr_subset(ws, 0.5, np.array([], dtype=np.int64), rng)
-    assert empty.pair_count == 0 and empty.n == ws.n
-    with pytest.raises(DomainError):
-        sample_percolated_mnr_subset(ws, 0.5, np.array([0, 2]), rng)
-    with pytest.raises(DomainError):
-        sample_percolated_mnr_subset(ws, 0.5, np.array([2, 6]), rng)
-
-
-def test_subset_sampler_pair_rate():
-    ws = toy_weights()
-    rng = np.random.default_rng(19)
-    pi = 0.5
-    sub = np.array([1, 3], dtype=np.int64)
-    reps = 4000
-    total = 0
-    for _ in range(reps):
-        g = sample_percolated_mnr_subset(ws, pi, sub, rng)
-        for i, j, m in g.as_tuples():
-            if (i, j) == (1, 3):
-                total += m
-    lam = pi * ws.weights[0] * ws.weights[2] / ws.ell_n
-    assert abs(total - reps * lam) < 4.0 * math.sqrt(reps * lam)
 
 
 # --------------------------------------------------------------------------
@@ -530,7 +434,7 @@ def _joint_cells(draw, reps: int) -> Counter:
 def test_sample_coupled_direct_joint_law():
     # two-sample chi-squared against the raw-multigraph operator: multigraph
     # count, simple edge and their coupling, on two pairs and a loop
-    ws = WeightSequence.from_array([6.0, 4.0, 2.5, 1.0, 0.5])
+    ws = build_weights(model_params(2.5, 4.0, 5))
     pi, reps = 0.35, 20_000
     rng_ref, rng_new = np.random.default_rng(41), np.random.default_rng(43)
     ref = _joint_cells(lambda: percolate_coupled(sample_mnr(ws, rng_ref), pi, rng_ref), reps)
@@ -577,11 +481,9 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
 
 
 def test_sample_coupled_direct_memory_is_pair_bounded():
-    # the coupled sampler's peak, with its table built beforehand, stays
-    # within a fixed number of bytes per pair of the percolated multigraph
-    # (the three graphs it returns hold 40)
+    # the coupled sampler's peak stays within a fixed number of bytes per
+    # pair of the percolated multigraph (the three graphs it returns hold 40)
     ws = build_weights(model_params(2.5, 1.0, 200_000))
-    ws.mark_table(0.3)
     tracemalloc.start()
     try:
         gm = sample_coupled_direct(ws, 0.3, np.random.default_rng(17))[0]

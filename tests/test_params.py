@@ -16,8 +16,8 @@ from sfperc.errors import (
     ScheduleInfeasibleError,
 )
 from sfperc.params import (
+    _CHUNK,
     LambdaRule,
-    WeightSequence,
     build_weights,
     core_prefix_size,
     derive_constants,
@@ -76,45 +76,40 @@ def test_build_weights_power_law():
     assert ws.n == 100
     assert ws.weight_of(100) == pytest.approx(1.0, rel=1e-14)
     assert ws.weight_of(1) == pytest.approx(100.0 ** (2.0 / 3.0), rel=1e-14)
-    w = ws.weights
+    w = ws.weight(np.arange(1, 101))
     assert np.all(np.diff(w) < 0.0)
     assert ws.ell_n == pytest.approx(float(w.sum()), rel=1e-14)
-    np.testing.assert_allclose(ws.mark_table().cum, np.cumsum(w), rtol=1e-14)
 
 
 @pytest.mark.parametrize("tau", [2.2, 2.5, 2.9])
 @pytest.mark.parametrize("n", [1, 7, 10_000, 1_000_003])
 def test_build_weights_bitwise(tau, n):
-    # the in-place build equals the plain expression bit for bit, and so do
-    # ell_n and the mark tables' prefix sums
+    # the chunked ell_n equals the prefix sum of all n weights bit for bit,
+    # and weight(ids) equals the plain expression at every id, across chunks
     params = model_params(tau, 0.7, n)
     ws = build_weights(params)
-    i = np.arange(1, n + 1, dtype=np.float64)
+    i = np.arange(1, n + 1)
     w = params.c_F * (params.n / i) ** params.alpha
-    assert ws.weights.tobytes() == w.tobytes()
     assert ws.ell_n == float(np.cumsum(w)[-1])
-    full = ws.mark_table()
-    assert full.cum.tobytes() == np.cumsum(w).tobytes()
-    assert full.total == float(w.sum())
-    thinned = ws.mark_table(0.3)
-    assert thinned.cum.tobytes() == np.cumsum(0.3 * w).tobytes()
-    assert thinned.total == float((0.3 * w).sum())
+    assert ws.weight(i).tobytes() == w.tobytes()
+    picks = np.array([n, 1, (n + 1) // 2, min(n, _CHUNK + 1), min(n, 3 * _CHUNK)])
+    assert ws.weight(picks).tobytes() == w[picks - 1].tobytes()
 
 
-def test_weights_and_one_table_hold_twenty_bytes_per_vertex():
-    # 8 bytes of weights, 8 of prefix sums and 4 of guide per vertex; the
-    # prefix sums overwrite the scaled weights, and no pi = 1 table is built
+def test_build_weights_peak_is_one_chunk():
+    # ell_n is summed one chunk at a time: the peak is the chunk's ids, its
+    # weights and the last chunk's sums (8 bytes an id each) plus numpy's
+    # buffers, whatever n is, and nothing n-length is held
     n = 2_000_000
     tracemalloc.start()
     try:
         ws = build_weights(model_params(2.5, 1.0, n))
-        ws.mark_table(0.3)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert list(ws._tables) == [True]
-    assert held / n <= 20.1
-    assert peak / n <= 23.0
+    assert ws.n == n
+    assert held < 4096
+    assert peak <= 4 * 8 * _CHUNK
 
 
 def test_n_past_int64_pair_keys_rejected():
@@ -133,28 +128,6 @@ def test_weight_of_range_checked():
         ws.weight_of(0)
     with pytest.raises(RangeError):
         ws.weight_of(11)
-
-
-def test_weight_arrays_read_only():
-    ws = build_weights(model_params(2.5, 1.0, 10))
-    with pytest.raises(ValueError):
-        ws.weights[0] = 99.0
-
-
-def test_from_array_toy_sequence():
-    ws = WeightSequence.from_array([3.0, 2.0, 1.0])
-    assert ws.n == 3
-    assert ws.ell_n == pytest.approx(6.0)
-    assert ws.weight_of(2) == pytest.approx(2.0)
-
-
-def test_from_array_rejects_bad_values():
-    with pytest.raises(DomainError):
-        WeightSequence.from_array([])
-    with pytest.raises(DomainError):
-        WeightSequence.from_array([1.0, 0.0])
-    with pytest.raises(DomainError):
-        WeightSequence.from_array([1.0, -2.0])
 
 
 def test_lambda_rules_evaluate():

@@ -29,33 +29,33 @@ _spec.loader.exec_module(checks)
 # infeasible at n = 1e4, so it runs higher.
 PINNED = [
     ("multi_giant", (10**4, 10**5),
-     "95e73460b2454e9b71e8b238ee25f2ee909b7d5bff5cfa5db9538915db49a8d5",
-     "807e0fe27dd14e4c9b7ce100769f1633e91f5145728671c6eb20fb165e664354"),
+     "6891d7edecead9f7a37caa602ef19cd838b249092b60546e1b0308ae63b84551",
+     "de76b6537e1c88d7641f568ba71daf1722a78b9e958ab946566013214855ffc2"),
     ("single_vs_multi", (10**4, 10**5),
-     "4bdbd3854782122f5bf06577b05e98583b0127bd63eb1ec11246963e8f80b770",
-     "eaad9db8086f5f3515f5f7358665d5ec14ff032d034cfc31c31c0f27540d6590"),
+     "754bf4be27adcc0cd809918207bd3387972d5613e6b97555d402d8a7003e0db9",
+     "0561631f5fb513a3a1acae3ff2dc094db9b3a3a616a86e12a244745a8c3b6da5"),
     ("one_neighborhood", (10**5, 3 * 10**5),
-     "3747aa6675af5456d8b5c04335dd4171357f440ed50e425d24e6c65d4700c3ad",
-     "ac800ece425d6a4389097d5146bfccea14b61fe1e421aaaa3225b4e284a6d3f2"),
+     "e90ad86288315d7dd99cace8ea87d511cdad849192d67af343cd49bf657b7f78",
+     "0284c12d567848f7cffcda9b39f08e898e80234532ecfd00ec82b05715fe44a2"),
     ("residual_components", (10**4, 10**5),
-     "6796dee59172d88fe47e04c57a3039add781620635e825ded38d92a3e7b64c44",
-     "06ba4b17ab0bc4c9c909950c4eaabc13c0ec87a2ba496500c723f1678db6cce9"),
+     "e7d80a7aa2c09b1ae409cc331004b1d4ca28fe96fe51296eb54350e3a59699a9",
+     "9261d14faeda2be15a4bdbe8b286fed48caf53f920202680ba0bd19b32c358c2"),
     ("exploration_limit", (10**4, 10**5),
-     "f9625a7ebe829833005e31f5633fc5d3e323e76688ede99556928c70733f9c68",
-     "9b924dca0733bc67a08e872527b626b2adea778ffbf2d77046dd85cbb73958d9"),
+     "e162be98907ccf7b55879075194566b40dda15a1ada5f805103d9ec1dd32313a",
+     "12eeb898354d041ec3890a826780405a838494446bef769f4c3935c854854688"),
     ("repeat_fraction", (10**4, 10**5),
-     "610d696c03b6f4198f3b73f7abe6e12d44e7e9f488bd144228be7f89241e65fa",
-     "94c86a6c1de7ac848554e831eccc557ba23f220025096060daf28e45fa352e7f"),
+     "0f82a9b0632edbf61522eec819df8667b5a7a87e7b34b2613ff6acca2d321c45",
+     "2e84d21d8a34ff6c402a1a03431bcb04bdd5d72bb8e967c98479c29ef39b0a41"),
     ("theory_tables", (10**4, 10**5),
      "a2ca97891fa9d25314247c0ebfcb2d4435cdbdf6b62e42db8dc7105f06a4e5d9",
-     "579269bccc44c3218cfcab9b8066fd450b63dc8075808eb8110ac6a5da0fe7e5"),
+     "07b45b02a2e92c23bde7dcc822b8709b2b425aa7df4d927dab1aa69ed11d1649"),
 ]
 
 
 @pytest.mark.parametrize("experiment, n_grid, digest, report_digest", PINNED,
                          ids=[p[0] for p in PINNED])
 def test_records_digest_pinned(experiment, n_grid, digest, report_digest):
-    assert RESULT_VERSION == 2
+    assert RESULT_VERSION == 3
     result = run(ExperimentConfig(experiment, n_grid=n_grid, replicas=3, master_seed=1))
     assert checks.records_digest(result.records) == digest
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == report_digest

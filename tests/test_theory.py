@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfperc.errors import DomainError
-from sfperc.params import LambdaRule, WeightSequence, build_weights, make_schedule, model_params
+from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 from sfperc import theory as th
 
-from oracles import branching_survival_mc, laplace_sum_exact, rho_a_of_u
+from oracles import branching_survival_mc, laplace_sum_exact, rho_a_of_u, weight_array
 
 P = model_params(2.5, 1.0, 10**6)
 
@@ -117,14 +117,14 @@ def test_limit_curve_max_interior_and_boundary():
 
 
 def test_laplace_sum_exact_by_hand():
-    ws = WeightSequence.from_array([2.0, 1.0])
+    w = np.array([2.0, 1.0])
     t, beta = 0.7, 3.0
     expected = sum(
         (w / 3.0) * (1.0 - (1.0 - w / 3.0) ** (t * beta)) for w in (2.0, 1.0)
     )
-    assert laplace_sum_exact(ws, t, beta) == pytest.approx(expected, rel=1e-14)
+    assert laplace_sum_exact(w, t, beta) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DomainError):
-        laplace_sum_exact(ws, -1.0, beta)
+        laplace_sum_exact(w, -1.0, beta)
 
 
 def test_laplace_sum_approaches_power_asymptote():
@@ -140,7 +140,7 @@ def test_laplace_sum_approaches_power_asymptote():
         ws = build_weights(params)
         sch = make_schedule(params, "multi", rule)
         c = th.compute_constants(params)
-        exact = laplace_sum_exact(ws, 1.0, sch.beta_n)
+        exact = laplace_sum_exact(weight_array(ws), 1.0, sch.beta_n)
         assert exact == pytest.approx(value, rel=1e-12)
         asym = c.kappa * (sch.beta_n / (n * params.mu)) ** (params.tau - 2.0)
         gaps.append(abs(exact / asym - 1.0))
