@@ -66,6 +66,8 @@ class Experiment:
 
 
 _POWER = LambdaRule("power", 0.1)
+# Experiments whose replicas run the walk to the horizon; it must take a step.
+_WALKS = ("exploration_limit", "repeat_fraction")
 _N_GRID = (10**4, 10**5, 10**6)
 
 # The one place an experiment is declared; the CLI lists them in this order.
@@ -166,13 +168,18 @@ class ExperimentConfig:
                 f"the theory tables need a > {max(_THEORY_EPS_GRID)} for their operator norms,"
                 f" got a={self.a}"
             )
-        # every schedule, and the core experiment's core, must be feasible
-        # before any sampling happens
+        # every schedule, the core experiment's core and a walk's first step
+        # must be feasible before any sampling happens
         for n in self.n_grid:
             try:
                 sch = make_schedule(model_params(self.tau, self.C, n), self.mode, self.lambda_rule)
                 if self.experiment == "one_neighborhood":
                     core_prefix_size(sch, self.a)
+                if self.experiment in _WALKS:
+                    horizon = _horizon(self, sch.params, compute_constants(sch.params))
+                    if math.floor(horizon * sch.beta_n) < 1:
+                        raise DomainError(f"the walk horizon {horizon!r} takes no step"
+                                          f" (beta_n={sch.beta_n!r})")
             except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
@@ -246,6 +253,19 @@ class _Context:
     schedule: PercolationSchedule
     constants: object
     horizon: float  # exploration horizon in rescaled time
+    # exploration_limit only: z(l/beta_n) on the walk's step grid, read-only
+    z_grid: np.ndarray | None = None
+
+
+def _horizon(config: ExperimentConfig, params, constants) -> float:
+    """The exploration horizon in rescaled time: T when given, else the experiment's default."""
+    if config.T is not None:
+        return float(config.T)
+    if config.experiment == "exploration_limit":
+        return 1.5 * constants.zeta
+    if config.experiment == "residual_components":
+        return horizon_for_forward_degree(params)
+    return 1.0
 
 
 def _build_context(config: ExperimentConfig, n: int) -> _Context:
@@ -253,15 +273,14 @@ def _build_context(config: ExperimentConfig, n: int) -> _Context:
     ws = build_weights(params)
     sch = make_schedule(params, config.mode, config.lambda_rule)
     constants = compute_constants(params)
-    if config.T is not None:
-        horizon = float(config.T)
-    elif config.experiment == "exploration_limit":
-        horizon = 1.5 * constants.zeta
-    elif config.experiment == "residual_components":
-        horizon = horizon_for_forward_degree(params)
-    else:
-        horizon = 1.0
-    return _Context(n=n, weights=ws, schedule=sch, constants=constants, horizon=horizon)
+    horizon = _horizon(config, params, constants)
+    z_grid = None
+    if config.experiment == "exploration_limit":
+        last = math.floor(horizon * sch.beta_n)
+        z_grid = limit_curve_z(np.arange(last + 1) / sch.beta_n, params, constants)
+        z_grid.flags.writeable = False
+    return _Context(n=n, weights=ws, schedule=sch, constants=constants, horizon=horizon,
+                    z_grid=z_grid)
 
 
 def walk_to_horizon(ctx: _Context, rng) -> ExplorationTrace:
@@ -317,7 +336,7 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
         )
     elif kind == "exploration_limit":
         trace = walk_to_horizon(ctx, rng)
-        rec.update(sup_distance=sup_distance_to_limit(trace, sch, ctx.constants, ctx.horizon))
+        rec.update(sup_distance=sup_distance_to_limit(trace, sch, ctx.z_grid))
     elif kind == "repeat_fraction":
         trace = walk_to_horizon(ctx, rng)
         rec.update(pi_n=sch.pi_n, repeat_fraction=repeat_fraction(trace, sch, ctx.horizon))

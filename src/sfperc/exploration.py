@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +27,39 @@ from .components import component_sizes
 from .errors import DomainError, RangeError
 from .graphgen import MultiGraph, draw_marks, sample_percolated_mnr_direct
 from .params import PercolationSchedule, WeightSequence
-from .theory import TheoryConstants, limit_curve_z
 
 
 @dataclass(frozen=True)
 class ExplorationTrace:
     """Step-indexed record of one exploration run.
 
-    Arrays Z, S and repeats have length steps + 1 and start at the step-0
-    state; marks and new_mark have length steps.
+    marks, new_mark and wbar (the percolated weight pi_n * w of each drawn
+    mark) have length steps; Z has length steps + 1 and starts at the step-0
+    state.  S and repeats, also of length steps + 1 from step 0, are built
+    from them on first read and then kept: the ensemble experiments read
+    neither, so a walk replica builds neither.
     """
 
     steps: int
     marks: np.ndarray
     new_mark: np.ndarray
     Z: np.ndarray
-    S: np.ndarray
-    repeats: np.ndarray
+    wbar: np.ndarray
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """The weight-paid walk: S(l) = sum of wbar over fresh marks to step l, minus l."""
+        S = np.zeros(self.steps + 1)
+        np.cumsum(np.where(self.new_mark, self.wbar, 0.0), out=S[1:])
+        S[1:] -= np.arange(1, self.steps + 1)
+        return S
+
+    @cached_property
+    def repeats(self) -> np.ndarray:
+        """R(l), the repeated draws among the first l steps."""
+        repeats = np.zeros(self.steps + 1, dtype=np.int64)
+        np.cumsum(~self.new_mark, out=repeats[1:])
+        return repeats
 
     @property
     def excursions(self) -> list[tuple[int, int]]:
@@ -110,19 +127,15 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     X[new] = rng.poisson(wbar[new])
 
     Z = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(X - 1, out=Z[1:])
-    S = np.zeros(m + 1)
-    np.cumsum(np.where(new, wbar, 0.0), out=S[1:])
-    S[1:] -= np.arange(1, m + 1)
-    repeats = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(~new, out=repeats[1:])
+    X -= 1
+    np.cumsum(X, out=Z[1:])
 
-    # |V_l| = l - R(l): the fresh-mark count at every step.
-    if int(new.sum()) != m - int(repeats[-1]):
+    # |V_m| = m - R(m): the distinct marks are the fresh draws, every other
+    # draw a repeat.
+    if int(np.count_nonzero(new)) != m - int(np.count_nonzero(~new)):
         raise AssertionError("explored-set identity |V_l| = l - R(l) violated")
 
-    return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, S=S,
-                            repeats=repeats)
+    return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, wbar=wbar)
 
 
 def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
@@ -137,19 +150,26 @@ def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
 
 
 def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule,
-                          constants: TheoryConstants, T: float) -> float:
-    """sup over the step grid l = 0..floor(T*beta_n) of |Z(l)/beta_n - z(l/beta_n)|."""
-    last = _step_of(T, schedule, trace.steps)
-    z_vals = limit_curve_z(np.arange(last + 1) / schedule.beta_n, schedule.params, constants)
-    walk = trace.Z[: last + 1] / schedule.beta_n
-    return float(np.abs(walk - z_vals).max())
+                          z_grid: np.ndarray) -> float:
+    """sup over l = 0..last of |Z(l)/beta_n - z_grid[l]|, with last = z_grid.size - 1.
+
+    z_grid[l] is the limit curve z(l/beta_n) on the step grid up to the
+    horizon; the ensemble builds it once per n and every walk shares it.
+    """
+    last = z_grid.size - 1
+    if last > trace.steps:
+        raise RangeError(f"the limit grid needs step {last} but the trace has only {trace.steps}")
+    gap = trace.Z[: last + 1] / schedule.beta_n
+    gap -= z_grid
+    return float(np.abs(gap, out=gap).max())
 
 
 def repeat_fraction(trace: ExplorationTrace, schedule: PercolationSchedule,
                     t: float) -> float:
     """R(floor(t*beta_n)) / beta_n, the repeats seen by time t on the beta_n scale."""
     step = _step_of(t, schedule, trace.steps)
-    return float(trace.repeats[step] / schedule.beta_n)
+    repeats = step - int(np.count_nonzero(trace.new_mark[:step]))
+    return float(repeats / schedule.beta_n)
 
 
 def residual_largest_component(weights: WeightSequence, schedule: PercolationSchedule,
@@ -177,9 +197,8 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
 
 def write_trace_csv(trace: ExplorationTrace, path) -> None:
     """CSV export with header step,Z,S,repeats,new_mark (one row per step)."""
+    Z, S, repeats, new = trace.Z, trace.S, trace.repeats, trace.new_mark
     lines = ["step,Z,S,repeats,new_mark"]
     for l in range(1, trace.steps + 1):
-        lines.append(
-            f"{l},{trace.Z[l]},{float(trace.S[l])!r},{trace.repeats[l]},{int(trace.new_mark[l - 1])}"
-        )
+        lines.append(f"{l},{Z[l]},{float(S[l])!r},{repeats[l]},{int(new[l - 1])}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -76,7 +76,7 @@ def limit_curve_z(t, params: ModelParams, constants: TheoryConstants):
 
     The power runs on one of two kernels, and they may round the last bit
     differently.  A Python float t (the report's ``z_curve`` and ``max_z``)
-    goes through the C library's pow; an array t (``sup_distance_to_limit``)
+    goes through the C library's pow; an array t (the walk's limit grid)
     goes through numpy's array power.  On 12,001 evenly spaced times over
     [0, 2 zeta] they differ at 11 points at tau = 2.5 (numpy 2.4.6).
     """

@@ -585,8 +585,8 @@ def test_criterion_9_structural_invariants():
 
     sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
     trace = run_exploration(ws, sch, 400, rng)
-    explored_ok = all(trace.explored(l).size == l - trace.repeats[l]
-                      for l in range(trace.steps + 1))
+    repeats = trace.repeats
+    explored_ok = all(trace.explored(l).size == l - repeats[l] for l in range(trace.steps + 1))
 
     # component labels vs BFS: every simple graph on <= 4 vertices, then random
     # multigraphs (loops and multiplicities included) up to 8 vertices

@@ -65,6 +65,8 @@ def test_infeasible_grid_exits_2(capsys):
     ("explore", {}, ["--T", "inf"], "T must be finite"),
     ("explore", {}, ["--T", "0"], "T must be finite"),
     ("explore", {}, ["--T", "-1"], "T must be finite"),
+    ("explore", {}, ["--T", "1e-9"], "takes no step"),
+    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", "1e-9"], "takes no step"),
     ("explore", {"replicas": 2.5}, [], "replicas must be an integer"),
     ("explore", {"master_seed": 1.5}, [], "master_seed must be an integer"),
     ("explore", {"n_grid": [10000.7]}, [], "whole numbers"),
@@ -79,7 +81,8 @@ def test_infeasible_grid_exits_2(capsys):
     ("theory", {"experiment": "theory_tables"}, ["--a", "0.05"], "need a > 0.1"),
     ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--a", "1e-6"],
      "is empty"),
-], ids=["T-nan", "T-inf", "T-zero", "T-negative", "replicas-float", "seed-float",
+], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
+        "replicas-float", "seed-float",
         "n_grid-fraction", "n_grid-scalar", "lambda_rule-scalar", "lambda_value-string",
         "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
         "theory-a-below-eps", "core-empty"])
@@ -95,6 +98,12 @@ def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, m
     rc = main([command, "--config", str(path), *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_residual_accepts_a_walk_of_no_steps(capsys):
+    # the residual experiment explores floor(T * beta_n) = 0 steps and sizes the whole graph
+    assert main(["residual", "--n-grid", "400", "--replicas", "1", "--T", "1e-9"]) == 0
+    assert "residual_largest_mean" in capsys.readouterr().out
 
 
 def test_core_variant_flag(tmp_path, monkeypatch, capsys):

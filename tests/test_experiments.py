@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from sfperc.experiments import (
     RESULT_VERSION,
     ExperimentConfig,
     ExperimentResult,
+    _build_context,
+    _replica_record,
     derive_seed,
     run,
     summarize,
+    walk_to_horizon,
     write_result,
 )
+from sfperc.exploration import sup_distance_to_limit
 from sfperc.graphgen import sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
@@ -25,6 +30,7 @@ from sfperc.params import (
     make_schedule,
     model_params,
 )
+from sfperc.theory import compute_constants, limit_curve_z
 
 
 def small_config(**overrides):
@@ -118,6 +124,18 @@ def test_config_validation_errors():
         ExperimentConfig("theory_tables", n_grid=(1000,), a=0.05)
     # whole-number floats in the grid are still accepted and stored as ints
     assert small_config(n_grid=(200.0, 4e2)).n_grid == (200, 400)
+
+
+def test_walk_horizon_must_take_a_step():
+    # floor(T * beta_n) = 0 at some n of the grid fails at construction, for
+    # both walk experiments; the residual walk may take no step at all
+    beta = make_schedule(model_params(2.5, 1.0, 1000), "multi", LambdaRule("power", 0.1)).beta_n
+    for kind in ("exploration_limit", "repeat_fraction"):
+        for T in (1e-9, 0.5 / beta):
+            with pytest.raises(ConfigError, match="takes no step"):
+                ExperimentConfig(kind, n_grid=(1000, 10_000), T=T)
+        assert ExperimentConfig(kind, n_grid=(1000,), T=1.0 / beta).T == 1.0 / beta
+    assert ExperimentConfig("residual_components", n_grid=(1000,), T=1e-9).T == 1e-9
 
 
 def test_config_dict_round_trip():
@@ -299,6 +317,65 @@ def test_exploration_limit_records_and_theory():
     assert theory["max_z"] == pytest.approx(3.0 * math.pi / 4.0)
     assert len(theory["z_curve"]) == 32
     assert theory["schedules"]["500"]["N_n"] is None
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+@pytest.mark.parametrize("T", [None, 2.0])
+def test_context_limit_grid_is_the_curve_on_the_step_grid(n, T):
+    config = ExperimentConfig("exploration_limit", n_grid=(n,), T=T)
+    ctx = _build_context(config, n)
+    params, sch = ctx.schedule.params, ctx.schedule
+    last = math.floor(ctx.horizon * sch.beta_n)
+    z = limit_curve_z(np.arange(last + 1) / sch.beta_n, params, compute_constants(params))
+    assert ctx.z_grid.tobytes() == z.tobytes()
+    assert not ctx.z_grid.flags.writeable
+    with pytest.raises(ValueError):
+        ctx.z_grid[0] = 1.0
+    trace = walk_to_horizon(ctx, np.random.default_rng(derive_seed(1, n, 0)))
+    assert trace.steps == last
+    want = float(np.abs(trace.Z / sch.beta_n - z).max())
+    assert sup_distance_to_limit(trace, sch, ctx.z_grid) == want
+
+
+def test_limit_grid_built_once_per_n(monkeypatch):
+    import sfperc.experiments as xp
+
+    grids = []
+
+    def counting(t, *args):
+        if isinstance(t, np.ndarray):
+            grids.append(t.size)
+        return limit_curve_z(t, *args)
+
+    monkeypatch.setattr(xp, "limit_curve_z", counting)
+    run(ExperimentConfig("exploration_limit", n_grid=(1000,), replicas=5))
+    assert len(grids) == 1
+    run(ExperimentConfig("exploration_limit", n_grid=(1000, 2000), replicas=5, T=3.0))
+    assert len(grids) == 3
+    # the other experiments build no grid
+    for kind in ("repeat_fraction", "residual_components", "multi_giant"):
+        assert _build_context(ExperimentConfig(kind, n_grid=(1000,)), 1000).z_grid is None
+    assert len(grids) == 3
+
+
+def test_walk_replica_memory_per_step():
+    # One exploration_limit replica at n = 1e6 (22,405 steps) peaks at about
+    # 40 B/step: marks, flags, Z and wbar (25 B/step) plus the Poisson
+    # draws of the fresh marks.  With S and repeats built as well it peaked
+    # at 65 B/step.
+    n = 10**6
+    config = ExperimentConfig("exploration_limit", n_grid=(n,), replicas=1)
+    ctx = _build_context(config, n)
+    steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
+    # the first generator in a process also imports numpy's seeding modules
+    _replica_record(config, ctx, 1, derive_seed(1, n, 1))
+    tracemalloc.start()
+    try:
+        _replica_record(config, ctx, 0, derive_seed(1, n, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 44.0
 
 
 def test_repeat_fraction_records_and_theory():

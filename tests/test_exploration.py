@@ -141,21 +141,43 @@ def test_sup_distance_matches_manual():
     constants = compute_constants(params)
     trace = run_exploration(ws, sch, 400, rng)
     T = 300 / sch.beta_n
-    got = sup_distance_to_limit(trace, sch, constants, T)
+    last = math.floor(T * sch.beta_n)
+    z_grid = limit_curve_z(np.arange(last + 1) / sch.beta_n, params, constants)
+    got = sup_distance_to_limit(trace, sch, z_grid)
     best = 0.0
-    for l in range(math.floor(T * sch.beta_n) + 1):
+    for l in range(last + 1):
         t = l / sch.beta_n
         z = limit_curve_z(t, params, constants)
         best = max(best, abs(trace.Z[l] / sch.beta_n - z))
     assert got == pytest.approx(best, rel=1e-12)
+    # a grid reaching past the last step is refused, and the trace is not written
+    Z = trace.Z.copy()
+    with pytest.raises(RangeError):
+        sup_distance_to_limit(trace, sch, np.zeros(trace.steps + 2))
+    assert np.array_equal(trace.Z, Z)
+
+
+def test_trace_builds_S_and_repeats_on_first_read():
+    params, ws, sch, rng = multi_setup(seed=13)
+    trace = run_exploration(ws, sch, 300, rng)
+    assert "S" not in vars(trace) and "repeats" not in vars(trace)
+    S, repeats = trace.S, trace.repeats
+    assert trace.S is S and trace.repeats is repeats
+    fresh = np.where(trace.new_mark, trace.wbar, 0.0)
+    assert np.array_equal(S, np.r_[0.0, np.cumsum(fresh) - np.arange(1, 301)])
+    assert np.array_equal(repeats, np.r_[0, np.cumsum(~trace.new_mark)])
+    assert np.array_equal(trace.wbar, sch.pi_n * ws.weight(trace.marks))
 
 
 def test_repeat_fraction_manual():
     params, ws, sch, rng = multi_setup(seed=11)
     trace = run_exploration(ws, sch, 300, rng)
-    t = 200 / sch.beta_n
-    step = math.floor(t * sch.beta_n)
-    assert repeat_fraction(trace, sch, t) == trace.repeats[step] / sch.beta_n
+    times = (0.0, 1.0 / sch.beta_n, 200 / sch.beta_n, 300 / sch.beta_n)
+    got = [repeat_fraction(trace, sch, t) for t in times]
+    # R(step) is counted from the first-draw flags; neither column is built
+    assert "S" not in vars(trace) and "repeats" not in vars(trace)
+    for t, value in zip(times, got):
+        assert value == trace.repeats[math.floor(t * sch.beta_n)] / sch.beta_n
     with pytest.raises(RangeError):
         repeat_fraction(trace, sch, 300 / sch.beta_n + 1.0)
     with pytest.raises(DomainError):
@@ -205,10 +227,20 @@ def test_residual_when_everything_explored():
     assert residual_largest_component(ws, sch, t, np.random.default_rng(2)) == 0
 
 
-def test_residual_moderate_time():
+def test_residual_moderate_time(monkeypatch):
     params, ws, sch, rng = multi_setup(seed=31)
+    traces = []
+
+    def walk(*args):
+        traces.append(run_exploration(*args))
+        return traces[-1]
+
+    monkeypatch.setattr("sfperc.exploration.run_exploration", walk)
     size = residual_largest_component(ws, sch, 1.0, rng)
     assert 0 <= size < ws.n
+    # the residual reads only the marks
+    assert len(traces) == 1
+    assert "S" not in vars(traces[0]) and "repeats" not in vars(traces[0])
 
 
 def test_residual_graph_is_the_percolated_graph_on_unexplored_pairs(monkeypatch):
