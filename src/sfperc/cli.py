@@ -10,7 +10,7 @@ import numpy as np
 
 from . import experiments as xp
 from .errors import ConfigError, SfpercError
-from .exploration import write_trace_csv
+from .exploration import run_exploration, write_trace_csv
 from .graphgen import (
     sample_coupled_direct,
     sample_mnr,
@@ -78,10 +78,8 @@ def _config_from_args(args) -> xp.ExperimentConfig:
     if args.config:
         base = xp.ExperimentConfig.from_json_file(args.config).to_dict()
         if base["experiment"] != args.experiment:
-            raise SystemExit(
-                f"config file is for {base['experiment']!r} but the subcommand wants"
-                f" {args.experiment!r}"
-            )
+            raise ConfigError(f"config file is for {base['experiment']!r} but the subcommand"
+                              f" wants {args.experiment!r}")
     for f in fields(xp.ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -122,7 +120,8 @@ def _run_experiment(args) -> int:
         # the walk of the first replica at the smallest n
         n = config.n_grid[0]
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        write_trace_csv(xp.walk_to_horizon(result.contexts[n], rng), args.trace)
+        ctx = result.contexts[n]
+        write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), args.trace)
         print(f"wrote {args.trace}")
     return 0
 

@@ -25,7 +25,6 @@ import numpy as np
 from .components import component_sizes, core_report, merged_giant_size
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
-    ExplorationTrace,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
@@ -172,14 +171,12 @@ class ExperimentConfig:
         # must be feasible before any sampling happens
         for n in self.n_grid:
             try:
-                sch = make_schedule(model_params(self.tau, self.C, n), self.mode, self.lambda_rule)
+                _, sch, _, horizon, steps = _model_at(self, n)
                 if self.experiment == "one_neighborhood":
                     core_prefix_size(sch, self.a)
-                if self.experiment in _WALKS:
-                    horizon = _horizon(self, sch.params, compute_constants(sch.params))
-                    if math.floor(horizon * sch.beta_n) < 1:
-                        raise DomainError(f"the walk horizon {horizon!r} takes no step"
-                                          f" (beta_n={sch.beta_n!r})")
+                if self.experiment in _WALKS and steps < 1:
+                    raise DomainError(f"the walk horizon {horizon!r} takes no step"
+                                      f" (beta_n={sch.beta_n!r})")
             except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
@@ -210,11 +207,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config at {path} is not valid JSON: {e}") from e
+        except OSError as e:
+            raise ConfigError(f"cannot read the config at {path}: {e.strerror}") from e
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config at {path} is not valid JSON: {e}") from e
         return cls.from_dict(data)
 
 
@@ -253,40 +252,41 @@ class _Context:
     schedule: PercolationSchedule
     constants: object
     horizon: float  # exploration horizon in rescaled time
+    steps: int  # the walk to the horizon: floor(horizon * beta_n) steps
     # exploration_limit only: z(l/beta_n) on the walk's step grid, read-only
     z_grid: np.ndarray | None = None
 
 
-def _horizon(config: ExperimentConfig, params, constants) -> float:
-    """The exploration horizon in rescaled time: T when given, else the experiment's default."""
+def _model_at(config: ExperimentConfig, n: int) -> tuple:
+    """(params, schedule, constants, horizon, steps) at n, without the weights.
+
+    The horizon is T when given, else the experiment's default, in rescaled
+    time; the walk to it takes steps = floor(horizon * beta_n) steps.
+    """
+    params = model_params(config.tau, config.C, n)
+    sch = make_schedule(params, config.mode, config.lambda_rule)
+    constants = compute_constants(params)
     if config.T is not None:
-        return float(config.T)
-    if config.experiment == "exploration_limit":
-        return 1.5 * constants.zeta
-    if config.experiment == "residual_components":
-        return horizon_for_forward_degree(params)
-    return 1.0
+        horizon = float(config.T)
+    elif config.experiment == "exploration_limit":
+        horizon = 1.5 * constants.zeta
+    elif config.experiment == "residual_components":
+        horizon = horizon_for_forward_degree(params)
+    else:
+        horizon = 1.0
+    if not math.isfinite(horizon * sch.beta_n):
+        raise DomainError(f"the walk horizon {horizon!r} overflows at beta_n={sch.beta_n!r}")
+    return params, sch, constants, horizon, math.floor(horizon * sch.beta_n)
 
 
 def _build_context(config: ExperimentConfig, n: int) -> _Context:
-    params = model_params(config.tau, config.C, n)
-    ws = build_weights(params)
-    sch = make_schedule(params, config.mode, config.lambda_rule)
-    constants = compute_constants(params)
-    horizon = _horizon(config, params, constants)
+    params, sch, constants, horizon, steps = _model_at(config, n)
     z_grid = None
     if config.experiment == "exploration_limit":
-        last = math.floor(horizon * sch.beta_n)
-        z_grid = limit_curve_z(np.arange(last + 1) / sch.beta_n, params, constants)
+        z_grid = limit_curve_z(np.arange(steps + 1) / sch.beta_n, params, constants)
         z_grid.flags.writeable = False
-    return _Context(n=n, weights=ws, schedule=sch, constants=constants, horizon=horizon,
-                    z_grid=z_grid)
-
-
-def walk_to_horizon(ctx: _Context, rng) -> ExplorationTrace:
-    """The exploration walk at ctx.n, run for floor(horizon * beta_n) steps."""
-    steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
-    return run_exploration(ctx.weights, ctx.schedule, steps, rng)
+    return _Context(n=n, weights=build_weights(params), schedule=sch, constants=constants,
+                    horizon=horizon, steps=steps, z_grid=z_grid)
 
 
 def _schedule_row(sch: PercolationSchedule) -> dict:
@@ -335,13 +335,13 @@ def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed:
             diff_over_beta=(c1 - c1_star) / sch.beta_n,
         )
     elif kind == "exploration_limit":
-        trace = walk_to_horizon(ctx, rng)
+        trace = run_exploration(ws, sch, ctx.steps, rng)
         rec.update(sup_distance=sup_distance_to_limit(trace, sch, ctx.z_grid))
     elif kind == "repeat_fraction":
-        trace = walk_to_horizon(ctx, rng)
-        rec.update(pi_n=sch.pi_n, repeat_fraction=repeat_fraction(trace, sch, ctx.horizon))
+        trace = run_exploration(ws, sch, ctx.steps, rng)
+        rec.update(pi_n=sch.pi_n, repeat_fraction=repeat_fraction(trace, sch, ctx.steps))
     elif kind == "residual_components":
-        largest = residual_largest_component(ws, sch, ctx.horizon, rng)
+        largest = residual_largest_component(ws, sch, ctx.steps, rng)
         rec.update(residual_largest=largest, residual_over_beta=largest / sch.beta_n)
     elif kind == "one_neighborhood":
         # Binding only the simple graph lets the multigraph go before the core report.

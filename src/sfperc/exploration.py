@@ -16,7 +16,7 @@ unexplored.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -87,13 +87,14 @@ def _check_key_range(n: int, m: int) -> None:
         raise DomainError(f"{m} steps over {n} vertices overflow the int64 first-draw keys")
 
 
-def _first_draws(marks: np.ndarray, n: int) -> np.ndarray:
-    """Flags of each mark's first draw; equals the ``np.unique(marks,
-    return_index=True)`` indices set True, for marks in 1..n.
+def _first_draws(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Flags of each mark's first draw, and the number of distinct marks.
 
-    One unstable sort of the distinct keys mark * m + step: a mark's draws
-    sort together by step, so its first draw is where key - key % m (that
-    is, mark * m) changes, and its step is key % m.
+    The flags equal the ``np.unique(marks, return_index=True)`` indices set
+    True, for marks in 1..n.  One unstable sort of the distinct keys
+    mark * m + step: a mark's draws sort together by step, so its first draw
+    is where key - key % m (that is, mark * m) changes, and its step is
+    key % m.
     """
     m = marks.size
     _check_key_range(n, m)
@@ -106,7 +107,16 @@ def _first_draws(marks: np.ndarray, n: int) -> np.ndarray:
     np.not_equal(key[1:], key[:-1], out=first[1:])
     new = np.zeros(m, dtype=bool)
     new[step[first]] = True
-    return new
+    return new, int(np.count_nonzero(first))
+
+
+def _check_steps(steps, least: int, most: int | None) -> None:
+    """Fail unless steps is an integer count of walk steps in [least, most]."""
+    if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool)
+            and steps >= least):
+        raise DomainError(f"a step count must be an integer >= {least}, got {steps!r}")
+    if most is not None and steps > most:
+        raise RangeError(f"step {steps} is past the trace's {most} steps")
 
 
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
@@ -114,13 +124,12 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     """Run the exploration for max_steps mark draws on a multi-mode schedule."""
     if schedule.mode != "multi":
         raise DomainError("exploration runs on multi-mode schedules")
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be positive, got {max_steps}")
+    _check_steps(max_steps, 1, None)
     m = int(max_steps)
     _check_key_range(weights.n, m)
 
     marks = draw_marks(weights, m, rng)
-    new = _first_draws(marks, weights.n)
+    new, distinct = _first_draws(marks, weights.n)
     # Percolated weights pi_n * w of the drawn marks only, not of all n vertices.
     wbar = schedule.pi_n * weights.weight(marks)
     X = np.zeros(m, dtype=np.int64)
@@ -130,23 +139,12 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     X -= 1
     np.cumsum(X, out=Z[1:])
 
-    # |V_m| = m - R(m): the distinct marks are the fresh draws, every other
-    # draw a repeat.
-    if int(np.count_nonzero(new)) != m - int(np.count_nonzero(~new)):
+    # |V_m| = m - R(m): the explored set holds one fresh draw per distinct
+    # mark, and every other draw is a repeat.
+    if int(np.count_nonzero(new)) != distinct:
         raise AssertionError("explored-set identity |V_l| = l - R(l) violated")
 
     return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, wbar=wbar)
-
-
-def _step_of(t: float, schedule: PercolationSchedule, steps: int | None) -> int:
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got t={t}")
-    step = math.floor(t * schedule.beta_n)
-    if steps is not None and step > steps:
-        raise RangeError(
-            f"time t={t} needs step {step} but the trace has only {steps} steps"
-        )
-    return step
 
 
 def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule,
@@ -165,24 +163,24 @@ def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule
 
 
 def repeat_fraction(trace: ExplorationTrace, schedule: PercolationSchedule,
-                    t: float) -> float:
-    """R(floor(t*beta_n)) / beta_n, the repeats seen by time t on the beta_n scale."""
-    step = _step_of(t, schedule, trace.steps)
-    repeats = step - int(np.count_nonzero(trace.new_mark[:step]))
+                    steps: int) -> float:
+    """R(steps) / beta_n, the repeats among the first steps draws on the beta_n scale."""
+    _check_steps(steps, 0, trace.steps)
+    repeats = steps - int(np.count_nonzero(trace.new_mark[:steps]))
     return float(repeats / schedule.beta_n)
 
 
 def residual_largest_component(weights: WeightSequence, schedule: PercolationSchedule,
-                               t: float, rng) -> int:
-    """Largest component among the vertices still unexplored at time t.
+                               steps: int, rng) -> int:
+    """Largest component among the vertices still unexplored after steps steps.
 
-    Explores for floor(t*beta_n) steps, then samples the percolated graph
-    and keeps the pairs whose two ends are both unexplored: by Poisson
-    restriction that is the percolated graph on the unexplored set, with
-    the original rates.  Returns 0 when everything was explored, and counts
-    isolated survivors as size 1.
+    Explores for steps steps, then samples the percolated graph and keeps
+    the pairs whose two ends are both unexplored: by Poisson restriction
+    that is the percolated graph on the unexplored set, with the original
+    rates.  Returns 0 when everything was explored, and counts isolated
+    survivors as size 1.
     """
-    steps = _step_of(t, schedule, None)
+    _check_steps(steps, 0, None)
     explored = np.zeros(weights.n + 1, dtype=bool)
     if steps >= 1:
         explored[run_exploration(weights, schedule, steps, rng).marks] = True

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -353,13 +352,6 @@ def _check_pi(pi: float) -> None:
 
 def write_edge_list(g: MultiGraph | SimpleGraph, path) -> None:
     """Plain text dump: header "n m", then one "i j multiplicity" line per pair."""
-    path = Path(path)
-    lines = [f"{g.n} {g.src.size}"]
-    if isinstance(g, MultiGraph):
-        mult = g.mult
-    else:
-        mult = np.ones(g.src.size, dtype=np.int64)
-    for i, j, m in zip(g.src.tolist(), g.dst.tolist(), mult.tolist()):
-        lines.append(f"{i} {j} {m}")
-    path.write_text("\n".join(lines) + "\n")
-
+    mult = g.mult if isinstance(g, MultiGraph) else np.ones(g.src.size, dtype=np.int64)
+    np.savetxt(path, np.column_stack([g.src, g.dst, mult]), fmt="%d",
+               header=f"{g.n} {g.src.size}", comments="")

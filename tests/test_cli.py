@@ -10,7 +10,7 @@ from sfperc import experiments as xp
 from sfperc.cli import build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
 from sfperc.graphgen import MultiGraph, SimpleGraph
-from sfperc.params import build_weights
+from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 
 from oracles import read_edge_rows
 
@@ -60,6 +60,11 @@ def test_infeasible_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# A horizon just below one step at n = 400, where floor(T * beta_n) = 0.
+_BETA_400 = make_schedule(model_params(2.5, 1.0, 400), "multi", LambdaRule("power", 0.1)).beta_n
+_JUST_BELOW_ONE_STEP = repr((1.0 - 1e-12) / _BETA_400)
+
+
 @pytest.mark.parametrize("command, fields, flags, message", [
     ("explore", {}, ["--T", "nan"], "T must be finite"),
     ("explore", {}, ["--T", "inf"], "T must be finite"),
@@ -67,6 +72,9 @@ def test_infeasible_grid_exits_2(capsys):
     ("explore", {}, ["--T", "-1"], "T must be finite"),
     ("explore", {}, ["--T", "1e-9"], "takes no step"),
     ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", "1e-9"], "takes no step"),
+    ("explore", {}, ["--T", _JUST_BELOW_ONE_STEP], "takes no step"),
+    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", _JUST_BELOW_ONE_STEP],
+     "takes no step"),
     ("explore", {"replicas": 2.5}, [], "replicas must be an integer"),
     ("explore", {"master_seed": 1.5}, [], "master_seed must be an integer"),
     ("explore", {"n_grid": [10000.7]}, [], "whole numbers"),
@@ -82,6 +90,7 @@ def test_infeasible_grid_exits_2(capsys):
     ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--a", "1e-6"],
      "is empty"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
+        "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
         "n_grid-fraction", "n_grid-scalar", "lambda_rule-scalar", "lambda_value-string",
         "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
@@ -169,14 +178,29 @@ def test_config_file_and_subcommand_mismatch(tmp_path):
     path = tmp_path / "config.json"
     config = ExperimentConfig("multi_giant", n_grid=(200,), replicas=1)
     path.write_text(json.dumps(config.to_dict()))
-    with pytest.raises(SystemExit):
-        main(["single-vs-multi", "--config", str(path)])
+    assert main(["single-vs-multi", "--config", str(path)]) == 2
     # matching subcommand consumes the same file happily
     assert main(["giant", "--config", str(path)]) == 0
     # every earlier version is rejected
     for version in range(1, xp.RESULT_VERSION):
         path.write_text(json.dumps({**config.to_dict(), "version": version}))
         assert main(["giant", "--config", str(path)]) == 2
+
+
+def test_config_file_failures_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["giant", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot read the config" in err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ExperimentConfig("multi_giant", n_grid=(200,)).to_dict()))
+    assert main(["explore", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "for 'multi_giant' but the subcommand wants 'exploration_limit'" in err
+    path.write_bytes(b"\xff\xfe")
+    assert main(["giant", "--config", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

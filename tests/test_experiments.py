@@ -18,10 +18,9 @@ from sfperc.experiments import (
     derive_seed,
     run,
     summarize,
-    walk_to_horizon,
     write_result,
 )
-from sfperc.exploration import sup_distance_to_limit
+from sfperc.exploration import run_exploration, sup_distance_to_limit
 from sfperc.graphgen import sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
@@ -331,10 +330,65 @@ def test_context_limit_grid_is_the_curve_on_the_step_grid(n, T):
     assert not ctx.z_grid.flags.writeable
     with pytest.raises(ValueError):
         ctx.z_grid[0] = 1.0
-    trace = walk_to_horizon(ctx, np.random.default_rng(derive_seed(1, n, 0)))
+    trace = run_exploration(ctx.weights, sch, ctx.steps,
+                            np.random.default_rng(derive_seed(1, n, 0)))
     assert trace.steps == last
     want = float(np.abs(trace.Z / sch.beta_n - z).max())
     assert sup_distance_to_limit(trace, sch, ctx.z_grid) == want
+
+
+def test_a_horizon_of_one_step_is_accepted_and_walked():
+    beta = make_schedule(model_params(2.5, 1.0, 1000), "multi", LambdaRule("power", 0.1)).beta_n
+    T = 1.5 / beta
+    assert math.floor(T * beta) == 1
+    for kind in ("exploration_limit", "repeat_fraction"):
+        config = ExperimentConfig(kind, n_grid=(1000,), T=T, replicas=1)
+        ctx = _build_context(config, 1000)
+        assert ctx.steps == 1
+        trace = run_exploration(ctx.weights, ctx.schedule, ctx.steps, np.random.default_rng(0))
+        assert trace.steps == 1 and trace.Z.size == 2
+        assert run(config).records[0]["n"] == 1000
+    assert _build_context(ExperimentConfig("exploration_limit", n_grid=(1000,), T=T),
+                          1000).z_grid.size == 2
+
+
+def test_every_walk_replica_takes_the_context_step_count(monkeypatch):
+    import sfperc.experiments as xp
+    import sfperc.exploration as ex
+
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append((fn.__name__, args[1].params.n, args[2]))  # (name, n, steps)
+            return fn(*args)
+        return wrapped
+
+    for module in (xp, ex):
+        monkeypatch.setattr(module, "run_exploration", recording(ex.run_exploration))
+    for name in ("repeat_fraction", "residual_largest_component"):
+        monkeypatch.setattr(xp, name, recording(getattr(ex, name)))
+    for kind, T in (("exploration_limit", None), ("exploration_limit", 2.0),
+                    ("repeat_fraction", None), ("residual_components", None),
+                    ("residual_components", 3.0)):
+        seen.clear()
+        result = run(ExperimentConfig(kind, n_grid=(500, 1000), T=T, replicas=2))
+        assert all(ctx.steps == math.floor(ctx.horizon * ctx.schedule.beta_n) >= 1
+                   for ctx in result.contexts.values())
+        names = {name for name, _, _ in seen}
+        want = {"exploration_limit": {"run_exploration"},
+                "repeat_fraction": {"run_exploration", "repeat_fraction"},
+                "residual_components": {"run_exploration", "residual_largest_component"}}
+        assert names == want[kind]
+        # one walk per replica, each at its own n's step count
+        walks = sorted(n for name, n, _ in seen if name == "run_exploration")
+        assert walks == [500, 500, 1000, 1000]
+        assert all(steps == result.contexts[n].steps for _, n, steps in seen)
+
+
+def test_a_horizon_past_floating_point_is_refused():
+    with pytest.raises(ConfigError, match="overflows"):
+        ExperimentConfig("multi_giant", n_grid=(1000,), T=1e308)
 
 
 def test_limit_grid_built_once_per_n(monkeypatch):

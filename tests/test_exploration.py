@@ -95,14 +95,16 @@ def test_first_draws_match_unique_oracle(case):
     marks = np.array(draws, dtype=np.int64)
     oracle = np.zeros(marks.size, dtype=bool)
     oracle[np.unique(marks, return_index=True)[1]] = True
-    assert np.array_equal(_first_draws(marks, n), oracle)
+    new, distinct = _first_draws(marks, n)
+    assert np.array_equal(new, oracle)
+    assert distinct == np.unique(marks).size
 
 
 def test_first_draw_keys_must_fit_int64():
     # keys are mark * m + step < m * (n + 1); m = 3 steps here
     marks = np.array([2, 1, 2], dtype=np.int64)
     largest = np.iinfo(np.int64).max // 3 - 1
-    assert _first_draws(marks, largest).tolist() == [True, True, False]
+    assert _first_draws(marks, largest)[0].tolist() == [True, True, False]
     with pytest.raises(DomainError):
         _first_draws(marks, largest + 1)
     # run_exploration refuses before it draws a single mark
@@ -120,6 +122,26 @@ def test_exploration_rejects_bad_inputs():
         run_exploration(ws, single, 10, rng)
     with pytest.raises(DomainError):
         run_exploration(ws, sch, 0, rng)
+
+
+@pytest.mark.parametrize("flip", ["one-too-many", "one-too-few"])
+def test_explored_set_check_catches_a_wrong_fresh_flag(flip, monkeypatch):
+    # the fresh flags must number the distinct marks _first_draws sorted out
+    params, ws, sch, rng = multi_setup(seed=9)
+
+    def off_by_one(marks, n):
+        new, distinct = _first_draws(marks, n)
+        new = new.copy()
+        if flip == "one-too-many":
+            new[np.flatnonzero(~new)[0]] = True
+        else:
+            new[np.flatnonzero(new)[-1]] = False
+        return new, distinct
+
+    run_exploration(ws, sch, 200, np.random.default_rng(9))
+    monkeypatch.setattr("sfperc.exploration._first_draws", off_by_one)
+    with pytest.raises(AssertionError, match="explored-set identity"):
+        run_exploration(ws, sch, 200, np.random.default_rng(9))
 
 
 def test_explored_range_checked():
@@ -173,15 +195,35 @@ def test_repeat_fraction_manual():
     params, ws, sch, rng = multi_setup(seed=11)
     trace = run_exploration(ws, sch, 300, rng)
     times = (0.0, 1.0 / sch.beta_n, 200 / sch.beta_n, 300 / sch.beta_n)
-    got = [repeat_fraction(trace, sch, t) for t in times]
+    got = [repeat_fraction(trace, sch, math.floor(t * sch.beta_n)) for t in times]
     # R(step) is counted from the first-draw flags; neither column is built
     assert "S" not in vars(trace) and "repeats" not in vars(trace)
     for t, value in zip(times, got):
         assert value == trace.repeats[math.floor(t * sch.beta_n)] / sch.beta_n
     with pytest.raises(RangeError):
-        repeat_fraction(trace, sch, 300 / sch.beta_n + 1.0)
+        repeat_fraction(trace, sch, 301)
     with pytest.raises(DomainError):
-        repeat_fraction(trace, sch, -0.1)
+        repeat_fraction(trace, sch, -1)
+
+
+@pytest.mark.parametrize("steps, error", [(-1, DomainError), (1.5, DomainError),
+                                          (2.0, DomainError), (True, DomainError),
+                                          (301, RangeError)])
+def test_step_counts_fail_closed(steps, error):
+    params, ws, sch, rng = multi_setup(seed=17)
+    trace = run_exploration(ws, sch, 300, rng)
+    with pytest.raises(error):
+        repeat_fraction(trace, sch, steps)
+    if error is DomainError:
+        # refused before the walk draws anything
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            residual_largest_component(ws, sch, steps, rng)
+        with pytest.raises(DomainError):
+            run_exploration(ws, sch, steps, rng)
+        assert rng.bit_generator.state == state
+    # numpy integer counts are whole counts
+    assert repeat_fraction(trace, sch, np.int64(300)) == repeat_fraction(trace, sch, 300)
 
 
 def test_mark_draws_match_weight_distribution():
@@ -217,14 +259,13 @@ def test_fresh_probability_negative_correlation():
 
 def test_residual_when_nothing_explored():
     params, ws, sch, rng = multi_setup(seed=21)
-    size = residual_largest_component(ws, sch, 0.0, rng)
+    size = residual_largest_component(ws, sch, 0, rng)
     assert size >= 1
 
 
 def test_residual_when_everything_explored():
     params, ws, sch, _ = multi_setup(n=125)
-    t = 4000 / sch.beta_n
-    assert residual_largest_component(ws, sch, t, np.random.default_rng(2)) == 0
+    assert residual_largest_component(ws, sch, 4000, np.random.default_rng(2)) == 0
 
 
 def test_residual_moderate_time(monkeypatch):
@@ -236,7 +277,7 @@ def test_residual_moderate_time(monkeypatch):
         return traces[-1]
 
     monkeypatch.setattr("sfperc.exploration.run_exploration", walk)
-    size = residual_largest_component(ws, sch, 1.0, rng)
+    size = residual_largest_component(ws, sch, math.floor(sch.beta_n), rng)
     assert 0 <= size < ws.n
     # the residual reads only the marks
     assert len(traces) == 1
@@ -263,7 +304,7 @@ def test_residual_graph_is_the_percolated_graph_on_unexplored_pairs(monkeypatch)
     monkeypatch.setattr("sfperc.exploration.component_sizes", sizes)
     reps, kept, total = 3000, 0, 0
     for _ in range(reps):
-        residual_largest_component(ws, sch, 3.5 / sch.beta_n, rng)
+        residual_largest_component(ws, sch, 3, rng)
         g, explored = seen["graph"], seen["explored"]
         assert len(explored) <= 3
         assert not explored & set(g.src.tolist() + g.dst.tolist())

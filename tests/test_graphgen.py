@@ -503,6 +503,12 @@ def test_edge_list_round_trip(tmp_path):
     assert [tuple(row) for row in rows.tolist()] == g.as_tuples()
 
 
+def test_edge_list_of_an_empty_graph_is_its_header(tmp_path):
+    path = tmp_path / "empty.txt"
+    write_edge_list(MultiGraph.from_pairs(3, []), path)
+    assert path.read_text() == "3 0\n"
+
+
 def test_edge_list_simple_graph_dump(tmp_path):
     s = SimpleGraph.from_pairs(4, [(1, 2), (3, 4)])
     path = tmp_path / "simple.txt"
