@@ -165,7 +165,7 @@ def extract_core(g: SimpleGraph, core_size: int) -> SimpleGraph:
     if not (1 <= core_size <= g.n):
         raise RangeError(f"core size {core_size} outside [1, {g.n}]")
     keep = g.dst <= core_size  # src < dst, so this bounds both endpoints
-    return SimpleGraph(n=core_size, src=g.src[keep].copy(), dst=g.dst[keep].copy())
+    return SimpleGraph(n=core_size, src=g.src[keep], dst=g.dst[keep])
 
 
 # --------------------------------------------------------------------------

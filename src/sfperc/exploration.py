@@ -187,6 +187,7 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     if np.count_nonzero(explored) == weights.n:
         return 0
     g = sample_percolated_mnr_direct(weights, schedule.pi_n, rng)
+    g.validate()
     keep = ~(explored[g.src] | explored[g.dst])
     # edges join only unexplored vertices, so explored ones are isolated
     return component_sizes(MultiGraph(n=g.n, src=g.src[keep], dst=g.dst[keep],

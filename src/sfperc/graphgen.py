@@ -71,12 +71,8 @@ class MultiGraph:
         return g
 
     def validate(self) -> None:
-        """Structural invariants: endpoint ranges, canonical order, degree-sum identity."""
-        if self.src.size != self.dst.size or self.src.size != self.mult.size:
-            raise AssertionError("edge arrays have mismatched lengths")
-        if np.any(self.mult < 1):
-            raise AssertionError("multiplicities must be >= 1")
-        _check_pairs(self, loops=True, edge_count=self.total_edge_count)
+        """Structural invariants: column shapes, multiplicities >= 1, endpoint ranges, order."""
+        _check_pairs(self)
 
 
 @dataclass(frozen=True)
@@ -114,13 +110,25 @@ class SimpleGraph:
         return g
 
     def validate(self) -> None:
-        """Structural invariants: endpoint ranges, src < dst, degree-sum identity."""
-        _check_pairs(self, loops=False, edge_count=self.edge_count)
+        """Structural invariants: column shapes, endpoint ranges, src < dst, order."""
+        _check_pairs(self)
 
 
-def _check_pairs(g: MultiGraph | SimpleGraph, loops: bool, edge_count: int) -> None:
-    """Endpoints in [1, n], src <= dst (src < dst without ``loops``), pairs
-    sorted and unique, and degrees summing to twice ``edge_count``."""
+def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
+    """1-D signed-integer endpoint columns of one length (a multigraph's
+    multiplicities of that shape and >= 1), endpoints in [1, n], src <= dst
+    (src < dst in a simple graph), pairs sorted and unique.
+
+    This is what the degree-sum identity sum_v deg(v) = 2 * sum(mult) reduces
+    to: ``np.add.at`` over integer endpoint columns of one length satisfies
+    it always, so only a column of the wrong length or dtype could break it.
+    """
+    for col in (g.src, g.dst):
+        if col.ndim != 1 or col.dtype.kind != "i" or col.shape != g.src.shape:
+            raise AssertionError("endpoints need 1-D signed-integer columns of one length")
+    loops = isinstance(g, MultiGraph)
+    if loops and (g.mult.shape != g.src.shape or np.any(g.mult < 1)):
+        raise AssertionError("multiplicities need the endpoints' shape and must be >= 1")
     if g.src.size:
         if g.src.min() < 1 or g.dst.max() > g.n:
             raise AssertionError(f"edge endpoint outside [1, {g.n}]")
@@ -128,12 +136,8 @@ def _check_pairs(g: MultiGraph | SimpleGraph, loops: bool, edge_count: int) -> N
             raise AssertionError(f"pairs need src {'<=' if loops else '<'} dst")
         key = g.src * np.int64(g.n + 1)
         key += g.dst
-        unsorted = np.any(key[1:] <= key[:-1])
-        del key  # not held while the degrees are counted
-        if unsorted:
+        if np.any(key[1:] <= key[:-1]):
             raise AssertionError("pairs are not sorted and unique")
-    if int(g.degrees().sum()) != 2 * edge_count:
-        raise AssertionError("degree-sum identity violated")
 
 
 # --------------------------------------------------------------------------
@@ -223,31 +227,25 @@ def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     return src, dst, mult
 
 
-def _sample_poissonized(weights: WeightSequence, pi: float, rng) -> MultiGraph:
-    """Poissonized sampler on the weights pi * w: Poisson(pi * ell_n / 2) slots
-    with i.i.d. size-biased endpoints, so pair (i, j) carries an independent
-    Poisson(pi*w_i*w_j/ell_n) multiplicity (pi*w_i^2/(2*ell_n) for loops)."""
-    m = int(rng.poisson(pi * weights.ell_n / 2.0))
-    src, dst, mult = _aggregate_pairs(weights.n, draw_marks(weights, m, rng),
-                                      draw_marks(weights, m, rng))
-    return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)
-
-
 def sample_mnr(weights: WeightSequence, rng) -> MultiGraph:
     """Sample the Poissonian multigraph: multiplicity of {i, j} is
     Poisson(w_i * w_j / ell_n), loops Poisson(w_i^2 / (2*ell_n))."""
-    return _sample_poissonized(weights, 1.0, rng)
+    return sample_percolated_mnr_direct(weights, 1.0, rng)
 
 
 def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> MultiGraph:
     """Sample the pi-percolated multigraph in one pass.
 
     Percolating Poisson multiplicities by pi is in law the same model with
-    weights pi * w, so this draws Poisson(pi * ell_n / 2) slots with the
-    original mark distribution.
+    weights pi * w: Poisson(pi * ell_n / 2) slots with i.i.d. size-biased
+    endpoints, so pair (i, j) carries an independent Poisson(pi*w_i*w_j/ell_n)
+    multiplicity (pi*w_i^2/(2*ell_n) for loops).
     """
     _check_pi(pi)
-    return _sample_poissonized(weights, pi, rng)
+    m = int(rng.poisson(pi * weights.ell_n / 2.0))
+    src, dst, mult = _aggregate_pairs(weights.n, draw_marks(weights, m, rng),
+                                      draw_marks(weights, m, rng))
+    return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +282,8 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
     if np.any(simple_keep & ~multi_keep):
         raise AssertionError("coupling violated: simple edge kept without a multigraph copy")
 
-    gm = MultiGraph(n=g.n, src=g.src[multi_keep].copy(), dst=g.dst[multi_keep].copy(),
-                    mult=counts[multi_keep])
-    gs = SimpleGraph(n=g.n, src=g.src[simple_keep].copy(), dst=g.dst[simple_keep].copy())
+    gm = MultiGraph(n=g.n, src=g.src[multi_keep], dst=g.dst[multi_keep], mult=counts[multi_keep])
+    gs = SimpleGraph(n=g.n, src=g.src[simple_keep], dst=g.dst[simple_keep])
     return gm, gs
 
 

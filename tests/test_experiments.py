@@ -21,7 +21,7 @@ from sfperc.experiments import (
     write_result,
 )
 from sfperc.exploration import run_exploration, sup_distance_to_limit
-from sfperc.graphgen import sample_coupled_direct
+from sfperc.graphgen import MultiGraph, sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
     build_weights,
@@ -442,9 +442,14 @@ def test_repeat_fraction_records_and_theory():
     assert result.theory["t"] == 1.0
 
 
-def test_residual_records_and_theory():
+def test_residual_records_and_theory(monkeypatch):
+    calls = []
+    validate = MultiGraph.validate
+    monkeypatch.setattr(MultiGraph, "validate", lambda g: calls.append(g.n) or validate(g))
     config = ExperimentConfig("residual_components", n_grid=(500,), replicas=2)
     result = run(config)
+    # each replica validates the percolated graph it samples
+    assert calls == [500, 500]
     assert result.theory["horizon"]["500"] == pytest.approx(12.0 * math.pi)
     for rec in result.records:
         assert rec["residual_largest"] >= 0

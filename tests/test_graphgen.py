@@ -84,6 +84,14 @@ def test_multigraph_validate_rejects_bad_arrays():
                      mult=np.array([1, 1]))
     with pytest.raises(AssertionError):
         dup.validate()
+    # column lengths and dtypes, the only ways to break the degree-sum identity
+    one, three = np.array([1]), np.array([1, 2, 3])
+    for src, dst, mult in ((three, one, one), (one, three, one), (ok.src, ok.dst, ok.mult[:1]),
+                           (ok.src.astype(float), ok.dst.astype(float), ok.mult),
+                           (ok.src.astype(bool), ok.dst.astype(bool), ok.mult),
+                           (ok.src[None], ok.dst[None], ok.mult)):
+        with pytest.raises(AssertionError):
+            MultiGraph(n=3, src=src, dst=dst, mult=mult).validate()
 
 
 def test_simple_graph_rejects_loops_and_checks_order():
@@ -95,6 +103,11 @@ def test_simple_graph_rejects_loops_and_checks_order():
     bad = SimpleGraph(n=3, src=np.array([2]), dst=np.array([2]))
     with pytest.raises(AssertionError):
         bad.validate()
+    one, three = np.array([1]), np.array([1, 2, 3])
+    for src, dst in ((three, one), (one, three), (g.src.astype(float), g.dst.astype(float)),
+                     (g.src.astype(bool), g.dst.astype(bool)), (g.src[None], g.dst[None])):
+        with pytest.raises(AssertionError):
+            SimpleGraph(n=3, src=src, dst=dst).validate()
 
 
 def test_collapse_to_simple_drops_loops_and_mults():
@@ -135,8 +148,7 @@ def test_degrees_match_float_bincount_oracle(case):
 
 
 def test_validate_memory_is_edge_bounded():
-    # validate's only per-vertex array is the int64 degree count: a ~2k-pair
-    # multigraph on 2e6 ids peaks under 10 bytes per vertex
+    # a ~2k-pair multigraph on 2e6 ids peaks under 10 bytes per vertex
     n = 2_000_000
     rng = np.random.default_rng(13)
     a, b = rng.integers(1, n + 1, size=(2, 2_000))
@@ -153,9 +165,8 @@ def test_validate_memory_is_edge_bounded():
 
 @pytest.mark.parametrize("edges", [2_000, 500_000])
 def test_simple_validate_memory_is_degree_bounded(edges):
-    # the int64 degree count is the only per-vertex array, and the pair key
-    # is dropped before it is built: under 9 bytes per vertex at n = 2e6,
-    # with a few edges or with one per four vertices
+    # under 9 bytes per vertex at n = 2e6, with a few edges or with one per
+    # four vertices
     n = 2_000_000
     rng = np.random.default_rng(14)
     a, b = rng.integers(1, n + 1, size=(2, edges))
@@ -169,6 +180,26 @@ def test_simple_validate_memory_is_degree_bounded(edges):
     finally:
         tracemalloc.stop()
     assert peak / n <= 9.0
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, SimpleGraph])
+def test_validate_memory_is_pair_bounded(cls):
+    # validate allocates nothing per vertex: a few thousand pairs on 1e6 ids
+    # peak under 64 bytes per pair, which any per-vertex count (8 MB in int64)
+    # would exceed
+    n = 1_000_000
+    rng = np.random.default_rng(17)
+    a, b = rng.integers(1, n + 1, size=(2, 4_000))
+    keep = a != b
+    src, dst, mult = _aggregate_pairs(n, a[keep], b[keep])
+    g = MultiGraph(n, src, dst, mult) if cls is MultiGraph else SimpleGraph(n, src, dst)
+    tracemalloc.start()
+    try:
+        g.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * src.size
 
 
 def test_simple_degrees_match_bincount():
