@@ -49,7 +49,7 @@ from .theory import (
     truncated_operator_norm,
 )
 
-RESULT_VERSION = 3
+RESULT_VERSION = 4
 
 
 @dataclass(frozen=True)

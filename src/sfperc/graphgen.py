@@ -12,8 +12,12 @@ what the "direct" samplers exploit.  The coupled simple-graph and multigraph
 percolations share the event "some copy of the pair is kept", so the former
 is always a subgraph of the latter.  ``percolate_coupled`` realizes that on
 a raw multigraph; ``sample_coupled_direct`` draws the same joint law from
-the percolated multigraph alone by Poisson thinning, and also hands back the
-few non-loop pairs the simple graph dropped.
+the percolated multigraph alone.  By Poisson thinning, a non-loop pair with
+c kept copies keeps its simple edge with a probability s(c, lam) that
+averages over the Poisson(lam) copies percolation discarded, so one uniform
+per pair decides it; s is evaluated only for the few pairs where that
+uniform could fail it.  The sampler also hands back the non-loop pairs the
+simple graph dropped.
 """
 
 from __future__ import annotations
@@ -252,6 +256,9 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
 # coupled percolation
 # --------------------------------------------------------------------------
 
+# Pairs per chunk of the coupled sampler's screen, which bounds its temporaries.
+_PAIR_CHUNK = 1 << 16
+
 
 def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, SimpleGraph]:
     """Percolate the multigraph and its collapse on shared randomness.
@@ -294,32 +301,80 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
 
     By Poisson thinning the kept count c and the discarded count K' of a pair
     are independent Poissons with rates pi*w_i*w_j/ell_n and
-    (1-pi)*w_i*w_j/ell_n, so the percolated multigraph is drawn directly and
-    each kept non-loop pair gets K' and its raw count k = c + K'.  Given k and
-    a kept pair, the shared uniform of ``percolate_coupled`` is uniform on
-    [0, 1-(1-pi)^k], and the simple edge is kept iff it is <= pi.  Loops never
-    become simple edges, so they need no K'.
+    lam = (1-pi)*w_i*w_j/ell_n, so the percolated multigraph is drawn
+    directly.  Given c and K', the shared uniform of ``percolate_coupled`` is
+    uniform on [0, 1-(1-pi)^(c+K')] and the simple edge is kept iff it is
+    <= pi; averaged over K', a non-loop pair keeps its simple edge with
+    probability s(c, lam) = pi * E[1 / (1-(1-pi)^(c+K'))].  One uniform u per
+    non-loop pair, in pair order, decides it: kept iff u < s.  Since
+    s(1, lam) >= e^-lam >= 1 - lam, a pair with c = 1 and u < 1 - 2*lam is
+    kept without evaluating s; the factor 2 is a margin for rounding.  Loops
+    never become simple edges and draw nothing.
 
     ``dropped`` holds the non-loop pairs of the multigraph whose simple edge
     was not kept, so it and the simple graph partition those pairs.
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
     pair = gm.src != gm.dst
-    # K' rates (1-pi) * w_i * w_j / ell_n, built in place in that order,
-    # then overwritten by P(some copy kept | k).
-    p = weights.weight(gm.src[pair])
-    p *= 1.0 - pi
-    p *= weights.weight(gm.dst[pair])
-    p /= weights.ell_n
-    p = _any_copy_kept(gm.mult[pair] + rng.poisson(p), pi)
-    if np.any(p < pi):
-        raise AssertionError("coupling violated: a kept pair is less likely than its simple edge")
+    at, u_at = [], []  # the pairs the screen cannot keep, as positions in gm, and their u
+    for lo in range(0, max(pair.size, 1), _PAIR_CHUNK):  # one chunk at least, if empty
+        idx = lo + np.flatnonzero(pair[lo:lo + _PAIR_CHUNK])
+        u = rng.random(idx.size)
+        lam = _lost_rate(weights, gm.src[idx] * gm.dst[idx], pi)
+        # s(1, lam) >= 1 - lam keeps a c = 1 pair with u < 1 - 2*lam unseen
+        test = (u >= 1.0 - 2.0 * lam) | (gm.mult[idx] != 1)
+        at.append(idx[test])
+        u_at.append(u[test])
+    at, u = np.concatenate(at), np.concatenate(u_at)
+    s = _simple_kept(gm.mult[at], _lost_rate(weights, gm.src[at] * gm.dst[at], pi), pi)
+    if not np.all((pi <= s) & (s <= 1.0)):
+        raise AssertionError("coupling violated: a simple edge kept with probability outside [pi, 1]")
     keep = pair.copy()
-    keep[pair] = rng.random(p.size) * p <= pi
-    del p
+    keep[at[u >= s]] = False
     pair ^= keep  # the non-loop pairs whose simple edge was dropped
     return (gm, SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep]),
             SimpleGraph(n=gm.n, src=gm.src[pair], dst=gm.dst[pair]))
+
+
+def _lost_rate(weights: WeightSequence, ij: np.ndarray, pi: float) -> np.ndarray:
+    """lam = (1-pi) * w_i * w_j / ell_n at the id products ij = i * j: the rate
+    of the copies pi-percolation discarded."""
+    lam = weights.pair_weight(ij)
+    lam *= (1.0 - pi) / weights.ell_n
+    return lam
+
+
+def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
+    """s(c, lam) = pi * E[1 / (1-(1-pi)^(c+K))] with K ~ Poisson(lam), c >= 1.
+
+    The k-series pi * sum_k P(K = k) / (1-(1-pi)^(c+k)) is summed over the
+    window of k within lam -+ (10 sqrt(lam) + 25), which holds all but e^-50
+    of the Poisson mass.  Each factor pi / (1-(1-pi)^(c+k)) lies in [pi, 1],
+    so the absolute error is below 2e^-50.  The Poisson weights start from 1
+    at the window's first k, follow the ratio lam / k and are normalised by
+    their sum, so e^-lam, which underflows past lam ~ 745, is never formed.
+    A pair whose (1-pi)^(c+k) stays below 2^-60 over its window has s = pi
+    to double precision and is not summed.
+    """
+    if pi >= 1.0:
+        return np.ones(c.size)
+    log_q = math.log1p(-pi)
+    s = np.full(c.size, pi)
+    half = 10.0 * np.sqrt(lam) + 25.0
+    k = np.floor(np.maximum(lam - half, 0.0))
+    live = np.flatnonzero((c + k) * log_q > -60.0 * math.log(2.0))
+    if not live.size:
+        return s
+    width = np.ceil(lam + half - k)[live]
+    c, k, lam = c[live], k[live], lam[live]
+    term, num, den = np.ones(live.size), np.zeros(live.size), np.zeros(live.size)
+    for _ in range(int(width.max()) + 1):
+        num -= term / np.expm1((c + k) * log_q)
+        den += term
+        k += 1.0
+        term *= lam / k
+    s[live] = pi * (num / den)
+    return s
 
 
 def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:

@@ -128,6 +128,14 @@ class WeightSequence:
         w *= self.c_F
         return w
 
+    def pair_weight(self, ij: np.ndarray) -> np.ndarray:
+        """w_i * w_j at an int array of id products i * j, as c_F^2 * (n^2 / ij) ** alpha
+        with one power per pair; i * j <= n^2 fits in int64 (see ``_MAX_N``)."""
+        w = float(self.n) ** 2 / ij
+        np.power(w, self.alpha, out=w)
+        w *= self.c_F ** 2
+        return w
+
     def weight_of(self, vertex: int) -> float:
         """Weight of a 1-based vertex id."""
         if not (1 <= vertex <= self.n):

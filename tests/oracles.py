@@ -2,7 +2,8 @@
 
 No experiment runs these.  They are the slow, direct forms of laws the
 library samples or solves another way: the two-step percolation of a raw
-multigraph and its collapse (criteria 3 and 9), the closed survival
+multigraph and its collapse (criteria 3 and 9), the coupled sampler's
+keep rule evaluated one pair at a time, the closed survival
 probability of a type-u particle and a Monte Carlo branching process that
 estimates it (criterion 2), the exact Laplace-type sum behind the
 exploration drift (criterion 4), and the finite-n core kernel next to its
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sfperc.errors import DomainError, RangeError
-from sfperc.graphgen import MultiGraph, SimpleGraph, _check_pi
+from sfperc.graphgen import MultiGraph, SimpleGraph, _check_pi, sample_percolated_mnr_direct
 from sfperc.params import ModelParams, PercolationSchedule, WeightSequence, core_prefix_size
 from sfperc.theory import c_F_bar
 
@@ -42,6 +43,36 @@ def percolate_multigraph(g: MultiGraph, pi: float, rng) -> MultiGraph:
     mask = kept > 0
     return MultiGraph(n=g.n, src=g.src[mask].copy(), dst=g.dst[mask].copy(),
                       mult=kept[mask].astype(np.int64))
+
+
+# --------------------------------------------------------------------------
+# the coupled sampler's keep rule, one pair at a time
+# --------------------------------------------------------------------------
+
+
+def simple_kept_series(c: int, lam: float, pi: float) -> float:
+    """pi * sum_k e^-lam lam^k / k! / (1 - (1-pi)^(c+k)), summed from k = 0
+    until the Poisson terms past the mean fall below 1e-20."""
+    q, k, term, total = 1.0 - pi, 0, math.exp(-lam), 0.0
+    while k <= lam or term > 1e-20:
+        total += term / (1.0 - q ** (c + k))
+        k += 1
+        term *= lam / k
+    return pi * total
+
+
+def coupled_reference(weights: WeightSequence, pi: float, rng):
+    """(multigraph, simple graph, dropped) as ``sample_coupled_direct`` draws
+    them, pair by pair: the same percolated multigraph and one uniform per
+    non-loop pair in pair order, with s evaluated for every such pair and no
+    screen; the pair keeps its simple edge iff its uniform is below s."""
+    gm = sample_percolated_mnr_direct(weights, pi, rng)
+    pairs = [(i, j, c) for i, j, c in gm.as_tuples() if i != j]
+    kept, dropped = [], []
+    for (i, j, c), u in zip(pairs, rng.random(len(pairs)).tolist()):
+        lam = (1.0 - pi) * weights.weight_of(i) * weights.weight_of(j) / weights.ell_n
+        (kept if u < simple_kept_series(c, lam, pi) else dropped).append((i, j))
+    return gm, SimpleGraph.from_pairs(gm.n, kept), SimpleGraph.from_pairs(gm.n, dropped)
 
 
 # --------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_explore_trace_builds_weights_once_per_n(tmp_path, monkeypatch):
      "e7edeafe05bde092e8a9b2d36dbc460662e483f459a336ee51553cff167e1c32"),
     (["generate", "--n", "5000", "--mode", "single", "--seed", "4",
       "--lambda-kind", "constant", "--lambda-value", "4", "--out"],
-     "bf94969727c1c85de4924dfc5662c3c08ba4ddcc9747b3cdc4d77ab9256cfa8b"),
+     "3477e3a928a1c25b53fbdbef34b043e87bb0833f2111c73b441f1e37210a759e"),
 ], ids=["explore-trace", "generate-raw", "generate-multi", "generate-single"])
 def test_cli_output_files_pinned(argv, digest, tmp_path):
     path = tmp_path / "out.txt"

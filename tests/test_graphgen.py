@@ -4,18 +4,21 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from sfperc import graphgen
 from sfperc.errors import DomainError
 from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
     _aggregate_pairs,
     _any_copy_kept,
+    _simple_kept,
     draw_marks,
     percolate_coupled,
     sample_coupled_direct,
@@ -25,7 +28,13 @@ from sfperc.graphgen import (
 )
 from sfperc.params import WeightSequence, build_weights, model_params
 
-from oracles import collapse_to_simple, percolate_multigraph, read_edge_rows, weight_array
+from oracles import (
+    collapse_to_simple,
+    coupled_reference,
+    percolate_multigraph,
+    read_edge_rows,
+    weight_array,
+)
 
 
 def toy_weights():
@@ -504,6 +513,104 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
         assert kept | lost == {(i, j) for i, j, _ in gm.as_tuples() if i != j}
         assert gs.edge_count + dropped.edge_count == np.count_nonzero(gm.src != gm.dst)
         assert dropped.edge_count > 0
+
+
+@pytest.mark.parametrize("pi", [0.05, 0.3, 0.8, 1.0])
+def test_sample_coupled_direct_matches_pair_by_pair_reference(pi):
+    # the screen and the windowed series decide every pair as s evaluated
+    # pair by pair does, so all three graphs agree byte for byte
+    ws = build_weights(model_params(2.5, 1.0, 2_000))
+    for seed in range(4):
+        got = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
+        want = coupled_reference(ws, pi, np.random.default_rng(seed))
+        for g, ref in zip(got, want):
+            for col in ("src", "dst", "mult"):
+                if hasattr(ref, col):
+                    a, b = getattr(g, col), getattr(ref, col)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, col)
+
+
+def test_sample_coupled_direct_drop_count_matches_closed_form():
+    # a non-loop pair with raw count k ~ Poisson(r) is dropped iff its shared
+    # uniform lies in (pi, 1 - (1-pi)^k], so P(dropped) = 1 - e^(-pi r)
+    # - pi (1 - e^-r), r = w_i w_j / ell_n; pairs are independent, so the
+    # summed count over the partition test's graphs is a Bernoulli sum
+    ws = build_weights(model_params(2.5, 1.0, 2_000))
+    w = weight_array(ws)
+    iu = np.triu_indices(ws.n, k=1)
+    r = (np.outer(w, w) / ws.ell_n)[iu]
+    mean = var = observed = 0.0
+    for pi in (0.05, 0.3, 0.8):
+        p = -np.expm1(-pi * r) + pi * np.expm1(-r)
+        for seed in range(4):
+            observed += sample_coupled_direct(ws, pi, np.random.default_rng(seed))[2].edge_count
+            mean += p.sum()
+            var += (p * (1.0 - p)).sum()
+    z = (observed - mean) / math.sqrt(var)
+    assert abs(z) <= 4.0, (observed, mean, z)
+
+
+def test_sample_coupled_direct_asserts_the_coupling(monkeypatch):
+    # a keep probability outside [pi, 1] is a numerical failure, never a draw
+    ws = build_weights(model_params(2.5, 1.0, 2_000))
+    for bad in (lambda c, lam, pi: np.full(c.size, 0.99 * pi),
+                lambda c, lam, pi: np.full(c.size, 1.0 + 1e-9),
+                lambda c, lam, pi: np.full(c.size, np.nan)):
+        monkeypatch.setattr(graphgen, "_simple_kept", bad)
+        with pytest.raises(AssertionError, match="coupling violated"):
+            sample_coupled_direct(ws, 0.3, np.random.default_rng(0))
+
+
+def _simple_kept_mp(c: int, lam: float, pi: float):
+    """The k-series of s(c, lam) at 40 digits, well past its Poisson tail."""
+    with mpmath.workdps(40):
+        lam_m, q = mpmath.mpf(lam), 1 - mpmath.mpf(pi)
+        term, total = mpmath.exp(-lam_m), mpmath.mpf(0)
+        for k in range(int(lam + 20.0 * math.sqrt(lam)) + 60):
+            total += term / (1 - q ** (c + k))
+            term *= lam_m / (k + 1)
+        return mpmath.mpf(pi) * total
+
+
+# The library sums at most 2 * (10 sqrt(500) + 25) + 1 < 500 terms, each
+# with a few roundings, so its relative error stays far below this.
+_SERIES_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("pi", [0.04, 0.126, 0.316, 1.0])
+def test_simple_kept_matches_mpmath_series(pi):
+    lam = np.concatenate([np.geomspace(1e-12, 500.0, 25), [0.5, 1.0, 18.0, 150.0, 170.0, 400.0]])
+    for c in range(1, 5):
+        got = _simple_kept(np.full(lam.size, c), lam, pi)
+        want = np.array([float(_simple_kept_mp(c, x, pi)) for x in lam])
+        np.testing.assert_allclose(got, want, rtol=_SERIES_RTOL, atol=0.0)
+        assert np.all((pi <= got) & (got <= 1.0))
+        if c == 1:
+            # the sampler's screen keeps a c = 1 pair with u < 1 - 2 lam unseen
+            assert np.all(got >= 1.0 - 2.0 * lam)
+
+
+@pytest.mark.parametrize("pi", [1e-3, 0.04, 0.316])
+def test_simple_kept_at_large_rates_matches_pgf_series(pi):
+    # past e^-lam's underflow the k-series runs relative to its window's
+    # first term; check it against the PGF form pi * sum_j (1-pi)^(jc)
+    # exp(-lam (1 - (1-pi)^j)), which converges fast when lam * pi is large
+    lam = np.array([800.0, 3e3, 3e4, 1e6])
+    for c in (1, 3):
+        got = _simple_kept(np.full(lam.size, c), lam, pi)
+        want = []
+        with mpmath.workdps(40):
+            q = 1 - mpmath.mpf(pi)
+            for x in lam:
+                # the terms fall with j, from 1 at j = 0
+                total, j, term = mpmath.mpf(0), 0, mpmath.mpf(1)
+                while term > 1e-40:
+                    total += term
+                    j += 1
+                    term = q ** (j * c) * mpmath.exp(-x * (1 - q ** j))
+                want.append(float(mpmath.mpf(pi) * total))
+        # windows up to 2 * (10 sqrt(3e4) + 25) + 1 ~ 3,500 terms here
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from sfperc.errors import (
 )
 from sfperc.params import (
     _CHUNK,
+    _MAX_N,
     LambdaRule,
+    WeightSequence,
     build_weights,
     core_prefix_size,
     derive_constants,
@@ -128,6 +130,17 @@ def test_weight_of_range_checked():
         ws.weight_of(0)
     with pytest.raises(RangeError):
         ws.weight_of(11)
+
+
+@pytest.mark.parametrize("n", [10**6, _MAX_N])
+def test_pair_weight_is_the_product_of_weights(n):
+    # one power of n^2 / (i*j) agrees with w_i * w_j; i*j stays in int64 up to n
+    c = derive_constants(2.5, 1.0)
+    ws = WeightSequence(n=n, alpha=c["alpha"], c_F=c["c_F"], ell_n=1.0)  # ell_n is not read
+    rng = np.random.default_rng(3)
+    i = np.concatenate([[1, 1, n], rng.integers(1, n + 1, 10_000)])
+    j = np.concatenate([[1, n, n], rng.integers(1, n + 1, 10_000)])
+    np.testing.assert_allclose(ws.pair_weight(i * j), ws.weight(i) * ws.weight(j), rtol=1e-14)
 
 
 def test_lambda_rules_evaluate():

@@ -30,32 +30,32 @@ _spec.loader.exec_module(checks)
 PINNED = [
     ("multi_giant", (10**4, 10**5),
      "6891d7edecead9f7a37caa602ef19cd838b249092b60546e1b0308ae63b84551",
-     "de76b6537e1c88d7641f568ba71daf1722a78b9e958ab946566013214855ffc2"),
+     "61f9235360f5579105316c4ac5e58f57c07a45f6c75d7d9a33f492a66f4d4753"),
     ("single_vs_multi", (10**4, 10**5),
-     "754bf4be27adcc0cd809918207bd3387972d5613e6b97555d402d8a7003e0db9",
-     "0561631f5fb513a3a1acae3ff2dc094db9b3a3a616a86e12a244745a8c3b6da5"),
+     "34bc1a0fb49c5f0b0e009cbe227fdf842c3e7afe95ef3b51df3e5ed5e9fd3aa5",
+     "1beb9fa99df0aedc6a1f4209d1674d9d3aed6cc4544aeb7d288e5289ed2a6eb7"),
     ("one_neighborhood", (10**5, 3 * 10**5),
-     "e90ad86288315d7dd99cace8ea87d511cdad849192d67af343cd49bf657b7f78",
-     "0284c12d567848f7cffcda9b39f08e898e80234532ecfd00ec82b05715fe44a2"),
+     "301ea0cb3cdc038acae537a87c6d99c6506ee6ec287d022c2d6ccb26fe7c209a",
+     "33d8a7a2ca2f19440a8b030c248968b6c12e0f8bb3505d1b8cffc3a0ac5c5ba9"),
     ("residual_components", (10**4, 10**5),
      "e7d80a7aa2c09b1ae409cc331004b1d4ca28fe96fe51296eb54350e3a59699a9",
-     "9261d14faeda2be15a4bdbe8b286fed48caf53f920202680ba0bd19b32c358c2"),
+     "415fbee0d24688f540d55a2d1d4ee8ceda05c6e15e2f741cdb661e6e1f807369"),
     ("exploration_limit", (10**4, 10**5),
      "e162be98907ccf7b55879075194566b40dda15a1ada5f805103d9ec1dd32313a",
-     "12eeb898354d041ec3890a826780405a838494446bef769f4c3935c854854688"),
+     "ba88be899216cff109b6a1ec53aff4740f097278e0a5ed13541edba576947d22"),
     ("repeat_fraction", (10**4, 10**5),
      "0f82a9b0632edbf61522eec819df8667b5a7a87e7b34b2613ff6acca2d321c45",
-     "2e84d21d8a34ff6c402a1a03431bcb04bdd5d72bb8e967c98479c29ef39b0a41"),
+     "c4f54c1b11ce7b0723f1bb98564adac9b7c37c63ee41f84aad9d3d7342addb09"),
     ("theory_tables", (10**4, 10**5),
      "a2ca97891fa9d25314247c0ebfcb2d4435cdbdf6b62e42db8dc7105f06a4e5d9",
-     "07b45b02a2e92c23bde7dcc822b8709b2b425aa7df4d927dab1aa69ed11d1649"),
+     "a9c5be5dfdc137f3c3884b528796633226973eb6ed4a55bb9ddf05de020ff3a6"),
 ]
 
 
 @pytest.mark.parametrize("experiment, n_grid, digest, report_digest", PINNED,
                          ids=[p[0] for p in PINNED])
 def test_records_digest_pinned(experiment, n_grid, digest, report_digest):
-    assert RESULT_VERSION == 3
+    assert RESULT_VERSION == 4
     result = run(ExperimentConfig(experiment, n_grid=n_grid, replicas=3, master_seed=1))
     assert checks.records_digest(result.records) == digest
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == report_digest
