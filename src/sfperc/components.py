@@ -15,6 +15,7 @@ giant of its graph plus a few more edges at a cost that grows with those alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,8 +174,7 @@ def extract_core(g: SimpleGraph, core_size: int) -> SimpleGraph:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoreGiant:
+class CoreGiant(NamedTuple):
     """Largest component of the core with its percolated weight sum."""
 
     size: int
@@ -205,8 +205,7 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
     return int(outside.size and 1 + np.count_nonzero(outside[1:] != outside[:-1]))
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     """Summary of one core analysis at level a."""
 
     core_size: int

@@ -10,15 +10,14 @@ byte-identical to serial ones.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ from .theory import (
 RESULT_VERSION = 4
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """One experiment: its CLI subcommand and help line, the window it
     percolates on, and the defaults a config leaves out."""
 
@@ -243,8 +241,7 @@ def derive_seed(master_seed: int, n: int, replica: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(NamedTuple):
     """Shared read-only state for all replicas at one n."""
 
     n: int
@@ -499,6 +496,10 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         return _replica_record(config, contexts[n], r, seed)
 
     if threads > 1:
+        # Imported here, like csv below, so a run that needs neither pays
+        # for neither (the pool also loads logging and queue).
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(work, jobs))
     else:
@@ -557,6 +558,7 @@ def write_result(result: ExperimentResult, path, output_format: str = "json") ->
     elif output_format == "csv":
         if not result.records:
             raise DomainError("cannot write an empty record table as CSV")
+        import csv
         import io
 
         buf = io.StringIO()

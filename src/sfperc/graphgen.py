@@ -365,15 +365,22 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     live = np.flatnonzero((c + k) * log_q > -60.0 * math.log(2.0))
     if not live.size:
         return s
+    # Widest window first: the pairs still summing at step t, those of width
+    # >= t, are then the first m, so each pair stops at its own window's end.
     width = np.ceil(lam + half - k)[live]
+    order = np.argsort(-width)
+    live, width = live[order], width[order]
     c, k, lam = c[live], k[live], lam[live]
     term, num, den = np.ones(live.size), np.zeros(live.size), np.zeros(live.size)
-    for _ in range(int(width.max()) + 1):
+    total_num, total_den = num, den  # num and den shrink to prefix views of these
+    for m in np.searchsorted(-width, -np.arange(width[0] + 1), side="right"):
+        if m < term.size:
+            c, k, lam, term, num, den = c[:m], k[:m], lam[:m], term[:m], num[:m], den[:m]
         num -= term / np.expm1((c + k) * log_q)
         den += term
         k += 1.0
         term *= lam / k
-    s[live] = pi * (num / den)
+    s[live] = pi * (total_num / total_den)
     return s
 
 

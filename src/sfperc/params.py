@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ _CROSS_CHECK_RTOL = 1e-12
 _MAX_N = math.isqrt(2**63 - 1) - 1
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Primitive parameters (tau, C, n) plus the constants derived from them.
 
     alpha = 1/(tau-1) is the weight decay exponent, eta and eta_s are the
@@ -198,8 +198,7 @@ class LambdaRule:
         return cls(kind=d["kind"], value=float(d["value"]))
 
 
-@dataclass(frozen=True)
-class PercolationSchedule:
+class PercolationSchedule(NamedTuple):
     """A concrete (n, pi_n) pair on either the multigraph or simple-graph window.
 
     multi mode:  pi_n = lambda_n * n**-eta,   eta   = (3-tau)/(tau-1)

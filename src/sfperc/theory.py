@@ -11,7 +11,7 @@ point solved by simple iteration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .params import ModelParams
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
+class TheoryConstants(NamedTuple):
     """Limit constants of the barely supercritical window.
 
     kappa        = c_F**(tau-2) * Gamma(3-tau)
@@ -236,8 +235,7 @@ def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None) -> 
     return _adaptive_simpson(f, 0.0, a) / a
 
 
-@dataclass(frozen=True)
-class CoreLimit:
+class CoreLimit(NamedTuple):
     """Limit quantities of the level-a core: the fixed point rho_star_a, the
     mean survival probability rho_a (giant fraction of the core), and the
     giant weight zeta_a on the beta_n scale."""

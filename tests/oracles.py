@@ -3,8 +3,8 @@
 No experiment runs these.  They are the slow, direct forms of laws the
 library samples or solves another way: the two-step percolation of a raw
 multigraph and its collapse (criteria 3 and 9), the coupled sampler's
-keep rule evaluated one pair at a time, the closed survival
-probability of a type-u particle and a Monte Carlo branching process that
+keep rule evaluated one pair at a time and its k-series summed over the
+widest window, the closed survival probability of a type-u particle and a Monte Carlo branching process that
 estimates it (criterion 2), the exact Laplace-type sum behind the
 exploration drift (criterion 4), and the finite-n core kernel next to its
 limit (criterion 7).  ``weight_array`` lists all n weights of a sequence,
@@ -59,6 +59,32 @@ def simple_kept_series(c: int, lam: float, pi: float) -> float:
         k += 1
         term *= lam / k
     return pi * total
+
+
+def simple_kept_widest_window(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
+    """``graphgen._simple_kept`` with every live pair summed for as many
+    steps as the widest window, its terms past a pair's own window included.
+    Those terms are below e^-50 of the running sums, so the values must
+    agree with the library's bit for bit."""
+    if pi >= 1.0:
+        return np.ones(c.size)
+    log_q = math.log1p(-pi)
+    s = np.full(c.size, pi)
+    half = 10.0 * np.sqrt(lam) + 25.0
+    k = np.floor(np.maximum(lam - half, 0.0))
+    live = np.flatnonzero((c + k) * log_q > -60.0 * math.log(2.0))
+    if not live.size:
+        return s
+    width = np.ceil(lam + half - k)[live]
+    c, k, lam = c[live], k[live], lam[live]
+    term, num, den = np.ones(live.size), np.zeros(live.size), np.zeros(live.size)
+    for _ in range(int(width.max()) + 1):
+        num -= term / np.expm1((c + k) * log_q)
+        den += term
+        k += 1.0
+        term *= lam / k
+    s[live] = pi * (num / den)
+    return s
 
 
 def coupled_reference(weights: WeightSequence, pi: float, rng):

@@ -26,13 +26,15 @@ from sfperc.graphgen import (
     sample_percolated_mnr_direct,
     write_edge_list,
 )
-from sfperc.params import WeightSequence, build_weights, model_params
+from sfperc.experiments import EXPERIMENTS
+from sfperc.params import WeightSequence, build_weights, make_schedule, model_params
 
 from oracles import (
     collapse_to_simple,
     coupled_reference,
     percolate_multigraph,
     read_edge_rows,
+    simple_kept_widest_window,
     weight_array,
 )
 
@@ -611,6 +613,38 @@ def test_simple_kept_at_large_rates_matches_pgf_series(pi):
                 want.append(float(mpmath.mpf(pi) * total))
         # windows up to 2 * (10 sqrt(3e4) + 25) + 1 ~ 3,500 terms here
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("pi", [1e-3, 0.04, 0.126, 0.316, 1.0])
+def test_simple_kept_stops_each_pair_at_its_window(pi):
+    # both series grids in one call, so windows of every width share the
+    # shrinking prefix; the terms a pair skips past its window change no bit
+    lam = np.concatenate([np.geomspace(1e-12, 500.0, 25),
+                          [0.5, 1.0, 18.0, 150.0, 170.0, 400.0, 800.0, 3e3, 3e4, 1e6]])
+    c, lam = np.repeat(np.arange(1, 5), lam.size), np.tile(lam, 4)
+    got = _simple_kept(c, lam, pi)
+    assert got.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
+
+
+def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
+    # the pairs the coupled sampler evaluates on core-1e6 graphs
+    spec = EXPERIMENTS["one_neighborhood"]
+    params = model_params(2.5, 1.0, 10**6)
+    ws, pi = build_weights(params), make_schedule(params, spec.mode, spec.lambda_rule).pi_n
+    calls = []
+
+    def recording(c, lam, pi):
+        s = _simple_kept(c, lam, pi)
+        calls.append((c, lam, s))
+        return s
+
+    monkeypatch.setattr(graphgen, "_simple_kept", recording)
+    for seed in range(6):
+        sample_coupled_direct(ws, pi, np.random.default_rng(seed))
+    assert len(calls) == 6
+    for c, lam, s in calls:
+        assert c.size > 1_000
+        assert s.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_build_weights_bitwise(tau, n):
     assert ws.weight(picks).tobytes() == w[picks - 1].tobytes()
 
 
+
+@pytest.mark.parametrize("tau", [2.2, 2.5, 2.9])
+@pytest.mark.parametrize("n", [10**4, 1_000_003])
+def test_build_weights_ell_n_is_accurate(tau, n):
+    # the accuracy any form of ell_n must keep: within 1e-12 of the correctly
+    # rounded sum of the weights (the chunked cumsum is up to 534 ulp, 6.2e-14, off here)
+    ws = build_weights(model_params(tau, 0.7, n))
+    exact = math.fsum(ws.weight(np.arange(1, n + 1)).tolist())
+    assert abs(ws.ell_n - exact) <= 1e-12 * exact
+
 def test_build_weights_peak_is_one_chunk():
     # ell_n is summed one chunk at a time: the peak is the chunk's ids, its
     # weights and the last chunk's sums (8 bytes an id each) plus numpy's
