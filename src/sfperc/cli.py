@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _run_experiment(args)
-    except SfpercError as e:
+    except (SfpercError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -200,4 +200,5 @@ def write_trace_csv(trace: ExplorationTrace, path) -> None:
     lines = ["step,Z,S,repeats,new_mark"]
     for l in range(1, trace.steps + 1):
         lines.append(f"{l},{Z[l]},{float(S[l])!r},{repeats[l]},{int(new[l - 1])}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")

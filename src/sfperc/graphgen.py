@@ -16,14 +16,15 @@ the percolated multigraph alone.  By Poisson thinning, a non-loop pair with
 c kept copies keeps its simple edge with a probability s(c, lam) that
 averages over the Poisson(lam) copies percolation discarded, so one uniform
 per pair decides it; s is evaluated only for the few pairs where that
-uniform could fail it.  The sampler also hands back the non-loop pairs the
-simple graph dropped.
+uniform could fail it, chunk by chunk in place.  The sampler also hands back
+the non-loop pairs the simple graph dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -311,37 +312,27 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     kept without evaluating s; the factor 2 is a margin for rounding.  Loops
     never become simple edges and draw nothing.
 
-    ``dropped`` holds the non-loop pairs of the multigraph whose simple edge
-    was not kept, so it and the simple graph partition those pairs.
+    Each chunk of ``_PAIR_CHUNK`` pairs draws its u, screens them, evaluates
+    s for the pairs the screen leaves and clears those with u >= s in
+    ``keep``, the one full-length mask held through the loop.  ``dropped``,
+    the non-loop pairs whose simple edge was not kept, is cut after the loop.
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
-    pair = gm.src != gm.dst
-    at, u_at = [], []  # the pairs the screen cannot keep, as positions in gm, and their u
-    for lo in range(0, max(pair.size, 1), _PAIR_CHUNK):  # one chunk at least, if empty
-        idx = lo + np.flatnonzero(pair[lo:lo + _PAIR_CHUNK])
+    keep = gm.src != gm.dst
+    for lo in range(0, keep.size, _PAIR_CHUNK):
+        idx = lo + np.flatnonzero(keep[lo:lo + _PAIR_CHUNK])
         u = rng.random(idx.size)
-        lam = _lost_rate(weights, gm.src[idx] * gm.dst[idx], pi)
-        # s(1, lam) >= 1 - lam keeps a c = 1 pair with u < 1 - 2*lam unseen
+        lam = weights.pair_weight(gm.src[idx] * gm.dst[idx]) * ((1.0 - pi) / weights.ell_n)
         test = (u >= 1.0 - 2.0 * lam) | (gm.mult[idx] != 1)
-        at.append(idx[test])
-        u_at.append(u[test])
-    at, u = np.concatenate(at), np.concatenate(u_at)
-    s = _simple_kept(gm.mult[at], _lost_rate(weights, gm.src[at] * gm.dst[at], pi), pi)
-    if not np.all((pi <= s) & (s <= 1.0)):
-        raise AssertionError("coupling violated: a simple edge kept with probability outside [pi, 1]")
-    keep = pair.copy()
-    keep[at[u >= s]] = False
-    pair ^= keep  # the non-loop pairs whose simple edge was dropped
+        idx, u = idx[test], u[test]
+        s = _simple_kept(gm.mult[idx], lam[test], pi)
+        if not np.all((pi <= s) & (s <= 1.0)):
+            raise AssertionError("coupling violated: keep probability outside [pi, 1]")
+        keep[idx[u >= s]] = False
+    dropped = gm.src != gm.dst
+    dropped ^= keep  # the non-loop pairs whose simple edge was dropped
     return (gm, SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep]),
-            SimpleGraph(n=gm.n, src=gm.src[pair], dst=gm.dst[pair]))
-
-
-def _lost_rate(weights: WeightSequence, ij: np.ndarray, pi: float) -> np.ndarray:
-    """lam = (1-pi) * w_i * w_j / ell_n at the id products ij = i * j: the rate
-    of the copies pi-percolation discarded."""
-    lam = weights.pair_weight(ij)
-    lam *= (1.0 - pi) / weights.ell_n
-    return lam
+            SimpleGraph(n=gm.n, src=gm.src[dropped], dst=gm.dst[dropped]))
 
 
 def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
@@ -353,35 +344,22 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     so the absolute error is below 2e^-50.  The Poisson weights start from 1
     at the window's first k, follow the ratio lam / k and are normalised by
     their sum, so e^-lam, which underflows past lam ~ 745, is never formed.
-    A pair whose (1-pi)^(c+k) stays below 2^-60 over its window has s = pi
-    to double precision and is not summed.
+    Every pair runs to the end of the call's widest window: the terms past its
+    own are below e^-50 of its sums.  Where (1-pi)^(c+k) < 2^-60, expm1 rounds
+    to -1, so each term adds to num and den alike and s = pi exactly.
     """
     if pi >= 1.0:
         return np.ones(c.size)
     log_q = math.log1p(-pi)
-    s = np.full(c.size, pi)
     half = 10.0 * np.sqrt(lam) + 25.0
     k = np.floor(np.maximum(lam - half, 0.0))
-    live = np.flatnonzero((c + k) * log_q > -60.0 * math.log(2.0))
-    if not live.size:
-        return s
-    # Widest window first: the pairs still summing at step t, those of width
-    # >= t, are then the first m, so each pair stops at its own window's end.
-    width = np.ceil(lam + half - k)[live]
-    order = np.argsort(-width)
-    live, width = live[order], width[order]
-    c, k, lam = c[live], k[live], lam[live]
-    term, num, den = np.ones(live.size), np.zeros(live.size), np.zeros(live.size)
-    total_num, total_den = num, den  # num and den shrink to prefix views of these
-    for m in np.searchsorted(-width, -np.arange(width[0] + 1), side="right"):
-        if m < term.size:
-            c, k, lam, term, num, den = c[:m], k[:m], lam[:m], term[:m], num[:m], den[:m]
+    term, num, den = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
+    for _ in range(int(np.ceil(lam + half - k).max(initial=0.0)) + 1):
         num -= term / np.expm1((c + k) * log_q)
         den += term
         k += 1.0
         term *= lam / k
-    s[live] = pi * (total_num / total_den)
-    return s
+    return pi * (num / den)
 
 
 def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:
@@ -412,5 +390,6 @@ def _check_pi(pi: float) -> None:
 def write_edge_list(g: MultiGraph | SimpleGraph, path) -> None:
     """Plain text dump: header "n m", then one "i j multiplicity" line per pair."""
     mult = g.mult if isinstance(g, MultiGraph) else np.ones(g.src.size, dtype=np.int64)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, np.column_stack([g.src, g.dst, mult]), fmt="%d",
                header=f"{g.n} {g.src.size}", comments="")

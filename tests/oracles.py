@@ -62,10 +62,11 @@ def simple_kept_series(c: int, lam: float, pi: float) -> float:
 
 
 def simple_kept_widest_window(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
-    """``graphgen._simple_kept`` with every live pair summed for as many
-    steps as the widest window, its terms past a pair's own window included.
-    Those terms are below e^-50 of the running sums, so the values must
-    agree with the library's bit for bit."""
+    """``graphgen._simple_kept`` with the live-pair shortcut it no longer
+    takes: a pair whose (1-pi)^(c+k) starts below 2^-60 gets s = pi unsummed,
+    and every other pair is summed for as many steps as the widest window.
+    The library sums every pair, so agreeing bit for bit shows that dropping
+    the shortcut changed no value."""
     if pi >= 1.0:
         return np.ones(c.size)
     log_q = math.log1p(-pi)

@@ -269,6 +269,31 @@ def test_explore_trace_builds_weights_once_per_n(tmp_path, monkeypatch):
     assert sorted(built) == [400, 800]
 
 
+# The three files the CLI writes, each with its path as the last argument.
+_OUTPUTS = {
+    "report": ["giant", "--n-grid", "200", "--replicas", "1", "--out"],
+    "edge-list": ["generate", "--n", "200", "--out"],
+    "trace": ["explore", "--n-grid", "400", "--replicas", "1", "--T", "2.0", "--trace"],
+}
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS.values(), ids=_OUTPUTS.keys())
+def test_outputs_create_missing_directories(argv, tmp_path):
+    path = tmp_path / "missing" / "dir" / "out.txt"
+    assert main([*argv, str(path)]) == 0
+    assert path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS.values(), ids=_OUTPUTS.keys())
+def test_unwritable_output_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    # a path under a regular file cannot be made, whatever the permissions
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, str(blocker / "dir" / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 # sha256 of the files the CLI writes, at a fixed small n and seed.
 @pytest.mark.parametrize("argv, digest", [
     (["explore", "--n-grid", "2000", "--replicas", "1", "--seed", "3", "--T", "2.0",

@@ -517,10 +517,18 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
         assert dropped.edge_count > 0
 
 
-@pytest.mark.parametrize("pi", [0.05, 0.3, 0.8, 1.0])
-def test_sample_coupled_direct_matches_pair_by_pair_reference(pi):
+_PIS = (0.05, 0.3, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("pi, chunk", [(pi, graphgen._PAIR_CHUNK) for pi in _PIS]
+                         + [(pi, 97) for pi in _PIS],
+                         ids=[str(pi) for pi in _PIS] + [f"{pi}-chunk97" for pi in _PIS])
+def test_sample_coupled_direct_matches_pair_by_pair_reference(pi, chunk, monkeypatch):
     # the screen and the windowed series decide every pair as s evaluated
-    # pair by pair does, so all three graphs agree byte for byte
+    # pair by pair does, so all three graphs agree byte for byte; at 97 pairs
+    # a chunk the graphs cross dozens of chunk edges, some chunks with no
+    # pair to evaluate
+    monkeypatch.setattr(graphgen, "_PAIR_CHUNK", chunk)
     ws = build_weights(model_params(2.5, 1.0, 2_000))
     for seed in range(4):
         got = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
@@ -530,6 +538,24 @@ def test_sample_coupled_direct_matches_pair_by_pair_reference(pi):
                 if hasattr(ref, col):
                     a, b = getattr(g, col), getattr(ref, col)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, col)
+
+
+@pytest.mark.parametrize("n, pi", [(1, 0.9), (50, 1e-3)])
+def test_sample_coupled_direct_without_non_loop_pairs(n, pi):
+    # n = 1 draws loops only; at pi * ell_n / 2 ~ 0.06 most seeds draw no slot
+    ws = build_weights(model_params(2.5, 1.0, n))
+    drawn = []  # pair counts of the graphs with no non-loop pair
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        gm, gs, dropped = sample_coupled_direct(ws, pi, rng)
+        want = sample_percolated_mnr_direct(ws, pi, ref)
+        if np.any(want.src != want.dst):
+            continue
+        drawn.append(want.pair_count)
+        assert gm.as_tuples() == want.as_tuples()
+        assert gs.edge_count == dropped.edge_count == 0
+        assert rng.random() == ref.random()  # no uniform was drawn
+    assert 0 in drawn and (n > 1 or max(drawn) > 0)
 
 
 def test_sample_coupled_direct_drop_count_matches_closed_form():
@@ -627,7 +653,8 @@ def test_simple_kept_stops_each_pair_at_its_window(pi):
 
 
 def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
-    # the pairs the coupled sampler evaluates on core-1e6 graphs
+    # the pairs the coupled sampler evaluates on core-1e6 graphs, one call per
+    # chunk, so each sample's pairs are spread over several calls
     spec = EXPERIMENTS["one_neighborhood"]
     params = model_params(2.5, 1.0, 10**6)
     ws, pi = build_weights(params), make_schedule(params, spec.mode, spec.lambda_rule).pi_n
@@ -635,16 +662,17 @@ def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
 
     def recording(c, lam, pi):
         s = _simple_kept(c, lam, pi)
-        calls.append((c, lam, s))
+        calls[-1].append((c, lam, s))
         return s
 
     monkeypatch.setattr(graphgen, "_simple_kept", recording)
     for seed in range(6):
+        calls.append([])
         sample_coupled_direct(ws, pi, np.random.default_rng(seed))
-    assert len(calls) == 6
-    for c, lam, s in calls:
-        assert c.size > 1_000
-        assert s.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
+    for sample in calls:
+        assert sum(c.size for c, _, _ in sample) > 1_000
+        for c, lam, s in sample:
+            assert s.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
 
 
 # --------------------------------------------------------------------------
