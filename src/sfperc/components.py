@@ -44,14 +44,6 @@ class ComponentSummary:
     second_size: int
 
     @property
-    def sizes(self) -> np.ndarray:
-        """All component sizes in non-increasing order, as int64."""
-        large = np.sort(self.counts[self.counts > 0])[::-1]
-        sizes = np.ones(self.n - self.ids.size + large.size, dtype=np.int64)
-        sizes[:large.size] = large
-        return sizes
-
-    @property
     def giant_members(self) -> np.ndarray:
         """The giant's ids in increasing order; vertex 1 when no edge joins two ids."""
         if not self.ids.size:

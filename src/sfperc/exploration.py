@@ -61,25 +61,6 @@ class ExplorationTrace:
         np.cumsum(~self.new_mark, out=repeats[1:])
         return repeats
 
-    @property
-    def excursions(self) -> list[tuple[int, int]]:
-        """Closed excursions as (first_step, last_step) pairs, 1-based inclusive.
-
-        An excursion closes exactly when Z hits a new running minimum.
-        """
-        runmin = np.minimum.accumulate(self.Z)
-        closes = np.flatnonzero(runmin[1:] < runmin[:-1]) + 1
-        starts = np.concatenate([[1], closes[:-1] + 1])
-        return list(zip(starts.tolist(), closes.tolist()))
-
-    def explored(self, upto: int | None = None) -> np.ndarray:
-        """Distinct explored marks after ``upto`` steps (default: all steps)."""
-        if upto is None:
-            upto = self.steps
-        if not (0 <= upto <= self.steps):
-            raise RangeError(f"step {upto} outside [0, {self.steps}]")
-        return np.sort(self.marks[:upto][self.new_mark[:upto]])
-
 
 def _check_key_range(n: int, m: int) -> None:
     """Fail unless the keys mark * m + step of m draws from 1..n fit in int64."""

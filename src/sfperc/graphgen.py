@@ -45,38 +45,8 @@ class MultiGraph:
     dst: np.ndarray
     mult: np.ndarray
 
-    @property
-    def pair_count(self) -> int:
-        return int(self.src.size)
-
-    @property
-    def total_edge_count(self) -> int:
-        """Number of edges counted with multiplicity."""
-        return int(self.mult.sum())
-
-    def degrees(self) -> np.ndarray:
-        """Degree array indexed by vertex id (entry 0 unused); loops count twice."""
-        deg = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(deg, self.src, self.mult)
-        np.add.at(deg, self.dst, self.mult)
-        return deg
-
-    def as_tuples(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.src.tolist(), self.dst.tolist(), self.mult.tolist()))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "MultiGraph":
-        """Build from an iterable of (i, j, mult); pairs are canonicalized and merged."""
-        i, j, m = _pair_columns(n, pairs, 3)
-        if np.any(m < 1):
-            raise DomainError("multiplicities must be >= 1")
-        src, dst, mult = _aggregate_pairs(n, np.repeat(i, m), np.repeat(j, m))
-        g = cls(n=n, src=src, dst=dst, mult=mult)
-        g.validate()
-        return g
-
     def validate(self) -> None:
-        """Structural invariants: column shapes, multiplicities >= 1, endpoint ranges, order."""
+        """Structural invariants: column shapes and dtypes, multiplicities >= 1, ranges, order."""
         _check_pairs(self)
 
 
@@ -92,48 +62,26 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return int(self.src.size)
 
-    def degrees(self) -> np.ndarray:
-        """Degree array indexed by vertex id (entry 0 unused)."""
-        deg = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(deg, self.src, 1)
-        np.add.at(deg, self.dst, 1)
-        return deg
-
-    def as_tuples(self) -> list[tuple[int, int]]:
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "SimpleGraph":
-        """Build from an iterable of (i, j); pairs are canonicalized and deduplicated."""
-        i, j = _pair_columns(n, pairs, 2)
-        loops = i[i == j]
-        if loops.size:
-            raise DomainError(f"simple graph cannot hold the loop ({loops[0]}, {loops[0]})")
-        src, dst, _ = _aggregate_pairs(n, i, j)
-        g = cls(n=n, src=src, dst=dst)
-        g.validate()
-        return g
-
     def validate(self) -> None:
         """Structural invariants: column shapes, endpoint ranges, src < dst, order."""
         _check_pairs(self)
 
 
 def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
-    """1-D signed-integer endpoint columns of one length (a multigraph's
-    multiplicities of that shape and >= 1), endpoints in [1, n], src <= dst
-    (src < dst in a simple graph), pairs sorted and unique.
+    """1-D signed-integer columns of one length (endpoints, and a multigraph's
+    multiplicities, each >= 1), endpoints in [1, n], src <= dst (src < dst
+    in a simple graph), pairs sorted and unique.
 
     This is what the degree-sum identity sum_v deg(v) = 2 * sum(mult) reduces
-    to: ``np.add.at`` over integer endpoint columns of one length satisfies
-    it always, so only a column of the wrong length or dtype could break it.
+    to: ``np.add.at`` over integer columns of one length satisfies it
+    always, so only a column of the wrong length or dtype could break it.
     """
-    for col in (g.src, g.dst):
-        if col.ndim != 1 or col.dtype.kind != "i" or col.shape != g.src.shape:
-            raise AssertionError("endpoints need 1-D signed-integer columns of one length")
     loops = isinstance(g, MultiGraph)
-    if loops and (g.mult.shape != g.src.shape or np.any(g.mult < 1)):
-        raise AssertionError("multiplicities need the endpoints' shape and must be >= 1")
+    for col in (g.src, g.dst, g.mult) if loops else (g.src, g.dst):
+        if col.ndim != 1 or col.dtype.kind != "i" or col.shape != g.src.shape:
+            raise AssertionError("pairs need 1-D signed-integer columns of one length")
+    if loops and np.any(g.mult < 1):
+        raise AssertionError("multiplicities must be >= 1")
     if g.src.size:
         if g.src.min() < 1 or g.dst.max() > g.n:
             raise AssertionError(f"edge endpoint outside [1, {g.n}]")
@@ -192,19 +140,6 @@ def _zipf(n: int, alpha: float, size: int, rng) -> np.ndarray:
     if reject.size:
         marks[reject] = _zipf(n, alpha, reject.size, rng)
     return marks
-
-
-def _pair_columns(n: int, pairs, width: int) -> np.ndarray:
-    """Columns of an iterable of ``width``-tuples as int64 rows, endpoints checked.
-
-    The check must come first: _aggregate_pairs keys a pair by i*(n+1) + j,
-    which maps out-of-range ids onto valid pairs.
-    """
-    cols = np.array(list(pairs), dtype=np.int64).reshape(-1, width).T
-    ends = cols[:2]
-    if ends.size and (ends.min() < 1 or ends.max() > n):
-        raise DomainError(f"edge endpoint outside [1, {n}]")
-    return cols
 
 
 def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
@@ -272,11 +207,11 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
     """
     _check_pi(pi)
     k = g.mult
-    u = rng.random(g.pair_count)
+    u = rng.random(g.src.size)
     multi_keep = u <= _any_copy_kept(k, pi)
     simple_keep = (u <= pi) & (g.src != g.dst)
 
-    counts = np.zeros(g.pair_count, dtype=np.int64)
+    counts = np.zeros(g.src.size, dtype=np.int64)
     counts[multi_keep & (k == 1)] = 1
     # Pairs with k >= 2 are rare; conditional binomial via rejection.
     for idx in np.nonzero(multi_keep & (k >= 2))[0]:
@@ -344,9 +279,12 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     so the absolute error is below 2e^-50.  The Poisson weights start from 1
     at the window's first k, follow the ratio lam / k and are normalised by
     their sum, so e^-lam, which underflows past lam ~ 745, is never formed.
-    Every pair runs to the end of the call's widest window: the terms past its
-    own are below e^-50 of its sums.  Where (1-pi)^(c+k) < 2^-60, expm1 rounds
-    to -1, so each term adds to num and den alike and s = pi exactly.
+    The loop runs to the end of the call's widest window, the terms past a
+    pair's own being below e^-50 of its sums, but every fourth step it stops
+    once each k is past its lam and the next term changes neither sum: past
+    the mode the terms only shrink, so no later one changes a bit.  Where
+    (1-pi)^(c+k) < 2^-60, expm1 rounds to -1, so each term adds to num and
+    den alike and s = pi exactly.
     """
     if pi >= 1.0:
         return np.ones(c.size)
@@ -354,8 +292,12 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     half = 10.0 * np.sqrt(lam) + 25.0
     k = np.floor(np.maximum(lam - half, 0.0))
     term, num, den = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
-    for _ in range(int(np.ceil(lam + half - k).max(initial=0.0)) + 1):
-        num -= term / np.expm1((c + k) * log_q)
+    for step in range(int(np.ceil(lam + half - k).max(initial=0.0)) + 1):
+        add = term / np.expm1((c + k) * log_q)
+        if (step % 4 == 3 and np.all(k > lam) and np.array_equal(num - add, num)
+                and np.array_equal(den + term, den)):
+            break
+        num -= add
         den += term
         k += 1.0
         term *= lam / k

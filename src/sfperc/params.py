@@ -21,7 +21,6 @@ from .errors import (
     CoreExceedsGraphError,
     DomainError,
     NumericalFailureError,
-    RangeError,
     ScheduleInfeasibleError,
 )
 
@@ -135,12 +134,6 @@ class WeightSequence:
         np.power(w, self.alpha, out=w)
         w *= self.c_F ** 2
         return w
-
-    def weight_of(self, vertex: int) -> float:
-        """Weight of a 1-based vertex id."""
-        if not (1 <= vertex <= self.n):
-            raise RangeError(f"vertex id {vertex} outside [1, {self.n}]")
-        return float(self.weight(np.array([vertex]))[0])
 
 
 def build_weights(params: ModelParams) -> WeightSequence:

@@ -4,13 +4,14 @@ No experiment runs these.  They are the slow, direct forms of laws the
 library samples or solves another way: the two-step percolation of a raw
 multigraph and its collapse (criteria 3 and 9), the coupled sampler's
 keep rule evaluated one pair at a time and its k-series summed over the
-widest window, the closed survival probability of a type-u particle and a Monte Carlo branching process that
-estimates it (criterion 2), the exact Laplace-type sum behind the
-exploration drift (criterion 4), and the finite-n core kernel next to its
-limit (criterion 7).  ``weight_array`` lists all n weights of a sequence,
-which the library itself never holds.  ``labels_from_summary`` reads each vertex's component
-label off a component summary, and ``read_edge_rows`` parses the edge-list
-dump that ``sfperc generate`` writes.
+widest window, the closed survival probability of a type-u particle and a
+Monte Carlo branching process that estimates it (criterion 2), the exact
+Laplace-type sum behind the exploration drift (criterion 4), and the
+finite-n core kernel next to its limit (criterion 7).  The rest are views
+the library has no use for: graphs built from and read back as tuples,
+``degrees`` (criterion 9's degree-sum identity), one or all weights, a
+trace's ``excursions`` and ``explored`` set, a summary's ``all_sizes`` and
+labels, and ``read_edge_rows``, the parser of ``sfperc generate`` dumps.
 """
 
 from __future__ import annotations
@@ -21,9 +22,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from sfperc.errors import DomainError, RangeError
-from sfperc.graphgen import MultiGraph, SimpleGraph, _check_pi, sample_percolated_mnr_direct
+from sfperc.graphgen import (MultiGraph, SimpleGraph, _aggregate_pairs, _check_pi,
+                             sample_percolated_mnr_direct)
 from sfperc.params import ModelParams, PercolationSchedule, WeightSequence, core_prefix_size
 from sfperc.theory import c_F_bar
+
+# --------------------------------------------------------------------------
+# graphs from lists of tuples, and back
+# --------------------------------------------------------------------------
+
+
+def _from_pairs(n: int, pairs, width: int):
+    """Sorted unique (src, dst, mult) of ``width``-tuples (i, j[, mult]).
+
+    The endpoint check must come first: _aggregate_pairs keys a pair by
+    i*(n+1) + j, which maps out-of-range ids onto valid pairs.
+    """
+    cols = np.array(list(pairs), dtype=np.int64).reshape(-1, width).T
+    i, j = cols[0], cols[1]
+    if i.size and (min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > n):
+        raise DomainError(f"edge endpoint outside [1, {n}]")
+    m = cols[2] if width == 3 else np.ones_like(i)
+    if np.any(m < 1):
+        raise DomainError("multiplicities must be >= 1")
+    if width == 2 and np.any(i == j):
+        raise DomainError(f"simple graph cannot hold the loop {(int(i[i == j][0]),) * 2}")
+    return _aggregate_pairs(n, np.repeat(i, m), np.repeat(j, m))
+
+
+def multi_from_pairs(n: int, pairs) -> MultiGraph:
+    """Multigraph of (i, j, mult) tuples; pairs are canonicalized and merged."""
+    g = MultiGraph(n, *_from_pairs(n, pairs, 3))
+    g.validate()
+    return g
+
+
+def simple_from_pairs(n: int, pairs) -> SimpleGraph:
+    """Simple graph of (i, j) tuples; pairs are canonicalized and deduplicated."""
+    g = SimpleGraph(n, *_from_pairs(n, pairs, 2)[:2])
+    g.validate()
+    return g
+
+
+def as_tuples(g: MultiGraph | SimpleGraph) -> list[tuple]:
+    """The pairs as (i, j, mult) tuples, or (i, j) for a simple graph."""
+    cols = (g.src, g.dst, g.mult) if isinstance(g, MultiGraph) else (g.src, g.dst)
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+def degrees(g: MultiGraph | SimpleGraph) -> np.ndarray:
+    """Degree array indexed by vertex id (entry 0 unused); loops count twice."""
+    deg = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(deg, g.src, getattr(g, "mult", 1))
+    np.add.at(deg, g.dst, getattr(g, "mult", 1))
+    return deg
+
 
 # --------------------------------------------------------------------------
 # collapse and two-step percolation of a raw multigraph
@@ -65,8 +118,8 @@ def simple_kept_widest_window(c: np.ndarray, lam: np.ndarray, pi: float) -> np.n
     """``graphgen._simple_kept`` with the live-pair shortcut it no longer
     takes: a pair whose (1-pi)^(c+k) starts below 2^-60 gets s = pi unsummed,
     and every other pair is summed for as many steps as the widest window.
-    The library sums every pair, so agreeing bit for bit shows that dropping
-    the shortcut changed no value."""
+    The library sums every pair and may stop before the widest window ends,
+    so agreeing bit for bit shows that neither changed a value."""
     if pi >= 1.0:
         return np.ones(c.size)
     log_q = math.log1p(-pi)
@@ -94,17 +147,24 @@ def coupled_reference(weights: WeightSequence, pi: float, rng):
     non-loop pair in pair order, with s evaluated for every such pair and no
     screen; the pair keeps its simple edge iff its uniform is below s."""
     gm = sample_percolated_mnr_direct(weights, pi, rng)
-    pairs = [(i, j, c) for i, j, c in gm.as_tuples() if i != j]
+    pairs = [(i, j, c) for i, j, c in as_tuples(gm) if i != j]
     kept, dropped = [], []
     for (i, j, c), u in zip(pairs, rng.random(len(pairs)).tolist()):
-        lam = (1.0 - pi) * weights.weight_of(i) * weights.weight_of(j) / weights.ell_n
+        lam = (1.0 - pi) * weight_of(weights, i) * weight_of(weights, j) / weights.ell_n
         (kept if u < simple_kept_series(c, lam, pi) else dropped).append((i, j))
-    return gm, SimpleGraph.from_pairs(gm.n, kept), SimpleGraph.from_pairs(gm.n, dropped)
+    return gm, simple_from_pairs(gm.n, kept), simple_from_pairs(gm.n, dropped)
 
 
 # --------------------------------------------------------------------------
 # finite-n Laplace-type sum behind the exploration drift
 # --------------------------------------------------------------------------
+
+
+def weight_of(weights: WeightSequence, vertex: int) -> float:
+    """Weight of a 1-based vertex id."""
+    if not (1 <= vertex <= weights.n):
+        raise RangeError(f"vertex id {vertex} outside [1, {weights.n}]")
+    return float(weights.weight(np.array([vertex]))[0])
 
 
 def weight_array(weights: WeightSequence) -> np.ndarray:
@@ -255,8 +315,8 @@ def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSched
         j = int(np.ceil(schedule.N_n * v))
         if i > weights.n or j > weights.n:
             raise RangeError(f"grid point ({u}, {v}) indexes past n={weights.n}")
-        wi = weights.weight_of(i)
-        wj = weights.weight_of(j)
+        wi = weight_of(weights, i)
+        wj = weight_of(weights, j)
         p_edge = schedule.pi_n * -np.expm1(-wi * wj / weights.ell_n)
         limit = a * params.c_F**2 / params.mu * (u * v) ** (-params.alpha)
         out.append(KernelCheckEntry(u=float(u), v=float(v),
@@ -265,8 +325,32 @@ def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSched
 
 
 # --------------------------------------------------------------------------
-# component labels
+# walk excursions and component summaries
 # --------------------------------------------------------------------------
+
+
+def excursions(trace) -> list[tuple[int, int]]:
+    """A trace's closed excursions as (first_step, last_step) pairs, 1-based
+    inclusive.  An excursion closes exactly when Z hits a new running minimum."""
+    runmin = np.minimum.accumulate(trace.Z)
+    closes = np.flatnonzero(runmin[1:] < runmin[:-1]) + 1
+    starts = np.concatenate([[1], closes[:-1] + 1])
+    return list(zip(starts.tolist(), closes.tolist()))
+
+
+def explored(trace, upto: int) -> np.ndarray:
+    """Distinct explored marks after ``upto`` steps, sorted."""
+    if not (0 <= upto <= trace.steps):
+        raise RangeError(f"step {upto} outside [0, {trace.steps}]")
+    return np.sort(trace.marks[:upto][trace.new_mark[:upto]])
+
+
+def all_sizes(summary) -> np.ndarray:
+    """All component sizes of a ``component_sizes`` summary, non-increasing, as int64."""
+    large = np.sort(summary.counts[summary.counts > 0])[::-1]
+    sizes = np.ones(summary.n - summary.ids.size + large.size, dtype=np.int64)
+    sizes[:large.size] = large
+    return sizes
 
 
 def labels_from_summary(summary) -> np.ndarray:

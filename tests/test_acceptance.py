@@ -37,7 +37,6 @@ from sfperc.experiments import ExperimentConfig, derive_seed, run
 from sfperc.exploration import run_exploration
 from sfperc.graphgen import (
     MultiGraph,
-    SimpleGraph,
     percolate_coupled,
     sample_coupled_direct,
     sample_mnr,
@@ -54,13 +53,20 @@ from sfperc.params import (
 from sfperc.theory import c_F_bar, compute_constants, core_limit
 
 from oracles import (
+    all_sizes,
+    as_tuples,
     branching_survival_mc,
     collapse_to_simple,
+    degrees,
+    explored,
     kernel_convergence_check,
     laplace_sum_exact,
+    multi_from_pairs,
     percolate_multigraph,
     rho_a_of_u,
+    simple_from_pairs,
     weight_array,
+    weight_of,
 )
 
 MASTER = 1
@@ -287,14 +293,14 @@ def test_criterion_3_sampler_correctness():
     # n=5 power-law toy: multiplicity of (1, 2) plus the collapsed edge indicator
     params5 = model_params(2.5, 1.0, 5)
     ws5 = build_weights(params5)
-    rate5 = ws5.weight_of(1) * ws5.weight_of(2) / ws5.ell_n
+    rate5 = weight_of(ws5, 1) * weight_of(ws5, 2) / ws5.ell_n
     rng = np.random.default_rng(derive_seed(MASTER, 5, 0))
     mults5 = np.empty(draws, dtype=np.int64)
     present = 0
     for r in range(draws):
         g = sample_mnr(ws5, rng)
         mults5[r] = _mult_of(g, 1, 2)
-        present += (1, 2) in set(collapse_to_simple(g).as_tuples())
+        present += (1, 2) in set(as_tuples(collapse_to_simple(g)))
     p5 = _poisson_chi2_pvalue(mults5, rate5)
     p_edge = -math.expm1(-rate5)
     edge_z = abs(present - draws * p_edge) / math.sqrt(draws * p_edge * (1.0 - p_edge))
@@ -313,8 +319,8 @@ def test_criterion_3_sampler_correctness():
     for r in range(reps):
         ga = percolate_multigraph(sample_mnr(ws, rng_a), pi, rng_a)
         gb = sample_percolated_mnr_direct(ws, pi, rng_b)
-        edges_a[r] = ga.total_edge_count
-        edges_b[r] = gb.total_edge_count
+        edges_a[r] = int(ga.mult.sum())
+        edges_b[r] = int(gb.mult.sum())
         giants_a[r] = component_sizes(ga).giant_size
         giants_b[r] = component_sizes(gb).giant_size
     ks_edges = ks_2samp(edges_a, edges_b).pvalue
@@ -486,7 +492,7 @@ def test_criterion_7_core_structure():
                         and giant.weight == rec["core_giant_weight"])
             p_join = _one_neighborhood_law(ws, sch, giant.members, core_size)
             for j in (core_size + 1, n):  # largest and smallest w_i w_j / ell_n
-                x = ws.weight(giant.members) * ws.weight_of(j) / ws.ell_n
+                x = ws.weight(giant.members) * weight_of(ws, j) / ws.ell_n
                 direct = -math.expm1(float(np.sum(np.log1p(sch.pi_n * np.expm1(-x)))))
                 series_err = max(series_err, abs(p_join[j - core_size - 1] / direct - 1.0))
             mean, var = float(p_join.sum()), float(np.sum(p_join * (1.0 - p_join)))
@@ -575,18 +581,18 @@ def test_criterion_9_structural_invariants():
     for _ in range(5):
         g = sample_mnr(ws, rng)
         g.validate()
-        degree_ok &= int(g.degrees().sum()) == 2 * g.total_edge_count
+        degree_ok &= int(degrees(g).sum()) == 2 * int(g.mult.sum())
         # the raw-multigraph operator and the direct sampler both couple
         for gm, gs in (percolate_coupled(g, 0.4, rng),
                        sample_coupled_direct(ws, 0.4, direct_rng)[:2]):
             gm.validate()
             gs.validate()
-            coupling_ok &= set(gs.as_tuples()) <= {(i, j) for i, j, _ in gm.as_tuples()}
+            coupling_ok &= set(as_tuples(gs)) <= {(i, j) for i, j, _ in as_tuples(gm)}
 
     sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
     trace = run_exploration(ws, sch, 400, rng)
     repeats = trace.repeats
-    explored_ok = all(trace.explored(l).size == l - repeats[l] for l in range(trace.steps + 1))
+    explored_ok = all(explored(trace, l).size == l - repeats[l] for l in range(trace.steps + 1))
 
     # component labels vs BFS: every simple graph on <= 4 vertices, then random
     # multigraphs (loops and multiplicities included) up to 8 vertices
@@ -595,7 +601,7 @@ def test_criterion_9_structural_invariants():
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for r in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, r):
-                got = component_sizes(SimpleGraph.from_pairs(n, edges)).sizes.tolist()
+                got = all_sizes(component_sizes(simple_from_pairs(n, edges))).tolist()
                 labels_ok &= got == _bfs_sizes(n, edges)
     check_rng = np.random.default_rng(derive_seed(MASTER, 8, 0))
     for _ in range(500):
@@ -603,7 +609,7 @@ def test_criterion_9_structural_invariants():
         m = int(check_rng.integers(0, 14))
         pairs = [(int(check_rng.integers(1, n + 1)), int(check_rng.integers(1, n + 1)), 1)
                  for _ in range(m)]
-        got = component_sizes(MultiGraph.from_pairs(n, pairs)).sizes.tolist()
+        got = all_sizes(component_sizes(multi_from_pairs(n, pairs))).tolist()
         labels_ok &= got == _bfs_sizes(n, [(i, j) for i, j, _ in pairs])
 
     ok = degree_ok and coupling_ok and explored_ok and labels_ok

@@ -18,7 +18,6 @@ from sfperc.components import (
 )
 from sfperc.errors import DomainError, RangeError
 from sfperc.graphgen import (
-    MultiGraph,
     SimpleGraph,
     percolate_coupled,
     sample_coupled_direct,
@@ -26,7 +25,8 @@ from sfperc.graphgen import (
 )
 from sfperc.params import LambdaRule, build_weights, core_prefix_size, make_schedule, model_params
 
-from oracles import kernel_convergence_check, labels_from_summary
+from oracles import (all_sizes, as_tuples, kernel_convergence_check, labels_from_summary,
+                     multi_from_pairs, simple_from_pairs)
 
 
 def bfs_components(n, edges):
@@ -58,7 +58,7 @@ def check_against_oracle(g, edges):
     summary = component_sizes(g)
     comps = bfs_components(g.n, edges)
     sizes = sorted((len(c) for c in comps), reverse=True)
-    assert summary.sizes.tolist() == sizes
+    assert all_sizes(summary).tolist() == sizes
     assert summary.second_size == (sizes[1] if len(sizes) > 1 else 0)
     # giant = max-size component containing the smallest eligible vertex id
     giant_size = sizes[0]
@@ -66,7 +66,7 @@ def check_against_oracle(g, edges):
     expected = next(c for c in comps if len(c) == giant_size and min(c) == best)
     assert set(summary.giant_members.tolist()) == expected
     assert summary.giant_size == giant_size
-    assert summary.sizes.dtype == np.int64
+    assert all_sizes(summary).dtype == np.int64
     # no runner-up exactly when one component holds every vertex
     assert (summary.second_size == 0) == (len(comps) == 1)
     assert np.all(np.diff(summary.giant_members) > 0)
@@ -177,12 +177,12 @@ def test_component_sizes_base_adds_its_edges():
         side = rng.random(m) < 0.5
         check_merged(n, src[side], dst[side], src[~side], dst[~side])
     # base-only ids: an empty added graph keeps the base's giant
-    base = component_sizes(SimpleGraph.from_pairs(9, [(2, 7), (7, 9), (4, 5)]))
-    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [])) == 3
+    base = component_sizes(simple_from_pairs(9, [(2, 7), (7, 9), (4, 5)]))
+    assert merged_giant_size(base, simple_from_pairs(9, [])) == 3
     # added ids outside the base, one edge bridging into a base component
-    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [(1, 3), (3, 5), (6, 8)])) == 4
+    assert merged_giant_size(base, simple_from_pairs(9, [(1, 3), (3, 5), (6, 8)])) == 4
     # two added edges join both base components and a new id
-    assert merged_giant_size(base, SimpleGraph.from_pairs(9, [(5, 9), (1, 4)])) == 6
+    assert merged_giant_size(base, simple_from_pairs(9, [(5, 9), (1, 4)])) == 6
 
 
 def test_component_sizes_base_on_the_coupled_pair():
@@ -274,7 +274,7 @@ def test_component_sizes_exhaustive_small():
         all_pairs = list(itertools.combinations(range(1, n + 1), 2))
         for r in range(len(all_pairs) + 1):
             for edges in itertools.combinations(all_pairs, r):
-                g = SimpleGraph.from_pairs(n, edges)
+                g = simple_from_pairs(n, edges)
                 check_against_oracle(g, edges)
 
 
@@ -285,30 +285,30 @@ def test_component_sizes_random_multigraphs():
         m = int(rng.integers(0, 14))
         pairs = [(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)),
                   int(rng.integers(1, 4))) for _ in range(m)]
-        g = MultiGraph.from_pairs(n, pairs)
+        g = multi_from_pairs(n, pairs)
         check_against_oracle(g, [(i, j) for i, j, _ in pairs])
 
 
 def test_component_summary_fields():
-    g = SimpleGraph.from_pairs(7, [(1, 2), (2, 3), (5, 6)])
+    g = simple_from_pairs(7, [(1, 2), (2, 3), (5, 6)])
     s = component_sizes(g)
     assert isinstance(s, ComponentSummary)
     assert s.giant_size == 3
     assert s.second_size == 2
-    assert s.sizes.tolist() == [3, 2, 1, 1]
+    assert all_sizes(s).tolist() == [3, 2, 1, 1]
     assert s.giant_members.tolist() == [1, 2, 3]
 
 
 def test_component_sizes_rejects_base_of_other_n():
-    g = SimpleGraph.from_pairs(4, [(1, 2)])
+    g = simple_from_pairs(4, [(1, 2)])
     for n in (3, 5):
-        base = component_sizes(SimpleGraph.from_pairs(n, [(1, 2)]))
+        base = component_sizes(simple_from_pairs(n, [(1, 2)]))
         with pytest.raises(DomainError):
             merged_giant_size(base, g)
 
 
 def test_giant_tie_break_prefers_smallest_id():
-    g = SimpleGraph.from_pairs(6, [(3, 5), (2, 6)])
+    g = simple_from_pairs(6, [(3, 5), (2, 6)])
     s = component_sizes(g)
     assert s.giant_size == 2
     assert s.giant_members.tolist() == [2, 6]
@@ -327,14 +327,14 @@ def test_component_summary_edge_cases():
         (9, [(9, 4), (4, 8), (2, 7), (7, 3), (1, 1)]),
     ]
     for n, edges in cases:
-        g = MultiGraph.from_pairs(n, [(i, j, 1) for i, j in edges])
+        g = multi_from_pairs(n, [(i, j, 1) for i, j in edges])
         check_against_oracle(g, edges)
-    single = component_sizes(MultiGraph.from_pairs(1, []))
-    assert single.sizes.tolist() == [1] and single.second_size == 0
-    assert component_sizes(MultiGraph.from_pairs(6, [])).second_size == 1
-    spanning = component_sizes(SimpleGraph.from_pairs(6, cases[3][1]))
-    assert spanning.sizes.tolist() == [6] and spanning.second_size == 0
-    assert component_sizes(SimpleGraph.from_pairs(8, cases[4][1])).giant_members.tolist() == [3, 4]
+    single = component_sizes(multi_from_pairs(1, []))
+    assert all_sizes(single).tolist() == [1] and single.second_size == 0
+    assert component_sizes(multi_from_pairs(6, [])).second_size == 1
+    spanning = component_sizes(simple_from_pairs(6, cases[3][1]))
+    assert all_sizes(spanning).tolist() == [6] and spanning.second_size == 0
+    assert component_sizes(simple_from_pairs(8, cases[4][1])).giant_members.tolist() == [3, 4]
 
 
 def test_component_sizes_memory_is_edge_bounded():
@@ -343,7 +343,7 @@ def test_component_sizes_memory_is_edge_bounded():
     n = 2_000_000
     rng = np.random.default_rng(12)
     pairs = rng.integers(1, n + 1, size=(2_100, 2))
-    g = SimpleGraph.from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    g = simple_from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
     tracemalloc.start()
     try:
         summary = component_sizes(g)
@@ -380,10 +380,10 @@ def test_merged_giant_size_memory_is_pair_bounded():
 
 
 def test_extract_core_induced_prefix():
-    g = SimpleGraph.from_pairs(6, [(1, 2), (2, 3), (2, 5), (4, 6)])
+    g = simple_from_pairs(6, [(1, 2), (2, 3), (2, 5), (4, 6)])
     core = extract_core(g, 3)
     assert core.n == 3
-    assert core.as_tuples() == [(1, 2), (2, 3)]
+    assert as_tuples(core) == [(1, 2), (2, 3)]
     for bad in (0, 7):
         with pytest.raises(RangeError):
             extract_core(g, bad)
@@ -441,7 +441,7 @@ def test_kernel_check_grid_past_n():
 
 
 def test_one_neighborhood_toy():
-    g = SimpleGraph.from_pairs(8, [(1, 2), (3, 5), (3, 6), (4, 6), (2, 7), (5, 8)])
+    g = simple_from_pairs(8, [(1, 2), (3, 5), (3, 6), (4, 6), (2, 7), (5, 8)])
     assert one_neighborhood(g, np.array([3, 4]), core_size=4) == 2
     assert one_neighborhood(g, np.array([1, 2]), core_size=4) == 1
     assert one_neighborhood(g, np.array([], dtype=np.int64), core_size=4) == 0
@@ -456,22 +456,22 @@ def test_one_neighborhood_union_bound():
     for _ in range(50):
         n, core = 30, 10
         pairs = {tuple(sorted(p)) for p in rng.integers(1, n + 1, size=(60, 2)) if p[0] != p[1]}
-        g = SimpleGraph.from_pairs(n, pairs)
+        g = simple_from_pairs(n, pairs)
         members = np.unique(rng.integers(1, core + 1, size=4))
         union = one_neighborhood(g, members, core_size=core)
         per_member = sum(
-            len({j for i, j in g.as_tuples() if i == m and j > core}
-                | {i for i, j in g.as_tuples() if j == m and i > core})
+            len({j for i, j in as_tuples(g) if i == m and j > core}
+                | {i for i, j in as_tuples(g) if j == m and i > core})
             for m in members.tolist()
         )
         assert union <= per_member
         inside = set(members.tolist())
-        assert union == len({j for i, j in g.as_tuples() if i in inside and j > core})
+        assert union == len({j for i, j in as_tuples(g) if i in inside and j > core})
 
 
 def test_core_giant_and_weight_toy():
     params, ws, sch = single_schedule()
-    core = SimpleGraph.from_pairs(5, [(1, 2), (2, 3), (4, 5)])
+    core = simple_from_pairs(5, [(1, 2), (2, 3), (4, 5)])
     giant = core_giant_and_weight(core, ws, sch)
     assert giant.size == 3
     assert giant.members.tolist() == [1, 2, 3]

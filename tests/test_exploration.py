@@ -24,7 +24,7 @@ from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
 from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 from sfperc.theory import compute_constants, limit_curve_z
 
-from oracles import labels_from_summary, weight_array
+from oracles import as_tuples, excursions, explored, labels_from_summary, weight_array, weight_of
 
 
 def multi_setup(n=2000, seed=0):
@@ -48,8 +48,8 @@ def test_trace_invariants():
     assert np.all(np.diff(trace.Z) >= -1)
     # |V_l| = l - R(l) at every step
     for l in (0, 1, 57, 600):
-        assert trace.explored(l).size == l - trace.repeats[l]
-        assert trace.explored(l).tolist() == sorted(set(trace.marks[:l].tolist()))
+        assert explored(trace, l).size == l - trace.repeats[l]
+        assert explored(trace, l).tolist() == sorted(set(trace.marks[:l].tolist()))
 
 
 def test_trace_matches_stepwise_oracle():
@@ -64,7 +64,7 @@ def test_trace_matches_stepwise_oracle():
     repeats = 0
     run_min = 0
     start = 1
-    excursions = []
+    want = []
     for l in range(1, trace.steps + 1):
         m = int(trace.marks[l - 1])
         fresh = m not in seen
@@ -79,9 +79,9 @@ def test_trace_matches_stepwise_oracle():
         assert trace.S[l] == pytest.approx(s_val - l, abs=1e-9)
         if trace.Z[l] < run_min:
             run_min = int(trace.Z[l])
-            excursions.append((start, l))
+            want.append((start, l))
             start = l + 1
-    assert trace.excursions == excursions
+    assert excursions(trace) == want
 
 
 @given(st.integers(1, 40).flatmap(
@@ -148,9 +148,9 @@ def test_explored_range_checked():
     params, ws, sch, rng = multi_setup()
     trace = run_exploration(ws, sch, 50, rng)
     with pytest.raises(RangeError):
-        trace.explored(51)
+        explored(trace, 51)
     with pytest.raises(RangeError):
-        trace.explored(-1)
+        explored(trace, -1)
 
 
 # --------------------------------------------------------------------------
@@ -310,8 +310,8 @@ def test_residual_graph_is_the_percolated_graph_on_unexplored_pairs(monkeypatch)
         assert not explored & set(g.src.tolist() + g.dst.tolist())
         if not explored & {1, 2}:
             kept += 1
-            total += sum(m for i, j, m in g.as_tuples() if (i, j) == (1, 2))
-    lam = sch.pi_n * ws.weight_of(1) * ws.weight_of(2) / ws.ell_n
+            total += sum(m for i, j, m in as_tuples(g) if (i, j) == (1, 2))
+    lam = sch.pi_n * weight_of(ws, 1) * weight_of(ws, 2) / ws.ell_n
     assert kept > reps // 3
     assert abs(total - kept * lam) < 4.0 * math.sqrt(kept * lam)
 
@@ -338,8 +338,8 @@ def test_first_excursion_matches_size_biased_component():
     walk_sizes = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         trace = run_exploration(ws, sch, 3000, rng)
-        assert trace.excursions, "first excursion never closed"
-        s, e = trace.excursions[0]
+        assert excursions(trace), "first excursion never closed"
+        s, e = excursions(trace)[0]
         walk_sizes[r] = int(trace.new_mark[s - 1:e].sum())
 
     rng = np.random.default_rng(202)

@@ -30,12 +30,17 @@ from sfperc.experiments import EXPERIMENTS
 from sfperc.params import WeightSequence, build_weights, make_schedule, model_params
 
 from oracles import (
+    as_tuples,
     collapse_to_simple,
     coupled_reference,
+    degrees,
+    multi_from_pairs,
     percolate_multigraph,
     read_edge_rows,
+    simple_from_pairs,
     simple_kept_widest_window,
     weight_array,
+    weight_of,
 )
 
 
@@ -49,14 +54,14 @@ def toy_weights():
 
 
 def test_from_pairs_canonicalizes_and_merges():
-    g = MultiGraph.from_pairs(4, [(2, 1, 1), (1, 2, 2), (3, 3, 1), (4, 2, 5)])
-    assert g.as_tuples() == [(1, 2, 3), (2, 4, 5), (3, 3, 1)]
-    assert g.pair_count == 3
-    assert g.total_edge_count == 9
+    g = multi_from_pairs(4, [(2, 1, 1), (1, 2, 2), (3, 3, 1), (4, 2, 5)])
+    assert as_tuples(g) == [(1, 2, 3), (2, 4, 5), (3, 3, 1)]
+    assert g.src.size == 3
+    assert int(g.mult.sum()) == 9
     # (1, 6) at n = 3 would alias onto the loop (2, 2) without the range check
     for bad in ([(1, 6, 1)], [(0, 2, 1)], [(1, 2, 0)], [(1, 2, 1), (2, 3, 0)]):
         with pytest.raises(DomainError):
-            MultiGraph.from_pairs(3, bad)
+            multi_from_pairs(3, bad)
 
 
 def test_aggregate_pairs_matches_counter():
@@ -74,14 +79,14 @@ def test_aggregate_pairs_matches_counter():
 
 
 def test_degrees_count_loops_twice():
-    g = MultiGraph.from_pairs(3, [(1, 2, 2), (3, 3, 4)])
-    deg = g.degrees()
+    g = multi_from_pairs(3, [(1, 2, 2), (3, 3, 4)])
+    deg = degrees(g)
     assert deg.tolist() == [0, 2, 2, 8]
-    assert int(deg.sum()) == 2 * g.total_edge_count
+    assert int(deg.sum()) == 2 * int(g.mult.sum())
 
 
 def test_multigraph_validate_rejects_bad_arrays():
-    ok = MultiGraph.from_pairs(3, [(1, 2, 1), (2, 3, 1)])
+    ok = multi_from_pairs(3, [(1, 2, 1), (2, 3, 1)])
     bad_order = MultiGraph(n=3, src=ok.dst, dst=ok.src, mult=ok.mult)
     with pytest.raises(AssertionError):
         bad_order.validate()
@@ -95,12 +100,14 @@ def test_multigraph_validate_rejects_bad_arrays():
                      mult=np.array([1, 1]))
     with pytest.raises(AssertionError):
         dup.validate()
-    # column lengths and dtypes, the only ways to break the degree-sum identity
+    # column lengths and dtypes, the only ways to break the degree-sum identity;
+    # float and bool multiplicities pass the >= 1 test but are no counts
     one, three = np.array([1]), np.array([1, 2, 3])
     for src, dst, mult in ((three, one, one), (one, three, one), (ok.src, ok.dst, ok.mult[:1]),
                            (ok.src.astype(float), ok.dst.astype(float), ok.mult),
                            (ok.src.astype(bool), ok.dst.astype(bool), ok.mult),
-                           (ok.src[None], ok.dst[None], ok.mult)):
+                           (ok.src[None], ok.dst[None], ok.mult),
+                           (ok.src, ok.dst, ok.mult + 0.5), (ok.src, ok.dst, ok.mult.astype(bool))):
         with pytest.raises(AssertionError):
             MultiGraph(n=3, src=src, dst=dst, mult=mult).validate()
 
@@ -108,9 +115,9 @@ def test_multigraph_validate_rejects_bad_arrays():
 def test_simple_graph_rejects_loops_and_checks_order():
     for bad in ([(1, 1)], [(1, 2), (3, 3)], [(1, 6)], [(0, 2)]):
         with pytest.raises(DomainError):
-            SimpleGraph.from_pairs(3, bad)
-    g = SimpleGraph.from_pairs(3, [(3, 1), (1, 2), (2, 1)])
-    assert g.as_tuples() == [(1, 2), (1, 3)]
+            simple_from_pairs(3, bad)
+    g = simple_from_pairs(3, [(3, 1), (1, 2), (2, 1)])
+    assert as_tuples(g) == [(1, 2), (1, 3)]
     bad = SimpleGraph(n=3, src=np.array([2]), dst=np.array([2]))
     with pytest.raises(AssertionError):
         bad.validate()
@@ -122,17 +129,17 @@ def test_simple_graph_rejects_loops_and_checks_order():
 
 
 def test_collapse_to_simple_drops_loops_and_mults():
-    g = MultiGraph.from_pairs(4, [(1, 2, 3), (2, 2, 1), (3, 4, 1)])
+    g = multi_from_pairs(4, [(1, 2, 3), (2, 2, 1), (3, 4, 1)])
     s = collapse_to_simple(g)
-    assert s.as_tuples() == [(1, 2), (3, 4)]
+    assert as_tuples(s) == [(1, 2), (3, 4)]
 
 
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
                 max_size=25))
 @settings(max_examples=60, deadline=None)
 def test_degree_sum_identity(pairs):
-    g = MultiGraph.from_pairs(6, pairs)
-    assert int(g.degrees().sum()) == 2 * g.total_edge_count
+    g = multi_from_pairs(6, pairs)
+    assert int(degrees(g).sum()) == 2 * int(g.mult.sum())
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -153,7 +160,7 @@ def test_degrees_match_float_bincount_oracle(case):
     g.validate()
     expected = (np.bincount(src, weights=mult, minlength=n + 1)
                 + np.bincount(dst, weights=mult, minlength=n + 1)).astype(np.int64)
-    deg = g.degrees()
+    deg = degrees(g)
     assert deg.dtype == np.int64
     assert deg.tolist() == expected.tolist()
 
@@ -220,10 +227,10 @@ def test_simple_degrees_match_bincount():
     keep = a != b
     src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
     g = SimpleGraph(n=n, src=src, dst=dst)
-    deg = g.degrees()
+    deg = degrees(g)
     expected = np.bincount(np.concatenate([src, dst]), minlength=n + 1)
     assert deg.dtype == expected.dtype and np.array_equal(deg, expected)
-    assert SimpleGraph(n=3, src=src[:0], dst=dst[:0]).degrees().tolist() == [0, 0, 0, 0]
+    assert degrees(SimpleGraph(n=3, src=src[:0], dst=dst[:0])).tolist() == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("pi", [1e-4, 0.01, 0.316, 0.5, 0.99])
@@ -330,14 +337,14 @@ def test_sample_mnr_pair_rates():
     for _ in range(reps):
         g = sample_mnr(ws, rng)
         g.validate()
-        for i, j, m in g.as_tuples():
+        for i, j, m in as_tuples(g):
             if (i, j) == (1, 2):
                 tot_12 += m
             if (i, j) == (1, 1):
                 tot_loop1 += m
-        edges += g.total_edge_count
-    lam_12 = ws.weight_of(1) * ws.weight_of(2) / ws.ell_n
-    lam_loop = ws.weight_of(1) ** 2 / (2.0 * ws.ell_n)
+        edges += int(g.mult.sum())
+    lam_12 = weight_of(ws, 1) * weight_of(ws, 2) / ws.ell_n
+    lam_loop = weight_of(ws, 1) ** 2 / (2.0 * ws.ell_n)
     lam_tot = ws.ell_n / 2.0
     for total, lam in ((tot_12, lam_12), (tot_loop1, lam_loop), (edges, lam_tot)):
         se = math.sqrt(reps * lam)
@@ -349,7 +356,7 @@ def test_direct_percolated_sampler_rate():
     rng = np.random.default_rng(3)
     pi = 0.4
     reps = 4000
-    edges = sum(sample_percolated_mnr_direct(ws, pi, rng).total_edge_count
+    edges = sum(int(sample_percolated_mnr_direct(ws, pi, rng).mult.sum())
                 for _ in range(reps))
     lam = pi * ws.ell_n / 2.0
     assert abs(edges - reps * lam) < 4.0 * math.sqrt(reps * lam)
@@ -361,13 +368,13 @@ def test_direct_percolated_sampler_rate():
 
 
 def test_percolate_multigraph_identity_at_full_retention():
-    g = MultiGraph.from_pairs(5, [(1, 2, 3), (2, 5, 1), (4, 4, 2)])
+    g = multi_from_pairs(5, [(1, 2, 3), (2, 5, 1), (4, 4, 2)])
     kept = percolate_multigraph(g, 1.0, np.random.default_rng(0))
-    assert kept.as_tuples() == g.as_tuples()
+    assert as_tuples(kept) == as_tuples(g)
 
 
 def test_percolate_multigraph_thinning_rate():
-    g = MultiGraph.from_pairs(2, [(1, 2, 10)])
+    g = multi_from_pairs(2, [(1, 2, 10)])
     rng = np.random.default_rng(23)
     pi = 0.3
     reps = 20_000
@@ -375,7 +382,7 @@ def test_percolate_multigraph_thinning_rate():
     for _ in range(reps):
         kept = percolate_multigraph(g, pi, rng)
         kept.validate()
-        total += kept.total_edge_count
+        total += int(kept.mult.sum())
     mean = 10 * pi
     se = math.sqrt(reps * 10 * pi * (1 - pi))
     assert abs(total - reps * mean) < 4.0 * se
@@ -383,12 +390,12 @@ def test_percolate_multigraph_thinning_rate():
 
 def test_percolate_multigraph_binomial_pmf():
     # kept multiplicity of a k=5 pair is Binomial(5, pi): chi-squared at 1%
-    g = MultiGraph.from_pairs(2, [(1, 2, 5)])
+    g = multi_from_pairs(2, [(1, 2, 5)])
     rng = np.random.default_rng(11)
     pi, trials = 0.4, 100_000
     counts = np.zeros(6, dtype=np.int64)
     for _ in range(trials):
-        counts[percolate_multigraph(g, pi, rng).total_edge_count] += 1
+        counts[int(percolate_multigraph(g, pi, rng).mult.sum())] += 1
     pmf = np.array([math.comb(5, k) * pi**k * (1 - pi) ** (5 - k) for k in range(6)])
     expected = trials * pmf
     stat = float(np.sum((counts - expected) ** 2 / expected))
@@ -396,7 +403,7 @@ def test_percolate_multigraph_binomial_pmf():
 
 
 def test_retention_probability_domain():
-    g = MultiGraph.from_pairs(2, [(1, 2, 1)])
+    g = multi_from_pairs(2, [(1, 2, 1)])
     rng = np.random.default_rng(0)
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(DomainError):
@@ -418,40 +425,40 @@ def test_percolate_coupled_subgraph_relation():
         gm, gs = percolate_coupled(g, 0.45, rng)
         gm.validate()
         gs.validate()
-        multi_pairs = {(i, j) for i, j, _ in gm.as_tuples()}
-        assert set(gs.as_tuples()) <= multi_pairs
+        multi_pairs = {(i, j) for i, j, _ in as_tuples(gm)}
+        assert set(as_tuples(gs)) <= multi_pairs
         # kept multigraph pairs never exceed the original multiplicity
-        orig = {(i, j): m for i, j, m in g.as_tuples()}
-        assert all(m <= orig[(i, j)] for i, j, m in gm.as_tuples())
+        orig = {(i, j): m for i, j, m in as_tuples(g)}
+        assert all(m <= orig[(i, j)] for i, j, m in as_tuples(gm))
 
 
 def test_percolate_coupled_exact_on_singletons():
     # all multiplicities 1, no loops: both sides keep exactly the same pairs
-    g = MultiGraph.from_pairs(6, [(i, j, 1) for i in range(1, 6)
+    g = multi_from_pairs(6, [(i, j, 1) for i in range(1, 6)
                                   for j in range(i + 1, 7)])
     rng = np.random.default_rng(17)
     gm, gs = percolate_coupled(g, 0.5, rng)
-    assert [(i, j) for i, j, _ in gm.as_tuples()] == gs.as_tuples()
+    assert [(i, j) for i, j, _ in as_tuples(gm)] == as_tuples(gs)
     assert np.all(gm.mult == 1)
 
 
 def test_percolate_coupled_full_retention():
-    g = MultiGraph.from_pairs(4, [(1, 2, 2), (2, 2, 1), (3, 4, 1)])
+    g = multi_from_pairs(4, [(1, 2, 2), (2, 2, 1), (3, 4, 1)])
     gm, gs = percolate_coupled(g, 1.0, np.random.default_rng(1))
-    assert gm.as_tuples() == g.as_tuples()
-    assert gs.as_tuples() == [(1, 2), (3, 4)]
+    assert as_tuples(gm) == as_tuples(g)
+    assert as_tuples(gs) == [(1, 2), (3, 4)]
 
 
 def test_percolate_coupled_conditional_multiplicity():
     # given the pair survives, copies follow Binomial(k, pi) conditioned >= 1
-    g = MultiGraph.from_pairs(2, [(1, 2, 4)])
+    g = multi_from_pairs(2, [(1, 2, 4)])
     rng = np.random.default_rng(29)
     pi = 0.4
     reps = 30_000
     kept_counts = []
     for _ in range(reps):
         gm, _ = percolate_coupled(g, pi, rng)
-        if gm.pair_count:
+        if gm.src.size:
             kept_counts.append(int(gm.mult[0]))
     p_any = 1.0 - (1.0 - pi) ** 4
     se_any = math.sqrt(reps * p_any * (1 - p_any))
@@ -466,8 +473,8 @@ def _joint_cells(draw, reps: int) -> Counter:
     cells = Counter()
     for _ in range(reps):
         gm, gs = draw()
-        simple = set(gs.as_tuples())
-        mult = {(i, j): m for i, j, m in gm.as_tuples()}
+        simple = set(as_tuples(gs))
+        mult = {(i, j): m for i, j, m in as_tuples(gm)}
         for pair in ((1, 2), (2, 3), (1, 1)):
             cells[pair, min(mult.get(pair, 0), 3), pair in simple] += 1
     return cells
@@ -497,7 +504,7 @@ def test_sample_coupled_direct_full_retention():
         gm, gs, dropped = sample_coupled_direct(ws, 1.0, rng)
         gm.validate()
         gs.validate()
-        assert gs.as_tuples() == collapse_to_simple(gm).as_tuples()
+        assert as_tuples(gs) == as_tuples(collapse_to_simple(gm))
         assert dropped.edge_count == 0
 
 
@@ -510,9 +517,9 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
         gm, gs, dropped = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
         gs.validate()
         dropped.validate()
-        kept, lost = set(gs.as_tuples()), set(dropped.as_tuples())
+        kept, lost = set(as_tuples(gs)), set(as_tuples(dropped))
         assert not kept & lost
-        assert kept | lost == {(i, j) for i, j, _ in gm.as_tuples() if i != j}
+        assert kept | lost == {(i, j) for i, j, _ in as_tuples(gm) if i != j}
         assert gs.edge_count + dropped.edge_count == np.count_nonzero(gm.src != gm.dst)
         assert dropped.edge_count > 0
 
@@ -551,8 +558,8 @@ def test_sample_coupled_direct_without_non_loop_pairs(n, pi):
         want = sample_percolated_mnr_direct(ws, pi, ref)
         if np.any(want.src != want.dst):
             continue
-        drawn.append(want.pair_count)
-        assert gm.as_tuples() == want.as_tuples()
+        drawn.append(want.src.size)
+        assert as_tuples(gm) == as_tuples(want)
         assert gs.edge_count == dropped.edge_count == 0
         assert rng.random() == ref.random()  # no uniform was drawn
     assert 0 in drawn and (n > 1 or max(drawn) > 0)
@@ -641,15 +648,18 @@ def test_simple_kept_at_large_rates_matches_pgf_series(pi):
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
-@pytest.mark.parametrize("pi", [1e-3, 0.04, 0.126, 0.316, 1.0])
+@pytest.mark.parametrize("pi", [1e-8, 1e-3, 0.04, 0.126, 0.316, 1.0])
 def test_simple_kept_stops_each_pair_at_its_window(pi):
     # both series grids in one call, so windows of every width share the
-    # shrinking prefix; the terms a pair skips past its window change no bit
-    lam = np.concatenate([np.geomspace(1e-12, 500.0, 25),
-                          [0.5, 1.0, 18.0, 150.0, 170.0, 400.0, 800.0, 3e3, 3e4, 1e6]])
-    c, lam = np.repeat(np.arange(1, 5), lam.size), np.tile(lam, 4)
-    got = _simple_kept(c, lam, pi)
-    assert got.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
+    # shrinking prefix; the terms a pair skips past its window, and those
+    # after the early stop, change no bit.  A lone pair at lam = 1e-3 stops
+    # after a few of its 27 steps.
+    grid = np.concatenate([np.geomspace(1e-12, 500.0, 25),
+                           [0.5, 1.0, 18.0, 150.0, 170.0, 400.0, 800.0, 3e3, 3e4, 1e6]])
+    for c, lam in ((np.repeat(np.arange(1, 5), grid.size), np.tile(grid, 4)),
+                   (np.ones(1, dtype=np.int64), np.array([1e-3]))):
+        got = _simple_kept(c, lam, pi)
+        assert got.tobytes() == simple_kept_widest_window(c, lam, pi).tobytes()
 
 
 def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
@@ -690,27 +700,27 @@ def test_sample_coupled_direct_memory_is_pair_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gm.pair_count > 50_000
-    assert peak / gm.pair_count <= 55.0
+    assert gm.src.size > 50_000
+    assert peak / gm.src.size <= 55.0
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = MultiGraph.from_pairs(5, [(1, 2, 3), (2, 2, 1), (4, 5, 2)])
+    g = multi_from_pairs(5, [(1, 2, 3), (2, 2, 1), (4, 5, 2)])
     path = tmp_path / "edges.txt"
     write_edge_list(g, path)
     n, rows = read_edge_rows(path)
     assert n == g.n
-    assert [tuple(row) for row in rows.tolist()] == g.as_tuples()
+    assert [tuple(row) for row in rows.tolist()] == as_tuples(g)
 
 
 def test_edge_list_of_an_empty_graph_is_its_header(tmp_path):
     path = tmp_path / "empty.txt"
-    write_edge_list(MultiGraph.from_pairs(3, []), path)
+    write_edge_list(multi_from_pairs(3, []), path)
     assert path.read_text() == "3 0\n"
 
 
 def test_edge_list_simple_graph_dump(tmp_path):
-    s = SimpleGraph.from_pairs(4, [(1, 2), (3, 4)])
+    s = simple_from_pairs(4, [(1, 2), (3, 4)])
     path = tmp_path / "simple.txt"
     write_edge_list(s, path)
     n, rows = read_edge_rows(path)
