@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .graphgen import MultiGraph, SimpleGraph
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
@@ -149,38 +149,8 @@ def merged_giant_size(base: ComponentSummary, g: MultiGraph | SimpleGraph) -> in
 
 
 # --------------------------------------------------------------------------
-# core extraction
+# the level-a core: its giant, the giant's weight, and its one-neighborhood
 # --------------------------------------------------------------------------
-
-
-def extract_core(g: SimpleGraph, core_size: int) -> SimpleGraph:
-    """Induced subgraph on the top-weight prefix {1, ..., core_size}."""
-    if not (1 <= core_size <= g.n):
-        raise RangeError(f"core size {core_size} outside [1, {g.n}]")
-    keep = g.dst <= core_size  # src < dst, so this bounds both endpoints
-    return SimpleGraph(n=core_size, src=g.src[keep], dst=g.dst[keep])
-
-
-# --------------------------------------------------------------------------
-# core giant, its percolated weight, and the one-neighborhood
-# --------------------------------------------------------------------------
-
-
-class CoreGiant(NamedTuple):
-    """Largest component of the core with its percolated weight sum."""
-
-    size: int
-    weight: float
-    members: np.ndarray
-
-
-def core_giant_and_weight(g_core: SimpleGraph, weights: WeightSequence,
-                          schedule: PercolationSchedule) -> CoreGiant:
-    """Largest core component and its percolated weight sum_{i in giant} pi_n w_i."""
-    summary = component_sizes(g_core)
-    members = summary.giant_members
-    weight = float(schedule.pi_n * weights.weight(members).sum())
-    return CoreGiant(size=summary.giant_size, weight=weight, members=members)
 
 
 def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -> int:
@@ -198,31 +168,35 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
 
 
 class CoreReport(NamedTuple):
-    """Summary of one core analysis at level a."""
+    """Summary of one core analysis at level a: the core giant G (its size,
+    its percolated weight pi_n * sum_G w_i and its ids in increasing order)
+    and the one-neighborhood N1 of G."""
 
     core_size: int
     core_giant_size: int
     core_giant_weight: float
     one_neighborhood_size: int
+    core_giant_members: np.ndarray
 
 
 def core_report(g_full: SimpleGraph, weights: WeightSequence,
                 schedule: PercolationSchedule, a: float) -> CoreReport:
-    """Extract the level-a core from a percolated simple graph and summarize it.
+    """Label the core {1..floor(a N_n)} of a percolated simple graph and summarize it.
 
-    Also asserts the deterministic lower-bound chain: the component of the
-    full graph containing the core giant is at least the core giant plus its
-    one-neighborhood.
+    The core is the subgraph the prefix induces.  Also asserts the
+    deterministic lower-bound chain: the largest component of the full graph
+    is at least the core giant plus its one-neighborhood.
     """
     core_size = core_prefix_size(schedule, a)
-    g_core = extract_core(g_full, core_size)
-    giant = core_giant_and_weight(g_core, weights, schedule)
-    n1 = one_neighborhood(g_full, giant.members, core_size)
-    full_summary = component_sizes(g_full)
-    if full_summary.giant_size < giant.size + n1:
+    keep = g_full.dst <= core_size  # src < dst, so this bounds both endpoints
+    core = component_sizes(SimpleGraph(n=core_size, src=g_full.src[keep], dst=g_full.dst[keep]))
+    size, members = core.giant_size, core.giant_members
+    del keep, core  # not held through the full-graph labeling
+    weight = float(schedule.pi_n * weights.weight(members).sum())
+    n1 = one_neighborhood(g_full, members, core_size)
+    if component_sizes(g_full).giant_size < size + n1:
         raise AssertionError(
             "largest full-graph component is smaller than core giant + one-neighborhood"
         )
-    return CoreReport(core_size=core_size, core_giant_size=giant.size,
-                      core_giant_weight=giant.weight, one_neighborhood_size=n1)
-
+    return CoreReport(core_size=core_size, core_giant_size=size, core_giant_weight=weight,
+                      one_neighborhood_size=n1, core_giant_members=members)

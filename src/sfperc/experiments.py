@@ -393,11 +393,7 @@ def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> di
     elif kind == "residual_components":
         block["horizon"] = {str(n): ctx.horizon for n, ctx in contexts.items()}
     elif kind == "one_neighborhood":
-        limit = core_limit(config.a, params)
-        block["a"] = config.a
-        block["rho_star_a"] = limit.rho_star_a
-        block["rho_a"] = limit.rho_a
-        block["zeta_a"] = limit.zeta_a
+        block.update(core_limit(config.a, params)._asdict())
     elif kind == "theory_tables":
         rows = []
         for a in _THEORY_A_GRID:
@@ -482,8 +478,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stream, and the contexts hold nothing mutable, so `threads > 1`
     produces byte-identical reports.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if not (_is_number(threads, numbers.Integral) and threads >= 1):
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     contexts = {n: _build_context(config, n) for n in config.n_grid}
     jobs = [
         (n, r, derive_seed(config.master_seed, n, r))

@@ -11,6 +11,7 @@ measured on the scale beta_n = n * pi_n**(1/(3-tau)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,6 +159,9 @@ class LambdaRule:
             raise DomainError(
                 f"unknown lambda rule kind {self.kind!r}; expected one of {LAMBDA_RULE_KINDS}"
             )
+        if not isinstance(self.value, numbers.Real) or isinstance(self.value, bool):
+            raise DomainError(f"lambda rule value must be a number, got {self.value!r}")
+        object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise DomainError(f"lambda rule value must be finite, got {self.value}")
         if self.kind == "constant" and self.value < 1.0:
@@ -186,9 +190,7 @@ class LambdaRule:
             raise DomainError(f"unknown lambda rule fields: {sorted(extra)}")
         if "kind" not in d or "value" not in d:
             raise DomainError("lambda rule needs both 'kind' and 'value'")
-        if not isinstance(d["value"], (int, float)) or isinstance(d["value"], bool):
-            raise DomainError(f"lambda rule value must be a number, got {d['value']!r}")
-        return cls(kind=d["kind"], value=float(d["value"]))
+        return cls(kind=d["kind"], value=d["value"])
 
 
 class PercolationSchedule(NamedTuple):

@@ -201,40 +201,6 @@ def rho_star_fixed_point(a: float, params: ModelParams) -> float:
     )
 
 
-def zeta_a(a: float, params: ModelParams, rho_star: float | None = None) -> float:
-    """Weight of the level-a giant on the beta_n scale,
-    zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du, increasing to zeta.
-
-    The integral is the one survival_map takes, so at its fixed point
-    zeta_a = c_F * a**(1-alpha) * rho_star_a / (1-alpha).
-    """
-    if not (a > 0.0):
-        raise DomainError(f"core level a must be positive, got a={a}")
-    if rho_star is None:
-        rho_star = rho_star_fixed_point(a, params)
-    p = 1.0 - params.alpha
-    return params.c_F * a**p * rho_star / p
-
-
-def rho_a_mean(a: float, params: ModelParams, rho_star: float | None = None) -> float:
-    """Unconditional survival probability rho_a = (1/a) * integral_0^a rho_a(u) du."""
-    if not (a > 0.0):
-        raise DomainError(f"core level a must be positive, got a={a}")
-    if rho_star is None:
-        rho_star = rho_star_fixed_point(a, params)
-    if rho_star == 0.0:
-        return 0.0
-    alpha = params.alpha
-    scale = c_F_bar(params) * a ** (1.0 - alpha) * rho_star
-
-    def f(u: float) -> float:
-        if u <= 0.0:
-            return 1.0
-        return -math.expm1(-scale * u ** (-alpha))
-
-    return _adaptive_simpson(f, 0.0, a) / a
-
-
 class CoreLimit(NamedTuple):
     """Limit quantities of the level-a core: the fixed point rho_star_a, the
     mean survival probability rho_a (giant fraction of the core), and the
@@ -247,14 +213,26 @@ class CoreLimit(NamedTuple):
 
 
 def core_limit(a: float, params: ModelParams) -> CoreLimit:
-    """Solve the level-a fixed point once and derive the dependent quantities."""
+    """Solve the level-a fixed point once and derive rho_a and zeta_a from it.
+
+    With rho_a(u) = 1 - exp(-c_F_bar * a**(1-alpha) * u**(-alpha) * rho_star_a),
+    rho_a = (1/a) * integral_0^a rho_a(u) du, and
+    zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du increases to zeta.
+    The latter is the integral survival_map takes, so at its fixed point
+    zeta_a = c_F * a**(1-alpha) * rho_star_a / (1-alpha).
+    """
     rho_star = rho_star_fixed_point(a, params)
-    return CoreLimit(
-        a=a,
-        rho_star_a=rho_star,
-        rho_a=rho_a_mean(a, params, rho_star=rho_star),
-        zeta_a=zeta_a(a, params, rho_star=rho_star),
-    )
+    alpha = params.alpha
+    p = 1.0 - alpha
+    scale = c_F_bar(params) * a**p * rho_star
+
+    def f(u: float) -> float:
+        if u <= 0.0:
+            return 1.0
+        return -math.expm1(-scale * u ** (-alpha))
+
+    return CoreLimit(a=a, rho_star_a=rho_star, rho_a=_adaptive_simpson(f, 0.0, a) / a,
+                     zeta_a=params.c_F * a**p * rho_star / p)
 
 
 # --------------------------------------------------------------------------

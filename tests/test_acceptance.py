@@ -29,9 +29,7 @@ from scipy.stats import chi2, ks_2samp
 from conftest import SCOREBOARD
 from sfperc.components import (
     component_sizes,
-    core_giant_and_weight,
-    extract_core,
-    one_neighborhood,
+    core_report,
 )
 from sfperc.experiments import ExperimentConfig, derive_seed, run
 from sfperc.exploration import run_exploration
@@ -486,18 +484,19 @@ def test_criterion_7_core_structure():
         for rec in recs:
             rng = np.random.default_rng(derive_seed(MASTER, n, rec["replica"]))
             g_simple = sample_coupled_direct(ws, sch.pi_n, rng)[1]
-            giant = core_giant_and_weight(extract_core(g_simple, core_size), ws, sch)
-            n1 = one_neighborhood(g_simple, giant.members, core_size)
+            core = core_report(g_simple, ws, sch, a)
+            members, weight, n1 = (core.core_giant_members, core.core_giant_weight,
+                                   core.one_neighborhood_size)
             rebuilt &= (n1 == rec["one_neighborhood_size"]
-                        and giant.weight == rec["core_giant_weight"])
-            p_join = _one_neighborhood_law(ws, sch, giant.members, core_size)
+                        and weight == rec["core_giant_weight"])
+            p_join = _one_neighborhood_law(ws, sch, members, core_size)
             for j in (core_size + 1, n):  # largest and smallest w_i w_j / ell_n
-                x = ws.weight(giant.members) * weight_of(ws, j) / ws.ell_n
+                x = ws.weight(members) * weight_of(ws, j) / ws.ell_n
                 direct = -math.expm1(float(np.sum(np.log1p(sch.pi_n * np.expm1(-x)))))
                 series_err = max(series_err, abs(p_join[j - core_size - 1] / direct - 1.0))
             mean, var = float(p_join.sum()), float(np.sum(p_join * (1.0 - p_join)))
             z_sum += (n1 - mean) / math.sqrt(var)
-            gap_sum += 1.0 - mean / giant.weight
+            gap_sum += 1.0 - mean / weight
         pooled_z.append(z_sum / math.sqrt(len(recs)))
         centre_gap.append(gap_sum / len(recs))
     n1_ok = (gaps[0] > gaps[1] and rebuilt and series_err < 1e-10

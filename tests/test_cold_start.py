@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sfperc
-from sfperc.components import CoreGiant, CoreReport
+from sfperc.components import CoreReport
 from sfperc.experiments import Experiment, _Context
 from sfperc.params import ModelParams, PercolationSchedule
 from sfperc.theory import CoreLimit, TheoryConstants
@@ -33,7 +33,7 @@ def test_cli_import_leaves_thread_and_csv_modules_unloaded():
 
 
 @pytest.mark.parametrize("cls", [ModelParams, PercolationSchedule, TheoryConstants, CoreLimit,
-                                 CoreGiant, CoreReport, Experiment, _Context])
+                                 CoreReport, Experiment, _Context])
 def test_plain_records_are_immutable_tuples(cls):
     record = cls(*range(len(cls._fields)))
     assert isinstance(record, tuple)

@@ -10,13 +10,11 @@ import pytest
 from sfperc.components import (
     ComponentSummary,
     component_sizes,
-    core_giant_and_weight,
     core_report,
-    extract_core,
     merged_giant_size,
     one_neighborhood,
 )
-from sfperc.errors import DomainError, RangeError
+from sfperc.errors import CoreEmptyError, CoreExceedsGraphError, DomainError, RangeError
 from sfperc.graphgen import (
     SimpleGraph,
     percolate_coupled,
@@ -375,18 +373,8 @@ def test_merged_giant_size_memory_is_pair_bounded():
 
 
 # --------------------------------------------------------------------------
-# core extraction and kernel check
+# kernel check
 # --------------------------------------------------------------------------
-
-
-def test_extract_core_induced_prefix():
-    g = simple_from_pairs(6, [(1, 2), (2, 3), (2, 5), (4, 6)])
-    core = extract_core(g, 3)
-    assert core.n == 3
-    assert as_tuples(core) == [(1, 2), (2, 3)]
-    for bad in (0, 7):
-        with pytest.raises(RangeError):
-            extract_core(g, bad)
 
 
 def single_schedule(n=20_000, lam=5.0):
@@ -469,14 +457,51 @@ def test_one_neighborhood_union_bound():
         assert union == len({j for i, j in as_tuples(g) if i in inside and j > core})
 
 
+def test_extract_core_induced_prefix():
+    # core_report cuts the core as the subgraph the prefix {1..floor(a N_n)} induces
+    params, ws, sch = single_schedule()
+    a = 3.5 / sch.N_n  # a core of floor(a N_n) = 3 vertices
+    assert core_prefix_size(sch, a) == 3
+    # (2, 5) and (4, 6) leave the prefix {1, 2, 3}; inside it 1-2-3 is the giant
+    report = core_report(simple_from_pairs(6, [(1, 2), (2, 3), (2, 5), (4, 6)]), ws, sch, a)
+    assert report.core_size == 3
+    assert report.core_giant_members.tolist() == [1, 2, 3]
+    assert report.one_neighborhood_size == 1  # vertex 5 through (2, 5)
+    # the prefix's only edge (1, 3) beats the singleton 2; 4 is outside it
+    report = core_report(simple_from_pairs(6, [(1, 3), (2, 4), (3, 5), (3, 6)]), ws, sch, a)
+    assert report.core_giant_members.tolist() == [1, 3]
+    assert report.one_neighborhood_size == 2
+    # an empty prefix and one past n are refused
+    g = simple_from_pairs(6, [(1, 2)])
+    with pytest.raises(CoreEmptyError):
+        core_report(g, ws, sch, 0.5 / sch.N_n)
+    with pytest.raises(CoreExceedsGraphError):
+        core_report(g, ws, sch, (params.n + 1.5) / sch.N_n)
+
+
 def test_core_giant_and_weight_toy():
     params, ws, sch = single_schedule()
-    core = simple_from_pairs(5, [(1, 2), (2, 3), (4, 5)])
-    giant = core_giant_and_weight(core, ws, sch)
-    assert giant.size == 3
-    assert giant.members.tolist() == [1, 2, 3]
+    a = 5.5 / sch.N_n  # a core of floor(a N_n) = 5 vertices
+    g = simple_from_pairs(6, [(1, 2), (2, 3), (4, 5)])
+    report = core_report(g, ws, sch, a)
+    assert report.core_giant_size == 3
+    assert report.core_giant_members.tolist() == [1, 2, 3]
     expected = sch.pi_n * float(ws.weight(np.arange(1, 4)).sum())
-    assert giant.weight == pytest.approx(expected, rel=1e-12)
+    assert report.core_giant_weight == pytest.approx(expected, rel=1e-12)
+
+
+def test_core_report_core_without_internal_edge():
+    # no edge inside the prefix: every core vertex is a singleton, and the
+    # tie goes to the smallest id, vertex 1
+    params, ws, sch = single_schedule()
+    a = 3.5 / sch.N_n  # a core of floor(a N_n) = 3 vertices
+    g = simple_from_pairs(6, [(1, 4), (1, 5), (2, 6), (4, 5)])
+    report = core_report(g, ws, sch, a)
+    assert report.core_giant_size == 1
+    assert report.core_giant_members.tolist() == [1]
+    assert report.core_giant_weight == pytest.approx(sch.pi_n * ws.weight(np.array([1]))[0],
+                                                     rel=1e-12)
+    assert report.one_neighborhood_size == 2
 
 
 def test_core_report_chain():

@@ -527,5 +527,8 @@ def test_theory_tables_content():
 
 
 def test_run_rejects_bad_threads():
-    with pytest.raises(ConfigError):
-        run(small_config(), threads=0)
+    # a bool or a non-integer count fails closed rather than running serially
+    # or handing a float to the pool
+    for bad in (0, True, 2.5, "2"):
+        with pytest.raises(ConfigError):
+            run(small_config(), threads=bad)

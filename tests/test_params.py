@@ -172,6 +172,21 @@ def test_lambda_rule_validation():
         LambdaRule("power", math.inf)
 
 
+def test_lambda_rule_value_is_a_real_stored_as_float():
+    # ("constant", True) used to pass, and its to_dict() was refused by from_dict
+    for kind, bad in (("constant", True), ("power", "0.1"), ("power", False),
+                      ("constant", None), ("power", 1j)):
+        with pytest.raises(DomainError):
+            LambdaRule(kind, bad)
+    with pytest.raises(DomainError):
+        LambdaRule.from_dict({"kind": "constant", "value": True})
+    for value in (10, np.int64(10), np.float32(2.5)):
+        rule = LambdaRule("constant", value)
+        assert type(rule.value) is float and rule.value == float(value)
+        assert LambdaRule.from_dict(rule.to_dict()) == rule
+        assert type(rule.to_dict()["value"]) is float
+
+
 def test_lambda_rule_dict_round_trip():
     rule = LambdaRule("power", 0.1)
     assert LambdaRule.from_dict(rule.to_dict()) == rule

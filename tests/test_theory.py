@@ -179,7 +179,7 @@ def test_scaled_fixed_point_increases_toward_limit():
 
 @pytest.mark.parametrize("a,expected", sorted(ZETA_A.items()))
 def test_zeta_a_against_oracle(a, expected):
-    assert th.zeta_a(a, P) == pytest.approx(expected, rel=1e-9)
+    assert th.core_limit(a, P).zeta_a == pytest.approx(expected, rel=1e-9)
 
 
 def test_zeta_a_fixed_point_identity():
@@ -190,18 +190,18 @@ def test_zeta_a_fixed_point_identity():
         for a in (1.0, 4.0, 25.0):
             rho = th.rho_star_fixed_point(a, p)
             integral = a ** (1.0 - p.alpha) / (1.0 - p.alpha) * th.survival_map(rho, a, p)
-            assert th.zeta_a(a, p) == pytest.approx(p.c_F * integral, rel=1e-9)
+            assert th.core_limit(a, p).zeta_a == pytest.approx(p.c_F * integral, rel=1e-9)
 
 
 def test_zeta_a_increasing_and_below_zeta():
-    zs = [th.zeta_a(a, P) for a in (1.0, 4.0, 10.0, 100.0)]
+    zs = [th.core_limit(a, P).zeta_a for a in (1.0, 4.0, 10.0, 100.0)]
     assert all(x < y for x, y in zip(zs, zs[1:]))
     assert zs[-1] < 3.0 * math.pi
 
 
 @pytest.mark.parametrize("a,expected", sorted(RHO_MEAN.items()))
 def test_rho_a_mean_against_oracle(a, expected):
-    assert th.rho_a_mean(a, P) == pytest.approx(expected, rel=1e-9)
+    assert th.core_limit(a, P).rho_a == pytest.approx(expected, rel=1e-9)
 
 
 def test_rho_a_of_u_formula():
@@ -225,7 +225,7 @@ def test_domain_checks_on_fixed_point_inputs():
     with pytest.raises(DomainError):
         th.rho_star_fixed_point(0.0, P)
     with pytest.raises(DomainError):
-        th.zeta_a(-1.0, P)
+        th.core_limit(-1.0, P)
 
 
 # --------------------------------------------------------------------------
