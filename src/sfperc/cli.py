@@ -10,13 +10,8 @@ import numpy as np
 
 from . import experiments as xp
 from .errors import ConfigError, SfpercError
-from .exploration import run_exploration, write_trace_csv
-from .graphgen import (
-    sample_coupled_direct,
-    sample_mnr,
-    sample_percolated_mnr_direct,
-    write_edge_list,
-)
+from .exploration import run_exploration
+from .graphgen import sample_coupled_direct, sample_mnr, sample_percolated_mnr_direct
 from .params import LAMBDA_RULE_KINDS, LambdaRule, build_weights, make_schedule, model_params
 
 
@@ -121,7 +116,7 @@ def _run_experiment(args) -> int:
         n = config.n_grid[0]
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
         ctx = result.contexts[n]
-        write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), args.trace)
+        xp.write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), args.trace)
         print(f"wrote {args.trace}")
     return 0
 
@@ -142,7 +137,7 @@ def _cmd_generate(args) -> int:
             graph = sample_percolated_mnr_direct(ws, schedule.pi_n, rng)
         else:
             graph = sample_coupled_direct(ws, schedule.pi_n, rng)[1]
-    write_edge_list(graph, args.out)
+    xp.write_edge_list(graph, args.out)
     print(f"wrote {args.out} ({graph.n} vertices, {graph.src.size} edge rows)")
     return 0
 

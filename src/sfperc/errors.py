@@ -9,18 +9,6 @@ class DomainError(SfpercError, ValueError):
     """A parameter is outside its mathematical domain."""
 
 
-class ScheduleInfeasibleError(SfpercError, ValueError):
-    """The requested percolation schedule does not yield a probability in (0, 1)."""
-
-
-class CoreEmptyError(SfpercError, ValueError):
-    """The requested core prefix rounds down to zero vertices."""
-
-
-class CoreExceedsGraphError(SfpercError, ValueError):
-    """The requested core prefix is larger than the whole vertex set."""
-
-
 class NumericalFailureError(SfpercError, RuntimeError):
     """An iterative numerical routine failed to converge within its budget."""
 

@@ -24,18 +24,20 @@ import numpy as np
 from .components import component_sizes, core_report, merged_giant_size
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
+    ExplorationTrace,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
     sup_distance_to_limit,
 )
-from .graphgen import sample_coupled_direct, sample_percolated_mnr_direct
+from .graphgen import MultiGraph, SimpleGraph, sample_coupled_direct, sample_percolated_mnr_direct
 from .params import (
     LambdaRule,
     PercolationSchedule,
     WeightSequence,
     build_weights,
     core_prefix_size,
+    is_number,
     make_schedule,
     model_params,
 )
@@ -96,15 +98,6 @@ EXPERIMENTS = {
 # --------------------------------------------------------------------------
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """A number of the given kind; bools do not count."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_whole(value) -> bool:
-    return _is_number(value, numbers.Integral) or (_is_number(value) and float(value).is_integer())
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, serializable description of one ensemble run."""
@@ -130,7 +123,8 @@ class ExperimentConfig:
         spec = EXPERIMENTS[self.experiment]
         if self.n_grid is None:
             object.__setattr__(self, "n_grid", spec.n_grid)
-        if not (isinstance(self.n_grid, (list, tuple)) and all(_is_whole(n) for n in self.n_grid)):
+        if not (isinstance(self.n_grid, (list, tuple))
+                and all(is_number(n) and float(n).is_integer() for n in self.n_grid)):
             raise ConfigError(f"n_grid must be a list of whole numbers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.lambda_rule is None:
@@ -139,14 +133,14 @@ class ExperimentConfig:
             object.__setattr__(self, "lambda_rule", LambdaRule.from_dict(self.lambda_rule))
         for name in ("tau", "C", "a"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
+            if not is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("replicas", "master_seed"):
             value = getattr(self, name)
-            if not _is_number(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not is_number(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer within float range, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.T is not None and not (_is_number(self.T) and 0.0 < self.T < math.inf):
+        if self.T is not None and not (is_number(self.T) and self.T > 0.0):
             raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
@@ -478,7 +472,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stream, and the contexts hold nothing mutable, so `threads > 1`
     produces byte-identical reports.
     """
-    if not (_is_number(threads, numbers.Integral) and threads >= 1):
+    if not (is_number(threads, numbers.Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     contexts = {n: _build_context(config, n) for n in config.n_grid}
     jobs = [
@@ -531,13 +525,18 @@ def summarize(result: ExperimentResult) -> list:
     return rows
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, write) -> None:
+    """Call write(fh) on a temporary file beside path, then rename it onto path.
+
+    Missing parent directories are made; on any exception the temporary file
+    is removed, so a failed write leaves no file behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -548,20 +547,39 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def write_result(result: ExperimentResult, path, output_format: str = "json") -> None:
-    """Persist a result atomically (temp file + rename) as JSON or records-CSV."""
+    """Persist a result atomically as JSON or records-CSV."""
     if output_format == "json":
-        _atomic_write_text(path, result.to_json())
+        _atomic_write(path, lambda fh: fh.write(result.to_json()))
     elif output_format == "csv":
         if not result.records:
             raise DomainError("cannot write an empty record table as CSV")
         import csv
-        import io
 
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(result.records[0].keys()))
-        writer.writeheader()
-        for rec in result.records:
-            writer.writerow(rec)
-        _atomic_write_text(path, buf.getvalue())
+        def write(fh):
+            writer = csv.DictWriter(fh, fieldnames=list(result.records[0].keys()))
+            writer.writeheader()
+            writer.writerows(result.records)
+
+        _atomic_write(path, write)
     else:
         raise ConfigError(f"output_format must be 'csv' or 'json', got {output_format!r}")
+
+
+def write_edge_list(g: MultiGraph | SimpleGraph, path) -> None:
+    """Plain text dump: header "n m", then one "i j multiplicity" line per pair."""
+    mult = g.mult if isinstance(g, MultiGraph) else np.ones(g.src.size, dtype=np.int64)
+    rows = np.column_stack([g.src, g.dst, mult])
+    _atomic_write(path, lambda fh: np.savetxt(fh, rows, fmt="%d", header=f"{g.n} {g.src.size}",
+                                              comments=""))
+
+
+def write_trace_csv(trace: ExplorationTrace, path) -> None:
+    """CSV export with header step,Z,S,repeats,new_mark (one row per step)."""
+    Z, S, repeats, new = trace.Z, trace.S, trace.repeats, trace.new_mark
+
+    def write(fh):
+        fh.write("step,Z,S,repeats,new_mark\n")
+        for l in range(1, trace.steps + 1):
+            fh.write(f"{l},{Z[l]},{float(S[l])!r},{repeats[l]},{int(new[l - 1])}\n")
+
+    _atomic_write(path, write)

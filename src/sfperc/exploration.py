@@ -19,14 +19,13 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .components import component_sizes
 from .errors import DomainError, RangeError
 from .graphgen import MultiGraph, draw_marks, sample_percolated_mnr_direct
-from .params import PercolationSchedule, WeightSequence
+from .params import PercolationSchedule, WeightSequence, is_number
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ def _first_draws(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
 def _check_steps(steps, least: int, most: int | None) -> None:
     """Fail unless steps is an integer count of walk steps in [least, most]."""
-    if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool)
-            and steps >= least):
+    if not (is_number(steps, numbers.Integral) and steps >= least):
         raise DomainError(f"a step count must be an integer >= {least}, got {steps!r}")
     if most is not None and steps > most:
         raise RangeError(f"step {steps} is past the trace's {most} steps")
@@ -174,12 +172,3 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     return component_sizes(MultiGraph(n=g.n, src=g.src[keep], dst=g.dst[keep],
                                       mult=g.mult[keep])).giant_size
 
-
-def write_trace_csv(trace: ExplorationTrace, path) -> None:
-    """CSV export with header step,Z,S,repeats,new_mark (one row per step)."""
-    Z, S, repeats, new = trace.Z, trace.S, trace.repeats, trace.new_mark
-    lines = ["step,Z,S,repeats,new_mark"]
-    for l in range(1, trace.steps + 1):
-        lines.append(f"{l},{Z[l]},{float(S[l])!r},{repeats[l]},{int(new[l - 1])}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")

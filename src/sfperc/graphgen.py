@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -323,15 +322,3 @@ def _check_pi(pi: float) -> None:
     if not (0.0 < pi <= 1.0):
         raise DomainError(f"retention probability must lie in (0, 1], got pi={pi}")
 
-
-# --------------------------------------------------------------------------
-# edge-list dumps
-# --------------------------------------------------------------------------
-
-
-def write_edge_list(g: MultiGraph | SimpleGraph, path) -> None:
-    """Plain text dump: header "n m", then one "i j multiplicity" line per pair."""
-    mult = g.mult if isinstance(g, MultiGraph) else np.ones(g.src.size, dtype=np.int64)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, np.column_stack([g.src, g.dst, mult]), fmt="%d",
-               header=f"{g.n} {g.src.size}", comments="")

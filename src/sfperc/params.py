@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CoreEmptyError,
-    CoreExceedsGraphError,
-    DomainError,
-    NumericalFailureError,
-    ScheduleInfeasibleError,
-)
+from .errors import DomainError, NumericalFailureError
 
 MODES = ("multi", "single")
 LAMBDA_RULE_KINDS = ("constant", "power", "logpower")
@@ -33,6 +27,16 @@ _CROSS_CHECK_RTOL = 1e-12
 
 # Largest n whose pair keys i*(n+1) + j, at most (n+1)**2 - 1, fit in int64.
 _MAX_N = math.isqrt(2**63 - 1) - 1
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """A finite number of the given kind; bools, and ints too large for a float, do not count."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class ModelParams(NamedTuple):
@@ -62,8 +66,8 @@ def derive_constants(tau: float, C: float) -> dict[str, float]:
     """
     if not (2.0 < tau < 3.0):
         raise DomainError(f"tau must lie strictly between 2 and 3, got tau={tau}")
-    if not (C > 0.0):
-        raise DomainError(f"tail constant C must be positive, got C={C}")
+    if not (is_number(C) and C > 0.0):
+        raise DomainError(f"tail constant C must be a positive finite number, got C={C}")
     alpha = 1.0 / (tau - 1.0)
     c_F = C ** (1.0 / (tau - 1.0))
     return {
@@ -77,13 +81,11 @@ def derive_constants(tau: float, C: float) -> dict[str, float]:
 
 def model_params(tau: float, C: float, n: int) -> ModelParams:
     """Validate primitives and bundle them with their derived constants."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got n={n!r}")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got n={n}")
-    if n > _MAX_N:
-        raise DomainError(f"n must be at most {_MAX_N}, so that int64 pair keys hold, got n={n}")
-    return ModelParams(tau=float(tau), C=float(C), n=int(n), **derive_constants(tau, C))
+    if not (is_number(n, numbers.Integral) and 1 <= n <= _MAX_N):
+        raise DomainError(f"n must be an integer in [1, {_MAX_N}], so that int64 pair keys"
+                          f" hold, got n={n!r}")
+    constants = derive_constants(tau, C)
+    return ModelParams(tau=float(tau), C=float(C), n=int(n), **constants)
 
 
 # Vertices per chunk of the ell_n sum, which bounds its temporaries.
@@ -159,11 +161,9 @@ class LambdaRule:
             raise DomainError(
                 f"unknown lambda rule kind {self.kind!r}; expected one of {LAMBDA_RULE_KINDS}"
             )
-        if not isinstance(self.value, numbers.Real) or isinstance(self.value, bool):
-            raise DomainError(f"lambda rule value must be a number, got {self.value!r}")
+        if not is_number(self.value):
+            raise DomainError(f"lambda rule value must be a number and finite, got {self.value!r}")
         object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise DomainError(f"lambda rule value must be finite, got {self.value}")
         if self.kind == "constant" and self.value < 1.0:
             raise DomainError(f"constant lambda rule needs value >= 1, got {self.value}")
         if self.kind in ("power", "logpower") and self.value <= 0.0:
@@ -217,13 +217,13 @@ def make_schedule(params: ModelParams, mode: str, lambda_rule: LambdaRule) -> Pe
     n, tau = params.n, params.tau
     lam = lambda_rule.evaluate(n)
     if lam < 1.0:
-        raise ScheduleInfeasibleError(
+        raise DomainError(
             f"lambda_n={lam:.6g} < 1 at n={n} (rule {lambda_rule.kind}:{lambda_rule.value}, mode={mode})"
         )
     exponent = params.eta if mode == "multi" else params.eta_s
     pi_n = lam * float(n) ** (-exponent)
     if not (0.0 < pi_n < 1.0):
-        raise ScheduleInfeasibleError(
+        raise DomainError(
             f"pi_n={pi_n:.6g} outside (0, 1) for n={n}, lambda_n={lam:.6g}, mode={mode}"
         )
     beta_n = n * pi_n ** (1.0 / (3.0 - tau))
@@ -257,15 +257,17 @@ def core_prefix_size(schedule: PercolationSchedule, a: float) -> int:
     """floor(a * N_n), the number of top-weight vertices in the core at level a."""
     if schedule.mode != "single":
         raise DomainError("core prefix is only defined for single-mode schedules")
-    if not (a > 0.0):
-        raise DomainError(f"core level a must be positive, got a={a}")
-    size = math.floor(a * schedule.N_n)
+    if not (is_number(a) and a > 0.0):
+        raise DomainError(f"core level a must be a positive finite number, got a={a}")
+    scaled = a * schedule.N_n
+    # an infinite product has no floor; it is refused below as past n
+    size = math.floor(scaled) if math.isfinite(scaled) else scaled
     if size < 1:
-        raise CoreEmptyError(
+        raise DomainError(
             f"core prefix floor(a*N_n) = {size} is empty for a={a}, N_n={schedule.N_n:.6g}"
         )
     if size > schedule.params.n:
-        raise CoreExceedsGraphError(
+        raise DomainError(
             f"core prefix {size} exceeds n={schedule.params.n} for a={a}, N_n={schedule.N_n:.6g}"
         )
     return size

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import errno
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from sfperc import cli
 from sfperc import experiments as xp
 from sfperc.cli import build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
@@ -63,6 +68,8 @@ def test_infeasible_grid_exits_2(capsys):
 # A horizon just below one step at n = 400, where floor(T * beta_n) = 0.
 _BETA_400 = make_schedule(model_params(2.5, 1.0, 400), "multi", LambdaRule("power", 0.1)).beta_n
 _JUST_BELOW_ONE_STEP = repr((1.0 - 1e-12) / _BETA_400)
+# A 401-digit integer: JSON carries it exactly, and no float holds it.
+_HUGE = 10**400
 
 
 @pytest.mark.parametrize("command, fields, flags, message", [
@@ -89,12 +96,25 @@ _JUST_BELOW_ONE_STEP = repr((1.0 - 1e-12) / _BETA_400)
     ("theory", {"experiment": "theory_tables"}, ["--a", "0.05"], "need a > 0.1"),
     ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--a", "1e-6"],
      "is empty"),
+    ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--a", "1e308"],
+     "exceeds n=100000"),
+    ("core", {"experiment": "one_neighborhood", "n_grid": [100000], "a": 1e308}, [],
+     "exceeds n=100000"),
+    ("explore", {"a": _HUGE}, [], "a must be a finite number"),
+    ("explore", {"tau": _HUGE}, [], "tau must be a finite number"),
+    ("explore", {"C": _HUGE}, [], "C must be a finite number"),
+    ("explore", {"T": _HUGE}, [], "T must be finite"),
+    ("explore", {"lambda_rule": {"kind": "power", "value": _HUGE}}, [], "must be a number"),
+    ("explore", {"replicas": _HUGE}, [], "replicas must be an integer"),
+    ("explore", {"n_grid": [400, _HUGE]}, [], "whole numbers"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
         "n_grid-fraction", "n_grid-scalar", "lambda_rule-scalar", "lambda_value-string",
         "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
-        "theory-a-below-eps", "core-empty"])
+        "theory-a-below-eps", "core-empty", "core-a-1e308-flag", "core-a-1e308-config",
+        "a-huge-int", "tau-huge-int", "C-huge-int", "T-huge-int", "lambda_value-huge-int",
+        "replicas-huge-int", "n_grid-huge-int"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):
@@ -106,7 +126,9 @@ def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, m
                                 "replicas": 1, **fields}))
     rc = main([command, "--config", str(path), *flags])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
 
 
 def test_residual_accepts_a_walk_of_no_steps(capsys):
@@ -292,6 +314,81 @@ def test_unwritable_output_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert main([*argv, str(blocker / "dir" / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def _disk_full():
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullAt:
+    """Z of a trace whose step ``at`` fails to format, as if the disk filled there."""
+
+    def __init__(self, values, at):
+        self.values, self.at = values, at
+
+    def __getitem__(self, i):
+        if i == self.at:
+            raise _disk_full()
+        return self.values[i]
+
+
+def _fail_edge_list_after_three_rows(monkeypatch):
+    savetxt = np.savetxt
+
+    def partial(fh, rows, **kwargs):
+        savetxt(fh, rows[:3], **kwargs)
+        raise _disk_full()
+
+    monkeypatch.setattr(np, "savetxt", partial)
+
+
+def _fail_trace_at_step_three(monkeypatch):
+    walk = cli.run_exploration
+
+    def failing(*args):
+        trace = walk(*args)
+        return dataclasses.replace(trace, Z=_FullAt(trace.Z, 3))
+
+    monkeypatch.setattr(cli, "run_exploration", failing)
+
+
+def _fail_json_report(monkeypatch):
+    # the report's text is built once its temporary file is open
+    def fail(self):
+        raise _disk_full()
+
+    monkeypatch.setattr(xp.ExperimentResult, "to_json", fail)
+
+
+def _fail_csv_report_after_header(monkeypatch):
+    writerow = csv.DictWriter.writerow
+
+    def partial(self, row):
+        writerow(self, row)
+        raise _disk_full()
+
+    monkeypatch.setattr(csv.DictWriter, "writerow", partial)
+
+
+# Each output with a formatter that fails part-way through it.
+_FAILED_WRITES = {
+    "edge-list": (_OUTPUTS["edge-list"], _fail_edge_list_after_three_rows),
+    "trace": (_OUTPUTS["trace"], _fail_trace_at_step_three),
+    "json-report": (_OUTPUTS["report"], _fail_json_report),
+    "csv-report": (["giant", "--n-grid", "200", "--replicas", "2", "--format", "csv", "--out"],
+                   _fail_csv_report_after_header),
+}
+
+
+@pytest.mark.parametrize("argv, fail", _FAILED_WRITES.values(), ids=_FAILED_WRITES.keys())
+def test_failed_write_leaves_no_file(argv, fail, tmp_path, monkeypatch, capsys):
+    fail(monkeypatch)
+    path = tmp_path / "out" / "result.txt"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not path.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # sha256 of the files the CLI writes, at a fixed small n and seed.

@@ -14,7 +14,7 @@ from sfperc.components import (
     merged_giant_size,
     one_neighborhood,
 )
-from sfperc.errors import CoreEmptyError, CoreExceedsGraphError, DomainError, RangeError
+from sfperc.errors import DomainError, RangeError
 from sfperc.graphgen import (
     SimpleGraph,
     percolate_coupled,
@@ -473,9 +473,9 @@ def test_extract_core_induced_prefix():
     assert report.one_neighborhood_size == 2
     # an empty prefix and one past n are refused
     g = simple_from_pairs(6, [(1, 2)])
-    with pytest.raises(CoreEmptyError):
+    with pytest.raises(DomainError, match="is empty"):
         core_report(g, ws, sch, 0.5 / sch.N_n)
-    with pytest.raises(CoreExceedsGraphError):
+    with pytest.raises(DomainError, match="exceeds n="):
         core_report(g, ws, sch, (params.n + 1.5) / sch.N_n)
 
 

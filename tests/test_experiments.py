@@ -88,7 +88,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         small_config(master_seed=2**64)
     # a core level whose core is empty or larger than the graph
-    for a in (0.0, 1e-6, 1e9):
+    for a in (0.0, 1e-6, 1e9, 1e308):
         with pytest.raises(ConfigError):
             ExperimentConfig("one_neighborhood", n_grid=(100_000,), a=a)
     # constant-10 single schedule has pi >= 1 at n = 10^4

@@ -12,13 +12,13 @@ from scipy.stats import chi2, ks_2samp
 
 from sfperc.components import component_sizes
 from sfperc.errors import DomainError, RangeError
+from sfperc.experiments import write_trace_csv
 from sfperc.exploration import (
     _first_draws,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
     sup_distance_to_limit,
-    write_trace_csv,
 )
 from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
 from sfperc.params import LambdaRule, build_weights, make_schedule, model_params

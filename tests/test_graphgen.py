@@ -13,6 +13,7 @@ from scipy.stats import chi2
 
 from sfperc import graphgen
 from sfperc.errors import DomainError
+from sfperc.experiments import EXPERIMENTS, write_edge_list
 from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
@@ -24,9 +25,7 @@ from sfperc.graphgen import (
     sample_coupled_direct,
     sample_mnr,
     sample_percolated_mnr_direct,
-    write_edge_list,
 )
-from sfperc.experiments import EXPERIMENTS
 from sfperc.params import WeightSequence, build_weights, make_schedule, model_params
 
 from oracles import (
