@@ -14,7 +14,6 @@ giant of its graph plus a few more edges at a cost that grows with those alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +23,7 @@ from .graphgen import MultiGraph, SimpleGraph
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(NamedTuple):
     """The rank forest of a graph on ids 1..n with its giant and runner-up.
 
     ``ids`` are the ids a non-loop edge touches, in increasing order,

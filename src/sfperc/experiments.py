@@ -65,8 +65,8 @@ class Experiment(NamedTuple):
 
 
 _POWER = LambdaRule("power", 0.1)
-# Experiments whose replicas run the walk to the horizon; it must take a step.
-_WALKS = ("exploration_limit", "repeat_fraction")
+# Experiments whose replicas walk to a horizon; all but the residual one must take a step.
+_WALKS = ("exploration_limit", "repeat_fraction", "residual_components")
 _N_GRID = (10**4, 10**5, 10**6)
 
 # The one place an experiment is declared; the CLI lists them in this order.
@@ -142,8 +142,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if self.T is not None and not (is_number(self.T) and self.T > 0.0):
             raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        if not 1 <= self.replicas < 2**64:  # seeds key a replica in 64 bits
+            raise ConfigError(f"replicas must lie in [1, 2**64), got {self.replicas}")
         if not self.n_grid:
             raise ConfigError("n_grid must be nonempty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
@@ -166,7 +166,7 @@ class ExperimentConfig:
                 _, sch, _, horizon, steps = _model_at(self, n)
                 if self.experiment == "one_neighborhood":
                     core_prefix_size(sch, self.a)
-                if self.experiment in _WALKS and steps < 1:
+                if steps == 0 and self.experiment != "residual_components":
                     raise DomainError(f"the walk horizon {horizon!r} takes no step"
                                       f" (beta_n={sch.beta_n!r})")
             except SfpercError as e:
@@ -242,8 +242,8 @@ class _Context(NamedTuple):
     weights: WeightSequence
     schedule: PercolationSchedule
     constants: object
-    horizon: float  # exploration horizon in rescaled time
-    steps: int  # the walk to the horizon: floor(horizon * beta_n) steps
+    horizon: float | None  # a walk's horizon in rescaled time, None for no walk
+    steps: int | None  # the walk to the horizon: floor(horizon * beta_n) steps
     # exploration_limit only: z(l/beta_n) on the walk's step grid, read-only
     z_grid: np.ndarray | None = None
 
@@ -251,19 +251,21 @@ class _Context(NamedTuple):
 def _model_at(config: ExperimentConfig, n: int) -> tuple:
     """(params, schedule, constants, horizon, steps) at n, without the weights.
 
-    The horizon is T when given, else the experiment's default, in rescaled
-    time; the walk to it takes steps = floor(horizon * beta_n) steps.
+    A walk's horizon is T when given, else its experiment's default, in rescaled
+    time, and the walk takes floor(horizon * beta_n) steps; both are None without a walk.
     """
     params = model_params(config.tau, config.C, n)
     sch = make_schedule(params, config.mode, config.lambda_rule)
     constants = compute_constants(params)
+    if config.experiment not in _WALKS:
+        return params, sch, constants, None, None
     if config.T is not None:
         horizon = float(config.T)
     elif config.experiment == "exploration_limit":
         horizon = 1.5 * constants.zeta
     elif config.experiment == "residual_components":
         horizon = horizon_for_forward_degree(params)
-    else:
+    else:  # repeat_fraction
         horizon = 1.0
     if not math.isfinite(horizon * sch.beta_n):
         raise DomainError(f"the walk horizon {horizon!r} overflows at beta_n={sch.beta_n!r}")

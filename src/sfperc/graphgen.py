@@ -23,7 +23,7 @@ the non-loop pairs the simple graph dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .errors import DomainError
 from .params import WeightSequence
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(NamedTuple):
     """Multigraph on vertices 1..n as a sorted list of pairs with multiplicities.
 
     ``src[k] <= dst[k]`` for every k, pairs are unique and lexicographically
@@ -49,8 +48,7 @@ class MultiGraph:
         _check_pairs(self)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     """Simple graph on vertices 1..n: unique sorted pairs with src < dst, no loops."""
 
     n: int

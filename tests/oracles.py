@@ -174,14 +174,14 @@ def weight_array(weights: WeightSequence) -> np.ndarray:
 
 def laplace_sum_exact(w: np.ndarray, t: float, beta_n: float) -> float:
     """Exact sum_i (w_i/ell_n) * (1 - (1 - w_i/ell_n)**(t * beta_n)) over an
-    array of weights, with ell_n their last prefix sum as in WeightSequence.
+    array of weights, with ell_n their correctly rounded sum.
 
     For t*beta_n in the supercritical window this approaches
     kappa * (t * pi_n**(1/(3-tau)) / mu)**(tau-2).
     """
     if t < 0.0 or beta_n < 0.0:
         raise DomainError("t and beta_n must be nonnegative")
-    p = w / np.cumsum(w)[-1]
+    p = w / math.fsum(w)
     exponent = t * beta_n
     return float(np.sum(p * (1.0 - (1.0 - p) ** exponent)))
 

@@ -107,6 +107,9 @@ _HUGE = 10**400
     ("explore", {"lambda_rule": {"kind": "power", "value": _HUGE}}, [], "must be a number"),
     ("explore", {"replicas": _HUGE}, [], "replicas must be an integer"),
     ("explore", {"n_grid": [400, _HUGE]}, [], "whole numbers"),
+    ("explore", {}, ["--replicas", "1" + "0" * 300], "replicas must lie in [1, 2**64)"),
+    ("explore", {"replicas": 2**64}, [], "replicas must lie in [1, 2**64)"),
+    ("explore", {}, ["--T", "1e308"], "overflows"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -114,7 +117,8 @@ _HUGE = 10**400
         "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
         "theory-a-below-eps", "core-empty", "core-a-1e308-flag", "core-a-1e308-config",
         "a-huge-int", "tau-huge-int", "C-huge-int", "T-huge-int", "lambda_value-huge-int",
-        "replicas-huge-int", "n_grid-huge-int"])
+        "replicas-huge-int", "n_grid-huge-int", "replicas-past-64-bits-flag",
+        "replicas-past-64-bits-config", "T-overflows"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import sfperc
-from sfperc.components import CoreReport
+from sfperc.components import ComponentSummary, CoreReport
 from sfperc.experiments import Experiment, _Context
-from sfperc.params import ModelParams, PercolationSchedule
+from sfperc.graphgen import MultiGraph, SimpleGraph
+from sfperc.params import ModelParams, PercolationSchedule, WeightSequence
 from sfperc.theory import CoreLimit, TheoryConstants
 
 # What a one-thread JSON run never needs: the thread pool (which pulls in
@@ -33,7 +34,8 @@ def test_cli_import_leaves_thread_and_csv_modules_unloaded():
 
 
 @pytest.mark.parametrize("cls", [ModelParams, PercolationSchedule, TheoryConstants, CoreLimit,
-                                 CoreReport, Experiment, _Context])
+                                 CoreReport, Experiment, _Context, WeightSequence,
+                                 MultiGraph, SimpleGraph, ComponentSummary])
 def test_plain_records_are_immutable_tuples(cls):
     record = cls(*range(len(cls._fields)))
     assert isinstance(record, tuple)

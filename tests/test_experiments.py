@@ -97,9 +97,12 @@ def test_config_validation_errors():
     for bad_T in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2.0"):
         with pytest.raises(ConfigError):
             small_config(T=bad_T)
-    for bad in (2.5, 2.0, True, "3", None):
+    # seeds key a replica in 64 bits: derive_seed(m, n, 2**64 + r) repeats replica r
+    assert derive_seed(1, 400, 5) == derive_seed(1, 400, 2**64 + 5)
+    for bad in (2.5, 2.0, True, "3", None, 2**64, 10**300):
         with pytest.raises(ConfigError):
             small_config(replicas=bad)
+    assert small_config(replicas=2**64 - 1).replicas == 2**64 - 1
     for bad in (1.5, 1.0, False, "7", None):
         with pytest.raises(ConfigError):
             small_config(master_seed=bad)
@@ -387,8 +390,20 @@ def test_every_walk_replica_takes_the_context_step_count(monkeypatch):
 
 
 def test_a_horizon_past_floating_point_is_refused():
-    with pytest.raises(ConfigError, match="overflows"):
-        ExperimentConfig("multi_giant", n_grid=(1000,), T=1e308)
+    for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
+        with pytest.raises(ConfigError, match="overflows"):
+            ExperimentConfig(kind, n_grid=(1000,), T=1e308)
+
+
+def test_experiments_that_do_not_walk_take_any_valid_T():
+    # T is still checked as a number, but no horizon is derived without a walk
+    for kind in ("multi_giant", "single_vs_multi", "theory_tables"):
+        config = ExperimentConfig(kind, n_grid=(10**4,), T=1e308)
+        assert config.T == 1e308
+        ctx = _build_context(config, 10**4)
+        assert ctx.horizon is None and ctx.steps is None
+        with pytest.raises(ConfigError, match="T must be finite"):
+            ExperimentConfig(kind, n_grid=(10**4,), T=math.inf)
 
 
 def test_limit_grid_built_once_per_n(monkeypatch):

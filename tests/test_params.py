@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,13 +83,11 @@ def test_build_weights_power_law():
 @pytest.mark.parametrize("tau", [2.2, 2.5, 2.9])
 @pytest.mark.parametrize("n", [1, 7, 10_000, 1_000_003])
 def test_build_weights_bitwise(tau, n):
-    # the chunked ell_n equals the prefix sum of all n weights bit for bit,
-    # and weight(ids) equals the plain expression at every id, across chunks
+    # weight(ids) equals the plain expression at every id, across chunks
     params = model_params(tau, 0.7, n)
     ws = build_weights(params)
     i = np.arange(1, n + 1)
     w = params.c_F * (params.n / i) ** params.alpha
-    assert ws.ell_n == float(np.cumsum(w)[-1])
     assert ws.weight(i).tobytes() == w.tobytes()
     picks = np.array([n, 1, (n + 1) // 2, min(n, _CHUNK + 1), min(n, 3 * _CHUNK)])
     assert ws.weight(picks).tobytes() == w[picks - 1].tobytes()
@@ -99,15 +98,43 @@ def test_build_weights_bitwise(tau, n):
 @pytest.mark.parametrize("n", [10**4, 1_000_003])
 def test_build_weights_ell_n_is_accurate(tau, n):
     # the accuracy any form of ell_n must keep: within 1e-12 of the correctly
-    # rounded sum of the weights (the chunked cumsum is up to 534 ulp, 6.2e-14, off here)
+    # rounded sum of the weights (a chunked cumsum was up to 534 ulp, 6.2e-14, off here)
     ws = build_weights(model_params(tau, 0.7, n))
     exact = math.fsum(ws.weight(np.arange(1, n + 1)).tolist())
     assert abs(ws.ell_n - exact) <= 1e-12 * exact
 
+
+@pytest.mark.parametrize("tau", [2.01, 2.5, 2.99])
+@pytest.mark.parametrize("n", [1, 7, _CHUNK, _CHUNK + 1, 10**6, 10**9, _MAX_N])
+def test_build_weights_ell_n_within_4_ulp(tau, n):
+    # the exact sum c_F * n**alpha * sum_{i<=n} i**-alpha, from Hurwitz zeta
+    # values at 40 digits: one exact chunk plus the closed tail stay within 4 ulp
+    params = model_params(tau, 0.7, n)
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(params.alpha)
+        exact = float(mpmath.mpf(params.c_F) * mpmath.mpf(n) ** alpha
+                      * (mpmath.zeta(alpha) - mpmath.zeta(alpha, n + 1)))
+    assert abs(build_weights(params).ell_n - exact) <= 4 * math.ulp(exact)
+
+
+def test_build_weights_evaluates_at_most_one_chunk(monkeypatch):
+    # ell_n at the largest n reads the weights of one chunk of ids, no more
+    evaluated = []
+    weight = WeightSequence.weight
+
+    def counting(self, ids):
+        evaluated.append(ids.size)
+        return weight(self, ids)
+
+    monkeypatch.setattr(WeightSequence, "weight", counting)
+    assert build_weights(model_params(2.5, 0.7, _MAX_N)).ell_n > 0.0
+    assert sum(evaluated) <= _CHUNK
+
+
 def test_build_weights_peak_is_one_chunk():
-    # ell_n is summed one chunk at a time: the peak is the chunk's ids, its
-    # weights and the last chunk's sums (8 bytes an id each) plus numpy's
-    # buffers, whatever n is, and nothing n-length is held
+    # ell_n sums one chunk of weights: the peak is the chunk's ids and its
+    # weights (8 bytes an id each) plus numpy's buffers, whatever n is, and
+    # nothing n-length is held
     n = 2_000_000
     tracemalloc.start()
     try:

@@ -1,11 +1,14 @@
-"""Every top-level import in the library is read by its module, and only
-``experiments`` touches files.
+"""Every top-level import in the library is read by its module, only
+``experiments`` touches files, and a dataclass is used only where it pays.
 
 A helper that is deleted can leave its imports behind; nothing else fails
 when it does.  A package ``__init__`` imports in order to re-export, and
 ``__future__`` imports switch on language features, so both are exempt.
 Every artifact is written by ``experiments``' one atomic writer, so no other
-module may import the file modules or call ``open``.
+module may import the file modules or call ``open``.  A frozen dataclass
+costs its generated methods at import; a record that needs no
+``__post_init__``, ``cached_property`` or ``field(default_factory=...)`` is
+a ``NamedTuple``, which keeps methods, properties and classmethods.
 """
 
 from __future__ import annotations
@@ -76,3 +79,48 @@ def test_file_access_is_found():
                          ids=lambda p: p.name)
 def test_only_experiments_touches_files(path):
     assert file_access(path.read_text()) == []
+
+
+def _name(node: ast.expr) -> str:
+    """The called or named thing's last name: ``field`` for ``dataclasses.field(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def unneeded_dataclasses(source: str) -> list[str]:
+    """``@dataclass`` classes with no ``__post_init__``, ``cached_property`` or
+    ``field(default_factory=...)``: none of what a NamedTuple lacks."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(_name(d) == "dataclass" for d in cls.decorator_list)):
+            continue
+        needs = any(
+            (isinstance(node, ast.FunctionDef)
+             and (node.name == "__post_init__"
+                  or any(_name(d) == "cached_property" for d in node.decorator_list)))
+            or (isinstance(node, ast.Call) and _name(node) == "field"
+                and any(k.arg == "default_factory" for k in node.keywords))
+            for node in ast.walk(cls))
+        if not needs:
+            found.append(cls.name)
+    return found
+
+
+def test_unneeded_dataclasses_are_found():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n"
+              "from functools import cached_property\n"
+              "@dataclass(frozen=True)\nclass Plain:\n    n: int\n"
+              "    def size(self):\n        return self.n\n"
+              "@dataclasses.dataclass\nclass Checked:\n    n: int\n"
+              "    def __post_init__(self):\n        assert self.n\n"
+              "@dataclass(frozen=True)\nclass Cached:\n    n: int\n"
+              "    @cached_property\n    def twice(self):\n        return 2 * self.n\n"
+              "@dataclass\nclass Listed:\n    xs: list = field(default_factory=list)\n"
+              "@dataclass\nclass Defaulted:\n    n: int = field(default=0)\n")
+    assert unneeded_dataclasses(source) == ["Plain", "Defaulted"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_needs_its_generated_methods(path):
+    assert unneeded_dataclasses(path.read_text()) == []
