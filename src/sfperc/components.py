@@ -2,12 +2,13 @@
 
 Components are found in numpy by min-label hooking with pointer jumping
 (Shiloach & Vishkin, J. Algorithms 3, 1982) over only the vertices that
-touch a non-loop edge.  Those ids are ranked in increasing order, and the
-forest on the ranks ends with every rank pointing at its component's
-smallest rank, which is the component's smallest id.  Every other id is a
-singleton, so sizes and the giant come from the touched ranks alone and no
-pass over all n ids is needed beyond finding the touched ones.  The giant is
-the largest component, with ties broken by smallest contained vertex id, so
+touch a non-loop edge: one sort of the endpoints lists them when the edges
+are fewer than n / 10, an (n + 1)-length mask otherwise.  Ranked in
+increasing order, they end as a forest in which every rank points at its
+component's smallest rank, the component's smallest id.  Every other id is
+a singleton, so sizes and the giant come from the touched ranks alone, and
+a sparse graph is labeled with no pass over all n ids.  The giant is the
+largest component, with ties broken by smallest contained vertex id, so
 summaries are reproducible run to run.  A summary's per-root counts give the
 giant of its graph plus a few more edges at a cost that grows with those alone.
 """
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import DomainError
 from .graphgen import MultiGraph, SimpleGraph
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
+
+_SPARSE = 10  # below n / _SPARSE edges, sorting beats scanning a mask for touched ids
 
 
 class ComponentSummary(NamedTuple):
@@ -52,14 +55,22 @@ class ComponentSummary(NamedTuple):
 def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ids in 0..n an edge touches, in increasing order, and the edges on their ranks."""
     dtype = np.int32 if n < 2**31 - 1 else np.int64
-    touched = np.zeros(n + 1, dtype=bool)
-    touched[src] = True
-    touched[dst] = True
-    ids = np.flatnonzero(touched)
-    del touched
-    # Only touched entries of the rank map are ever read, so the zeroed
-    # array needs no pass over the rest.
-    rank = np.zeros(n + 1, dtype=dtype)
+    if _SPARSE * src.size < n:
+        ends = np.concatenate([src, dst], dtype=dtype)
+        ends.sort()
+        first = np.empty(ends.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ends[1:], ends[:-1], out=first[1:])
+        ids = ends[first].astype(np.int64)
+    else:
+        touched = np.zeros(n + 1, dtype=bool)
+        touched[src] = True
+        touched[dst] = True
+        ids = np.flatnonzero(touched)
+        del touched
+    # Only touched entries of the rank map are ever read, so it is not
+    # zero-filled and its untouched pages are never written.
+    rank = np.empty(n + 1, dtype=dtype)
     rank[ids] = np.arange(ids.size, dtype=dtype)
     return ids, rank[src], rank[dst]
 

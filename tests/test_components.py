@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sfperc.components import (
+    _SPARSE,
     ComponentSummary,
     component_sizes,
     core_report,
@@ -71,6 +72,28 @@ def check_against_oracle(g, edges):
     assert summary.giant_members.dtype == np.int64
     # the graph's own summary as a base changes nothing
     assert merged_giant_size(summary, g) == giant_size
+    check_padded_summary(summary, g)
+
+
+def padded_past_switch(g):
+    """``g`` with isolated ids added until its edges are few enough for the
+    touched ids to be listed by sorting."""
+    return g._replace(n=max(g.n, _SPARSE * g.src.size + 1))
+
+
+def check_padded_summary(summary, g):
+    """``g`` padded past the sorting switch has ``summary``'s forest and giant;
+    the padding adds only singletons."""
+    padded = component_sizes(padded_past_switch(g))
+    for a, b in ((summary.ids, padded.ids), (summary.root, padded.root),
+                 (summary.counts, padded.counts)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert summary.ids.dtype == np.int64
+    assert (padded.giant_root, padded.giant_size) == (summary.giant_root, summary.giant_size)
+    assert padded.giant_members.tolist() == summary.giant_members.tolist()
+    # a component spanning the unpadded graph gains the singletons as runners-up
+    assert padded.second_size == (summary.second_size or int(padded.n > padded.giant_size))
+    assert all_sizes(padded).tolist() == all_sizes(summary).tolist() + [1] * (padded.n - g.n)
 
 
 def raw(n, src, dst):
@@ -239,13 +262,18 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
     # each hooking round recurses on the roots its live edges join; two rounds
     # at least halve them, so the recursion depth is logarithmic
     import sfperc.components as components
-    hook, ranks = components._hook, []
+    hook, rank, ranks, ranked = components._hook, components._rank, [], []
 
     def counted(k, src, dst):
         ranks.append(k)
         return hook(k, src, dst)
 
+    def listed(n, src, dst):
+        ranked.append((n, src.size))
+        return rank(n, src, dst)
+
     monkeypatch.setattr(components, "_hook", counted)
+    monkeypatch.setattr(components, "_rank", listed)
     rng = np.random.default_rng(6)
     graphs = []
     for n in (10, 1_000, 20_000):  # paths through a random vertex order
@@ -254,11 +282,17 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
     for n, m in ((50, 40), (5_000, 4_000), (5_000, 6_000)):
         graphs.append((n, rng.integers(1, n + 1, size=m), rng.integers(1, n + 1, size=m)))
     graphs.append((9, np.full(8, 9), np.arange(1, 9)))  # a star whose centre is the largest id
+    # sparse, so the recursion lists its roots by sorting
+    graphs.append((100_000, rng.integers(1, 100_001, size=3_000),
+                   rng.integers(1, 100_001, size=3_000)))
     for n, src, dst in graphs:
         ranks.clear()
+        ranked.clear()
         check_labels(n, src, dst)
         assert all(later <= k / 2 for k, later in zip(ranks, ranks[2:])), ranks
         assert len(ranks) <= 2 * math.log2(max(ranks[0], 2)) + 1, ranks
+    # the sparse graph, labeled last: a recursion level took the sorting path
+    assert any(_SPARSE * m < n for n, m in ranked[1:]), ranked
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +308,30 @@ def test_component_sizes_exhaustive_small():
             for edges in itertools.combinations(all_pairs, r):
                 g = simple_from_pairs(n, edges)
                 check_against_oracle(g, edges)
+
+
+def test_ranking_paths_against_the_oracle():
+    # each graph at its own n and padded past the switch to the sorting path,
+    # both against BFS: no edges, loops only, a path through a random vertex
+    # order (many hooking rounds), and edge counts one either side of the switch
+    rng = np.random.default_rng(31)
+    order = rng.permutation(2_000) + 1
+    n = 1_000
+    m = (n - 1) // _SPARSE  # the most edges that still take the sorting path
+    assert _SPARSE * m < n <= _SPARSE * (m + 1)
+    cases = [(5, [], []), (2_000, order[:-1], order[1:])]
+    cases += [(n, rng.integers(1, n + 1, size=k), rng.integers(1, n + 1, size=k))
+              for k in (m, m + 1)]
+    for n, src, dst in cases:
+        g = raw(n, src, dst)
+        edges = list(zip(np.asarray(src).tolist(), np.asarray(dst).tolist()))
+        check_against_oracle(g, edges)
+        check_against_oracle(padded_past_switch(g), edges)
+    check_against_oracle(multi_from_pairs(4, [(2, 2, 1), (4, 4, 3)]), [(2, 2), (4, 4)])
+    # a multigraph drops its loops before ranking; raw loops are ranked as touched ids
+    loops = raw(3, [2, 2, 3], [2, 2, 3])
+    check_labels(3, loops.src, loops.dst)
+    check_padded_summary(component_sizes(loops), loops)
 
 
 def test_component_sizes_random_multigraphs():
@@ -336,8 +394,9 @@ def test_component_summary_edge_cases():
 
 
 def test_component_sizes_memory_is_edge_bounded():
-    # untouched ids cost no per-vertex arrays beyond the touched mask and the
-    # rank map: a ~2k-edge graph on 2e6 ids peaks under 6 bytes per vertex
+    # untouched ids cost no per-vertex array beyond the rank map (a graph this
+    # sparse sorts its endpoints, with no mask): a ~2k-edge graph on 2e6 ids
+    # peaks under 6 bytes per vertex
     n = 2_000_000
     rng = np.random.default_rng(12)
     pairs = rng.integers(1, n + 1, size=(2_100, 2))

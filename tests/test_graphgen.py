@@ -26,7 +26,7 @@ from sfperc.graphgen import (
     sample_mnr,
     sample_percolated_mnr_direct,
 )
-from sfperc.params import WeightSequence, build_weights, make_schedule, model_params
+from sfperc.params import _MAX_N, WeightSequence, build_weights, make_schedule, model_params
 
 from oracles import (
     as_tuples,
@@ -64,11 +64,14 @@ def test_from_pairs_canonicalizes_and_merges():
 
 
 def test_aggregate_pairs_matches_counter():
-    # ids up to n, so the key's divmod split sees its largest remainders
+    # ids up to n, so the key's divmod split sees its largest remainders; at
+    # n = _MAX_N, ids 1 and n give the smallest key and the largest, (n + 1)**2 - 1
     rng = np.random.default_rng(11)
-    for n in (1, 7, 10**6):
-        a = rng.integers(max(1, n - 5), n + 1, size=60)
-        b = rng.integers(1, n + 1, size=60)
+    cases = [(n, rng.integers(max(1, n - 5), n + 1, size=60), rng.integers(1, n + 1, size=60))
+             for n in (1, 7, 10**6)]
+    ends = np.array([1, _MAX_N])
+    cases.append((_MAX_N, rng.choice(ends, size=60), rng.choice(ends, size=60)))
+    for n, a, b in cases:
         expected = sorted(Counter((min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()))
                           .items())
         src, dst, mult = _aggregate_pairs(n, a.copy(), b.copy())
