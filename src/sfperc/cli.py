@@ -104,26 +104,30 @@ def _fmt(value) -> str:
 def _run_experiment(args) -> int:
     """Run one ensemble, print its summary table, and write what was asked for."""
     config = _config_from_args(args)
+    trace = getattr(args, "trace", None)
+    if trace is not None:
+        xp.check_output_path(trace)
     result = xp.run(config, threads=args.threads)
     _print_table(xp.summarize(result))
-    if config.experiment == "theory_tables":
+    if "a_table" in result.theory:
         print()
         _print_table(result.theory["a_table"])
     if config.output_path:
         print(f"\nwrote {config.output_path}")
-    if getattr(args, "trace", None):
+    if trace is not None:
         # the walk of the first replica at the smallest n
         n = config.n_grid[0]
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
         ctx = result.contexts[n]
-        xp.write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), args.trace)
-        print(f"wrote {args.trace}")
+        xp.write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), trace)
+        print(f"wrote {trace}")
     return 0
 
 
 def _cmd_generate(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    xp.check_output_path(args.out)
     params = model_params(args.tau, args.C, args.n)
     ws = build_weights(params)
     rng = np.random.default_rng(args.seed)

@@ -17,7 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,42 +55,20 @@ RESULT_VERSION = 4
 
 class Experiment(NamedTuple):
     """One experiment: its CLI subcommand and help line, the window it
-    percolates on, and the defaults a config leaves out."""
+    percolates on, the defaults a config leaves out, and what it computes."""
 
     command: str
     help: str
     mode: str
     lambda_rule: LambdaRule
     n_grid: tuple[int, ...]
+    record: Callable[..., dict]  # (config, ctx, replica, rng) -> a replica's own keys
+    theory: Callable[..., dict] | None = None  # (config, largest n's ctx, contexts) -> keys
+    horizon: Callable[..., float] | None = None  # (params, constants) -> a walk's default T
 
 
 _POWER = LambdaRule("power", 0.1)
-# Experiments whose replicas walk to a horizon; all but the residual one must take a step.
-_WALKS = ("exploration_limit", "repeat_fraction", "residual_components")
 _N_GRID = (10**4, 10**5, 10**6)
-
-# The one place an experiment is declared; the CLI lists them in this order.
-EXPERIMENTS = {
-    "theory_tables": Experiment("theory", "emit the closed-form constants and a-grid tables",
-                                "multi", _POWER, (10**6,)),
-    "exploration_limit": Experiment("explore", "exploration walks against the limit curve",
-                                    "multi", _POWER, _N_GRID),
-    "multi_giant": Experiment("giant", "largest-component scaling on the multigraph window",
-                              "multi", _POWER, _N_GRID),
-    "single_vs_multi": Experiment(
-        "single-vs-multi", "coupled percolation: giant gap across windows",
-        "single", _POWER, _N_GRID),
-    "residual_components": Experiment(
-        "residual", "largest component left after the exploration horizon",
-        "multi", _POWER, (10**4, 10**5)),
-    "repeat_fraction": Experiment(
-        "repeat-fraction", "repeat-rate diagnostic of the exploration walk",
-        "multi", _POWER, _N_GRID),
-    # The core experiment keeps lambda constant so the core scale N_n grows
-    # with n; everything else uses the slowly growing power rule.
-    "one_neighborhood": Experiment("core", "core giant, its weight and its one-neighborhood",
-                                   "single", LambdaRule("constant", 10.0), (10**5, 10**6)),
-}
 
 
 # --------------------------------------------------------------------------
@@ -135,21 +113,26 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # a numpy float is no JSON number
         for name in ("replicas", "master_seed"):
             value = getattr(self, name)
             if not is_number(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer within float range, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.T is not None and not (is_number(self.T) and self.T > 0.0):
-            raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
+        if self.T is not None:
+            if not (is_number(self.T) and self.T > 0.0):
+                raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
+            object.__setattr__(self, "T", float(self.T))
         if not 1 <= self.replicas < 2**64:  # seeds key a replica in 64 bits
             raise ConfigError(f"replicas must lie in [1, 2**64), got {self.replicas}")
         if not self.n_grid:
             raise ConfigError("n_grid must be nonempty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError(f"n_grid must be strictly ascending, got {self.n_grid}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path is not None:
+            if not isinstance(self.output_path, str):
+                raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+            check_output_path(self.output_path)
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if not (0 <= self.master_seed < 2**64):
@@ -163,12 +146,12 @@ class ExperimentConfig:
         # must be feasible before any sampling happens
         for n in self.n_grid:
             try:
-                _, sch, _, horizon, steps = _model_at(self, n)
+                ctx = _model_at(self, n)
                 if self.experiment == "one_neighborhood":
-                    core_prefix_size(sch, self.a)
-                if steps == 0 and self.experiment != "residual_components":
-                    raise DomainError(f"the walk horizon {horizon!r} takes no step"
-                                      f" (beta_n={sch.beta_n!r})")
+                    core_prefix_size(ctx.schedule, self.a)
+                if ctx.steps == 0 and self.experiment != "residual_components":
+                    raise DomainError(f"the walk horizon {ctx.horizon!r} takes no step"
+                                      f" (beta_n={ctx.schedule.beta_n!r})")
             except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
@@ -239,7 +222,7 @@ class _Context(NamedTuple):
     """Shared read-only state for all replicas at one n."""
 
     n: int
-    weights: WeightSequence
+    weights: WeightSequence | None  # None only in _model_at's feasibility context
     schedule: PercolationSchedule
     constants: object
     horizon: float | None  # a walk's horizon in rescaled time, None for no walk
@@ -248,38 +231,30 @@ class _Context(NamedTuple):
     z_grid: np.ndarray | None = None
 
 
-def _model_at(config: ExperimentConfig, n: int) -> tuple:
-    """(params, schedule, constants, horizon, steps) at n, without the weights.
-
-    A walk's horizon is T when given, else its experiment's default, in rescaled
-    time, and the walk takes floor(horizon * beta_n) steps; both are None without a walk.
-    """
+def _model_at(config: ExperimentConfig, n: int) -> _Context:
+    """The context at n without the weights or the limit grid: a walk's horizon
+    is T when given, else its row's default, in rescaled time, and the walk takes
+    floor(horizon * beta_n) steps; both are None without a walk."""
     params = model_params(config.tau, config.C, n)
     sch = make_schedule(params, config.mode, config.lambda_rule)
     constants = compute_constants(params)
-    if config.experiment not in _WALKS:
-        return params, sch, constants, None, None
-    if config.T is not None:
-        horizon = float(config.T)
-    elif config.experiment == "exploration_limit":
-        horizon = 1.5 * constants.zeta
-    elif config.experiment == "residual_components":
-        horizon = horizon_for_forward_degree(params)
-    else:  # repeat_fraction
-        horizon = 1.0
+    default = EXPERIMENTS[config.experiment].horizon
+    if default is None:
+        return _Context(n, None, sch, constants, None, None)
+    horizon = config.T if config.T is not None else default(params, constants)
     if not math.isfinite(horizon * sch.beta_n):
         raise DomainError(f"the walk horizon {horizon!r} overflows at beta_n={sch.beta_n!r}")
-    return params, sch, constants, horizon, math.floor(horizon * sch.beta_n)
+    return _Context(n, None, sch, constants, horizon, math.floor(horizon * sch.beta_n))
 
 
 def _build_context(config: ExperimentConfig, n: int) -> _Context:
-    params, sch, constants, horizon, steps = _model_at(config, n)
+    ctx = _model_at(config, n)
+    sch = ctx.schedule
     z_grid = None
     if config.experiment == "exploration_limit":
-        z_grid = limit_curve_z(np.arange(steps + 1) / sch.beta_n, params, constants)
+        z_grid = limit_curve_z(np.arange(ctx.steps + 1) / sch.beta_n, sch.params, ctx.constants)
         z_grid.flags.writeable = False
-    return _Context(n=n, weights=build_weights(params), schedule=sch, constants=constants,
-                    horizon=horizon, steps=steps, z_grid=z_grid)
+    return ctx._replace(weights=build_weights(sch.params), z_grid=z_grid)
 
 
 def _schedule_row(sch: PercolationSchedule) -> dict:
@@ -287,75 +262,76 @@ def _schedule_row(sch: PercolationSchedule) -> dict:
 
 
 def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    ws, sch = ctx.weights, ctx.schedule
-    rec = {"n": ctx.n, "replica": replica, "seed": seed}
-    kind = config.experiment
+    own = EXPERIMENTS[config.experiment].record(config, ctx, replica, np.random.default_rng(seed))
+    return {"n": ctx.n, "replica": replica, "seed": seed, **own}
 
-    if kind == "multi_giant":
-        g = sample_percolated_mnr_direct(ws, sch.pi_n, rng)
-        g.validate()
-        summary = component_sizes(g)
-        rec.update(
-            c1=summary.giant_size,
-            c2=summary.second_size,
-            c1_over_beta=summary.giant_size / sch.beta_n,
-            c2_over_beta=summary.second_size / sch.beta_n,
+
+def _giant_record(config, ctx: _Context, replica: int, rng) -> dict:
+    sch = ctx.schedule
+    g = sample_percolated_mnr_direct(ctx.weights, sch.pi_n, rng)
+    g.validate()
+    summary = component_sizes(g)
+    c1, c2 = summary.giant_size, summary.second_size
+    return {"c1": c1, "c2": c2, "c1_over_beta": c1 / sch.beta_n, "c2_over_beta": c2 / sch.beta_n}
+
+
+def _coupled_record(config, ctx: _Context, replica: int, rng) -> dict:
+    sch = ctx.schedule
+    g_multi, g_simple, dropped = sample_coupled_direct(ctx.weights, sch.pi_n, rng)
+    g_multi.validate()
+    g_simple.validate()
+    pairs = np.count_nonzero(g_multi.src != g_multi.dst)
+    if g_simple.edge_count + dropped.edge_count != pairs:
+        raise AssertionError(
+            f"the simple graph and its dropped pairs do not partition the multigraph's"
+            f" non-loop pairs at n={ctx.n}, replica={replica}"
         )
-    elif kind == "single_vs_multi":
-        g_multi, g_simple, dropped = sample_coupled_direct(ws, sch.pi_n, rng)
-        g_multi.validate()
-        g_simple.validate()
-        pairs = np.count_nonzero(g_multi.src != g_multi.dst)
-        if g_simple.edge_count + dropped.edge_count != pairs:
-            raise AssertionError(
-                f"the simple graph and its dropped pairs do not partition the multigraph's"
-                f" non-loop pairs at n={ctx.n}, replica={replica}"
-            )
-        del g_multi  # nothing below reads it; labelling need not hold it
-        simple = component_sizes(g_simple)
-        c1_star = simple.giant_size
-        # The multigraph's components are the simple graph's joined by the
-        # pairs it dropped; its loops join nothing.
-        c1 = merged_giant_size(simple, dropped)
-        if c1 < c1_star:
-            raise AssertionError(
-                f"coupling violated at n={ctx.n}, replica={replica}: |C1|={c1} < |C1*|={c1_star}"
-            )
-        rec.update(
-            c1_over_beta=c1 / sch.beta_n,
-            c1_star_over_beta=c1_star / sch.beta_n,
-            diff_over_beta=(c1 - c1_star) / sch.beta_n,
+    del g_multi  # nothing below reads it; labelling need not hold it
+    simple = component_sizes(g_simple)
+    c1_star = simple.giant_size
+    # The multigraph's components are the simple graph's joined by the
+    # pairs it dropped; its loops join nothing.
+    c1 = merged_giant_size(simple, dropped)
+    if c1 < c1_star:
+        raise AssertionError(
+            f"coupling violated at n={ctx.n}, replica={replica}: |C1|={c1} < |C1*|={c1_star}"
         )
-    elif kind == "exploration_limit":
-        trace = run_exploration(ws, sch, ctx.steps, rng)
-        rec.update(sup_distance=sup_distance_to_limit(trace, sch, ctx.z_grid))
-    elif kind == "repeat_fraction":
-        trace = run_exploration(ws, sch, ctx.steps, rng)
-        rec.update(pi_n=sch.pi_n, repeat_fraction=repeat_fraction(trace, sch, ctx.steps))
-    elif kind == "residual_components":
-        largest = residual_largest_component(ws, sch, ctx.steps, rng)
-        rec.update(residual_largest=largest, residual_over_beta=largest / sch.beta_n)
-    elif kind == "one_neighborhood":
-        # Binding only the simple graph lets the multigraph go before the core report.
-        g_simple = sample_coupled_direct(ws, sch.pi_n, rng)[1]
-        g_simple.validate()
-        report = core_report(g_simple, ws, sch, config.a)
-        weight = report.core_giant_weight
-        rec.update(
-            core_size=report.core_size,
-            core_giant_size=report.core_giant_size,
-            core_giant_fraction=report.core_giant_size / report.core_size,
-            core_giant_weight=weight,
-            weight_over_beta=weight / sch.beta_n,
-            one_neighborhood_size=report.one_neighborhood_size,
-            relative_gap=abs(report.one_neighborhood_size - weight) / weight,
-        )
-    elif kind == "theory_tables":
-        rec.update(_schedule_row(sch))
-    else:  # pragma: no cover - EXPERIMENTS is closed
-        raise ConfigError(f"unhandled experiment {kind!r}")
-    return rec
+    return {"c1_over_beta": c1 / sch.beta_n, "c1_star_over_beta": c1_star / sch.beta_n,
+            "diff_over_beta": (c1 - c1_star) / sch.beta_n}
+
+
+def _limit_record(config, ctx: _Context, replica: int, rng) -> dict:
+    trace = run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng)
+    return {"sup_distance": sup_distance_to_limit(trace, ctx.schedule, ctx.z_grid)}
+
+
+def _repeat_record(config, ctx: _Context, replica: int, rng) -> dict:
+    trace = run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng)
+    return {"pi_n": ctx.schedule.pi_n,
+            "repeat_fraction": repeat_fraction(trace, ctx.schedule, ctx.steps)}
+
+
+def _residual_record(config, ctx: _Context, replica: int, rng) -> dict:
+    largest = residual_largest_component(ctx.weights, ctx.schedule, ctx.steps, rng)
+    return {"residual_largest": largest, "residual_over_beta": largest / ctx.schedule.beta_n}
+
+
+def _core_record(config: ExperimentConfig, ctx: _Context, replica: int, rng) -> dict:
+    sch = ctx.schedule
+    # Binding only the simple graph lets the multigraph go before the core report.
+    g_simple = sample_coupled_direct(ctx.weights, sch.pi_n, rng)[1]
+    g_simple.validate()
+    report = core_report(g_simple, ctx.weights, sch, config.a)
+    weight = report.core_giant_weight
+    return dict(
+        core_size=report.core_size,
+        core_giant_size=report.core_giant_size,
+        core_giant_fraction=report.core_giant_size / report.core_size,
+        core_giant_weight=weight,
+        weight_over_beta=weight / sch.beta_n,
+        one_neighborhood_size=report.one_neighborhood_size,
+        relative_gap=abs(report.one_neighborhood_size - weight) / weight,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -377,37 +353,75 @@ def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> di
         "rho_star_inf": constants.rho_star_inf,
         "schedules": {str(n): _schedule_row(ctx.schedule) for n, ctx in contexts.items()},
     }
-    kind = config.experiment
-    if kind == "exploration_limit":
-        ts = [round(i * last.horizon / 32, 12) for i in range(1, 33)]
-        block["T"] = last.horizon
-        block["max_z"] = limit_curve_max(params, constants, last.horizon)
-        block["z_curve"] = [[t, limit_curve_z(t, params, constants)] for t in ts]
-    elif kind == "repeat_fraction":
-        block["t"] = last.horizon
-        block["slope_target"] = (params.tau - 2.0) / (3.0 - params.tau)
-    elif kind == "residual_components":
-        block["horizon"] = {str(n): ctx.horizon for n, ctx in contexts.items()}
-    elif kind == "one_neighborhood":
-        block.update(core_limit(config.a, params)._asdict())
-    elif kind == "theory_tables":
-        rows = []
-        for a in _THEORY_A_GRID:
-            limit = core_limit(a, params)
-            rows.append({
-                "a": a,
-                "rho_star_a": limit.rho_star_a,
-                "scaled_rho_star": a ** (1.0 - params.alpha) * limit.rho_star_a,
-                "rho_a": limit.rho_a,
-                "zeta_a": limit.zeta_a,
-            })
-        block["a_table"] = rows
-        block["operator_norms"] = [
-            {"eps": eps, "a": config.a,
-             "norm": truncated_operator_norm(eps, config.a, params)}
-            for eps in _THEORY_EPS_GRID
-        ]
+    theory = EXPERIMENTS[config.experiment].theory
+    if theory is not None:
+        block.update(theory(config, last, contexts))
     return block
+
+
+def _limit_theory(config, last: _Context, contexts) -> dict:
+    params, constants, horizon = last.schedule.params, last.constants, last.horizon
+    ts = [round(i * horizon / 32, 12) for i in range(1, 33)]
+    return {
+        "T": horizon,
+        "max_z": limit_curve_max(params, constants, horizon),
+        "z_curve": [[t, limit_curve_z(t, params, constants)] for t in ts],
+    }
+
+
+def _repeat_theory(config, last: _Context, contexts) -> dict:
+    tau = last.schedule.params.tau
+    return {"t": last.horizon, "slope_target": (tau - 2.0) / (3.0 - tau)}
+
+
+def _tables_theory(config: ExperimentConfig, last: _Context, contexts) -> dict:
+    params = last.schedule.params
+    rows = []
+    for a in _THEORY_A_GRID:
+        limit = core_limit(a, params)
+        rows.append({
+            "a": a,
+            "rho_star_a": limit.rho_star_a,
+            "scaled_rho_star": a ** (1.0 - params.alpha) * limit.rho_star_a,
+            "rho_a": limit.rho_a,
+            "zeta_a": limit.zeta_a,
+        })
+    norms = [{"eps": eps, "a": config.a, "norm": truncated_operator_norm(eps, config.a, params)}
+             for eps in _THEORY_EPS_GRID]
+    return {"a_table": rows, "operator_norms": norms}
+
+
+# The one place an experiment is declared; the CLI lists them in this order.
+# Rows hold this module's functions, which reach the layers through its globals.
+EXPERIMENTS = {
+    "theory_tables": Experiment(
+        "theory", "emit the closed-form constants and a-grid tables", "multi", _POWER, (10**6,),
+        lambda config, ctx, replica, rng: _schedule_row(ctx.schedule), _tables_theory),
+    "exploration_limit": Experiment(
+        "explore", "exploration walks against the limit curve", "multi", _POWER, _N_GRID,
+        _limit_record, _limit_theory, lambda params, constants: 1.5 * constants.zeta),
+    "multi_giant": Experiment(
+        "giant", "largest-component scaling on the multigraph window", "multi", _POWER, _N_GRID,
+        _giant_record),
+    "single_vs_multi": Experiment(
+        "single-vs-multi", "coupled percolation: giant gap across windows", "single", _POWER,
+        _N_GRID, _coupled_record),
+    "residual_components": Experiment(
+        "residual", "largest component left after the exploration horizon", "multi", _POWER,
+        (10**4, 10**5), _residual_record,
+        lambda config, last, contexts: {"horizon": {str(n): ctx.horizon
+                                                    for n, ctx in contexts.items()}},
+        lambda params, constants: horizon_for_forward_degree(params)),
+    "repeat_fraction": Experiment(
+        "repeat-fraction", "repeat-rate diagnostic of the exploration walk", "multi", _POWER,
+        _N_GRID, _repeat_record, _repeat_theory, lambda params, constants: 1.0),
+    # The core experiment keeps lambda constant so the core scale N_n grows
+    # with n; everything else uses the slowly growing power rule.
+    "one_neighborhood": Experiment(
+        "core", "core giant, its weight and its one-neighborhood", "single",
+        LambdaRule("constant", 10.0), (10**5, 10**6), _core_record,
+        lambda config, last, contexts: core_limit(config.a, last.schedule.params)._asdict()),
+}
 
 
 # --------------------------------------------------------------------------
@@ -527,12 +541,21 @@ def summarize(result: ExperimentResult) -> list:
     return rows
 
 
+def check_output_path(path) -> None:
+    """Refuse a path that cannot name a file: an empty one, one that ends in a
+    separator, "." or "..", or an existing directory."""
+    text = os.fspath(path)
+    if os.path.basename(text) in ("", ".", "..") or os.path.isdir(text):
+        raise ConfigError(f"the output path {text!r} does not name a file")
+
+
 def _atomic_write(path, write) -> None:
     """Call write(fh) on a temporary file beside path, then rename it onto path.
 
-    Missing parent directories are made; on any exception the temporary file
-    is removed, so a failed write leaves no file behind.
+    The path is checked first; missing parent directories are made; on any
+    exception the temporary file is removed, so a failed write leaves no file.
     """
+    check_output_path(path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")

@@ -320,6 +320,25 @@ def test_unwritable_output_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", _OUTPUTS.values(), ids=_OUTPUTS.keys())
+@pytest.mark.parametrize("path", ["", "newdir/", "existing"],
+                         ids=["empty", "separator", "directory"])
+def test_output_path_that_names_no_file_exits_2_before_sampling(argv, path, tmp_path,
+                                                                   monkeypatch, capsys):
+    def refuse(params):
+        raise AssertionError("weights were built")
+
+    monkeypatch.setattr(xp, "build_weights", refuse)
+    monkeypatch.setattr("sfperc.cli.build_weights", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").mkdir()
+    assert main([*argv, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "does not name a file" in err
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["existing"]
+
+
 def _disk_full():
     return OSError(errno.ENOSPC, "No space left on device")
 

@@ -175,6 +175,34 @@ def test_config_stores_numpy_integers_as_int():
     assert json.loads(run(config).to_json())["config"]["replicas"] == 2
 
 
+def test_config_stores_numpy_floats_as_float(tmp_path):
+    # a numpy float passes the number check but is no JSON number
+    out = tmp_path / "report.json"
+    from_numpy = small_config(tau=np.float32(2.5), C=np.float32(1.0), a=np.float64(2.0),
+                              T=np.float32(2.0), output_path=str(out))
+    plain = small_config(tau=2.5, C=1.0, a=2.0, T=2.0, output_path=str(out))
+    assert all(type(getattr(from_numpy, name)) is float for name in ("tau", "C", "a", "T"))
+    assert from_numpy == plain
+    assert run(from_numpy).to_json() == out.read_text() == run(plain).to_json()
+    # an int is stored as a float too, so it serializes as one
+    ints = small_config(a=1, T=2)
+    assert type(ints.a) is float and type(ints.T) is float
+
+
+@pytest.mark.parametrize("path", ["", "newdir/", "newdir/.", ".", ".."])
+def test_an_output_path_that_names_no_file_is_refused(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="does not name a file"):
+        small_config(output_path=path)
+    result = run(small_config(n_grid=(200,), replicas=1))
+    for fmt in ("json", "csv"):
+        with pytest.raises(ConfigError, match="does not name a file"):
+            write_result(result, path, fmt)
+    with pytest.raises(ConfigError, match="does not name a file"):
+        write_result(result, tmp_path, "json")  # an existing directory
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_from_dict_fail_closed():
     good = small_config().to_dict()
     bad = dict(good)
@@ -547,3 +575,34 @@ def test_run_rejects_bad_threads():
     for bad in (0, True, 2.5, "2"):
         with pytest.raises(ConfigError):
             run(small_config(), threads=bad)
+
+
+def _toy_record(config, ctx, replica, rng):
+    trace = run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng)
+    return {"toy_steps": trace.steps, "toy_last_z": int(trace.Z[-1])}
+
+
+def test_a_row_is_all_an_experiment_needs(monkeypatch, capsys):
+    import sfperc.experiments as xp
+    from sfperc.cli import build_parser, main
+
+    toy = xp.Experiment("toy-walk", "a walk to twice the unit horizon", "multi",
+                        LambdaRule("power", 0.1), (500, 1000), _toy_record,
+                        lambda config, last, contexts: {"toy_n": last.n, "toy_T": last.horizon},
+                        lambda params, constants: 2.0)
+    monkeypatch.setitem(xp.EXPERIMENTS, "toy_walk", toy)
+    config = ExperimentConfig("toy_walk", replicas=2)
+    assert config.n_grid == (500, 1000) and config.mode == "multi"
+    result = run(config)
+    for ctx in result.contexts.values():
+        assert ctx.horizon == 2.0 and ctx.steps == math.floor(2.0 * ctx.schedule.beta_n) >= 1
+    assert [list(rec) for rec in result.records] == [
+        ["n", "replica", "seed", "toy_steps", "toy_last_z"]] * 4
+    assert all(rec["toy_steps"] == result.contexts[rec["n"]].steps for rec in result.records)
+    assert list(result.theory)[-2:] == ["toy_n", "toy_T"]
+    assert result.theory["toy_n"] == 1000 and result.theory["toy_T"] == 2.0
+    # a given T overrides the row's horizon
+    assert _build_context(ExperimentConfig("toy_walk", n_grid=(500,), T=3.0), 500).horizon == 3.0
+    assert build_parser().parse_args(["toy-walk"]).experiment == "toy_walk"
+    assert main(["toy-walk", "--n-grid", "500", "--replicas", "1"]) == 0
+    assert "toy_steps_mean" in capsys.readouterr().out

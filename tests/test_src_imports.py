@@ -1,5 +1,6 @@
 """Every top-level import in the library is read by its module, only
-``experiments`` touches files, and a dataclass is used only where it pays.
+``experiments`` touches files, a dataclass is used only where it pays, and an
+experiment row holds only functions of ``experiments``.
 
 A helper that is deleted can leave its imports behind; nothing else fails
 when it does.  A package ``__init__`` imports in order to re-export, and
@@ -9,6 +10,9 @@ module may import the file modules or call ``open``.  A frozen dataclass
 costs its generated methods at import; a record that needs no
 ``__post_init__``, ``cached_property`` or ``field(default_factory=...)`` is
 a ``NamedTuple``, which keeps methods, properties and classmethods.
+Perfbench's tracer wraps a layer function where a module's globals bind it,
+so a row that held ``core_limit`` itself would call the unwrapped function
+and the layer's spans would read 0 with nothing failing.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from sfperc.experiments import EXPERIMENTS
+from sfperc.theory import core_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sfperc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -124,3 +131,21 @@ def test_unneeded_dataclasses_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_dataclass_needs_its_generated_methods(path):
     assert unneeded_dataclasses(path.read_text()) == []
+
+
+def foreign_callables(rows: dict) -> list[str]:
+    """``name.field`` of each callable in the experiment rows that is defined
+    outside ``sfperc.experiments``."""
+    return [f"{name}.{field}" for name, row in rows.items()
+            for field, value in zip(row._fields, row)
+            if callable(value) and value.__module__ != "sfperc.experiments"]
+
+
+def test_foreign_callables_are_found():
+    row = EXPERIMENTS["one_neighborhood"]
+    rows = {"core": row._replace(theory=core_limit), "same": row}
+    assert foreign_callables(rows) == ["core.theory"]
+
+
+def test_experiment_rows_hold_only_experiments_functions():
+    assert foreign_callables(EXPERIMENTS) == []
