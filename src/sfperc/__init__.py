@@ -7,7 +7,7 @@ layers are imported from their modules (``sfperc.params``, ``sfperc.theory``,
 ``sfperc.graphgen``, ``sfperc.components``, ``sfperc.exploration``).
 """
 
-from .errors import ConfigError, DomainError, NumericalFailureError, RangeError, SfpercError
+from .errors import ConfigError, DomainError, NumericalFailureError, SfpercError
 from .experiments import ExperimentConfig, ExperimentResult, run
 
 __version__ = "0.1.0"

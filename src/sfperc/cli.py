@@ -118,7 +118,7 @@ def _run_experiment(args) -> int:
         # the walk of the first replica at the smallest n
         n = config.n_grid[0]
         rng = np.random.default_rng(xp.derive_seed(config.master_seed, n, 0))
-        ctx = result.contexts[n]
+        ctx = xp._build_context(config, n)
         xp.write_trace_csv(run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng), trace)
         print(f"wrote {trace}")
     return 0

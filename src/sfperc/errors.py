@@ -13,9 +13,5 @@ class NumericalFailureError(SfpercError, RuntimeError):
     """An iterative numerical routine failed to converge within its budget."""
 
 
-class RangeError(SfpercError, IndexError):
-    """A requested index or time lies outside the recorded range."""
-
-
 class ConfigError(SfpercError, ValueError):
     """An experiment configuration is malformed or infeasible."""

@@ -14,8 +14,7 @@ import json
 import math
 import numbers
 import os
-import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -25,6 +24,7 @@ from .components import component_sizes, core_report, merged_giant_size
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
     ExplorationTrace,
+    _check_key_range,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
@@ -143,7 +143,7 @@ class ExperimentConfig:
                 f" got a={self.a}"
             )
         # every schedule, the core experiment's core and a walk's first step
-        # must be feasible before any sampling happens
+        # and first-draw keys must be feasible before any sampling happens
         for n in self.n_grid:
             try:
                 ctx = _model_at(self, n)
@@ -152,6 +152,8 @@ class ExperimentConfig:
                 if ctx.steps == 0 and self.experiment != "residual_components":
                     raise DomainError(f"the walk horizon {ctx.horizon!r} takes no step"
                                       f" (beta_n={ctx.schedule.beta_n!r})")
+                if ctx.steps:
+                    _check_key_range(n, ctx.steps)
             except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
@@ -308,7 +310,7 @@ def _limit_record(config, ctx: _Context, replica: int, rng) -> dict:
 def _repeat_record(config, ctx: _Context, replica: int, rng) -> dict:
     trace = run_exploration(ctx.weights, ctx.schedule, ctx.steps, rng)
     return {"pi_n": ctx.schedule.pi_n,
-            "repeat_fraction": repeat_fraction(trace, ctx.schedule, ctx.steps)}
+            "repeat_fraction": repeat_fraction(trace, ctx.schedule)}
 
 
 def _residual_record(config, ctx: _Context, replica: int, rng) -> dict:
@@ -429,17 +431,13 @@ EXPERIMENTS = {
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Records plus aggregates plus the theory targets they chase."""
 
     config: ExperimentConfig
-    records: list = field(default_factory=list)
-    aggregates: dict = field(default_factory=dict)
-    theory: dict = field(default_factory=dict)
-    # The per-n contexts run() built, for callers that sample more at the
-    # same n; kept out of to_dict(), so never part of a report.
-    contexts: dict = field(default_factory=dict, repr=False, compare=False)
+    records: list
+    aggregates: dict
+    theory: dict
 
     def to_dict(self) -> dict:
         return {
@@ -516,7 +514,6 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         records=records,
         aggregates=_aggregate(records),
         theory=_theory_block(config, contexts),
-        contexts=contexts,
     )
     if config.output_path is not None:
         write_result(result, config.output_path, config.output_format)
@@ -558,7 +555,9 @@ def _atomic_write(path, write) -> None:
     check_output_path(path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # Created with mode 0666 less the umask, as open() would; mkstemp makes 0600.
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)

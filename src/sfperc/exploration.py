@@ -17,35 +17,37 @@ unexplored.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .components import component_sizes
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .graphgen import MultiGraph, draw_marks, sample_percolated_mnr_direct
 from .params import PercolationSchedule, WeightSequence, is_number
 
 
-@dataclass(frozen=True)
-class ExplorationTrace:
+class ExplorationTrace(NamedTuple):
     """Step-indexed record of one exploration run.
 
     marks, new_mark and wbar (the percolated weight pi_n * w of each drawn
     mark) have length steps; Z has length steps + 1 and starts at the step-0
     state.  S and repeats, also of length steps + 1 from step 0, are built
-    from them on first read and then kept: the ensemble experiments read
-    neither, so a walk replica builds neither.
+    from them on each read: the ensemble experiments read neither, so a walk
+    replica builds neither.
     """
 
-    steps: int
     marks: np.ndarray
     new_mark: np.ndarray
     Z: np.ndarray
     wbar: np.ndarray
 
-    @cached_property
+    @property
+    def steps(self) -> int:
+        """The number of mark draws."""
+        return self.marks.size
+
+    @property
     def S(self) -> np.ndarray:
         """The weight-paid walk: S(l) = sum of wbar over fresh marks to step l, minus l."""
         S = np.zeros(self.steps + 1)
@@ -53,7 +55,7 @@ class ExplorationTrace:
         S[1:] -= np.arange(1, self.steps + 1)
         return S
 
-    @cached_property
+    @property
     def repeats(self) -> np.ndarray:
         """R(l), the repeated draws among the first l steps."""
         repeats = np.zeros(self.steps + 1, dtype=np.int64)
@@ -67,17 +69,16 @@ def _check_key_range(n: int, m: int) -> None:
         raise DomainError(f"{m} steps over {n} vertices overflow the int64 first-draw keys")
 
 
-def _first_draws(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+def _first_draws(marks: np.ndarray) -> tuple[np.ndarray, int]:
     """Flags of each mark's first draw, and the number of distinct marks.
 
     The flags equal the ``np.unique(marks, return_index=True)`` indices set
-    True, for marks in 1..n.  One unstable sort of the distinct keys
-    mark * m + step: a mark's draws sort together by step, so its first draw
-    is where key - key % m (that is, mark * m) changes, and its step is
-    key % m.
+    True.  One unstable sort of the distinct keys mark * m + step, which the
+    caller has checked fit in int64: a mark's draws sort together by step,
+    so its first draw is where key - key % m (that is, mark * m) changes,
+    and its step is key % m.
     """
     m = marks.size
-    _check_key_range(n, m)
     key = np.multiply(marks, m, dtype=np.int64)
     key += np.arange(m)
     key.sort()
@@ -90,12 +91,10 @@ def _first_draws(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return new, int(np.count_nonzero(first))
 
 
-def _check_steps(steps, least: int, most: int | None) -> None:
-    """Fail unless steps is an integer count of walk steps in [least, most]."""
+def _check_steps(steps, least: int) -> None:
+    """Fail unless steps is an integer count of walk steps >= least."""
     if not (is_number(steps, numbers.Integral) and steps >= least):
         raise DomainError(f"a step count must be an integer >= {least}, got {steps!r}")
-    if most is not None and steps > most:
-        raise RangeError(f"step {steps} is past the trace's {most} steps")
 
 
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
@@ -103,12 +102,12 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     """Run the exploration for max_steps mark draws on a multi-mode schedule."""
     if schedule.mode != "multi":
         raise DomainError("exploration runs on multi-mode schedules")
-    _check_steps(max_steps, 1, None)
+    _check_steps(max_steps, 1)
     m = int(max_steps)
     _check_key_range(weights.n, m)
 
     marks = draw_marks(weights, m, rng)
-    new, distinct = _first_draws(marks, weights.n)
+    new, distinct = _first_draws(marks)
     # Percolated weights pi_n * w of the drawn marks only, not of all n vertices.
     wbar = schedule.pi_n * weights.weight(marks)
     X = np.zeros(m, dtype=np.int64)
@@ -123,7 +122,7 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     if int(np.count_nonzero(new)) != distinct:
         raise AssertionError("explored-set identity |V_l| = l - R(l) violated")
 
-    return ExplorationTrace(steps=m, marks=marks, new_mark=new, Z=Z, wbar=wbar)
+    return ExplorationTrace(marks=marks, new_mark=new, Z=Z, wbar=wbar)
 
 
 def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule,
@@ -135,17 +134,15 @@ def sup_distance_to_limit(trace: ExplorationTrace, schedule: PercolationSchedule
     """
     last = z_grid.size - 1
     if last > trace.steps:
-        raise RangeError(f"the limit grid needs step {last} but the trace has only {trace.steps}")
+        raise DomainError(f"the limit grid needs step {last} but the trace has only {trace.steps}")
     gap = trace.Z[: last + 1] / schedule.beta_n
     gap -= z_grid
     return float(np.abs(gap, out=gap).max())
 
 
-def repeat_fraction(trace: ExplorationTrace, schedule: PercolationSchedule,
-                    steps: int) -> float:
-    """R(steps) / beta_n, the repeats among the first steps draws on the beta_n scale."""
-    _check_steps(steps, 0, trace.steps)
-    repeats = steps - int(np.count_nonzero(trace.new_mark[:steps]))
+def repeat_fraction(trace: ExplorationTrace, schedule: PercolationSchedule) -> float:
+    """R(steps) / beta_n, the repeats among all of the trace's draws on the beta_n scale."""
+    repeats = trace.steps - int(np.count_nonzero(trace.new_mark))
     return float(repeats / schedule.beta_n)
 
 
@@ -159,7 +156,7 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     rates.  Returns 0 when everything was explored, and counts isolated
     survivors as size 1.
     """
-    _check_steps(steps, 0, None)
+    _check_steps(steps, 0)
     explored = np.zeros(weights.n + 1, dtype=bool)
     if steps >= 1:
         explored[run_exploration(weights, schedule, steps, rng).marks] = True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sfperc.errors import DomainError, RangeError
+from sfperc.errors import DomainError
 from sfperc.graphgen import (MultiGraph, SimpleGraph, _aggregate_pairs, _check_pi,
                              sample_percolated_mnr_direct)
 from sfperc.params import ModelParams, PercolationSchedule, WeightSequence, core_prefix_size
@@ -163,7 +163,7 @@ def coupled_reference(weights: WeightSequence, pi: float, rng):
 def weight_of(weights: WeightSequence, vertex: int) -> float:
     """Weight of a 1-based vertex id."""
     if not (1 <= vertex <= weights.n):
-        raise RangeError(f"vertex id {vertex} outside [1, {weights.n}]")
+        raise DomainError(f"vertex id {vertex} outside [1, {weights.n}]")
     return float(weights.weight(np.array([vertex]))[0])
 
 
@@ -314,7 +314,7 @@ def kernel_convergence_check(weights: WeightSequence, schedule: PercolationSched
         i = int(np.ceil(schedule.N_n * u))
         j = int(np.ceil(schedule.N_n * v))
         if i > weights.n or j > weights.n:
-            raise RangeError(f"grid point ({u}, {v}) indexes past n={weights.n}")
+            raise DomainError(f"grid point ({u}, {v}) indexes past n={weights.n}")
         wi = weight_of(weights, i)
         wj = weight_of(weights, j)
         p_edge = schedule.pi_n * -np.expm1(-wi * wj / weights.ell_n)
@@ -341,7 +341,7 @@ def excursions(trace) -> list[tuple[int, int]]:
 def explored(trace, upto: int) -> np.ndarray:
     """Distinct explored marks after ``upto`` steps, sorted."""
     if not (0 <= upto <= trace.steps):
-        raise RangeError(f"step {upto} outside [0, {trace.steps}]")
+        raise DomainError(f"step {upto} outside [0, {trace.steps}]")
     return np.sort(trace.marks[:upto][trace.new_mark[:upto]])
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import errno
 import hashlib
 import json
@@ -15,7 +14,7 @@ from sfperc import experiments as xp
 from sfperc.cli import build_parser, main
 from sfperc.experiments import EXPERIMENTS, ExperimentConfig
 from sfperc.graphgen import MultiGraph, SimpleGraph
-from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
+from sfperc.params import LambdaRule, make_schedule, model_params
 
 from oracles import read_edge_rows
 
@@ -110,6 +109,11 @@ _HUGE = 10**400
     ("explore", {}, ["--replicas", "1" + "0" * 300], "replicas must lie in [1, 2**64)"),
     ("explore", {"replicas": 2**64}, [], "replicas must lie in [1, 2**64)"),
     ("explore", {}, ["--T", "1e308"], "overflows"),
+    ("explore", {}, ["--T", "1e17"], "overflow the int64 first-draw keys"),
+    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", "1e17"],
+     "overflow the int64 first-draw keys"),
+    ("residual", {"experiment": "residual_components"}, ["--T", "1e17"],
+     "overflow the int64 first-draw keys"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -118,7 +122,8 @@ _HUGE = 10**400
         "theory-a-below-eps", "core-empty", "core-a-1e308-flag", "core-a-1e308-config",
         "a-huge-int", "tau-huge-int", "C-huge-int", "T-huge-int", "lambda_value-huge-int",
         "replicas-huge-int", "n_grid-huge-int", "replicas-past-64-bits-flag",
-        "replicas-past-64-bits-config", "T-overflows"])
+        "replicas-past-64-bits-config", "T-overflows", "T-overflows-keys",
+        "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):
@@ -280,19 +285,22 @@ def test_explore_trace_flag(tmp_path):
     assert len(lines) > 1
 
 
-def test_explore_trace_builds_weights_once_per_n(tmp_path, monkeypatch):
-    # the trace walk reuses the context run() built for the first n
-    built = []
-
-    def counting_build_weights(params):
-        built.append(params.n)
-        return build_weights(params)
-
-    monkeypatch.setattr(xp, "build_weights", counting_build_weights)
-    rc = main(["explore", "--n-grid", "400", "800", "--replicas", "1", "--T", "2.0",
-               "--trace", str(tmp_path / "trace.csv")])
+def test_explore_trace_is_the_first_replicas_walk(tmp_path):
+    # the trace's Z column is replica 0's walk at the smallest n: its sup
+    # distance to the limit grid is that record's, bit for bit
+    trace, report = tmp_path / "trace.csv", tmp_path / "report.json"
+    rc = main(["explore", "--n-grid", "400", "800", "--replicas", "2", "--T", "2.0",
+               "--trace", str(trace), "--out", str(report)])
     assert rc == 0
-    assert sorted(built) == [400, 800]
+    with open(trace, newline="") as fh:
+        Z = np.array([0] + [int(row["Z"]) for row in csv.DictReader(fh)])
+    record = json.loads(report.read_text())["records"][0]
+    assert (record["n"], record["replica"]) == (400, 0)
+    config = ExperimentConfig("exploration_limit", n_grid=(400, 800), T=2.0)
+    ctx = xp._build_context(config, 400)
+    assert Z.size == ctx.steps + 1
+    gap = np.abs(Z / ctx.schedule.beta_n - ctx.z_grid).max()
+    assert float(gap) == record["sup_distance"]
 
 
 # The three files the CLI writes, each with its path as the last argument.
@@ -370,7 +378,7 @@ def _fail_trace_at_step_three(monkeypatch):
 
     def failing(*args):
         trace = walk(*args)
-        return dataclasses.replace(trace, Z=_FullAt(trace.Z, 3))
+        return trace._replace(Z=_FullAt(trace.Z, 3))
 
     monkeypatch.setattr(cli, "run_exploration", failing)
 

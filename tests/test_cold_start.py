@@ -10,7 +10,8 @@ import pytest
 
 import sfperc
 from sfperc.components import ComponentSummary, CoreReport
-from sfperc.experiments import Experiment, _Context
+from sfperc.experiments import Experiment, ExperimentResult, _Context
+from sfperc.exploration import ExplorationTrace
 from sfperc.graphgen import MultiGraph, SimpleGraph
 from sfperc.params import ModelParams, PercolationSchedule, WeightSequence
 from sfperc.theory import CoreLimit, TheoryConstants
@@ -35,7 +36,8 @@ def test_cli_import_leaves_thread_and_csv_modules_unloaded():
 
 @pytest.mark.parametrize("cls", [ModelParams, PercolationSchedule, TheoryConstants, CoreLimit,
                                  CoreReport, Experiment, _Context, WeightSequence,
-                                 MultiGraph, SimpleGraph, ComponentSummary])
+                                 MultiGraph, SimpleGraph, ComponentSummary,
+                                 ExplorationTrace, ExperimentResult])
 def test_plain_records_are_immutable_tuples(cls):
     record = cls(*range(len(cls._fields)))
     assert isinstance(record, tuple)

@@ -15,7 +15,7 @@ from sfperc.components import (
     merged_giant_size,
     one_neighborhood,
 )
-from sfperc.errors import DomainError, RangeError
+from sfperc.errors import DomainError
 from sfperc.graphgen import (
     SimpleGraph,
     percolate_coupled,
@@ -370,6 +370,16 @@ def test_giant_tie_break_prefers_smallest_id():
     assert s.giant_members.tolist() == [2, 6]
 
 
+def test_component_partition_check_fires(monkeypatch):
+    # one edge needs one hooking round, so the shortened roots reach the check
+    import sfperc.components as comp
+
+    hook = comp._hook
+    monkeypatch.setattr(comp, "_hook", lambda k, src, dst: hook(k, src, dst)[:-1])
+    with pytest.raises(AssertionError, match="do not partition the vertex set"):
+        component_sizes(simple_from_pairs(3, [(1, 2)]))
+
+
 def test_component_summary_edge_cases():
     # each against the BFS oracle, which also checks the sizes dtype, that
     # second_size is 0 exactly when one component spans the graph (n = 1 for
@@ -478,7 +488,7 @@ def test_kernel_check_grid_past_n():
     params, ws, sch = single_schedule(n=10_000, lam=9.0)
     a = (ws.n + 0.5) / sch.N_n
     assert core_prefix_size(sch, a) == ws.n
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         kernel_convergence_check(ws, sch, a, [(a, a)])
 
 
@@ -577,3 +587,12 @@ def test_core_report_chain():
     full = component_sizes(gs)
     assert full.giant_size >= report.core_giant_size + report.one_neighborhood_size
 
+
+def test_core_report_lower_bound_check_fires(monkeypatch):
+    # a one-neighborhood larger than the graph breaks |C1*| >= |G| + N1
+    params, ws, sch = single_schedule()
+    a = 3.5 / sch.N_n  # a core of floor(a N_n) = 3 vertices
+    g = simple_from_pairs(6, [(1, 2), (2, 3), (2, 5)])
+    monkeypatch.setattr("sfperc.components.one_neighborhood", lambda g_full, *_: g_full.n)
+    with pytest.raises(AssertionError, match="smaller than core giant"):
+        core_report(g, ws, sch, a)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,15 @@ from sfperc.errors import ConfigError, DomainError, SfpercError
 from sfperc.experiments import (
     RESULT_VERSION,
     ExperimentConfig,
-    ExperimentResult,
     _build_context,
+    _model_at,
     _replica_record,
     derive_seed,
     run,
     summarize,
+    write_edge_list,
     write_result,
+    write_trace_csv,
 )
 from sfperc.exploration import run_exploration, sup_distance_to_limit
 from sfperc.graphgen import MultiGraph, sample_coupled_direct
@@ -309,7 +312,32 @@ def test_write_result_csv(tmp_path):
     assert lines[0] == ",".join(result.records[0].keys())
     assert len(lines) == 3
     with pytest.raises(DomainError):
-        write_result(ExperimentResult(config=result.config), path, output_format="csv")
+        write_result(result._replace(records=[]), path, output_format="csv")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_take_the_mode_open_gives(umask, mode, tmp_path):
+    # 0666 less the umask, also when a file is overwritten; no temporary file stays
+    result = run(small_config(n_grid=(200,), replicas=1))
+    params = model_params(2.5, 1.0, 200)
+    sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
+    trace = run_exploration(build_weights(params), sch, 20, np.random.default_rng(0))
+    graph = MultiGraph(n=3, src=np.array([1]), dst=np.array([2]), mult=np.array([1]))
+    writes = {"report.json": lambda path: write_result(result, path),
+              "records.csv": lambda path: write_result(result, path, output_format="csv"),
+              "edges.txt": lambda path: write_edge_list(graph, path),
+              "trace.csv": lambda path: write_trace_csv(trace, path)}
+    old = os.umask(umask)
+    try:
+        for _ in range(2):
+            for name, write in writes.items():
+                write(tmp_path / name)
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == sorted(writes)
+    for name in writes:
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_single_vs_multi_coupling():
@@ -321,6 +349,27 @@ def test_single_vs_multi_coupling():
         assert rec["c1_over_beta"] >= rec["c1_star_over_beta"]
 
 
+def test_coupled_record_checks_the_pair_partition(monkeypatch):
+    import sfperc.experiments as xp
+
+    def one_pair_lost(weights, pi, rng):
+        g_multi, g_simple, dropped = sample_coupled_direct(weights, pi, rng)
+        assert g_simple.edge_count > 0
+        return g_multi, g_simple._replace(src=g_simple.src[1:], dst=g_simple.dst[1:]), dropped
+
+    monkeypatch.setattr(xp, "sample_coupled_direct", one_pair_lost)
+    with pytest.raises(AssertionError, match="do not partition"):
+        run(ExperimentConfig("single_vs_multi", n_grid=(2000,), replicas=1))
+
+
+def test_coupled_record_checks_the_coupling_inequality(monkeypatch):
+    import sfperc.experiments as xp
+
+    monkeypatch.setattr(xp, "merged_giant_size", lambda simple, dropped: simple.giant_size - 1)
+    with pytest.raises(AssertionError, match="coupling violated"):
+        run(ExperimentConfig("single_vs_multi", n_grid=(2000,), replicas=1))
+
+
 def test_summarize_rows():
     result = run(small_config())
     rows = summarize(result)
@@ -329,7 +378,7 @@ def test_summarize_rows():
     assert "c1_over_beta_q95" in rows[0]
     assert rows[0]["zeta"] == pytest.approx(3.0 * math.pi)
     with pytest.raises(DomainError):
-        summarize(ExperimentResult(config=result.config))
+        summarize(result._replace(records=[]))
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +440,9 @@ def test_every_walk_replica_takes_the_context_step_count(monkeypatch):
 
     def recording(fn):
         def wrapped(*args):
-            seen.append((fn.__name__, args[1].params.n, args[2]))  # (name, n, steps)
+            # (name, n, steps); repeat_fraction reads every step of its trace
+            steps = args[0].steps if fn.__name__ == "repeat_fraction" else args[2]
+            seen.append((fn.__name__, args[1].params.n, steps))
             return fn(*args)
         return wrapped
 
@@ -403,9 +454,11 @@ def test_every_walk_replica_takes_the_context_step_count(monkeypatch):
                     ("repeat_fraction", None), ("residual_components", None),
                     ("residual_components", 3.0)):
         seen.clear()
-        result = run(ExperimentConfig(kind, n_grid=(500, 1000), T=T, replicas=2))
+        config = ExperimentConfig(kind, n_grid=(500, 1000), T=T, replicas=2)
+        run(config)
+        contexts = {n: _model_at(config, n) for n in config.n_grid}
         assert all(ctx.steps == math.floor(ctx.horizon * ctx.schedule.beta_n) >= 1
-                   for ctx in result.contexts.values())
+                   for ctx in contexts.values())
         names = {name for name, _, _ in seen}
         want = {"exploration_limit": {"run_exploration"},
                 "repeat_fraction": {"run_exploration", "repeat_fraction"},
@@ -414,13 +467,20 @@ def test_every_walk_replica_takes_the_context_step_count(monkeypatch):
         # one walk per replica, each at its own n's step count
         walks = sorted(n for name, n, _ in seen if name == "run_exploration")
         assert walks == [500, 500, 1000, 1000]
-        assert all(steps == result.contexts[n].steps for _, n, steps in seen)
+        assert all(steps == contexts[n].steps for _, n, steps in seen)
 
 
-def test_a_horizon_past_floating_point_is_refused():
+def test_a_horizon_past_floating_point_is_refused(monkeypatch):
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
     for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
         with pytest.raises(ConfigError, match="overflows"):
             ExperimentConfig(kind, n_grid=(1000,), T=1e308)
+        # a finite step count whose first-draw keys mark * steps + step pass int64
+        with pytest.raises(ConfigError, match="overflow the int64 first-draw keys"):
+            ExperimentConfig(kind, n_grid=(1000,), T=1e17)
 
 
 def test_experiments_that_do_not_walk_take_any_valid_T():
@@ -594,11 +654,12 @@ def test_a_row_is_all_an_experiment_needs(monkeypatch, capsys):
     config = ExperimentConfig("toy_walk", replicas=2)
     assert config.n_grid == (500, 1000) and config.mode == "multi"
     result = run(config)
-    for ctx in result.contexts.values():
+    contexts = {n: _model_at(config, n) for n in config.n_grid}
+    for ctx in contexts.values():
         assert ctx.horizon == 2.0 and ctx.steps == math.floor(2.0 * ctx.schedule.beta_n) >= 1
     assert [list(rec) for rec in result.records] == [
         ["n", "replica", "seed", "toy_steps", "toy_last_z"]] * 4
-    assert all(rec["toy_steps"] == result.contexts[rec["n"]].steps for rec in result.records)
+    assert all(rec["toy_steps"] == contexts[rec["n"]].steps for rec in result.records)
     assert list(result.theory)[-2:] == ["toy_n", "toy_T"]
     assert result.theory["toy_n"] == 1000 and result.theory["toy_T"] == 2.0
     # a given T overrides the row's horizon

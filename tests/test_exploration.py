@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, ks_2samp
 
 from sfperc.components import component_sizes
-from sfperc.errors import DomainError, RangeError
+from sfperc.errors import DomainError
 from sfperc.experiments import write_trace_csv
 from sfperc.exploration import (
+    ExplorationTrace,
+    _check_key_range,
     _first_draws,
     repeat_fraction,
     residual_largest_component,
@@ -33,6 +35,15 @@ def multi_setup(n=2000, seed=0):
     sch = make_schedule(params, "multi", LambdaRule("power", 0.1))
     rng = np.random.default_rng(seed)
     return params, ws, sch, rng
+
+
+def forbid_columns(monkeypatch):
+    """Make any later read of a trace's S or repeats column fail."""
+    def built(trace):
+        raise AssertionError("a trace column was built")
+
+    for name in ("S", "repeats"):
+        monkeypatch.setattr(ExplorationTrace, name, property(built))
 
 
 # --------------------------------------------------------------------------
@@ -95,7 +106,7 @@ def test_first_draws_match_unique_oracle(case):
     marks = np.array(draws, dtype=np.int64)
     oracle = np.zeros(marks.size, dtype=bool)
     oracle[np.unique(marks, return_index=True)[1]] = True
-    new, distinct = _first_draws(marks, n)
+    new, distinct = _first_draws(marks)
     assert np.array_equal(new, oracle)
     assert distinct == np.unique(marks).size
 
@@ -104,9 +115,10 @@ def test_first_draw_keys_must_fit_int64():
     # keys are mark * m + step < m * (n + 1); m = 3 steps here
     marks = np.array([2, 1, 2], dtype=np.int64)
     largest = np.iinfo(np.int64).max // 3 - 1
-    assert _first_draws(marks, largest)[0].tolist() == [True, True, False]
+    _check_key_range(largest, 3)
+    assert _first_draws(marks)[0].tolist() == [True, True, False]
     with pytest.raises(DomainError):
-        _first_draws(marks, largest + 1)
+        _check_key_range(largest + 1, 3)
     # run_exploration refuses before it draws a single mark
     params, ws, sch, rng = multi_setup()
     state = rng.bit_generator.state
@@ -129,8 +141,8 @@ def test_explored_set_check_catches_a_wrong_fresh_flag(flip, monkeypatch):
     # the fresh flags must number the distinct marks _first_draws sorted out
     params, ws, sch, rng = multi_setup(seed=9)
 
-    def off_by_one(marks, n):
-        new, distinct = _first_draws(marks, n)
+    def off_by_one(marks):
+        new, distinct = _first_draws(marks)
         new = new.copy()
         if flip == "one-too-many":
             new[np.flatnonzero(~new)[0]] = True
@@ -147,9 +159,9 @@ def test_explored_set_check_catches_a_wrong_fresh_flag(flip, monkeypatch):
 def test_explored_range_checked():
     params, ws, sch, rng = multi_setup()
     trace = run_exploration(ws, sch, 50, rng)
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         explored(trace, 51)
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         explored(trace, -1)
 
 
@@ -174,56 +186,52 @@ def test_sup_distance_matches_manual():
     assert got == pytest.approx(best, rel=1e-12)
     # a grid reaching past the last step is refused, and the trace is not written
     Z = trace.Z.copy()
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         sup_distance_to_limit(trace, sch, np.zeros(trace.steps + 2))
     assert np.array_equal(trace.Z, Z)
 
 
-def test_trace_builds_S_and_repeats_on_first_read():
+def test_trace_builds_S_and_repeats_on_read():
     params, ws, sch, rng = multi_setup(seed=13)
     trace = run_exploration(ws, sch, 300, rng)
-    assert "S" not in vars(trace) and "repeats" not in vars(trace)
+    # the walk stores neither column; each read builds it from the stored ones
+    assert trace._fields == ("marks", "new_mark", "Z", "wbar") and trace.steps == 300
     S, repeats = trace.S, trace.repeats
-    assert trace.S is S and trace.repeats is repeats
     fresh = np.where(trace.new_mark, trace.wbar, 0.0)
     assert np.array_equal(S, np.r_[0.0, np.cumsum(fresh) - np.arange(1, 301)])
     assert np.array_equal(repeats, np.r_[0, np.cumsum(~trace.new_mark)])
     assert np.array_equal(trace.wbar, sch.pi_n * ws.weight(trace.marks))
 
 
-def test_repeat_fraction_manual():
+def test_repeat_fraction_manual(monkeypatch):
     params, ws, sch, rng = multi_setup(seed=11)
     trace = run_exploration(ws, sch, 300, rng)
-    times = (0.0, 1.0 / sch.beta_n, 200 / sch.beta_n, 300 / sch.beta_n)
-    got = [repeat_fraction(trace, sch, math.floor(t * sch.beta_n)) for t in times]
-    # R(step) is counted from the first-draw flags; neither column is built
-    assert "S" not in vars(trace) and "repeats" not in vars(trace)
-    for t, value in zip(times, got):
-        assert value == trace.repeats[math.floor(t * sch.beta_n)] / sch.beta_n
-    with pytest.raises(RangeError):
-        repeat_fraction(trace, sch, 301)
-    with pytest.raises(DomainError):
-        repeat_fraction(trace, sch, -1)
+    repeats = trace.repeats
+    assert repeats[-1] > 0
+    # R(steps) is counted from the first-draw flags; neither column is built
+    forbid_columns(monkeypatch)
+    assert repeat_fraction(trace, sch) == repeats[300] / sch.beta_n
+    # R(l) of a shorter walk is that of the trace's first l steps
+    for l in (0, 1, 200):
+        head = trace._replace(marks=trace.marks[:l], new_mark=trace.new_mark[:l],
+                              Z=trace.Z[:l + 1], wbar=trace.wbar[:l])
+        assert repeat_fraction(head, sch) == repeats[l] / sch.beta_n
 
 
 @pytest.mark.parametrize("steps, error", [(-1, DomainError), (1.5, DomainError),
-                                          (2.0, DomainError), (True, DomainError),
-                                          (301, RangeError)])
+                                          (2.0, DomainError), (True, DomainError)])
 def test_step_counts_fail_closed(steps, error):
     params, ws, sch, rng = multi_setup(seed=17)
-    trace = run_exploration(ws, sch, 300, rng)
+    # refused before the walk draws anything
+    state = rng.bit_generator.state
     with pytest.raises(error):
-        repeat_fraction(trace, sch, steps)
-    if error is DomainError:
-        # refused before the walk draws anything
-        state = rng.bit_generator.state
-        with pytest.raises(DomainError):
-            residual_largest_component(ws, sch, steps, rng)
-        with pytest.raises(DomainError):
-            run_exploration(ws, sch, steps, rng)
-        assert rng.bit_generator.state == state
+        residual_largest_component(ws, sch, steps, rng)
+    with pytest.raises(error):
+        run_exploration(ws, sch, steps, rng)
+    assert rng.bit_generator.state == state
     # numpy integer counts are whole counts
-    assert repeat_fraction(trace, sch, np.int64(300)) == repeat_fraction(trace, sch, 300)
+    walk = run_exploration(ws, sch, np.int64(300), rng)
+    assert walk.Z.tobytes() == run_exploration(ws, sch, 300, np.random.default_rng(17)).Z.tobytes()
 
 
 def test_mark_draws_match_weight_distribution():
@@ -277,11 +285,11 @@ def test_residual_moderate_time(monkeypatch):
         return traces[-1]
 
     monkeypatch.setattr("sfperc.exploration.run_exploration", walk)
+    # the residual reads only the marks
+    forbid_columns(monkeypatch)
     size = residual_largest_component(ws, sch, math.floor(sch.beta_n), rng)
     assert 0 <= size < ws.n
-    # the residual reads only the marks
     assert len(traces) == 1
-    assert "S" not in vars(traces[0]) and "repeats" not in vars(traces[0])
 
 
 def test_residual_graph_is_the_percolated_graph_on_unexplored_pairs(monkeypatch):

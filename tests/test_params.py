@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfperc.errors import DomainError, RangeError
+from sfperc.errors import DomainError
 from sfperc.params import (
     _CHUNK,
     _MAX_N,
@@ -159,9 +159,9 @@ def test_n_past_int64_pair_keys_rejected():
 
 def test_weight_of_range_checked():
     ws = build_weights(model_params(2.5, 1.0, 10))
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         weight_of(ws, 0)
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError):
         weight_of(ws, 11)
 
 
