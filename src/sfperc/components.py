@@ -5,7 +5,11 @@ Components are found in numpy by min-label hooking with pointer jumping
 touch a non-loop edge: one sort of the endpoints lists them when the edges
 are fewer than n / 10, an (n + 1)-length mask otherwise.  Ranked in
 increasing order, they end as a forest in which every rank points at its
-component's smallest rank, the component's smallest id.  Every other id is
+component's smallest rank, the component's smallest id.  Hooking makes
+every rank point at or below itself, so pointer jumping settles the ranks
+in cache-sized blocks, in rank order, each block jumping only within itself
+once the blocks before it are final; edges go in blocks too, so labeling
+holds its ranks, the edges on them and a few blocks.  Every other id is
 a singleton, so sizes and the giant come from the touched ranks alone, and
 a sparse graph is labeled with no pass over all n ids.  The giant is the
 largest component, with ties broken by smallest contained vertex id, so
@@ -53,7 +57,8 @@ class ComponentSummary(NamedTuple):
 
 
 def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ids in 0..n an edge touches, in increasing order, and the edges on their ranks."""
+    """The ids in 0..n an edge touches, in increasing order, and the edges on
+    their ranks, all in the rank map's dtype (int32 below 2**31 - 1)."""
     dtype = np.int32 if n < 2**31 - 1 else np.int64
     if _SPARSE * src.size < n:
         ends = np.concatenate([src, dst], dtype=dtype)
@@ -61,44 +66,87 @@ def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
         first = np.empty(ends.size, dtype=bool)
         first[:1] = True
         np.not_equal(ends[1:], ends[:-1], out=first[1:])
-        ids = ends[first].astype(np.int64)
+        ids = np.compress(first, ends)
     else:
         touched = np.zeros(n + 1, dtype=bool)
         touched[src] = True
         touched[dst] = True
-        ids = np.flatnonzero(touched)
+        ids = np.flatnonzero(touched).astype(dtype, copy=False)
         del touched
     # Only touched entries of the rank map are ever read, so it is not
     # zero-filled and its untouched pages are never written.
     rank = np.empty(n + 1, dtype=dtype)
-    rank[ids] = np.arange(ids.size, dtype=dtype)
-    return ids, rank[src], rank[dst]
+    for r in range(0, ids.size, _HOOK_BLOCK):
+        rank[ids[r:r + _HOOK_BLOCK]] = np.arange(r, min(r + _HOOK_BLOCK, ids.size), dtype=dtype)
+    return ids, rank.take(src), rank.take(dst)
 
 
 def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Each of ranks 0..k-1's root rank, the smallest in its component.
 
-    A round hooks the larger endpoint of every edge onto the smaller and
-    pointer-jumps until every rank points at a root; from the identity
-    forest that needs no gathers and no filter.  The roots the still-live
-    edges join are then ranked and hooked alike, so later rounds skip every
-    settled rank.  Two rounds at least halve those roots, so the recursion
-    is O(log k) deep.  Parallel edges and loops need no special case.
+    A round hooks the larger endpoint of every edge onto the smaller, so
+    that sub[r] <= r, and pointer-jumps until every rank points at a root;
+    from the identity forest that needs no gathers and no filter.  The
+    roots the still-live edges join are then ranked and hooked alike, so
+    later rounds skip every settled rank.  Two rounds at least halve those
+    roots, so the recursion is O(log k) deep.  Parallel edges and loops
+    need no special case.  Edges and ranks go in blocks of ``_HOOK_BLOCK``,
+    so no temporary grows with the graph, and a graph that fits one block
+    makes the numpy calls an unblocked round would.
     """
     sub = np.arange(k, dtype=src.dtype)
-    np.minimum.at(sub, np.maximum(src, dst), np.minimum(src, dst))
-    while not np.array_equal(jumped := sub[sub], sub):
-        sub = jumped
-    lo, hi = sub[src], sub[dst]
-    live = lo != hi
-    if live.any():
-        roots, src, dst = _rank(k - 1, lo[live], hi[live])
-        del lo, hi, live  # not held through the later rounds
+    for e in range(0, src.size, _HOOK_BLOCK):
+        s, d = src[e:e + _HOOK_BLOCK], dst[e:e + _HOOK_BLOCK]
+        np.minimum.at(sub, np.maximum(s, d), np.minimum(s, d))
+    sub = _jump(sub)
+    lo, hi = _live_ends(sub, src, dst)
+    if lo.size:
+        roots, src, dst = _rank(k - 1, lo, hi)
+        del lo, hi  # not held through the later rounds
         # A joined root points at its group's smallest root, itself a root,
         # so one jump settles every rank.
-        sub[roots] = roots[_hook(roots.size, src, dst)]
-        sub = sub[sub]
+        sub[roots] = roots.take(_hook(roots.size, src, dst))
+        sub = _jump(sub, settle=False)
     return sub
+
+
+_HOOK_BLOCK = 1 << 17  # a giant-1e6 graph's ranks and edges fit in one block
+
+
+def _jump(sub: np.ndarray, settle: bool = True) -> np.ndarray:
+    """Pointer-jump a forest with sub[r] <= r once, or until every rank
+    points at its root, and return it.
+
+    Blocks go in rank order (Shiloach & Vishkin's pointer jumping, one
+    block at a time), in place.  Once the blocks before it are settled, a
+    block's ranks point at settled ranks or into the block itself, so its
+    jumps gather nothing that a later block changes.  A forest that fits one
+    block is jumped whole, into new arrays, with no copies.
+    """
+    if sub.size <= _HOOK_BLOCK:
+        jumped = sub.take(sub)
+        while settle and not np.array_equal(jumped, sub):
+            sub, jumped = jumped, jumped.take(jumped)
+        return jumped
+    for r in range(0, sub.size, _HOOK_BLOCK):
+        block = sub[r:r + _HOOK_BLOCK]
+        jumped = sub.take(block)
+        while settle and not np.array_equal(jumped, block):
+            block[...] = jumped
+            jumped = sub.take(block)
+        block[...] = jumped
+    return sub
+
+
+def _live_ends(sub: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """The root pairs (sub[src], sub[dst]) of the edges whose roots differ."""
+    ends = []
+    for e in range(0, max(src.size, 1), _HOOK_BLOCK):  # one block at least, if empty
+        a, b = sub.take(src[e:e + _HOOK_BLOCK]), sub.take(dst[e:e + _HOOK_BLOCK])
+        live = a != b
+        # np.compress is ~4x faster than a boolean index on these masks
+        ends.append((np.compress(live, a), np.compress(live, b)))
+    return ends[0] if len(ends) == 1 else tuple(np.concatenate(col) for col in zip(*ends))
 
 
 def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
@@ -108,7 +156,11 @@ def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     live = slice(None) if isinstance(g, SimpleGraph) else g.src != g.dst
     ids, src, dst = _rank(g.n, g.src[live], g.dst[live])
     root = _hook(ids.size, src, dst)
-    counts = np.bincount(root)
+    del src, dst
+    # np.bincount(root) would first copy root to intp; add.at does not
+    counts = np.zeros(int(root.max(initial=-1)) + 1, dtype=np.int64)
+    np.add.at(counts, root, 1)
+    ids = ids.astype(np.int64, copy=False)  # widened once the labeling's temporaries are gone
     if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
     if ids.size:
@@ -167,12 +219,17 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
     members = np.asarray(members, dtype=np.int64)
     if members.size and (members.min() < 1 or members.max() > core_size):
         raise DomainError("members must lie inside the core prefix")
-    # src < dst, so a core-outside edge always has src in the core side.
-    mask = (g_full.dst > core_size) & np.isin(g_full.src, members)
+    # src < dst, so a core-outside edge always has src in the core side, and
+    # as pairs are sorted, those edges lie in the prefix with src <= core_size.
+    end = int(np.searchsorted(g_full.src, core_size, side="right"))
+    inside = np.zeros(core_size + 1, dtype=bool)
+    inside[members] = True
+    mask = g_full.dst[:end] > core_size
+    mask &= inside[g_full.src[:end]]
     # Distinct neighbours are counted on a sorted copy: numpy >= 2.3 answers
     # np.unique on integers with a hash set, ~60x slower here than the sort
     # and, through its scattered memory access, far less steady run to run.
-    outside = np.sort(g_full.dst[mask])
+    outside = np.sort(np.compress(mask, g_full.dst[:end]))
     return int(outside.size and 1 + np.count_nonzero(outside[1:] != outside[:-1]))
 
 

@@ -16,8 +16,13 @@ the percolated multigraph alone.  By Poisson thinning, a non-loop pair with
 c kept copies keeps its simple edge with a probability s(c, lam) that
 averages over the Poisson(lam) copies percolation discarded, so one uniform
 per pair decides it; s is evaluated only for the few pairs where that
-uniform could fail it, chunk by chunk in place.  The sampler also hands back
-the non-loop pairs the simple graph dropped.
+uniform could fail it, chunk by chunk.  A threshold on the id product i*j,
+found once per call, passes most pairs without evaluating their rate.  The
+sampler also hands back the non-loop pairs the simple graph dropped.
+
+The mark draws and the pair keys run in cache-sized blocks, the marks
+written over their uniforms and the keys over the first endpoints, so a
+sampler holds little beyond its outputs.
 """
 
 from __future__ import annotations
@@ -94,6 +99,10 @@ def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
 # mark sampling and the Poissonized edge generator
 # --------------------------------------------------------------------------
 
+# Draws per block of the mark and key passes.  A giant-1e6 graph's ~59k
+# slots fit in one, so its sampler makes no more numpy calls than unblocked.
+_MARK_BLOCK = 1 << 16
+
 
 def draw_marks(weights: WeightSequence, size: int, rng) -> np.ndarray:
     """i.i.d. size-biased marks, P(M = i) = w_i / ell_n, as 1-based vertex ids."""
@@ -109,59 +118,93 @@ def _zipf(n: int, alpha: float, size: int, rng) -> np.ndarray:
     H the integral of h from 1, u uniform on (H(1.5) - 1, H(n + 0.5)] gives
     x = H^-1(u) and k = floor(x + 0.5).  As h is convex, k is kept when u >=
     H(k + 0.5) - h(k), an interval of length h(k) inside k's share of the
-    range; k - x <= s implies that.  Rejected draws are drawn again.
+    range; k - x <= s implies that.  Rejected draws are drawn again, all in
+    one call after the first pass.
+
+    The uniforms come from one ``rng.random(size)`` call, and the marks are
+    written over them as int64: the transcendental passes run on blocks of
+    ``_MARK_BLOCK`` draws in two block buffers, so the draw holds 8 B per
+    mark and a few blocks, and every block stays in cache.
     """
     # H(x) = expm1(b log x) / b and H^-1(y) = exp(log1p(b y) / b)
     b = 1.0 - alpha
     lo, hi = math.expm1(b * math.log(1.5)) / b - 1.0, math.expm1(b * math.log(n + 0.5)) / b
     s = 2.0 - math.exp(math.log1p(math.expm1(b * math.log(2.5)) - b * 2.0 ** -alpha) / b)
     u = rng.random(size)
-    u *= lo - hi
-    u += hi
-    x = u * b
-    np.log1p(x, out=x)
-    x /= b
-    np.exp(x, out=x)
-    k = x + 0.5
-    np.floor(k, out=k)
-    # x > 0.5 throughout, as the integral of h over [0.5, 1.5] exceeds h(1)
-    # = 1, so only rounding past n + 0.5 needs a clip.
-    np.minimum(k, n, out=k)
-    np.subtract(k, x, out=x)  # k - x
-    reject = np.flatnonzero(x > s)
-    if reject.size:
-        kr = k[reject]
-        reject = reject[u[reject] < np.expm1(b * np.log(kr + 0.5)) / b - kr ** -alpha]
-    del u, x
-    marks = k.astype(np.int64)
-    if reject.size:
+    marks = u.view(np.int64)
+    k, x = np.empty(min(size, _MARK_BLOCK)), np.empty(min(size, _MARK_BLOCK))
+    rejected = []
+    for start in range(0, size, _MARK_BLOCK):
+        ub = u[start:start + _MARK_BLOCK]  # the block's uniforms, then its marks
+        kb, xb = k[:ub.size], x[:ub.size]
+        ub *= lo - hi
+        ub += hi
+        np.multiply(ub, b, out=xb)
+        np.log1p(xb, out=xb)
+        xb /= b
+        np.exp(xb, out=xb)
+        np.add(xb, 0.5, out=kb)
+        np.floor(kb, out=kb)
+        # x > 0.5 throughout, as the integral of h over [0.5, 1.5] exceeds h(1)
+        # = 1, so only rounding past n + 0.5 needs a clip.
+        np.minimum(kb, n, out=kb)
+        np.subtract(kb, xb, out=xb)  # k - x
+        reject = np.flatnonzero(xb > s)
+        if reject.size:
+            kr = kb[reject]
+            reject = reject[ub[reject] < np.expm1(b * np.log(kr + 0.5)) / b - kr ** -alpha]
+            rejected.append(reject + start)
+        marks[start:start + ub.size] = kb
+    if rejected:
+        reject = np.concatenate(rejected)
         marks[reject] = _zipf(n, alpha, reject.size, rng)
     return marks
 
 
-def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
+def _aggregate_pairs(a: np.ndarray, b: np.ndarray):
     """Canonicalize int64 endpoint arrays into sorted unique (src, dst, mult).
 
-    Both arrays are consumed: the key min*(n+1) + max is built and sorted in
-    ``a``.  A caller that keeps no name for them lets ``b`` go before the
+    Both arrays are consumed: the pair keys are built in ``a`` and sorted
+    there.  A caller that keeps no name for them lets ``b`` go before the
     sort and ``a`` before the pairs are split.
     """
-    hi = np.maximum(a, b)
-    np.minimum(a, b, out=a)
-    del b
-    a *= n + 1
-    a += hi
-    del hi
-    a.sort()
-    first = np.empty(a.size, dtype=bool)
+    key = _pair_keys(a, b)
+    del a, b
+    key.sort()
+    first = np.empty(key.size, dtype=bool)
     first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    uniq = a[first]
-    del a
-    mult = np.diff(np.flatnonzero(first), append=first.size)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    uniq = key[first]
+    slots = key.size
+    del key
+    starts = np.flatnonzero(first)
     del first
-    src, dst = np.divmod(uniq, n + 1)
-    return src, dst, mult
+    mult = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=mult[:-1])
+    if starts.size:
+        mult[-1] = slots - starts[-1]
+    del starts
+    src = uniq >> 32
+    uniq &= 0xFFFFFFFF
+    return src.view(np.int64), uniq.view(np.int64), mult
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The uint64 keys min(a, b) << 32 | max(a, b), written over ``a`` block by block.
+
+    Ids lie below 2**32 (see ``params._MAX_N``), so the keys sort in
+    lexicographic pair order.
+    """
+    key, other = a.view(np.uint64), b.view(np.uint64)
+    hi = np.empty(min(key.size, _MARK_BLOCK), dtype=np.uint64)
+    for lo in range(0, key.size, _MARK_BLOCK):
+        kb, ob = key[lo:lo + _MARK_BLOCK], other[lo:lo + _MARK_BLOCK]
+        hb = hi[:kb.size]
+        np.maximum(kb, ob, out=hb)
+        np.minimum(kb, ob, out=kb)
+        kb <<= 32
+        kb |= hb
+    return key
 
 
 def sample_mnr(weights: WeightSequence, rng) -> MultiGraph:
@@ -180,8 +223,7 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
     """
     _check_pi(pi)
     m = int(rng.poisson(pi * weights.ell_n / 2.0))
-    src, dst, mult = _aggregate_pairs(weights.n, draw_marks(weights, m, rng),
-                                      draw_marks(weights, m, rng))
+    src, dst, mult = _aggregate_pairs(draw_marks(weights, m, rng), draw_marks(weights, m, rng))
     return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)
 
 
@@ -244,27 +286,79 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     kept without evaluating s; the factor 2 is a margin for rounding.  Loops
     never become simple edges and draw nothing.
 
-    Each chunk of ``_PAIR_CHUNK`` pairs draws its u, screens them, evaluates
-    s for the pairs the screen leaves and clears those with u >= s in
-    ``keep``, the one full-length mask held through the loop.  ``dropped``,
-    the non-loop pairs whose simple edge was not kept, is cut after the loop.
+    Each chunk of ``_PAIR_CHUNK`` pairs draws its u and is screened on
+    slices of the columns (see ``_screen``); s is then evaluated in one
+    call for the pairs every screen left.  Only the positions of the loops
+    and of the dropped pairs are kept; the simple graph is the rest.
     """
     gm = sample_percolated_mnr_direct(weights, pi, rng)
-    keep = gm.src != gm.dst
-    for lo in range(0, keep.size, _PAIR_CHUNK):
-        idx = lo + np.flatnonzero(keep[lo:lo + _PAIR_CHUNK])
-        u = rng.random(idx.size)
-        lam = weights.pair_weight(gm.src[idx] * gm.dst[idx]) * ((1.0 - pi) / weights.ell_n)
-        test = (u >= 1.0 - 2.0 * lam) | (gm.mult[idx] != 1)
-        idx, u = idx[test], u[test]
-        s = _simple_kept(gm.mult[idx], lam[test], pi)
-        if not np.all((pi <= s) & (s <= 1.0)):
-            raise AssertionError("coupling violated: keep probability outside [pi, 1]")
-        keep[idx[u >= s]] = False
-    dropped = gm.src != gm.dst
-    dropped ^= keep  # the non-loop pairs whose simple edge was dropped
-    return (gm, SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep]),
-            SimpleGraph(n=gm.n, src=gm.src[dropped], dst=gm.dst[dropped]))
+    rate = (1.0 - pi) / weights.ell_n
+    floor = _screen_floor(weights, rate)
+    loops = np.flatnonzero(gm.src == gm.dst)
+    left = []  # (positions, lam, u) of the pairs each chunk's screen leaves
+    for lo in range(0, max(gm.src.size, 1), _PAIR_CHUNK):  # one chunk at least, if empty
+        own = loops[slice(*np.searchsorted(loops, (lo, lo + _PAIR_CHUNK)))] - lo
+        chunk = [col[lo:lo + _PAIR_CHUNK] for col in (gm.src, gm.dst, gm.mult)]
+        idx, lam, u = _screen(*chunk, own, rate, floor, weights, rng)
+        left.append((lo + idx, lam, u))
+    # s of a pair does not depend on the others in its call, so one call serves all chunks
+    idx, lam, u = (np.concatenate(col) for col in zip(*left))
+    s = _simple_kept(gm.mult[idx], lam, pi)
+    if not np.all((pi <= s) & (s <= 1.0)):
+        raise AssertionError("coupling violated: keep probability outside [pi, 1]")
+    drops = idx[u >= s]
+    keep = np.ones(gm.src.size, dtype=bool)
+    keep[loops] = False
+    keep[drops] = False
+    simple = SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep])
+    del keep  # not held beside the dropped pairs
+    return gm, simple, SimpleGraph(n=gm.n, src=gm.src[drops], dst=gm.dst[drops])
+
+
+# A pair with lam <= _SCREEN_LAM, c = 1 and u < 1 - 2 * _SCREEN_LAM keeps its
+# simple edge; the screen finds those pairs without a power.
+_SCREEN_LAM = 1.0 / 64.0
+
+
+def _screen_floor(weights: WeightSequence, rate: float) -> int:
+    """An id product P with lam(i*j) = pair_weight(i*j) * rate <= _SCREEN_LAM
+    wherever i*j >= P.
+
+    lam falls as i*j grows.  P is where the exact lam is half of
+    _SCREEN_LAM, so the rounding of ``pair_weight`` cannot carry a pair past
+    the bound, and no monotonicity of ``np.power`` is relied on.
+    """
+    if rate <= 0.0:
+        return 0
+    # c_F^2 (n^2 / ij)^alpha * rate = _SCREEN_LAM / 2 at ij = n^2 t
+    t = (weights.c_F ** 2 * rate / (0.5 * _SCREEN_LAM)) ** (1.0 / weights.alpha)
+    square = float(weights.n) ** 2
+    return int(min(math.ceil(square * t), square + 1.0))
+
+
+def _screen(src, dst, mult, own, rate: float, floor: int, weights: WeightSequence, rng):
+    """Positions, lam and u of the chunk's non-loop pairs whose s must be evaluated.
+
+    ``own`` holds the chunk's loop positions; the other pairs draw one
+    uniform each, in pair order.  A pair with i*j >= floor, c = 1 and u
+    below 1 - 2 * _SCREEN_LAM passes unevaluated; the rest get lam and the
+    screen of ``sample_coupled_direct``.
+    """
+    u = rng.random(src.size - own.size)
+    if own.size:  # align u with the chunk's pairs; a loop's entry is never read
+        live = np.ones(src.size, dtype=bool)
+        live[own] = False
+        u, drawn = np.zeros(src.size), u
+        u[live] = drawn
+    test = src * dst < floor
+    test |= mult != 1
+    test |= u >= 1.0 - 2.0 * _SCREEN_LAM
+    test[own] = False
+    idx = np.flatnonzero(test)
+    u = u[idx]
+    lam = weights.pair_weight(src[idx] * dst[idx]) * rate
+    test = (u >= 1.0 - 2.0 * lam) | (mult[idx] != 1)
+    return idx[test], lam[test], u[test]
 
 
 def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:

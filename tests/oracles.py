@@ -36,7 +36,8 @@ def _from_pairs(n: int, pairs, width: int):
     """Sorted unique (src, dst, mult) of ``width``-tuples (i, j[, mult]).
 
     The endpoint check must come first: _aggregate_pairs keys a pair by
-    i*(n+1) + j, which maps out-of-range ids onto valid pairs.
+    packing i and j into 32 bits each, which maps out-of-range ids onto
+    valid pairs.
     """
     cols = np.array(list(pairs), dtype=np.int64).reshape(-1, width).T
     i, j = cols[0], cols[1]
@@ -47,7 +48,7 @@ def _from_pairs(n: int, pairs, width: int):
         raise DomainError("multiplicities must be >= 1")
     if width == 2 and np.any(i == j):
         raise DomainError(f"simple graph cannot hold the loop {(int(i[i == j][0]),) * 2}")
-    return _aggregate_pairs(n, np.repeat(i, m), np.repeat(j, m))
+    return _aggregate_pairs(np.repeat(i, m), np.repeat(j, m))
 
 
 def multi_from_pairs(n: int, pairs) -> MultiGraph:
@@ -96,6 +97,40 @@ def percolate_multigraph(g: MultiGraph, pi: float, rng) -> MultiGraph:
     mask = kept > 0
     return MultiGraph(n=g.n, src=g.src[mask].copy(), dst=g.dst[mask].copy(),
                       mult=kept[mask].astype(np.int64))
+
+
+# --------------------------------------------------------------------------
+# mark draws in one pass
+# --------------------------------------------------------------------------
+
+
+def zipf_one_pass(n: int, alpha: float, size: int, rng) -> np.ndarray:
+    """``graphgen._zipf`` with every pass over all ``size`` draws at once:
+    the same rejection-inversion, the same uniforms from one
+    ``rng.random(size)`` call and the rejected draws redrawn in one call
+    after the first pass, with four full-length float temporaries."""
+    b = 1.0 - alpha
+    lo, hi = math.expm1(b * math.log(1.5)) / b - 1.0, math.expm1(b * math.log(n + 0.5)) / b
+    s = 2.0 - math.exp(math.log1p(math.expm1(b * math.log(2.5)) - b * 2.0 ** -alpha) / b)
+    u = rng.random(size)
+    u *= lo - hi
+    u += hi
+    x = u * b
+    np.log1p(x, out=x)
+    x /= b
+    np.exp(x, out=x)
+    k = x + 0.5
+    np.floor(k, out=k)
+    np.minimum(k, n, out=k)
+    np.subtract(k, x, out=x)
+    reject = np.flatnonzero(x > s)
+    if reject.size:
+        kr = k[reject]
+        reject = reject[u[reject] < np.expm1(b * np.log(kr + 0.5)) / b - kr ** -alpha]
+    marks = k.astype(np.int64)
+    if reject.size:
+        marks[reject] = zipf_one_pass(n, alpha, reject.size, rng)
+    return marks
 
 
 # --------------------------------------------------------------------------

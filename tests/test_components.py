@@ -295,6 +295,68 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
     assert any(_SPARSE * m < n for n, m in ranked[1:]), ranked
 
 
+def test_blocked_root_resolution_matches_one_block(monkeypatch):
+    # in blocks of 5 ranks and edges, hooking, settling and the jump after
+    # each recursion give the forest, ids and counts of one block, and the
+    # summaries still match BFS: on the ranking-path graphs, the edge cases,
+    # random multigraphs, a path whose ids descend across 12 blocks (every
+    # rank hooks onto the one below it) and a star centred on the last rank
+    import sfperc.components as components
+    rng = np.random.default_rng(53)
+    order = rng.permutation(2_000) + 1
+    descending = np.arange(60, 0, -1)
+    cases = [(5, [], []), (2_000, order[:-1], order[1:]),
+             (60, descending[:-1], descending[1:]), (30, np.full(29, 30), np.arange(1, 30)),
+             (5, [2, 2, 5], [2, 2, 5]), (6, [4, 1, 6, 2, 5], [1, 6, 2, 5, 3]),
+             (8, [7, 5, 3], [8, 6, 4]), (9, [9, 4, 2, 7, 1], [4, 8, 7, 3, 1])]
+    for k in (99, 100):  # edge counts either side of the sorting switch at n = 1,000
+        cases.append((1_000, rng.integers(1, 1_001, size=k), rng.integers(1, 1_001, size=k)))
+    for _ in range(200):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(0, 60))
+        cases.append((n, rng.integers(1, n + 1, size=m), rng.integers(1, n + 1, size=m)))
+    # multigraphs drop their loops, as the oracle does
+    graphs = [multi_from_pairs(n, [(i, j, 1) for i, j in zip(np.asarray(src).tolist(),
+                                                              np.asarray(dst).tolist())])
+              for n, src, dst in cases]
+    whole = [component_sizes(g) for g in graphs]
+    monkeypatch.setattr(components, "_HOOK_BLOCK", 5)
+    for g, want in zip(graphs, whole):
+        got = component_sizes(g)
+        for a, b in ((got.ids, want.ids), (got.root, want.root), (got.counts, want.counts)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        check_against_oracle(g, list(zip(g.src.tolist(), g.dst.tolist())))
+    assert max(summary.ids.size for summary in whole) >= 4 * 5  # at least four blocks
+
+
+@pytest.mark.parametrize("block", [5, 64, None], ids=["block5", "block64", "default"])
+def test_jump_settles_blocks_in_rank_order(block, monkeypatch):
+    # on random forests with sub[r] <= r, jumping block by block ends at
+    # every rank's root, as whole-array pointer jumping does; and where
+    # every parent's parent is a root, one jump equals the whole-array one
+    import sfperc.components as components
+    if block:
+        monkeypatch.setattr(components, "_HOOK_BLOCK", block)
+    rng = np.random.default_rng(59)
+    for k in (1, 4, 5, 6, 63, 64, 65, 300, 1_000):
+        for _ in range(5):
+            ranks = np.arange(k, dtype=np.int32)
+            sub = (rng.random(k) * (ranks + 1)).astype(np.int32)  # a parent <= r
+            rooted = rng.random(k) < 0.2
+            sub[rooted] = ranks[rooted]
+            want = sub
+            while not np.array_equal(jumped := want[want], want):
+                want = jumped
+            got = components._jump(sub.copy())
+            assert got.dtype == sub.dtype and got.tolist() == want.tolist()
+            # re-point some roots at the largest kept root below them
+            roots = np.unique(want)
+            kept = roots[(rng.random(roots.size) < 0.5) | (roots == 0)]
+            two = want.copy()
+            two[roots] = kept[np.searchsorted(kept, roots, side="right") - 1]
+            once = components._jump(two.copy(), settle=False)
+            assert once.tolist() == two[two].tolist()
+
+
 # --------------------------------------------------------------------------
 # component summaries vs a BFS oracle
 # --------------------------------------------------------------------------

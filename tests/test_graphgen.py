@@ -26,7 +26,8 @@ from sfperc.graphgen import (
     sample_mnr,
     sample_percolated_mnr_direct,
 )
-from sfperc.params import _MAX_N, WeightSequence, build_weights, make_schedule, model_params
+from sfperc.params import (_MAX_N, LambdaRule, WeightSequence, build_weights, make_schedule,
+                           model_params)
 
 from oracles import (
     as_tuples,
@@ -40,6 +41,7 @@ from oracles import (
     simple_kept_widest_window,
     weight_array,
     weight_of,
+    zipf_one_pass,
 )
 
 
@@ -64,8 +66,9 @@ def test_from_pairs_canonicalizes_and_merges():
 
 
 def test_aggregate_pairs_matches_counter():
-    # ids up to n, so the key's divmod split sees its largest remainders; at
-    # n = _MAX_N, ids 1 and n give the smallest key and the largest, (n + 1)**2 - 1
+    # ids up to n, so the key's split sees its largest low halves; at n =
+    # _MAX_N, past 2**31, ids 1 and n give the smallest key and the largest,
+    # whose high half sets the uint64 key's top bit
     rng = np.random.default_rng(11)
     cases = [(n, rng.integers(max(1, n - 5), n + 1, size=60), rng.integers(1, n + 1, size=60))
              for n in (1, 7, 10**6)]
@@ -74,7 +77,7 @@ def test_aggregate_pairs_matches_counter():
     for n, a, b in cases:
         expected = sorted(Counter((min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()))
                           .items())
-        src, dst, mult = _aggregate_pairs(n, a.copy(), b.copy())
+        src, dst, mult = _aggregate_pairs(a.copy(), b.copy())
         assert [((i, j), m) for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist())] \
             == expected
         assert src.dtype == dst.dtype == mult.dtype == np.int64
@@ -172,7 +175,7 @@ def test_validate_memory_is_edge_bounded():
     n = 2_000_000
     rng = np.random.default_rng(13)
     a, b = rng.integers(1, n + 1, size=(2, 2_000))
-    src, dst, mult = _aggregate_pairs(n, a, b)
+    src, dst, mult = _aggregate_pairs(a, b)
     g = MultiGraph(n=n, src=src, dst=dst, mult=mult * 3)
     tracemalloc.start()
     try:
@@ -191,7 +194,7 @@ def test_simple_validate_memory_is_degree_bounded(edges):
     rng = np.random.default_rng(14)
     a, b = rng.integers(1, n + 1, size=(2, edges))
     keep = a != b
-    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
+    src, dst, _ = _aggregate_pairs(a[keep], b[keep])
     g = SimpleGraph(n=n, src=src, dst=dst)
     tracemalloc.start()
     try:
@@ -211,7 +214,7 @@ def test_validate_memory_is_pair_bounded(cls):
     rng = np.random.default_rng(17)
     a, b = rng.integers(1, n + 1, size=(2, 4_000))
     keep = a != b
-    src, dst, mult = _aggregate_pairs(n, a[keep], b[keep])
+    src, dst, mult = _aggregate_pairs(a[keep], b[keep])
     g = MultiGraph(n, src, dst, mult) if cls is MultiGraph else SimpleGraph(n, src, dst)
     tracemalloc.start()
     try:
@@ -227,7 +230,7 @@ def test_simple_degrees_match_bincount():
     n = 5_000
     a, b = rng.integers(1, n + 1, size=(2, 20_000))
     keep = a != b
-    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
+    src, dst, _ = _aggregate_pairs(a[keep], b[keep])
     g = SimpleGraph(n=n, src=src, dst=dst)
     deg = degrees(g)
     expected = np.bincount(np.concatenate([src, dst]), minlength=n + 1)
@@ -317,6 +320,48 @@ def test_draw_marks_at_the_largest_n():
     assert marks.min() >= 1 and marks.max() <= n
     assert marks.max() > n // 2  # the tail is reached
     assert peak / draws <= 41.0
+
+
+@pytest.mark.parametrize("block", [7, None], ids=["block7", "default"])
+@pytest.mark.parametrize("tau", [2.05, 2.5, 2.95])
+def test_blocked_marks_match_one_pass(tau, block, monkeypatch):
+    # blocks of draws change no bit and consume the same stream as one pass
+    # over all of them, at sizes on either side of a block edge and at one
+    # large enough that some draws are rejected and redrawn
+    if block:
+        monkeypatch.setattr(graphgen, "_MARK_BLOCK", block)
+    b = graphgen._MARK_BLOCK
+    alpha = 1.0 / (tau - 1.0)
+    rejected = 0
+    for n in (1_000, 10**6):
+        for size in (0, 1, b - 1, b, b + 1, 3 * b + 5, 5_003):
+            rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+            got = graphgen._zipf(n, alpha, size, rng)
+            want = zipf_one_pass(n, alpha, size, ref)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes(), (n, size)
+            after = rng.random()
+            assert after == ref.random()
+            # a draw that rejected some took more than size uniforms
+            plain = np.random.default_rng(size)
+            plain.random(size)
+            rejected += plain.random() != after
+    assert rejected  # the redraw path ran
+
+
+def test_draw_marks_memory_is_one_array_and_blocks():
+    # the uniforms become the marks in place, so a draw holds 8 B per mark
+    # and a few blocks; one pass over all draws held about 25 B per mark
+    ws = build_weights(model_params(2.5, 1.0, 10**6))
+    m = 200_000
+    draw_marks(ws, m, np.random.default_rng(0))  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        draw_marks(ws, m, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m + 3 * 8 * graphgen._MARK_BLOCK
 
 
 def test_draw_marks_rejects_negative_size():
@@ -526,19 +571,23 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
         assert dropped.edge_count > 0
 
 
-_PIS = (0.05, 0.3, 0.8, 1.0)
+_PIS = (0.05, 0.3, 0.8, 0.999, 1.0)
+_COUPLED_CASES = [(tau, pi, chunk) for tau in (2.5, 2.2, 2.8) for chunk in (None, 97)
+                  for pi in _PIS]
 
 
-@pytest.mark.parametrize("pi, chunk", [(pi, graphgen._PAIR_CHUNK) for pi in _PIS]
-                         + [(pi, 97) for pi in _PIS],
-                         ids=[str(pi) for pi in _PIS] + [f"{pi}-chunk97" for pi in _PIS])
-def test_sample_coupled_direct_matches_pair_by_pair_reference(pi, chunk, monkeypatch):
+@pytest.mark.parametrize(
+    "tau, pi, chunk", _COUPLED_CASES,
+    ids=[("" if tau == 2.5 else f"tau{tau}-") + str(pi) + ("-chunk97" if chunk else "")
+         for tau, pi, chunk in _COUPLED_CASES])
+def test_sample_coupled_direct_matches_pair_by_pair_reference(tau, pi, chunk, monkeypatch):
     # the screen and the windowed series decide every pair as s evaluated
     # pair by pair does, so all three graphs agree byte for byte; at 97 pairs
     # a chunk the graphs cross dozens of chunk edges, some chunks with no
     # pair to evaluate
-    monkeypatch.setattr(graphgen, "_PAIR_CHUNK", chunk)
-    ws = build_weights(model_params(2.5, 1.0, 2_000))
+    if chunk:
+        monkeypatch.setattr(graphgen, "_PAIR_CHUNK", chunk)
+    ws = build_weights(model_params(tau, 1.0, 2_000))
     for seed in range(4):
         got = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
         want = coupled_reference(ws, pi, np.random.default_rng(seed))
@@ -547,6 +596,47 @@ def test_sample_coupled_direct_matches_pair_by_pair_reference(pi, chunk, monkeyp
                 if hasattr(ref, col):
                     a, b = getattr(g, col), getattr(ref, col)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, col)
+
+
+@pytest.mark.parametrize("tau", [2.2, 2.5, 2.8])
+@pytest.mark.parametrize("n", [50, 2_000])
+@pytest.mark.parametrize("pi", [1e-3, 0.3, 0.999])
+def test_screen_floor_bounds_lam(tau, n, pi):
+    # every pair of ids whose product reaches the floor has lam, evaluated as
+    # the sampler evaluates it, within _SCREEN_LAM; the floor is no id
+    # product past which the bound could fail by rounding alone
+    ws = build_weights(model_params(tau, 1.0, n))
+    rate = (1.0 - pi) / ws.ell_n
+    floor = graphgen._screen_floor(ws, rate)
+    assert 0 <= floor <= n * n + 1  # past n^2 no pair passes unevaluated
+    i, j = np.triu_indices(n)
+    ij = (i + 1) * (j + 1)
+    lam = ws.pair_weight(ij[ij >= floor]) * rate
+    assert lam.max(initial=0.0) <= graphgen._SCREEN_LAM
+    # the floor sits where the exact lam is half the bound, so it is not loose
+    # by more than that factor and a margin for the product's integer step
+    below = floor - 1
+    if 1 <= below <= n * n:
+        assert ws.pair_weight(np.array([below]))[0] * rate > graphgen._SCREEN_LAM / 2 * (1 - 1e-9)
+
+
+def test_sample_coupled_direct_memory_per_pair():
+    # on a core-schedule graph at n = 2e5 the sampler holds its three graphs
+    # (40 B per pair) and little more: one mask, no per-pair rates or
+    # uniforms, no float temporaries beside the marks.  With those it read
+    # 44.8 B per pair.
+    params = model_params(2.5, 1.0, 200_000)
+    ws = build_weights(params)
+    pi = make_schedule(params, "single", LambdaRule("constant", 10.0)).pi_n
+    sample_coupled_direct(ws, pi, np.random.default_rng(0))  # numpy's one-time set-up
+    for seed in (1, 2):
+        tracemalloc.start()
+        try:
+            gm, _, _ = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / gm.src.size <= 41.5
 
 
 @pytest.mark.parametrize("n, pi", [(1, 0.9), (50, 1e-3)])
