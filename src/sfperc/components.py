@@ -91,8 +91,7 @@ def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     later rounds skip every settled rank.  Two rounds at least halve those
     roots, so the recursion is O(log k) deep.  Parallel edges and loops
     need no special case.  Edges and ranks go in blocks of ``_HOOK_BLOCK``,
-    so no temporary grows with the graph, and a graph that fits one block
-    makes the numpy calls an unblocked round would.
+    so no temporary grows with the graph.
     """
     sub = np.arange(k, dtype=src.dtype)
     for e in range(0, src.size, _HOOK_BLOCK):
@@ -120,14 +119,8 @@ def _jump(sub: np.ndarray, settle: bool = True) -> np.ndarray:
     Blocks go in rank order (Shiloach & Vishkin's pointer jumping, one
     block at a time), in place.  Once the blocks before it are settled, a
     block's ranks point at settled ranks or into the block itself, so its
-    jumps gather nothing that a later block changes.  A forest that fits one
-    block is jumped whole, into new arrays, with no copies.
+    jumps gather nothing that a later block changes.
     """
-    if sub.size <= _HOOK_BLOCK:
-        jumped = sub.take(sub)
-        while settle and not np.array_equal(jumped, sub):
-            sub, jumped = jumped, jumped.take(jumped)
-        return jumped
     for r in range(0, sub.size, _HOOK_BLOCK):
         block = sub[r:r + _HOOK_BLOCK]
         jumped = sub.take(block)
@@ -146,7 +139,7 @@ def _live_ends(sub: np.ndarray, src: np.ndarray, dst: np.ndarray):
         live = a != b
         # np.compress is ~4x faster than a boolean index on these masks
         ends.append((np.compress(live, a), np.compress(live, b)))
-    return ends[0] if len(ends) == 1 else tuple(np.concatenate(col) for col in zip(*ends))
+    return tuple(np.concatenate(col) for col in zip(*ends))
 
 
 def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:

@@ -166,24 +166,18 @@ def _aggregate_pairs(a: np.ndarray, b: np.ndarray):
 
     Both arrays are consumed: the pair keys are built in ``a`` and sorted
     there.  A caller that keeps no name for them lets ``b`` go before the
-    sort and ``a`` before the pairs are split.
+    sort and ``a`` before the pairs are split.  Repeated slots are few, so
+    they are listed, dropped and counted onto a multiplicity of one.
     """
     key = _pair_keys(a, b)
     del a, b
     key.sort()
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    uniq = key[first]
-    slots = key.size
+    repeat = np.flatnonzero(key[1:] == key[:-1])  # slot repeat[t] + 1 repeats its left neighbour
+    uniq = np.delete(key, repeat + 1)
     del key
-    starts = np.flatnonzero(first)
-    del first
-    mult = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=mult[:-1])
-    if starts.size:
-        mult[-1] = slots - starts[-1]
-    del starts
+    mult = np.ones(uniq.size, dtype=np.int64)
+    # t dropped slots precede slot repeat[t] + 1, so its pair is uniq[repeat[t] - t]
+    np.add.at(mult, repeat - np.arange(repeat.size), 1)
     src = uniq >> 32
     uniq &= 0xFFFFFFFF
     return src.view(np.int64), uniq.view(np.int64), mult
@@ -307,11 +301,8 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     if not np.all((pi <= s) & (s <= 1.0)):
         raise AssertionError("coupling violated: keep probability outside [pi, 1]")
     drops = idx[u >= s]
-    keep = np.ones(gm.src.size, dtype=bool)
-    keep[loops] = False
-    keep[drops] = False
-    simple = SimpleGraph(n=gm.n, src=gm.src[keep], dst=gm.dst[keep])
-    del keep  # not held beside the dropped pairs
+    cut = np.concatenate([loops, drops])
+    simple = SimpleGraph(n=gm.n, src=np.delete(gm.src, cut), dst=np.delete(gm.dst, cut))
     return gm, simple, SimpleGraph(n=gm.n, src=gm.src[drops], dst=gm.dst[drops])
 
 
@@ -344,12 +335,8 @@ def _screen(src, dst, mult, own, rate: float, floor: int, weights: WeightSequenc
     below 1 - 2 * _SCREEN_LAM passes unevaluated; the rest get lam and the
     screen of ``sample_coupled_direct``.
     """
-    u = rng.random(src.size - own.size)
-    if own.size:  # align u with the chunk's pairs; a loop's entry is never read
-        live = np.ones(src.size, dtype=bool)
-        live[own] = False
-        u, drawn = np.zeros(src.size), u
-        u[live] = drawn
+    # aligned with the chunk's pairs by a zero at each loop, never read
+    u = np.insert(rng.random(src.size - own.size), own - np.arange(own.size), 0.0)
     test = src * dst < floor
     test |= mult != 1
     test |= u >= 1.0 - 2.0 * _SCREEN_LAM
