@@ -156,6 +156,9 @@ def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     ids = ids.astype(np.int64, copy=False)  # widened once the labeling's temporaries are gone
     if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
+    # every rank points at a root exactly when each counted rank is its own root
+    if np.count_nonzero(counts) != np.count_nonzero(root == np.arange(root.size, dtype=root.dtype)):
+        raise AssertionError("a rank points at a rank that is not its own root")
     if ids.size:
         # The first maximal count is the largest component holding the smallest id.
         giant = int(np.argmax(counts))

@@ -36,6 +36,7 @@ from .params import (
     PercolationSchedule,
     WeightSequence,
     build_weights,
+    check_total_weight,
     core_prefix_size,
     is_number,
     make_schedule,
@@ -142,11 +143,14 @@ class ExperimentConfig:
                 f"the theory tables need a > {max(_THEORY_EPS_GRID)} for their operator norms,"
                 f" got a={self.a}"
             )
-        # every schedule, the core experiment's core and a walk's first step
-        # and first-draw keys must be feasible before any sampling happens
+        # every schedule, the Poisson rates of a sampling experiment, the core
+        # experiment's core and a walk's first step and first-draw keys must
+        # be feasible before any sampling happens
         for n in self.n_grid:
             try:
                 ctx = _model_at(self, n)
+                if self.experiment != "theory_tables":  # mu * n bounds ell_n from above
+                    check_total_weight(ctx.schedule.pi_n, ctx.schedule.params.mu * n)
                 if self.experiment == "one_neighborhood":
                     core_prefix_size(ctx.schedule, self.a)
                 if ctx.steps == 0 and self.experiment != "residual_components":

@@ -24,7 +24,7 @@ import numpy as np
 from .components import component_sizes
 from .errors import DomainError
 from .graphgen import MultiGraph, draw_marks, sample_percolated_mnr_direct
-from .params import PercolationSchedule, WeightSequence, is_number
+from .params import PercolationSchedule, WeightSequence, check_total_weight, is_number
 
 
 class ExplorationTrace(NamedTuple):
@@ -105,6 +105,7 @@ def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
     _check_steps(max_steps, 1)
     m = int(max_steps)
     _check_key_range(weights.n, m)
+    check_total_weight(schedule.pi_n, weights.ell_n)
 
     marks = draw_marks(weights, m, rng)
     new, distinct = _first_draws(marks)

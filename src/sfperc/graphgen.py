@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import WeightSequence
+from .params import WeightSequence, check_total_weight
 
 
 class MultiGraph(NamedTuple):
@@ -216,6 +216,7 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
     multiplicity (pi*w_i^2/(2*ell_n) for loops).
     """
     _check_pi(pi)
+    check_total_weight(pi, weights.ell_n)
     m = int(rng.poisson(pi * weights.ell_n / 2.0))
     src, dst, mult = _aggregate_pairs(draw_marks(weights, m, rng), draw_marks(weights, m, rng))
     return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)

@@ -70,6 +70,8 @@ def derive_constants(tau: float, C: float) -> dict[str, float]:
         raise DomainError(f"tail constant C must be a positive finite number, got C={C}")
     alpha = 1.0 / (tau - 1.0)
     c_F = C ** (1.0 / (tau - 1.0))
+    if not math.isfinite(c_F * c_F):  # c_F**2 scales every pair rate and c_F_bar
+        raise DomainError(f"tail constant C={C} puts c_F**2 past float range at tau={tau}")
     return {
         "alpha": alpha,
         "eta": (3.0 - tau) / (tau - 1.0),
@@ -252,6 +254,19 @@ def _cross_check(name: str, primary: float, alternate: float) -> None:
         raise NumericalFailureError(
             f"{name} closed forms disagree: {primary!r} vs {alternate!r}"
         )
+
+
+def check_total_weight(pi: float, total: float) -> None:
+    """Fail unless pi * total, the percolated total weight, is at most 2**62.
+
+    Every Poisson rate a sampler or a walk draws on the pi-percolated model
+    of total weight ``total`` is at most pi * total: the slot count's
+    pi * ell_n / 2 and a mark's pi * w_i.  numpy draws Poisson counts only
+    at rates below about 2**63.
+    """
+    if not pi * total <= 2.0**62:
+        raise DomainError(f"the percolated total weight {pi * total:.6g} is past 2**62,"
+                          " beyond numpy's Poisson draws; lower C")
 
 
 def core_prefix_size(schedule: PercolationSchedule, a: float) -> int:

@@ -114,6 +114,15 @@ _HUGE = 10**400
      "overflow the int64 first-draw keys"),
     ("residual", {"experiment": "residual_components"}, ["--T", "1e17"],
      "overflow the int64 first-draw keys"),
+    ("theory", {"experiment": "theory_tables", "n_grid": [1000]}, ["--C", "1e300"],
+     "c_F**2 past float range"),
+    ("giant", {"experiment": "multi_giant", "n_grid": [1000]}, ["--C", "1e25"], "past 2**62"),
+    ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--C", "1e30"],
+     "past 2**62"),
+    ("single-vs-multi", {"experiment": "single_vs_multi", "n_grid": [200]}, ["--C", "1e150"],
+     "past 2**62"),
+    ("repeat-fraction", {"experiment": "repeat_fraction", "n_grid": [1000]}, ["--C", "1e150"],
+     "past 2**62"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -123,7 +132,9 @@ _HUGE = 10**400
         "a-huge-int", "tau-huge-int", "C-huge-int", "T-huge-int", "lambda_value-huge-int",
         "replicas-huge-int", "n_grid-huge-int", "replicas-past-64-bits-flag",
         "replicas-past-64-bits-config", "T-overflows", "T-overflows-keys",
-        "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual"])
+        "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual",
+        "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
+        "repeat-fraction-C-1e150"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):
@@ -138,6 +149,23 @@ def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err
+
+
+@pytest.mark.parametrize("mode", ["raw", "multi"])
+def test_generate_refuses_rates_past_the_poisson_draws(mode, tmp_path, monkeypatch, capsys):
+    # the slot count's rate is refused before the generator draws anything
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} was read for a rate past the Poisson draws")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    out = tmp_path / "edges.txt"
+    assert main(["generate", "--C", "1e30", "--n", "1000", "--mode", mode,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "past 2**62" in err
+    assert not out.exists()
 
 
 def test_residual_accepts_a_walk_of_no_steps(capsys):

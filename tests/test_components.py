@@ -332,12 +332,14 @@ def test_blocked_root_resolution_matches_one_block(monkeypatch):
 def test_jump_settles_blocks_in_rank_order(block, monkeypatch):
     # on random forests with sub[r] <= r, jumping block by block ends at
     # every rank's root, as whole-array pointer jumping does; and where
-    # every parent's parent is a root, one jump equals the whole-array one
+    # every parent's parent is a root, one jump equals the whole-array one.
+    # Forests of one block less one rank, one block and one rank more.
     import sfperc.components as components
     if block:
         monkeypatch.setattr(components, "_HOOK_BLOCK", block)
+    edge = components._HOOK_BLOCK
     rng = np.random.default_rng(59)
-    for k in (1, 4, 5, 6, 63, 64, 65, 300, 1_000):
+    for k in sorted({1, 4, 5, 6, 63, 64, 65, 300, 1_000, edge - 1, edge, edge + 1}):
         for _ in range(5):
             ranks = np.arange(k, dtype=np.int32)
             sub = (rng.random(k) * (ranks + 1)).astype(np.int32)  # a parent <= r
@@ -440,6 +442,16 @@ def test_component_partition_check_fires(monkeypatch):
     monkeypatch.setattr(comp, "_hook", lambda k, src, dst: hook(k, src, dst)[:-1])
     with pytest.raises(AssertionError, match="do not partition the vertex set"):
         component_sizes(simple_from_pairs(3, [(1, 2)]))
+
+
+def test_component_root_check_fires(monkeypatch):
+    # without pointer jumping, a path's ranks point at their neighbours, not
+    # at the root; the sizes still sum to the touched ids
+    import sfperc.components as comp
+
+    monkeypatch.setattr(comp, "_jump", lambda sub, settle=True: sub)
+    with pytest.raises(AssertionError, match="not its own root"):
+        component_sizes(simple_from_pairs(4, [(1, 2), (2, 3), (3, 4)]))
 
 
 def test_component_summary_edge_cases():

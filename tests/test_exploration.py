@@ -23,7 +23,7 @@ from sfperc.exploration import (
     sup_distance_to_limit,
 )
 from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
-from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
+from sfperc.params import LambdaRule, WeightSequence, build_weights, make_schedule, model_params
 from sfperc.theory import compute_constants, limit_curve_z
 
 from oracles import as_tuples, excursions, explored, labels_from_summary, weight_array, weight_of
@@ -134,6 +134,11 @@ def test_exploration_rejects_bad_inputs():
         run_exploration(ws, single, 10, rng)
     with pytest.raises(DomainError):
         run_exploration(ws, sch, 0, rng)
+    # a rate past numpy's Poisson draws is refused before any mark is drawn
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="past 2"):
+        run_exploration(WeightSequence.of(ws.n, ws.alpha, 1e30), sch, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("flip", ["one-too-many", "one-too-few"])

@@ -26,8 +26,8 @@ from sfperc.graphgen import (
     sample_mnr,
     sample_percolated_mnr_direct,
 )
-from sfperc.params import (_MAX_N, LambdaRule, WeightSequence, build_weights, make_schedule,
-                           model_params)
+from sfperc.params import (_MAX_N, LambdaRule, WeightSequence, build_weights,
+                           check_total_weight, make_schedule, model_params)
 
 from oracles import (
     as_tuples,
@@ -74,6 +74,14 @@ def test_aggregate_pairs_matches_counter():
              for n in (1, 7, 10**6)]
     ends = np.array([1, _MAX_N])
     cases.append((_MAX_N, rng.choice(ends, size=60), rng.choice(ends, size=60)))
+    # repeat-heavy: every slot one pair; runs of 3 and 4 at the first and the
+    # last sorted slot around a pair drawn once each way; runs of every length
+    # on three ids; one slot; no slots
+    cases += [(9, np.full(50, 4), np.full(50, 7)),
+              (9, np.array([1, 9, 2, 1, 9, 3, 9, 1, 9]), np.array([1, 9, 3, 1, 9, 2, 9, 1, 9])),
+              (3, rng.integers(1, 4, size=200), rng.integers(1, 4, size=200)),
+              (9, np.array([6]), np.array([2])),
+              (9, np.array([], dtype=np.int64), np.array([], dtype=np.int64))]
     for n, a, b in cases:
         expected = sorted(Counter((min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()))
                           .items())
@@ -374,6 +382,24 @@ def test_draw_marks_rejects_negative_size():
 # --------------------------------------------------------------------------
 
 
+def test_samplers_refuse_rates_past_the_poisson_draws():
+    # a percolated total weight pi * ell_n past 2**62 is refused before the
+    # generator draws anything, by each sampler
+    check_total_weight(1.0, 2.0**62)
+    for pi, total in ((1.0, np.nextafter(2.0**62, np.inf)), (0.5, 2.0**64), (1.0, np.nan)):
+        with pytest.raises(DomainError, match="past 2"):
+            check_total_weight(pi, total)
+    ws = WeightSequence.of(1_000, 2.0 / 3.0, 1e20)
+    assert ws.ell_n > 2.0**63
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for sample in (sample_mnr, lambda ws, rng: sample_percolated_mnr_direct(ws, 0.5, rng),
+                   lambda ws, rng: sample_coupled_direct(ws, 0.5, rng)):
+        with pytest.raises(DomainError, match="past 2"):
+            sample(ws, rng)
+        assert rng.bit_generator.state == state
+
+
 def test_sample_mnr_pair_rates():
     ws = toy_weights()
     rng = np.random.default_rng(11)
@@ -572,30 +598,40 @@ def test_sample_coupled_direct_partitions_the_pairs(pi):
 
 
 _PIS = (0.05, 0.3, 0.8, 0.999, 1.0)
-_COUPLED_CASES = [(tau, pi, chunk) for tau in (2.5, 2.2, 2.8) for chunk in (None, 97)
+_COUPLED_CASES = [(tau, pi, chunk) for tau in (2.5, 2.2, 2.8) for chunk in (None, 97, 2, 3, 5)
                   for pi in _PIS]
 
 
 @pytest.mark.parametrize(
     "tau, pi, chunk", _COUPLED_CASES,
-    ids=[("" if tau == 2.5 else f"tau{tau}-") + str(pi) + ("-chunk97" if chunk else "")
+    ids=[("" if tau == 2.5 else f"tau{tau}-") + str(pi) + (f"-chunk{chunk}" if chunk else "")
          for tau, pi, chunk in _COUPLED_CASES])
 def test_sample_coupled_direct_matches_pair_by_pair_reference(tau, pi, chunk, monkeypatch):
     # the screen and the windowed series decide every pair as s evaluated
     # pair by pair does, so all three graphs agree byte for byte; at 97 pairs
     # a chunk the graphs cross dozens of chunk edges, some chunks with no
-    # pair to evaluate
+    # pair to evaluate.  At 2, 3 and 5 pairs a chunk, graphs on 2..40 ids put
+    # loops at chunk starts, at chunk ends and side by side.
     if chunk:
         monkeypatch.setattr(graphgen, "_PAIR_CHUNK", chunk)
-    ws = build_weights(model_params(tau, 1.0, 2_000))
-    for seed in range(4):
+    graphs = ([(2_000, seed) for seed in range(4)] if chunk in (None, 97)
+              else [(n, seed) for n in range(2, 41) for seed in range(3)])
+    starts = ends = side_by_side = 0
+    for n, seed in graphs:
+        ws = build_weights(model_params(tau, 1.0, n))
         got = sample_coupled_direct(ws, pi, np.random.default_rng(seed))
         want = coupled_reference(ws, pi, np.random.default_rng(seed))
         for g, ref in zip(got, want):
             for col in ("src", "dst", "mult"):
                 if hasattr(ref, col):
                     a, b = getattr(g, col), getattr(ref, col)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, col)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, seed, col)
+        loops = np.flatnonzero(got[0].src == got[0].dst)
+        starts += np.count_nonzero(loops % graphgen._PAIR_CHUNK == 0)
+        ends += np.count_nonzero(loops % graphgen._PAIR_CHUNK == graphgen._PAIR_CHUNK - 1)
+        side_by_side += np.count_nonzero(np.diff(loops) == 1)
+    if chunk in (2, 3, 5) and pi >= 0.8:  # sparser small graphs seldom hold two loops in a row
+        assert starts and ends and side_by_side, (starts, ends, side_by_side)
 
 
 @pytest.mark.parametrize("tau", [2.2, 2.5, 2.8])

@@ -50,6 +50,14 @@ def test_tau_outside_open_interval_rejected(tau):
         derive_constants(tau, 1.0)
 
 
+def test_scale_past_float_range_rejected():
+    # c_F = C**(1/(tau-1)) fits a float, but c_F**2, in every pair rate, must too
+    assert math.isfinite(derive_constants(2.5, 1e200)["c_F"] ** 2)
+    for tau, C in ((2.5, 1e300), (2.9, 1e300), (2.1, 1e170)):
+        with pytest.raises(DomainError, match="past float range"):
+            derive_constants(tau, C)
+
+
 def test_nonpositive_scale_rejected():
     with pytest.raises(DomainError):
         derive_constants(2.5, 0.0)

@@ -1,10 +1,14 @@
-"""Every top-level import in the library is read by its module, only
+"""Every top-level import in the library is read by its module, every
+top-level function, class and constant is read somewhere, only
 ``experiments`` touches files, a dataclass is used only where it pays, and an
 experiment row holds only functions of ``experiments``.
 
-A helper that is deleted can leave its imports behind; nothing else fails
-when it does.  A package ``__init__`` imports in order to re-export, and
+A helper that is deleted can leave its imports behind, and a caller that is
+deleted can leave its helper or constant behind; nothing else fails when
+they do.  A package ``__init__`` imports in order to re-export, and
 ``__future__`` imports switch on language features, so both are exempt.
+A name counts as read where the library, the tests or the benchmark read it,
+or where perfbench's tracer names it, but not in its own definition.
 Every artifact is written by ``experiments``' one atomic writer, so no other
 module may import the file modules or call ``open``.  A frozen dataclass
 costs its generated methods at import; a record that needs no
@@ -25,7 +29,8 @@ import pytest
 from sfperc.experiments import EXPERIMENTS
 from sfperc.theory import core_limit
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sfperc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sfperc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,6 +58,66 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names the expressions of ``tree`` read, bare or as attributes, outside ``skip``."""
+    read, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def unread_definitions(source: str, elsewhere: set[str]) -> list[str]:
+    """The top-level functions, classes and constants of a module, dunders
+    aside, that neither ``elsewhere`` holds nor the module reads outside
+    their own definition."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__")]
+    return [name for name, node in defined
+            if name not in elsewhere and name not in names_read(tree, skip=node)]
+
+
+def test_unread_definitions_are_found():
+    source = ("import numpy as np\n_BLOCK = 4\n_LEFT = 2\n__version__ = '1'\n"
+              "def used(x):\n    return np.split(x, _BLOCK)\n"
+              "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+              "class Shape:\n    def grow(self):\n        return Shape()\n"
+              "def traced():\n    pass\n")
+    assert unread_definitions(source, {"used", "traced"}) == ["_LEFT", "recursive", "Shape"]
+
+
+def traced_names() -> set[str]:
+    """The layer and function names perfbench's tracer wraps by name."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", "") == "_FUNCTIONS" for t in node.targets))
+    return {node.value for node in ast.walk(table) if isinstance(node, ast.Constant)}
+
+
+def test_every_top_level_definition_is_read():
+    reads = {p: names_read(ast.parse(p.read_text()))
+             for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        elsewhere = traced_names().union(*(read for p, read in reads.items() if p != path))
+        unread += [f"{path.name}: {name}"
+                   for name in unread_definitions(path.read_text(), elsewhere)]
+    assert unread == []
 
 
 _FILE_MODULES = {"csv", "os", "pathlib", "tempfile"}
