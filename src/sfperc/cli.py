@@ -141,6 +141,7 @@ def _cmd_generate(args) -> int:
             graph = sample_percolated_mnr_direct(ws, schedule.pi_n, rng)
         else:
             graph = sample_coupled_direct(ws, schedule.pi_n, rng)[1]
+    graph.validate()
     xp.write_edge_list(graph, args.out)
     print(f"wrote {args.out} ({graph.n} vertices, {graph.src.size} edge rows)")
     return 0

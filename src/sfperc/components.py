@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .graphgen import MultiGraph, SimpleGraph
+from .graphgen import MultiGraph, SimpleGraph, id_dtype
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 _SPARSE = 10  # below n / _SPARSE edges, sorting beats scanning a mask for touched ids
@@ -58,8 +58,12 @@ class ComponentSummary(NamedTuple):
 
 def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ids in 0..n an edge touches, in increasing order, and the edges on
-    their ranks, all in the rank map's dtype (int32 below 2**31 - 1)."""
-    dtype = np.int32 if n < 2**31 - 1 else np.int64
+    their ranks, all in ``id_dtype(n)``, the rank map's dtype.
+
+    The endpoints index the mask and the map one ``_HOOK_BLOCK`` at a time,
+    so an int32 column is copied to intp a block at a time, not whole.
+    """
+    dtype = id_dtype(n)
     if _SPARSE * src.size < n:
         ends = np.concatenate([src, dst], dtype=dtype)
         ends.sort()
@@ -69,8 +73,9 @@ def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
         ids = np.compress(first, ends)
     else:
         touched = np.zeros(n + 1, dtype=bool)
-        touched[src] = True
-        touched[dst] = True
+        for e in range(0, src.size, _HOOK_BLOCK):
+            touched[src[e:e + _HOOK_BLOCK]] = True
+            touched[dst[e:e + _HOOK_BLOCK]] = True
         ids = np.flatnonzero(touched).astype(dtype, copy=False)
         del touched
     # Only touched entries of the rank map are ever read, so it is not
@@ -78,7 +83,20 @@ def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
     rank = np.empty(n + 1, dtype=dtype)
     for r in range(0, ids.size, _HOOK_BLOCK):
         rank[ids[r:r + _HOOK_BLOCK]] = np.arange(r, min(r + _HOOK_BLOCK, ids.size), dtype=dtype)
-    return ids, rank.take(src), rank.take(dst)
+    return ids, _gather(rank, src), _gather(rank, dst)
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index], gathered one ``_HOOK_BLOCK`` of the index at a time.
+
+    Mode "wrap" spares ``take`` the copy of each output block that mode
+    "raise" makes, and gathers the same on indices in [-table.size,
+    table.size), as every caller's are.
+    """
+    out = np.empty(index.size, dtype=table.dtype)
+    for e in range(0, index.size, _HOOK_BLOCK):
+        table.take(index[e:e + _HOOK_BLOCK], out=out[e:e + _HOOK_BLOCK], mode="wrap")
+    return out
 
 
 def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -193,8 +211,9 @@ def merged_giant_size(base: ComponentSummary, g: MultiGraph | SimpleGraph) -> in
     pos = np.searchsorted(base.ids, ends)
     known = pos < base.ids.size
     known[known] = base.ids[pos[known]] == ends[known]
-    # Untouched ids sit past every rank, so no node key is shared by both kinds.
-    key = ends + base.ids.size
+    # Untouched ids sit past every rank, so no node key is shared by both
+    # kinds; id + |ids| can pass 2**31, so the keys are formed in int64.
+    key = np.add(ends, base.ids.size, dtype=np.int64)
     key[known] = base.root[pos[known]]
     nodes, node = np.unique(key, return_inverse=True)
     size = np.ones(nodes.size, dtype=np.int64)
@@ -221,7 +240,7 @@ def one_neighborhood(g_full: SimpleGraph, members: np.ndarray, core_size: int) -
     inside = np.zeros(core_size + 1, dtype=bool)
     inside[members] = True
     mask = g_full.dst[:end] > core_size
-    mask &= inside[g_full.src[:end]]
+    mask &= _gather(inside, g_full.src[:end])
     # Distinct neighbours are counted on a sorted copy: numpy >= 2.3 answers
     # np.unique on integers with a hash set, ~60x slower here than the sort
     # and, through its scattered memory access, far less steady run to run.

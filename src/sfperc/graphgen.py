@@ -22,7 +22,9 @@ sampler also hands back the non-loop pairs the simple graph dropped.
 
 The mark draws and the pair keys run in cache-sized blocks, the marks
 written over their uniforms and the keys over the first endpoints, so a
-sampler holds little beyond its outputs.
+sampler holds little beyond its outputs.  Those outputs keep their vertex
+ids in ``id_dtype(n)``, 4 bytes each below n = 2**31 - 1; every value that
+can pass 2**31, such as an id product, is formed in int64.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ from .errors import DomainError
 from .params import WeightSequence, check_total_weight
 
 
+def id_dtype(n: int) -> np.dtype:
+    """The dtype of vertex ids on 1..n, and of labeling's ranks: int32 while
+    it holds n + 1, the length of the rank map, else int64."""
+    return np.dtype(np.int32 if n < 2**31 - 1 else np.int64)
+
+
 class MultiGraph(NamedTuple):
     """Multigraph on vertices 1..n as a sorted list of pairs with multiplicities.
 
     ``src[k] <= dst[k]`` for every k, pairs are unique and lexicographically
-    sorted, multiplicities are >= 1.  Self-loops keep src == dst.
+    sorted, multiplicities are >= 1.  Self-loops keep src == dst.  The
+    samplers give the endpoints ``id_dtype(n)`` and the multiplicities int64.
     """
 
     n: int
@@ -71,7 +80,8 @@ class SimpleGraph(NamedTuple):
 
 def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
     """1-D signed-integer columns of one length (endpoints, and a multigraph's
-    multiplicities, each >= 1), endpoints in [1, n], src <= dst (src < dst
+    multiplicities, each >= 1), endpoints of one dtype that holds n + 1, as
+    ``id_dtype(n)`` and int64 do, endpoints in [1, n], src <= dst (src < dst
     in a simple graph), pairs sorted and unique.
 
     This is what the degree-sum identity sum_v deg(v) = 2 * sum(mult) reduces
@@ -82,6 +92,8 @@ def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
     for col in (g.src, g.dst, g.mult) if loops else (g.src, g.dst):
         if col.ndim != 1 or col.dtype.kind != "i" or col.shape != g.src.shape:
             raise AssertionError("pairs need 1-D signed-integer columns of one length")
+    if g.src.dtype != g.dst.dtype or np.iinfo(g.src.dtype).max <= g.n:
+        raise AssertionError(f"endpoints need one dtype that holds n + 1 = {g.n + 1}")
     if loops and np.any(g.mult < 1):
         raise AssertionError("multiplicities must be >= 1")
     if g.src.size:
@@ -161,26 +173,31 @@ def _zipf(n: int, alpha: float, size: int, rng) -> np.ndarray:
     return marks
 
 
-def _aggregate_pairs(a: np.ndarray, b: np.ndarray):
-    """Canonicalize int64 endpoint arrays into sorted unique (src, dst, mult).
+def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
+    """Canonicalize int64 endpoint arrays on ids 1..n into sorted unique
+    (src, dst, mult), the endpoints in ``id_dtype(n)``.
 
     Both arrays are consumed: the pair keys are built in ``a`` and sorted
     there.  A caller that keeps no name for them lets ``b`` go before the
-    sort and ``a`` before the pairs are split.  Repeated slots are few, so
-    they are listed, dropped and counted onto a multiplicity of one.
+    sort and ``a`` once the keys are split.  The keys are split straight
+    into the endpoint columns, cast in the ufuncs' buffers, so no 8-byte
+    column is formed beside them.  Repeated slots are few, so they are
+    listed, dropped from the columns and counted onto a multiplicity of one.
     """
     key = _pair_keys(a, b)
     del a, b
     key.sort()
     repeat = np.flatnonzero(key[1:] == key[:-1])  # slot repeat[t] + 1 repeats its left neighbour
-    uniq = np.delete(key, repeat + 1)
+    dtype = id_dtype(n)
+    src, dst = np.empty(key.size, dtype), np.empty(key.size, dtype)
+    np.right_shift(key, 32, out=src, casting="unsafe")
+    np.bitwise_and(key, 0xFFFFFFFF, out=dst, casting="unsafe")
     del key
-    mult = np.ones(uniq.size, dtype=np.int64)
-    # t dropped slots precede slot repeat[t] + 1, so its pair is uniq[repeat[t] - t]
+    src, dst = np.delete(src, repeat + 1), np.delete(dst, repeat + 1)
+    mult = np.ones(src.size, dtype=np.int64)
+    # t dropped slots precede slot repeat[t] + 1, so its pair is the one at repeat[t] - t
     np.add.at(mult, repeat - np.arange(repeat.size), 1)
-    src = uniq >> 32
-    uniq &= 0xFFFFFFFF
-    return src.view(np.int64), uniq.view(np.int64), mult
+    return src, dst, mult
 
 
 def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,7 +235,8 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
     _check_pi(pi)
     check_total_weight(pi, weights.ell_n)
     m = int(rng.poisson(pi * weights.ell_n / 2.0))
-    src, dst, mult = _aggregate_pairs(draw_marks(weights, m, rng), draw_marks(weights, m, rng))
+    src, dst, mult = _aggregate_pairs(weights.n, draw_marks(weights, m, rng),
+                                      draw_marks(weights, m, rng))
     return MultiGraph(n=weights.n, src=src, dst=dst, mult=mult)
 
 
@@ -338,13 +356,14 @@ def _screen(src, dst, mult, own, rate: float, floor: int, weights: WeightSequenc
     """
     # aligned with the chunk's pairs by a zero at each loop, never read
     u = np.insert(rng.random(src.size - own.size), own - np.arange(own.size), 0.0)
-    test = src * dst < floor
+    # products of int32 ids pass 2**31, so they are formed in int64
+    test = np.multiply(src, dst, dtype=np.int64) < floor
     test |= mult != 1
     test |= u >= 1.0 - 2.0 * _SCREEN_LAM
     test[own] = False
     idx = np.flatnonzero(test)
     u = u[idx]
-    lam = weights.pair_weight(src[idx] * dst[idx]) * rate
+    lam = weights.pair_weight(np.multiply(src[idx], dst[idx], dtype=np.int64)) * rate
     test = (u >= 1.0 - 2.0 * lam) | (mult[idx] != 1)
     return idx[test], lam[test], u[test]
 

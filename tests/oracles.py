@@ -48,7 +48,7 @@ def _from_pairs(n: int, pairs, width: int):
         raise DomainError("multiplicities must be >= 1")
     if width == 2 and np.any(i == j):
         raise DomainError(f"simple graph cannot hold the loop {(int(i[i == j][0]),) * 2}")
-    return _aggregate_pairs(np.repeat(i, m), np.repeat(j, m))
+    return _aggregate_pairs(n, np.repeat(i, m), np.repeat(j, m))
 
 
 def multi_from_pairs(n: int, pairs) -> MultiGraph:

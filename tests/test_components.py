@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -513,6 +514,64 @@ def test_merged_giant_size_memory_is_pair_bounded():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert got == component_sizes(raw(n, np.r_[base_src, src], np.r_[base_dst, dst])).giant_size
+
+
+def union_find_giant(edges):
+    """Largest component of an edge list, by union-find over the ids it names."""
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return max(Counter(find(v) for v in parent).values())
+
+
+def test_merged_giant_size_at_the_largest_int32_n():
+    # at n = 2**31 - 2 the node keys id + |ids| of ids no base edge touches
+    # pass 2**31; the base summary is built by hand, so nothing is n long
+    n = 2**31 - 2
+    base_edges = [(5, 6), (7, n - 3)]
+    base = ComponentSummary(n=n, ids=np.array([5, 6, 7, n - 3], dtype=np.int64),
+                            root=np.array([0, 0, 2, 2], dtype=np.int32),
+                            counts=np.array([2, 0, 2, 0], dtype=np.int64),
+                            giant_root=0, giant_size=2, second_size=2)
+    for edges in ([(6, n - 1), (n - 2, n - 1), (n - 1, n)], [(n - 2, n), (n - 1, n)],
+                  [(7, n), (6, n - 3), (n - 1, n)], [(5, 7)]):
+        g = SimpleGraph(n, *(np.array(col, dtype=np.int32) for col in zip(*sorted(edges))))
+        g.validate()
+        assert merged_giant_size(base, g) == union_find_giant(base_edges + edges)
+
+
+def test_int32_labeling_peaks_no_higher_than_int64(monkeypatch):
+    # int32 ids go to intp one block at a time, never a whole column: on a
+    # core-schedule graph at n = 2e5, cut into 4k-id blocks so that it spans
+    # many, labeling int32 ids peaks no higher than labeling int64 ids, whose
+    # gathers copy nothing, give or take one block's intp copy.  Whole-column
+    # copies read 3.34 against 3.12 MiB; in blocks both read 2.93 MiB.
+    import sfperc.components as components
+    monkeypatch.setattr(components, "_HOOK_BLOCK", 1 << 12)
+    params = model_params(2.5, 1.0, 200_000)
+    ws = build_weights(params)
+    sch = make_schedule(params, "single", LambdaRule("constant", 10.0))
+    g = sample_coupled_direct(ws, sch.pi_n, np.random.default_rng(1))[1]
+    assert g.src.dtype == np.int32 and g.src.size > 16 * components._HOOK_BLOCK
+    peaks = []
+    for dtype in (np.int32, np.int64):
+        h = SimpleGraph(g.n, g.src.astype(dtype), g.dst.astype(dtype))
+        component_sizes(h)  # numpy's one-time set-up for this dtype
+        tracemalloc.start()
+        try:
+            component_sizes(h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 8 * components._HOOK_BLOCK
 
 
 # --------------------------------------------------------------------------

@@ -381,6 +381,31 @@ def test_summarize_rows():
         summarize(result._replace(records=[]))
 
 
+def test_sampled_graphs_carry_int32_ids(tmp_path, monkeypatch):
+    # one replica of each graph experiment and each generate mode at n = 1e4:
+    # every graph they validate holds its ids in int32
+    from sfperc.cli import main
+    from sfperc.graphgen import SimpleGraph
+    seen = []
+    for cls in (MultiGraph, SimpleGraph):
+        def spy(g, check=cls.validate):
+            seen.append((type(g).__name__, g.src.dtype, g.dst.dtype))
+            check(g)
+        monkeypatch.setattr(cls, "validate", spy)
+    core = LambdaRule("constant", 4.0)
+    for experiment, rule in (("multi_giant", None), ("single_vs_multi", None),
+                             ("one_neighborhood", core), ("residual_components", None)):
+        run(ExperimentConfig(experiment, n_grid=(10_000,), replicas=1, lambda_rule=rule))
+    for mode, flags in (("raw", []), ("multi", []),
+                        ("single", ["--lambda-kind", "constant", "--lambda-value", "4"])):
+        assert main(["generate", "--n", "10000", "--mode", mode, "--seed", "3",
+                     "--out", str(tmp_path / f"{mode}.txt"), *flags]) == 0
+    assert [kind for kind, _, _ in seen] == ["MultiGraph", "MultiGraph", "SimpleGraph",
+                                             "SimpleGraph", "MultiGraph", "MultiGraph",
+                                             "MultiGraph", "SimpleGraph"]
+    assert all(src == dst == np.int32 for _, src, dst in seen)
+
+
 # --------------------------------------------------------------------------
 # per-experiment records and theory blocks
 # --------------------------------------------------------------------------

@@ -82,13 +82,19 @@ def test_aggregate_pairs_matches_counter():
               (3, rng.integers(1, 4, size=200), rng.integers(1, 4, size=200)),
               (9, np.array([6]), np.array([2])),
               (9, np.array([], dtype=np.int64), np.array([], dtype=np.int64))]
+    # at n = 2**31 - 2, the largest n with int32 ids, ids near n split into
+    # int32 columns; at _MAX_N they need int64
+    top = 2**31 - 2
+    near = np.array([1, top - 2, top - 1, top])
+    cases.append((top, rng.choice(near, size=60), rng.choice(near, size=60)))
     for n, a, b in cases:
         expected = sorted(Counter((min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()))
                           .items())
-        src, dst, mult = _aggregate_pairs(a.copy(), b.copy())
+        src, dst, mult = _aggregate_pairs(n, a.copy(), b.copy())
         assert [((i, j), m) for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist())] \
             == expected
-        assert src.dtype == dst.dtype == mult.dtype == np.int64
+        assert src.dtype == dst.dtype == (np.int32 if n <= top else np.int64)
+        assert mult.dtype == np.int64
 
 
 def test_degrees_count_loops_twice():
@@ -123,6 +129,33 @@ def test_multigraph_validate_rejects_bad_arrays():
                            (ok.src, ok.dst, ok.mult + 0.5), (ok.src, ok.dst, ok.mult.astype(bool))):
         with pytest.raises(AssertionError):
             MultiGraph(n=3, src=src, dst=dst, mult=mult).validate()
+
+
+def test_validate_checks_the_id_dtype():
+    # both endpoint columns share one dtype, and it holds n + 1: int64 at
+    # any n, int32 up to n = 2**31 - 2
+    one = np.ones(1, dtype=np.int64)
+    a32, b32 = np.array([1], dtype=np.int32), np.array([2], dtype=np.int32)
+    a64, b64 = a32.astype(np.int64), b32.astype(np.int64)
+    for n, src, dst in ((3, a32, b64), (3, a64, b32), (2**31 - 1, a32, b32)):
+        with pytest.raises(AssertionError, match="dtype"):
+            SimpleGraph(n, src, dst).validate()
+        with pytest.raises(AssertionError, match="dtype"):
+            MultiGraph(n, src, dst, one).validate()
+    for n, src, dst in ((2**31 - 2, a32, b32), (2**31 - 1, a64, b64), (_MAX_N, a64, b64)):
+        SimpleGraph(n, src, dst).validate()
+        MultiGraph(n, src, dst, one).validate()
+
+
+def test_validate_at_the_largest_int32_n():
+    # at n = 2**31 - 2 the sort keys src (n + 1) + dst of ids near n pass
+    # 2**62; formed in int32 they would wrap out of order
+    n = 2**31 - 2
+    pairs = [(1, n), (2, n - 1), (n - 2, n - 1), (n - 1, n - 1), (n - 1, n), (n, n)]
+    src, dst = (np.array(col, dtype=np.int32) for col in zip(*pairs))
+    MultiGraph(n, src, dst, np.ones(src.size, dtype=np.int64)).validate()
+    simple = src != dst
+    SimpleGraph(n, src[simple], dst[simple]).validate()
 
 
 def test_simple_graph_rejects_loops_and_checks_order():
@@ -183,7 +216,7 @@ def test_validate_memory_is_edge_bounded():
     n = 2_000_000
     rng = np.random.default_rng(13)
     a, b = rng.integers(1, n + 1, size=(2, 2_000))
-    src, dst, mult = _aggregate_pairs(a, b)
+    src, dst, mult = _aggregate_pairs(n, a, b)
     g = MultiGraph(n=n, src=src, dst=dst, mult=mult * 3)
     tracemalloc.start()
     try:
@@ -202,7 +235,7 @@ def test_simple_validate_memory_is_degree_bounded(edges):
     rng = np.random.default_rng(14)
     a, b = rng.integers(1, n + 1, size=(2, edges))
     keep = a != b
-    src, dst, _ = _aggregate_pairs(a[keep], b[keep])
+    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
     g = SimpleGraph(n=n, src=src, dst=dst)
     tracemalloc.start()
     try:
@@ -222,7 +255,7 @@ def test_validate_memory_is_pair_bounded(cls):
     rng = np.random.default_rng(17)
     a, b = rng.integers(1, n + 1, size=(2, 4_000))
     keep = a != b
-    src, dst, mult = _aggregate_pairs(a[keep], b[keep])
+    src, dst, mult = _aggregate_pairs(n, a[keep], b[keep])
     g = MultiGraph(n, src, dst, mult) if cls is MultiGraph else SimpleGraph(n, src, dst)
     tracemalloc.start()
     try:
@@ -238,7 +271,7 @@ def test_simple_degrees_match_bincount():
     n = 5_000
     a, b = rng.integers(1, n + 1, size=(2, 20_000))
     keep = a != b
-    src, dst, _ = _aggregate_pairs(a[keep], b[keep])
+    src, dst, _ = _aggregate_pairs(n, a[keep], b[keep])
     g = SimpleGraph(n=n, src=src, dst=dst)
     deg = degrees(g)
     expected = np.bincount(np.concatenate([src, dst]), minlength=n + 1)
@@ -656,11 +689,39 @@ def test_screen_floor_bounds_lam(tau, n, pi):
         assert ws.pair_weight(np.array([below]))[0] * rate > graphgen._SCREEN_LAM / 2 * (1 - 1e-9)
 
 
+def test_screen_forms_id_products_in_int64():
+    # at n = 2**31 - 2 the id products i j pass 2**31: the pairs the screen
+    # leaves by the floor, and the products it hands pair_weight, are those
+    # of Python's integers
+    n = 2**31 - 2
+    src = np.array([1, 2, 46_340, 40_000, n - 1, n - 2], dtype=np.int32)
+    dst = np.array([n, n, 46_342, n - 1, n, n], dtype=np.int32)
+    floor = 3 * n
+    seen = []
+
+    class Weights:
+        def pair_weight(self, ij):
+            seen.append(ij.tolist())
+            return np.ones(ij.size)  # lam = 1 with rate 1: every screened pair stays
+
+    class Zeros:
+        def random(self, size):
+            return np.zeros(size)
+
+    idx, _, _ = graphgen._screen(src, dst, np.ones(src.size, dtype=np.int64),
+                                 np.array([], dtype=np.intp), 1.0, floor, Weights(), Zeros())
+    products = [i * j for i, j in zip(src.tolist(), dst.tolist())]
+    want = [k for k, ij in enumerate(products) if ij < floor]
+    assert idx.tolist() == want == [0, 1, 2]
+    assert seen == [[products[k] for k in want]]
+
+
 def test_sample_coupled_direct_memory_per_pair():
     # on a core-schedule graph at n = 2e5 the sampler holds its three graphs
-    # (40 B per pair) and little more: one mask, no per-pair rates or
-    # uniforms, no float temporaries beside the marks.  With those it read
-    # 44.8 B per pair.
+    # (24 B per pair: int32 ids, int64 multiplicities) and little more: one
+    # mask, no per-pair rates or uniforms, no float temporaries beside the
+    # marks.  With int64 ids it read 41.3 B per pair, and 44.8 with those
+    # temporaries.
     params = model_params(2.5, 1.0, 200_000)
     ws = build_weights(params)
     pi = make_schedule(params, "single", LambdaRule("constant", 10.0)).pi_n
@@ -672,7 +733,8 @@ def test_sample_coupled_direct_memory_per_pair():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / gm.src.size <= 41.5
+        assert gm.src.dtype == np.int32
+        assert peak / gm.src.size <= 25.5
 
 
 @pytest.mark.parametrize("n, pi", [(1, 0.9), (50, 1e-3)])
