@@ -3,9 +3,13 @@
 Components are found in numpy by min-label hooking with pointer jumping
 (Shiloach & Vishkin, J. Algorithms 3, 1982) over only the vertices that
 touch a non-loop edge: one sort of the endpoints lists them when the edges
-are fewer than n / 10, an (n + 1)-length mask otherwise.  Ranked in
-increasing order, they end as a forest in which every rank points at its
-component's smallest rank, the component's smallest id.  Hooking makes
+are fewer than n / 10, an (n + 1)-length mask otherwise.  A sparse graph's
+ids are ranked through an (n + 1)-length map, 4 bytes per id; a dense
+graph's through its mask's bytes, reused as each id's offset among the
+touched ids of its 256-id block, plus one count per block (a rank
+directory after Jacobson, 1989), 1 byte per id.  Ranked in increasing
+order, they end as a forest in which every rank points at its component's
+smallest rank, the component's smallest id.  Hooking makes
 every rank point at or below itself, so pointer jumping settles the ranks
 in cache-sized blocks, in rank order, each block jumping only within itself
 once the blocks before it are final; edges go in blocks too, so labeling
@@ -28,6 +32,10 @@ from .graphgen import MultiGraph, SimpleGraph, id_dtype
 from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 _SPARSE = 10  # below n / _SPARSE edges, sorting beats scanning a mask for touched ids
+_OFFSET_BITS = 8  # a dense ranking counts touched ids in blocks of 2**8, so offsets fit a byte
+# A dense ranking's scatter and gathers copy 2**14 ids to intp at a time:
+# 128 KiB, against 1 MiB in _HOOK_BLOCK steps, and no slower.
+_OFFSET_BLOCK = 1 << 14
 
 
 class ComponentSummary(NamedTuple):
@@ -52,16 +60,23 @@ class ComponentSummary(NamedTuple):
     def giant_members(self) -> np.ndarray:
         """The giant's ids in increasing order; vertex 1 when no edge joins two ids."""
         if not self.ids.size:
-            return np.ones(1, dtype=np.int64)
+            return np.ones(1, dtype=self.ids.dtype)
         return self.ids[self.root == self.giant_root]
 
 
 def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ids in 0..n an edge touches, in increasing order, and the edges on
-    their ranks, all in ``id_dtype(n)``, the rank map's dtype.
+    their ranks, all in ``id_dtype(n)``.
 
-    The endpoints index the mask and the map one ``_HOOK_BLOCK`` at a time,
-    so an int32 column is copied to intp a block at a time, not whole.
+    A sparse graph sorts its endpoints to list the ids and ranks them through
+    an (n + 1)-length map.  A dense one lists them from an (n + 1)-length
+    mask, and the mask's bytes then become an offset table: an id's byte
+    holds the number of touched ids below it in its 256-id block, at most
+    255, and ``base`` holds the number below each block, so rank(id)
+    = base[id >> 8] + off[id] at one byte per id instead of the map's four.
+    An int32 column is copied to intp a block at a time, never whole:
+    ``_HOOK_BLOCK`` ids for the mask and the map, ``_OFFSET_BLOCK`` for the
+    tables.
     """
     dtype = id_dtype(n)
     if _SPARSE * src.size < n:
@@ -71,19 +86,25 @@ def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
         first[:1] = True
         np.not_equal(ends[1:], ends[:-1], out=first[1:])
         ids = np.compress(first, ends)
-    else:
-        touched = np.zeros(n + 1, dtype=bool)
-        for e in range(0, src.size, _HOOK_BLOCK):
-            touched[src[e:e + _HOOK_BLOCK]] = True
-            touched[dst[e:e + _HOOK_BLOCK]] = True
-        ids = np.flatnonzero(touched).astype(dtype, copy=False)
-        del touched
-    # Only touched entries of the rank map are ever read, so it is not
-    # zero-filled and its untouched pages are never written.
-    rank = np.empty(n + 1, dtype=dtype)
-    for r in range(0, ids.size, _HOOK_BLOCK):
-        rank[ids[r:r + _HOOK_BLOCK]] = np.arange(r, min(r + _HOOK_BLOCK, ids.size), dtype=dtype)
-    return ids, _gather(rank, src), _gather(rank, dst)
+        del ends, first  # not held under the map
+        # Only touched entries of the rank map are ever read, so it is not
+        # zero-filled and its untouched pages are never written.
+        rank = np.empty(n + 1, dtype=dtype)
+        for r in range(0, ids.size, _HOOK_BLOCK):
+            rank[ids[r:r + _HOOK_BLOCK]] = np.arange(r, min(r + _HOOK_BLOCK, ids.size), dtype=dtype)
+        return ids, _gather(rank, src), _gather(rank, dst)
+    touched = np.zeros(n + 1, dtype=bool)
+    for e in range(0, src.size, _HOOK_BLOCK):
+        for col in (src, dst):
+            touched[col[e:e + _HOOK_BLOCK].astype(np.intp, copy=False)] = True
+    ids = np.flatnonzero(touched).astype(dtype, copy=False)
+    # Only touched bytes of the table are ever read, so the mask's are reused.
+    off = touched.view(np.uint8)
+    base = np.searchsorted(ids, np.arange(0, n + 1, 1 << _OFFSET_BITS, dtype=dtype)).astype(dtype)
+    for r in range(0, ids.size, _OFFSET_BLOCK):
+        block = ids[r:r + _OFFSET_BLOCK].astype(np.intp, copy=False)
+        off[block] = np.arange(r, r + block.size, dtype=dtype) - base.take(block >> _OFFSET_BITS)
+    return ids, _offset_rank(base, off, src), _offset_rank(base, off, dst)
 
 
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -96,6 +117,16 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     out = np.empty(index.size, dtype=table.dtype)
     for e in range(0, index.size, _HOOK_BLOCK):
         table.take(index[e:e + _HOOK_BLOCK], out=out[e:e + _HOOK_BLOCK], mode="wrap")
+    return out
+
+
+def _offset_rank(base: np.ndarray, off: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """base[index >> _OFFSET_BITS] + off[index], gathered one ``_OFFSET_BLOCK``
+    of the index at a time."""
+    out = np.empty(index.size, dtype=base.dtype)
+    for e in range(0, index.size, _OFFSET_BLOCK):
+        block = index[e:e + _OFFSET_BLOCK].astype(np.intp, copy=False)
+        np.add(base.take(block >> _OFFSET_BITS), off.take(block), out=out[e:e + _OFFSET_BLOCK])
     return out
 
 
@@ -171,11 +202,14 @@ def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     # np.bincount(root) would first copy root to intp; add.at does not
     counts = np.zeros(int(root.max(initial=-1)) + 1, dtype=np.int64)
     np.add.at(counts, root, 1)
-    ids = ids.astype(np.int64, copy=False)  # widened once the labeling's temporaries are gone
     if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
     # every rank points at a root exactly when each counted rank is its own root
-    if np.count_nonzero(counts) != np.count_nonzero(root == np.arange(root.size, dtype=root.dtype)):
+    fixed = 0
+    for r in range(0, root.size, _HOOK_BLOCK):
+        block = root[r:r + _HOOK_BLOCK]
+        fixed += np.count_nonzero(block == np.arange(r, r + block.size, dtype=root.dtype))
+    if np.count_nonzero(counts) != fixed:
         raise AssertionError("a rank points at a rank that is not its own root")
     if ids.size:
         # The first maximal count is the largest component holding the smallest id.
@@ -207,7 +241,8 @@ def merged_giant_size(base: ComponentSummary, g: MultiGraph | SimpleGraph) -> in
     if base.n != g.n:
         raise DomainError(f"base summary is on n = {base.n} ids, the graph on {g.n}")
     live = g.src != g.dst
-    ends = np.concatenate([g.src[live], g.dst[live]])
+    # in the ids' dtype, or searchsorted would copy all of them to the pairs'
+    ends = np.concatenate([g.src[live], g.dst[live]], dtype=base.ids.dtype)
     pos = np.searchsorted(base.ids, ends)
     known = pos < base.ids.size
     known[known] = base.ids[pos[known]] == ends[known]

@@ -19,6 +19,7 @@ from sfperc.components import (
 from sfperc.errors import DomainError
 from sfperc.graphgen import (
     SimpleGraph,
+    id_dtype,
     percolate_coupled,
     sample_coupled_direct,
     sample_mnr,
@@ -70,7 +71,7 @@ def check_against_oracle(g, edges):
     # no runner-up exactly when one component holds every vertex
     assert (summary.second_size == 0) == (len(comps) == 1)
     assert np.all(np.diff(summary.giant_members) > 0)
-    assert summary.giant_members.dtype == np.int64
+    assert summary.giant_members.dtype == id_dtype(g.n)
     # the graph's own summary as a base changes nothing
     assert merged_giant_size(summary, g) == giant_size
     check_padded_summary(summary, g)
@@ -89,7 +90,7 @@ def check_padded_summary(summary, g):
     for a, b in ((summary.ids, padded.ids), (summary.root, padded.root),
                  (summary.counts, padded.counts)):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
-    assert summary.ids.dtype == np.int64
+    assert summary.ids.dtype == id_dtype(g.n)
     assert (padded.giant_root, padded.giant_size) == (summary.giant_root, summary.giant_size)
     assert padded.giant_members.tolist() == summary.giant_members.tolist()
     # a component spanning the unpadded graph gains the singletons as runners-up
@@ -399,6 +400,46 @@ def test_ranking_paths_against_the_oracle():
     check_padded_summary(component_sizes(loops), loops)
 
 
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_offset_table_edge_cases(n, monkeypatch):
+    # a dense graph ranks through 256-id blocks; every ranking is checked
+    # against np.unique and searchsorted, and each graph against BFS: all
+    # of 0..n touched (block 0 full, offsets up to 255), a path through
+    # every id in random order (the block holding n), ids at 255, 256 and
+    # 257 beside 30 small pairs, and a star on n (its recursion is dense)
+    import sfperc.components as components
+    rank, dense = components._rank, []
+
+    def checked(k, src, dst):
+        ids, rank_src, rank_dst = rank(k, src, dst)
+        assert ids.tolist() == np.unique(np.concatenate([src, dst])).tolist()
+        assert rank_src.tolist() == np.searchsorted(ids, src).tolist()
+        assert rank_dst.tolist() == np.searchsorted(ids, dst).tolist()
+        if _SPARSE * src.size >= k:
+            dense.append((k, ids.tolist()))
+        return ids, rank_src, rank_dst
+
+    monkeypatch.setattr(components, "_rank", checked)
+    for dtype in (np.int32, np.int64):
+        every = np.arange(n + 1, dtype=dtype)
+        ids, rank_src, _ = components._rank(n, every, every[::-1])
+        assert ids.tolist() == rank_src.tolist() == list(range(n + 1))
+    rng = np.random.default_rng(n)
+    order = (rng.permutation(n) + 1).tolist()
+    near = [i for i in (254, 255, 256, 257) if i <= n]
+    graphs = [list(zip(order[:-1], order[1:])),
+              list(zip(near[:-1], near[1:])) + [(2 * i + 1, 2 * i + 2) for i in range(30)],
+              [(i, n) for i in range(1, n)]]
+    for edges in graphs:
+        dense.clear()
+        check_against_oracle(raw(n, *zip(*edges)), edges)
+        # the graph's own ranking is the one on n ids; recursion levels rank fewer
+        top = [ids for k, ids in dense if k == n]
+        assert top and set(top[0]) == {i for e in edges for i in e}
+    # the star's recursion ranks the n - 1 leaves' roots on the dense branch
+    assert [ids for k, ids in dense if k < n][0] == list(range(n - 1))
+
+
 def test_component_sizes_random_multigraphs():
     rng = np.random.default_rng(1234)
     for _ in range(10_000):
@@ -553,7 +594,7 @@ def test_int32_labeling_peaks_no_higher_than_int64(monkeypatch):
     # core-schedule graph at n = 2e5, cut into 4k-id blocks so that it spans
     # many, labeling int32 ids peaks no higher than labeling int64 ids, whose
     # gathers copy nothing, give or take one block's intp copy.  Whole-column
-    # copies read 3.34 against 3.12 MiB; in blocks both read 2.93 MiB.
+    # copies read 3.34 against 3.12 MiB; in blocks both read 2.97 MiB.
     import sfperc.components as components
     monkeypatch.setattr(components, "_HOOK_BLOCK", 1 << 12)
     params = model_params(2.5, 1.0, 200_000)
@@ -572,6 +613,28 @@ def test_int32_labeling_peaks_no_higher_than_int64(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] + 8 * components._HOOK_BLOCK
+
+
+def test_dense_ranking_holds_less_than_the_rank_map():
+    # a dense graph is ranked through its mask's bytes and one count per
+    # 256-id block: on a core-schedule graph at n = 2e5, ranking allocates
+    # less beyond the ids and ranked edges it returns than the 4 (n + 1)
+    # bytes an int32 rank map takes alone (0.69 of them, against 2.31 with
+    # the map)
+    import sfperc.components as components
+    n = 200_000
+    params = model_params(2.5, 1.0, n)
+    sch = make_schedule(params, "single", LambdaRule("constant", 10.0))
+    g = sample_coupled_direct(build_weights(params), sch.pi_n, np.random.default_rng(1))[1]
+    assert _SPARSE * g.src.size >= n  # the dense branch
+    components._rank(n, g.src, g.dst)  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        out = components._rank(n, g.src, g.dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in out) < 4 * (n + 1)
 
 
 # --------------------------------------------------------------------------
