@@ -121,6 +121,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer within float range, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.T is not None:
+            if spec.horizon is None:
+                raise ConfigError(f"T is a walk's horizon, and {self.experiment} runs no walk")
             if not (is_number(self.T) and self.T > 0.0):
                 raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
             object.__setattr__(self, "T", float(self.T))

@@ -99,9 +99,8 @@ def _check_steps(steps, least: int) -> None:
 
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
                     max_steps: int, rng) -> ExplorationTrace:
-    """Run the exploration for max_steps mark draws on a multi-mode schedule."""
-    if schedule.mode != "multi":
-        raise DomainError("exploration runs on multi-mode schedules")
+    """Run the exploration for max_steps mark draws.  It reads only pi_n of
+    the schedule, so a schedule on either window serves."""
     _check_steps(max_steps, 1)
     m = int(max_steps)
     _check_key_range(weights.n, m)

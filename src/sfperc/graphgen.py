@@ -111,8 +111,9 @@ def _check_pairs(g: MultiGraph | SimpleGraph) -> None:
 # mark sampling and the Poissonized edge generator
 # --------------------------------------------------------------------------
 
-# Draws per block of the mark and key passes.  A giant-1e6 graph's ~59k
-# slots fit in one, so its sampler makes no more numpy calls than unblocked.
+# Draws per block of the mark and key passes, and pairs per chunk of the
+# coupled sampler's screen.  A giant-1e6 graph's ~59k slots fit in one block,
+# so its sampler makes no more numpy calls than unblocked.
 _MARK_BLOCK = 1 << 16
 
 
@@ -244,10 +245,6 @@ def sample_percolated_mnr_direct(weights: WeightSequence, pi: float, rng) -> Mul
 # coupled percolation
 # --------------------------------------------------------------------------
 
-# Pairs per chunk of the coupled sampler's screen, which bounds its temporaries.
-_PAIR_CHUNK = 1 << 16
-
-
 def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, SimpleGraph]:
     """Percolate the multigraph and its collapse on shared randomness.
 
@@ -299,7 +296,7 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     kept without evaluating s; the factor 2 is a margin for rounding.  Loops
     never become simple edges and draw nothing.
 
-    Each chunk of ``_PAIR_CHUNK`` pairs draws its u and is screened on
+    Each chunk of ``_MARK_BLOCK`` pairs draws its u and is screened on
     slices of the columns (see ``_screen``); s is then evaluated in one
     call for the pairs every screen left.  Only the positions of the loops
     and of the dropped pairs are kept; the simple graph is the rest.
@@ -309,9 +306,9 @@ def sample_coupled_direct(weights: WeightSequence, pi: float,
     floor = _screen_floor(weights, rate)
     loops = np.flatnonzero(gm.src == gm.dst)
     left = []  # (positions, lam, u) of the pairs each chunk's screen leaves
-    for lo in range(0, max(gm.src.size, 1), _PAIR_CHUNK):  # one chunk at least, if empty
-        own = loops[slice(*np.searchsorted(loops, (lo, lo + _PAIR_CHUNK)))] - lo
-        chunk = [col[lo:lo + _PAIR_CHUNK] for col in (gm.src, gm.dst, gm.mult)]
+    for lo in range(0, max(gm.src.size, 1), _MARK_BLOCK):  # one chunk at least, if empty
+        own = loops[slice(*np.searchsorted(loops, (lo, lo + _MARK_BLOCK)))] - lo
+        chunk = [col[lo:lo + _MARK_BLOCK] for col in (gm.src, gm.dst, gm.mult)]
         idx, lam, u = _screen(*chunk, own, rate, floor, weights, rng)
         left.append((lo + idx, lam, u))
     # s of a pair does not depend on the others in its call, so one call serves all chunks
@@ -336,10 +333,9 @@ def _screen_floor(weights: WeightSequence, rate: float) -> int:
 
     lam falls as i*j grows.  P is where the exact lam is half of
     _SCREEN_LAM, so the rounding of ``pair_weight`` cannot carry a pair past
-    the bound, and no monotonicity of ``np.power`` is relied on.
+    the bound, and no monotonicity of ``np.power`` is relied on.  At rate 0
+    (pi = 1) the formula gives P = 0, and every pair passes.
     """
-    if rate <= 0.0:
-        return 0
     # c_F^2 (n^2 / ij)^alpha * rate = _SCREEN_LAM / 2 at ij = n^2 t
     t = (weights.c_F ** 2 * rate / (0.5 * _SCREEN_LAM)) ** (1.0 / weights.alpha)
     square = float(weights.n) ** 2
@@ -377,12 +373,10 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     so the absolute error is below 2e^-50.  The Poisson weights start from 1
     at the window's first k, follow the ratio lam / k and are normalised by
     their sum, so e^-lam, which underflows past lam ~ 745, is never formed.
-    The loop runs to the end of the call's widest window, the terms past a
-    pair's own being below e^-50 of its sums, but every fourth step it stops
-    once each k is past its lam and the next term changes neither sum: past
-    the mode the terms only shrink, so no later one changes a bit.  Where
-    (1-pi)^(c+k) < 2^-60, expm1 rounds to -1, so each term adds to num and
-    den alike and s = pi exactly.
+    Every pair is summed to the end of the call's widest window: the terms
+    past a pair's own window are each below e^-50 of its sums, so they change
+    no bit of them.  Where (1-pi)^(c+k) < 2^-60, expm1 rounds to -1, so each
+    term adds to num and den alike and s = pi exactly.
     """
     if pi >= 1.0:
         return np.ones(c.size)
@@ -390,12 +384,8 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
     half = 10.0 * np.sqrt(lam) + 25.0
     k = np.floor(np.maximum(lam - half, 0.0))
     term, num, den = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
-    for step in range(int(np.ceil(lam + half - k).max(initial=0.0)) + 1):
-        add = term / np.expm1((c + k) * log_q)
-        if (step % 4 == 3 and np.all(k > lam) and np.array_equal(num - add, num)
-                and np.array_equal(den + term, den)):
-            break
-        num -= add
+    for _ in range(int(np.ceil(lam + half - k).max(initial=0.0)) + 1):
+        num -= term / np.expm1((c + k) * log_q)
         den += term
         k += 1.0
         term *= lam / k

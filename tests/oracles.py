@@ -153,8 +153,8 @@ def simple_kept_widest_window(c: np.ndarray, lam: np.ndarray, pi: float) -> np.n
     """``graphgen._simple_kept`` with the live-pair shortcut it no longer
     takes: a pair whose (1-pi)^(c+k) starts below 2^-60 gets s = pi unsummed,
     and every other pair is summed for as many steps as the widest window.
-    The library sums every pair and may stop before the widest window ends,
-    so agreeing bit for bit shows that neither changed a value."""
+    The library sums every pair to the widest window, so agreeing bit for bit
+    shows that summing such a pair gives pi exactly."""
     if pi >= 1.0:
         return np.ones(c.size)
     log_q = math.log1p(-pi)

@@ -123,6 +123,11 @@ _HUGE = 10**400
      "past 2**62"),
     ("repeat-fraction", {"experiment": "repeat_fraction", "n_grid": [1000]}, ["--C", "1e150"],
      "past 2**62"),
+    ("giant", {"experiment": "multi_giant"}, ["--T", "5"], "runs no walk"),
+    ("single-vs-multi", {"experiment": "single_vs_multi"}, ["--T", "5"], "runs no walk"),
+    ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--T", "5"],
+     "runs no walk"),
+    ("theory", {"experiment": "theory_tables", "T": 5.0}, [], "runs no walk"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -134,7 +139,8 @@ _HUGE = 10**400
         "replicas-past-64-bits-config", "T-overflows", "T-overflows-keys",
         "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual",
         "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
-        "repeat-fraction-C-1e150"])
+        "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
+        "theory-T-config"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):

@@ -41,6 +41,11 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def small_walk(**overrides):
+    """``small_config`` on a walk experiment, the rows that read T."""
+    return small_config(experiment="exploration_limit", **overrides)
+
+
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
@@ -98,8 +103,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig("one_neighborhood", n_grid=(10_000,))
     for bad_T in (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2.0"):
-        with pytest.raises(ConfigError):
-            small_config(T=bad_T)
+        with pytest.raises(ConfigError, match="T must be finite"):
+            small_walk(T=bad_T)
     # seeds key a replica in 64 bits: derive_seed(m, n, 2**64 + r) repeats replica r
     assert derive_seed(1, 400, 5) == derive_seed(1, 400, 2**64 + 5)
     for bad in (2.5, 2.0, True, "3", None, 2**64, 10**300):
@@ -112,7 +117,9 @@ def test_config_validation_errors():
     for bad_grid in ((10_000.7,), (200, 400.5), (True, 400), ("200",), (math.nan,)):
         with pytest.raises(ConfigError):
             small_config(n_grid=bad_grid)
-    for bad in ({"T": "2.0"}, {"replicas": 2.5}, {"master_seed": 1.5}, {"n_grid": [10_000.7]}):
+    with pytest.raises(ConfigError, match="T must be finite"):
+        ExperimentConfig.from_dict({**small_walk().to_dict(), "T": "2.0"})
+    for bad in ({"replicas": 2.5}, {"master_seed": 1.5}, {"n_grid": [10_000.7]}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**small_config().to_dict(), **bad})
     # wrongly typed values fail closed at construction, not mid-run
@@ -144,7 +151,7 @@ def test_walk_horizon_must_take_a_step():
 
 
 def test_config_dict_round_trip():
-    config = small_config(T=2.0, output_format="csv")
+    config = small_walk(T=2.0, output_format="csv")
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
@@ -181,14 +188,14 @@ def test_config_stores_numpy_integers_as_int():
 def test_config_stores_numpy_floats_as_float(tmp_path):
     # a numpy float passes the number check but is no JSON number
     out = tmp_path / "report.json"
-    from_numpy = small_config(tau=np.float32(2.5), C=np.float32(1.0), a=np.float64(2.0),
-                              T=np.float32(2.0), output_path=str(out))
-    plain = small_config(tau=2.5, C=1.0, a=2.0, T=2.0, output_path=str(out))
+    from_numpy = small_walk(tau=np.float32(2.5), C=np.float32(1.0), a=np.float64(2.0),
+                            T=np.float32(2.0), output_path=str(out))
+    plain = small_walk(tau=2.5, C=1.0, a=2.0, T=2.0, output_path=str(out))
     assert all(type(getattr(from_numpy, name)) is float for name in ("tau", "C", "a", "T"))
     assert from_numpy == plain
     assert run(from_numpy).to_json() == out.read_text() == run(plain).to_json()
     # an int is stored as a float too, so it serializes as one
-    ints = small_config(a=1, T=2)
+    ints = small_walk(a=1, T=2)
     assert type(ints.a) is float and type(ints.T) is float
 
 
@@ -508,15 +515,26 @@ def test_a_horizon_past_floating_point_is_refused(monkeypatch):
             ExperimentConfig(kind, n_grid=(1000,), T=1e17)
 
 
-def test_experiments_that_do_not_walk_take_any_valid_T():
-    # T is still checked as a number, but no horizon is derived without a walk
+def test_T_fails_closed_where_no_walk_reads_it(monkeypatch):
+    # a row without a walk derives no horizon, so a T given to it, valid or
+    # not, is refused before any weights are built
     for kind in ("multi_giant", "single_vs_multi", "theory_tables"):
-        config = ExperimentConfig(kind, n_grid=(10**4,), T=1e308)
-        assert config.T == 1e308
-        ctx = _build_context(config, 10**4)
+        ctx = _build_context(ExperimentConfig(kind, n_grid=(10**4,)), 10**4)
         assert ctx.horizon is None and ctx.steps is None
-        with pytest.raises(ConfigError, match="T must be finite"):
-            ExperimentConfig(kind, n_grid=(10**4,), T=math.inf)
+
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    for kind in ("multi_giant", "single_vs_multi", "one_neighborhood", "theory_tables"):
+        for T in (5.0, 1e308, math.inf):
+            with pytest.raises(ConfigError, match="runs no walk"):
+                ExperimentConfig(kind, n_grid=(10**5,), T=T)
+        with pytest.raises(ConfigError, match="runs no walk"):
+            ExperimentConfig.from_dict({**ExperimentConfig(kind, n_grid=(10**5,)).to_dict(),
+                                        "T": 5.0})
+    for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
+        assert ExperimentConfig(kind, n_grid=(1000,), T=5.0).T == 5.0
 
 
 def test_limit_grid_built_once_per_n(monkeypatch):

@@ -129,9 +129,14 @@ def test_first_draw_keys_must_fit_int64():
 
 def test_exploration_rejects_bad_inputs():
     params, ws, sch, rng = multi_setup()
+    # the walk reads only pi_n, so a single-window schedule walks as the same
+    # schedule relabelled multi does, byte for byte
     single = make_schedule(params, "single", LambdaRule("power", 0.1))
-    with pytest.raises(DomainError):
-        run_exploration(ws, single, 10, rng)
+    got = run_exploration(ws, single, 500, np.random.default_rng(3))
+    want = run_exploration(ws, single._replace(mode="multi"), 500, np.random.default_rng(3))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.new_mark.sum() < 500 and got.Z.max() > 0  # repeats, and a walk that climbs
     with pytest.raises(DomainError):
         run_exploration(ws, sch, 0, rng)
     # a rate past numpy's Poisson draws is refused before any mark is drawn

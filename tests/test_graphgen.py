@@ -602,7 +602,8 @@ def test_sample_coupled_direct_joint_law():
 
 
 def test_sample_coupled_direct_full_retention():
-    # at pi = 1 every pair is kept, so every non-loop pair is a simple edge
+    # at pi = 1 every pair is kept, so every non-loop pair is a simple edge;
+    # the screen's floor is 0 at that rate, and no pair is dropped
     params = model_params(2.5, 1.0, 300)
     ws = build_weights(params)
     rng = np.random.default_rng(5)
@@ -646,7 +647,7 @@ def test_sample_coupled_direct_matches_pair_by_pair_reference(tau, pi, chunk, mo
     # pair to evaluate.  At 2, 3 and 5 pairs a chunk, graphs on 2..40 ids put
     # loops at chunk starts, at chunk ends and side by side.
     if chunk:
-        monkeypatch.setattr(graphgen, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(graphgen, "_MARK_BLOCK", chunk)
     graphs = ([(2_000, seed) for seed in range(4)] if chunk in (None, 97)
               else [(n, seed) for n in range(2, 41) for seed in range(3)])
     starts = ends = side_by_side = 0
@@ -660,8 +661,8 @@ def test_sample_coupled_direct_matches_pair_by_pair_reference(tau, pi, chunk, mo
                     a, b = getattr(g, col), getattr(ref, col)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, seed, col)
         loops = np.flatnonzero(got[0].src == got[0].dst)
-        starts += np.count_nonzero(loops % graphgen._PAIR_CHUNK == 0)
-        ends += np.count_nonzero(loops % graphgen._PAIR_CHUNK == graphgen._PAIR_CHUNK - 1)
+        starts += np.count_nonzero(loops % graphgen._MARK_BLOCK == 0)
+        ends += np.count_nonzero(loops % graphgen._MARK_BLOCK == graphgen._MARK_BLOCK - 1)
         side_by_side += np.count_nonzero(np.diff(loops) == 1)
     if chunk in (2, 3, 5) and pi >= 0.8:  # sparser small graphs seldom hold two loops in a row
         assert starts and ends and side_by_side, (starts, ends, side_by_side)
@@ -669,15 +670,17 @@ def test_sample_coupled_direct_matches_pair_by_pair_reference(tau, pi, chunk, mo
 
 @pytest.mark.parametrize("tau", [2.2, 2.5, 2.8])
 @pytest.mark.parametrize("n", [50, 2_000])
-@pytest.mark.parametrize("pi", [1e-3, 0.3, 0.999])
+@pytest.mark.parametrize("pi", [1e-3, 0.3, 0.999, 1.0])
 def test_screen_floor_bounds_lam(tau, n, pi):
     # every pair of ids whose product reaches the floor has lam, evaluated as
     # the sampler evaluates it, within _SCREEN_LAM; the floor is no id
-    # product past which the bound could fail by rounding alone
+    # product past which the bound could fail by rounding alone.  At pi = 1
+    # the rate is 0 and the formula alone gives the floor 0.
     ws = build_weights(model_params(tau, 1.0, n))
     rate = (1.0 - pi) / ws.ell_n
     floor = graphgen._screen_floor(ws, rate)
     assert 0 <= floor <= n * n + 1  # past n^2 no pair passes unevaluated
+    assert (floor == 0) == (pi == 1.0)
     i, j = np.triu_indices(n)
     ij = (i + 1) * (j + 1)
     lam = ws.pair_weight(ij[ij >= floor]) * rate
@@ -840,10 +843,11 @@ def test_simple_kept_at_large_rates_matches_pgf_series(pi):
 
 @pytest.mark.parametrize("pi", [1e-8, 1e-3, 0.04, 0.126, 0.316, 1.0])
 def test_simple_kept_stops_each_pair_at_its_window(pi):
-    # both series grids in one call, so windows of every width share the
-    # shrinking prefix; the terms a pair skips past its window, and those
-    # after the early stop, change no bit.  A lone pair at lam = 1e-3 stops
-    # after a few of its 27 steps.
+    # _simple_kept sums every pair to the call's widest window, and equals bit
+    # for bit the oracle that gives a pair whose (1-pi)^(c+k) starts below
+    # 2^-60 the value pi unsummed.  Both series grids go in one call, so
+    # windows of every width share it; a lone pair at lam = 1e-3 sums its own
+    # 27 steps.
     grid = np.concatenate([np.geomspace(1e-12, 500.0, 25),
                            [0.5, 1.0, 18.0, 150.0, 170.0, 400.0, 800.0, 3e3, 3e4, 1e6]])
     for c, lam in ((np.repeat(np.arange(1, 5), grid.size), np.tile(grid, 4)),
@@ -853,8 +857,9 @@ def test_simple_kept_stops_each_pair_at_its_window(pi):
 
 
 def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
-    # the pairs the coupled sampler evaluates on core-1e6 graphs, one call per
-    # chunk, so each sample's pairs are spread over several calls
+    # the same bit-for-bit check against the widest-window oracle, on the
+    # pairs the coupled sampler evaluates on core-1e6 graphs, one call per
+    # sample
     spec = EXPERIMENTS["one_neighborhood"]
     params = model_params(2.5, 1.0, 10**6)
     ws, pi = build_weights(params), make_schedule(params, spec.mode, spec.lambda_rule).pi_n

@@ -1,7 +1,8 @@
 """Every top-level import in the library is read by its module, every
 top-level function, class and constant is read somewhere, only
-``experiments`` touches files, a dataclass is used only where it pays, and an
-experiment row holds only functions of ``experiments``.
+``experiments`` touches files, a dataclass is used only where it pays, an
+experiment row holds only functions of ``experiments``, and no module sizes
+two of its blocked passes by two constants of one value.
 
 A helper that is deleted can leave its imports behind, and a caller that is
 deleted can leave its helper or constant behind; nothing else fails when
@@ -16,7 +17,9 @@ costs its generated methods at import; a record that needs no
 a ``NamedTuple``, which keeps methods, properties and classmethods.
 Perfbench's tracer wraps a layer function where a module's globals bind it,
 so a row that held ``core_limit`` itself would call the unwrapped function
-and the layer's spans would read 0 with nothing failing.
+and the layer's spans would read 0 with nothing failing.  Two ``*_BLOCK``
+or ``*_CHUNK`` constants of one value in one module are one block size under
+two names, a fork no measurement tells apart.
 """
 
 from __future__ import annotations
@@ -215,3 +218,33 @@ def test_foreign_callables_are_found():
 
 def test_experiment_rows_hold_only_experiments_functions():
     assert foreign_callables(EXPERIMENTS) == []
+
+
+def repeated_block_sizes(source: str) -> list[str]:
+    """Each module-level ``*_BLOCK`` or ``*_CHUNK`` constant that binds the
+    value of one bound before it in the same module."""
+    first, repeats = {}, []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) and node.value else [])
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id.endswith(("_BLOCK", "_CHUNK")):
+                value = eval(compile(ast.Expression(node.value), "<size>", "eval"), {})
+                if value in first:
+                    repeats.append(f"{t.id} = {first[value]}")
+                else:
+                    first[value] = t.id
+    return repeats
+
+
+def test_repeated_block_sizes_are_found():
+    source = ("_MARK_BLOCK = 1 << 16\n_HOOK_BLOCK = 1 << 17\n_PAIR_CHUNK = 65536\n"
+              "_CHUNK = 2 ** 16\nBLOCKS = 1 << 16\n_OFFSET_BLOCK: int = 1 << 16\n"
+              "def f():\n    _LOCAL_BLOCK = 1 << 16\n")
+    assert repeated_block_sizes(source) == ["_PAIR_CHUNK = _MARK_BLOCK", "_CHUNK = _MARK_BLOCK",
+                                            "_OFFSET_BLOCK = _MARK_BLOCK"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_binds_one_block_size_twice(path):
+    assert repeated_block_sizes(path.read_text()) == []
