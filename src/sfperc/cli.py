@@ -29,7 +29,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--C", type=float, help="weight scale constant")
     sub.add_argument("--n-grid", type=int, nargs="+", help="ascending graph sizes")
     sub.add_argument("--replicas", type=int, help="replicas per n")
-    sub.add_argument("--a", type=float, help="core level (core subcommand)")
+    sub.add_argument("--a", type=float, help="core level (core and theory)")
     sub.add_argument("--T", type=float, help="rescaled time horizon")
     sub.add_argument("--lambda-kind", choices=LAMBDA_RULE_KINDS)
     sub.add_argument("--lambda-value", type=float, help="lambda rule value/exponent")

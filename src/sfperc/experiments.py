@@ -126,6 +126,8 @@ class ExperimentConfig:
             if not (is_number(self.T) and self.T > 0.0):
                 raise ConfigError(f"T must be finite and > 0, got {self.T!r}")
             object.__setattr__(self, "T", float(self.T))
+        if self.a != 1.0 and self.experiment not in ("theory_tables", "one_neighborhood"):
+            raise ConfigError(f"a is a core level, and {self.experiment} reads no core")
         if not 1 <= self.replicas < 2**64:  # seeds key a replica in 64 bits
             raise ConfigError(f"replicas must lie in [1, 2**64), got {self.replicas}")
         if not self.n_grid:

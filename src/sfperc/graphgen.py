@@ -251,13 +251,15 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
     One uniform U per pair decides both sides: the collapsed simple edge is
     kept iff U <= pi, and the pair keeps at least one multigraph copy iff
     U <= 1 - (1-pi)^k.  The kept-copy count, given >= 1, follows the
-    conditional Binomial(k, pi) law.  Since pi <= 1 - (1-pi)^k, every kept
-    simple edge is also open in the multigraph, which is asserted on exit.
+    conditional Binomial(k, pi) law.  Since pi <= 1 - (1-pi)^k, and a pair
+    with k = 1 compares U with pi itself, every kept simple edge is also open
+    in the multigraph, which is asserted on exit.
     """
     _check_pi(pi)
     k = g.mult
     u = rng.random(g.src.size)
-    multi_keep = u <= _any_copy_kept(k, pi)
+    with np.errstate(divide="ignore"):  # pi = 1: log1p(-1) = -inf, so every pair is kept
+        multi_keep = u <= np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
     simple_keep = (u <= pi) & (g.src != g.dst)
 
     counts = np.zeros(g.src.size, dtype=np.int64)
@@ -390,21 +392,6 @@ def _simple_kept(c: np.ndarray, lam: np.ndarray, pi: float) -> np.ndarray:
         k += 1.0
         term *= lam / k
     return pi * (num / den)
-
-
-def _any_copy_kept(k: np.ndarray, pi: float) -> np.ndarray:
-    """P(at least one of k copies survives pi-percolation) = 1 - (1-pi)^k.
-
-    The k == 1 case is pi bit-for-bit, so a simple edge kept iff U <= pi can
-    never leak outside the multigraph event U <= 1 - (1-pi)^k.  Only the
-    k != 1 entries, rare in the percolated graph, are computed.
-    """
-    if pi >= 1.0:
-        return np.ones(k.size)
-    p = np.full(k.size, pi)
-    many = np.flatnonzero(k != 1)
-    p[many] = -np.expm1(k[many] * np.log1p(-pi))
-    return p
 
 
 def _check_pi(pi: float) -> None:

@@ -40,7 +40,7 @@ def is_number(value, kind=numbers.Real) -> bool:
 
 
 class ModelParams(NamedTuple):
-    """Primitive parameters (tau, C, n) plus the constants derived from them.
+    """Primitive parameters (tau, n) plus the constants derived from tau and C.
 
     alpha = 1/(tau-1) is the weight decay exponent, eta and eta_s are the
     percolation exponents for the multigraph and simple-graph windows, c_F is
@@ -49,7 +49,6 @@ class ModelParams(NamedTuple):
     """
 
     tau: float
-    C: float
     n: int
     alpha: float
     eta: float
@@ -87,7 +86,7 @@ def model_params(tau: float, C: float, n: int) -> ModelParams:
         raise DomainError(f"n must be an integer in [1, {_MAX_N}], so that int64 pair keys"
                           f" hold, got n={n!r}")
     constants = derive_constants(tau, C)
-    return ModelParams(tau=float(tau), C=float(C), n=int(n), **constants)
+    return ModelParams(tau=float(tau), n=int(n), **constants)
 
 
 # Ids summed exactly into ell_n; past them the sum is closed in O(1).

@@ -31,16 +31,15 @@ class TheoryConstants(NamedTuple):
                    limit of |C_(1)| / beta_n
     rho_star_inf = Gamma(3-tau)**(1/(3-tau)) * c_F_bar**((tau-2)/(3-tau)),
                    the limit of a**(1-alpha) * rho_star_a
-    c_F_bar      = c_F**2 / (mu * (1-alpha)); algebraically equal to c_F
     """
 
     kappa: float
     zeta: float
     rho_star_inf: float
-    c_F_bar: float
 
 
 def c_F_bar(params: ModelParams) -> float:
+    """c_F_bar = c_F**2 / (mu * (1-alpha)); algebraically equal to c_F."""
     return params.c_F**2 / (params.mu * (1.0 - params.alpha))
 
 
@@ -64,7 +63,7 @@ def compute_constants(params: ModelParams) -> TheoryConstants:
     )
     if abs(zeta - zeta_alt) > 1e-10 * max(zeta, zeta_alt):
         raise NumericalFailureError(f"zeta closed forms disagree: {zeta!r} vs {zeta_alt!r}")
-    return TheoryConstants(kappa=kappa, zeta=zeta, rho_star_inf=rho_star_inf, c_F_bar=cbar)
+    return TheoryConstants(kappa=kappa, zeta=zeta, rho_star_inf=rho_star_inf)
 
 
 def limit_curve_z(t, params: ModelParams, constants: TheoryConstants):

@@ -128,6 +128,11 @@ _HUGE = 10**400
     ("core", {"experiment": "one_neighborhood", "n_grid": [100000]}, ["--T", "5"],
      "runs no walk"),
     ("theory", {"experiment": "theory_tables", "T": 5.0}, [], "runs no walk"),
+    ("giant", {"experiment": "multi_giant"}, ["--a", "5"], "reads no core"),
+    ("single-vs-multi", {"experiment": "single_vs_multi"}, ["--a", "5"], "reads no core"),
+    ("explore", {}, ["--a", "5"], "reads no core"),
+    ("residual", {"experiment": "residual_components"}, ["--a", "5"], "reads no core"),
+    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--a", "5"], "reads no core"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -140,7 +145,8 @@ _HUGE = 10**400
         "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual",
         "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
         "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
-        "theory-T-config"])
+        "theory-T-config", "giant-a", "single-vs-multi-a", "explore-a", "residual-a",
+        "repeat-fraction-a"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):

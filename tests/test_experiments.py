@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from sfperc.components import core_report
 from sfperc.errors import ConfigError, DomainError, SfpercError
 from sfperc.experiments import (
+    EXPERIMENTS,
     RESULT_VERSION,
     ExperimentConfig,
     _build_context,
@@ -188,15 +190,25 @@ def test_config_stores_numpy_integers_as_int():
 def test_config_stores_numpy_floats_as_float(tmp_path):
     # a numpy float passes the number check but is no JSON number
     out = tmp_path / "report.json"
-    from_numpy = small_walk(tau=np.float32(2.5), C=np.float32(1.0), a=np.float64(2.0),
-                            T=np.float32(2.0), output_path=str(out))
-    plain = small_walk(tau=2.5, C=1.0, a=2.0, T=2.0, output_path=str(out))
-    assert all(type(getattr(from_numpy, name)) is float for name in ("tau", "C", "a", "T"))
+    from_numpy = small_walk(tau=np.float32(2.5), C=np.float32(1.0), T=np.float32(2.0),
+                            output_path=str(out))
+    plain = small_walk(tau=2.5, C=1.0, T=2.0, output_path=str(out))
+    assert all(type(getattr(from_numpy, name)) is float for name in ("tau", "C", "T"))
     assert from_numpy == plain
     assert run(from_numpy).to_json() == out.read_text() == run(plain).to_json()
     # an int is stored as a float too, so it serializes as one
-    ints = small_walk(a=1, T=2)
-    assert type(ints.a) is float and type(ints.T) is float
+    assert type(small_walk(T=2).T) is float
+
+
+def test_config_stores_a_numpy_float_as_float(tmp_path):
+    # the same storage for a, on the theory tables, a row that reads it
+    out = tmp_path / "report.json"
+    tables = dict(experiment="theory_tables", n_grid=(1000,), replicas=1, output_path=str(out))
+    from_numpy = ExperimentConfig(**tables, a=np.float64(2.0))
+    plain = ExperimentConfig(**tables, a=2.0)
+    assert type(from_numpy.a) is float and from_numpy == plain
+    assert run(from_numpy).to_json() == out.read_text() == run(plain).to_json()
+    assert type(ExperimentConfig(**tables, a=2).a) is float
 
 
 @pytest.mark.parametrize("path", ["", "newdir/", "newdir/.", ".", ".."])
@@ -535,6 +547,72 @@ def test_T_fails_closed_where_no_walk_reads_it(monkeypatch):
                                         "T": 5.0})
     for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
         assert ExperimentConfig(kind, n_grid=(1000,), T=5.0).T == 5.0
+
+
+def test_a_fails_closed_where_no_core_reads_it(monkeypatch):
+    # every report writes a, so its default is accepted on every row
+    for kind in EXPERIMENTS:
+        config = ExperimentConfig(kind, a=1.0)
+        assert config.a == 1.0 and ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    # only the core experiment and the theory tables read the core level
+    for kind in ("exploration_limit", "multi_giant", "single_vs_multi", "residual_components",
+                 "repeat_fraction"):
+        for a in (2.0, 5.0, 1e308):
+            with pytest.raises(ConfigError, match="reads no core"):
+                ExperimentConfig(kind, n_grid=(1000,), a=a)
+        with pytest.raises(ConfigError, match="reads no core"):
+            ExperimentConfig.from_dict({**ExperimentConfig(kind, n_grid=(1000,)).to_dict(),
+                                        "a": 5.0})
+        # the type check runs first, so a mistyped a keeps its message
+        with pytest.raises(ConfigError, match="a must be a finite number"):
+            ExperimentConfig(kind, n_grid=(1000,), a="x")
+    for kind in ("theory_tables", "one_neighborhood"):
+        assert ExperimentConfig(kind, n_grid=(10**5,), a=2.0).a == 2.0
+
+
+# One valid value off the audit's base for each config field but experiment,
+# output_path and output_format.  A field added later needs an entry here.
+_OFF_BASE = {
+    "tau": lambda config: 2.4,
+    "C": lambda config: 1.5,
+    "n_grid": lambda config: tuple(2 * n for n in config.n_grid),
+    "lambda_rule": lambda config: LambdaRule(config.lambda_rule.kind,
+                                             1.1 * config.lambda_rule.value),
+    "a": lambda config: 2.0,
+    "T": lambda config: 2.0,
+    "replicas": lambda config: 2,
+    "master_seed": lambda config: 2,
+}
+
+
+def _report_body(config: ExperimentConfig) -> str:
+    result = run(config)
+    return json.dumps([result.records, result.aggregates, result.theory], sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_every_config_field_is_read_or_refused(kind):
+    # a value a row accepts must change its records, aggregates or theory
+    # block, or the report would say it was made with a value nothing read
+    assert set(_OFF_BASE) == {f.name for f in fields(ExperimentConfig)} - {
+        "experiment", "output_path", "output_format"}
+    n = {"theory_tables": 10**4, "one_neighborhood": 10**5}.get(kind, 2000)
+    base = ExperimentConfig(kind, n_grid=(n,), replicas=1)
+    body = _report_body(base)
+    ignored = []
+    for name, off in _OFF_BASE.items():
+        try:
+            config = replace(base, **{name: off(base)})
+        except ConfigError:
+            continue
+        if _report_body(config) == body:
+            ignored.append(name)
+    assert ignored == [], f"{kind} accepts and ignores {ignored}"
 
 
 def test_limit_grid_built_once_per_n(monkeypatch):

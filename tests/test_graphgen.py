@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -18,7 +19,6 @@ from sfperc.graphgen import (
     MultiGraph,
     SimpleGraph,
     _aggregate_pairs,
-    _any_copy_kept,
     _simple_kept,
     draw_marks,
     percolate_coupled,
@@ -279,11 +279,36 @@ def test_simple_degrees_match_bincount():
     assert degrees(SimpleGraph(n=3, src=src[:0], dst=dst[:0])).tolist() == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("pi", [1e-4, 0.01, 0.316, 0.5, 0.99])
-def test_any_copy_kept_matches_where_form(pi):
-    k = np.random.default_rng(16).integers(1, 61, size=1_000_000)
-    expected = np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
-    assert _any_copy_kept(k, pi).tobytes() == expected.tobytes()
+# sha256 of percolate_coupled's two graphs on ``_multiplicity_grid()`` at seed
+# 17, recorded from a version that evaluated 1 - (1-pi)^k only where k != 1,
+# so evaluating it for every pair keeps every bit.
+_COUPLED_DIGESTS = {
+    1e-4: "b3ae612429dfa89f0d9dfb622488da08e45c95ff5f0fe41f03b75de4f19e4706",
+    0.01: "88c3d87ef0e75daaef10690ddb0e7969baafab7a64e1ca5abca2ea0fc06d11b8",
+    0.316: "0b497dc59c3e428429b38c4acb090a05c493a6e7b7c3cf8be20198950fb67787",
+    0.5: "d9a5f361b69e51e356999c3370d45efa8455afc802769824307ff3068e82ef0d",
+    0.99: "440ddd7bb6ff701e8c39c21761fbf39008a9d328a7676b938ec0beca097a6ed5",
+}
+
+
+def _multiplicity_grid() -> MultiGraph:
+    """Every pair i <= j of 200 vertices, half with multiplicity 1 and half
+    with one drawn from 2..60."""
+    rng = np.random.default_rng(16)
+    i, j = np.triu_indices(200)
+    k = np.where(rng.random(i.size) < 0.5, 1, rng.integers(2, 61, size=i.size))
+    return MultiGraph(200, (i + 1).astype(np.int32), (j + 1).astype(np.int32), k)
+
+
+@pytest.mark.parametrize("pi", list(_COUPLED_DIGESTS))
+def test_percolate_coupled_matches_recorded_digests(pi):
+    g = _multiplicity_grid()
+    g.validate()
+    gm, gs = percolate_coupled(g, pi, np.random.default_rng(17))
+    digest = hashlib.sha256()
+    for col in (gm.src, gm.dst, gm.mult, gs.src, gs.dst):
+        digest.update(col.tobytes())
+    assert digest.hexdigest() == _COUPLED_DIGESTS[pi]
 
 
 # --------------------------------------------------------------------------

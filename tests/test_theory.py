@@ -47,7 +47,7 @@ def test_reference_constants():
     assert c.kappa == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert c.zeta == pytest.approx(3.0 * math.pi, rel=1e-12)
     assert c.rho_star_inf == pytest.approx(math.pi, rel=1e-9)
-    assert c.c_F_bar == pytest.approx(1.0, rel=1e-12)
+    assert th.c_F_bar(P) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_size_biased_scale_identity():
