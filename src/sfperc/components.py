@@ -7,13 +7,15 @@ are fewer than n / 10, an (n + 1)-length mask otherwise.  A sparse graph's
 ids are ranked through an (n + 1)-length map, 4 bytes per id; a dense
 graph's through its mask's bytes, reused as each id's offset among the
 touched ids of its 256-id block, plus one count per block (a rank
-directory after Jacobson, 1989), 1 byte per id.  Ranked in increasing
-order, they end as a forest in which every rank points at its component's
-smallest rank, the component's smallest id.  Hooking makes
-every rank point at or below itself, so pointer jumping settles the ranks
-in cache-sized blocks, in rank order, each block jumping only within itself
-once the blocks before it are final; edges go in blocks too, so labeling
-holds its ranks, the edges on them and a few blocks.  Every other id is
+directory after Jacobson, 1989), 1 byte per id, which ranks each block of
+edges as it is read, so no ranked copy of a dense graph's edges is held.
+Ranked in increasing order, the ids end as a forest in which every rank
+points at its component's smallest rank, the component's smallest id.
+Hooking makes every rank point at or below itself, so pointer jumping
+settles the ranks in cache-sized blocks, in rank order, each block jumping
+only within itself once the blocks before it are final; edges go in blocks
+too, so labeling holds its ids, its ranks, a sparse graph's edges on them
+or a dense graph's table, and a few blocks.  Every other id is
 a singleton, so sizes and the giant come from the touched ranks alone, and
 a sparse graph is labeled with no pass over all n ids.  The giant is the
 largest component, with ties broken by smallest contained vertex id, so
@@ -33,9 +35,14 @@ from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 _SPARSE = 10  # below n / _SPARSE edges, sorting beats scanning a mask for touched ids
 _OFFSET_BITS = 8  # a dense ranking counts touched ids in blocks of 2**8, so offsets fit a byte
-# A dense ranking's scatter and gathers copy 2**14 ids to intp at a time:
-# 128 KiB, against 1 MiB in _HOOK_BLOCK steps, and no slower.
+# Scatters and gathers copy 2**14 ids to intp at a time: 128 KiB, against
+# 1 MiB in _HOOK_BLOCK steps, and no slower.
 _OFFSET_BLOCK = 1 << 14
+# A dense ranking's edges are ranked and hooked 2**15 at a time, through
+# reused buffers: as fast as ranked edges held whole at n = 1e6, where
+# 2**14-edge blocks with fresh temporaries took 8-9% longer and 2**17-edge
+# blocks hold 1.2 MiB more at a core-1e6 replica's peak.
+_EDGE_BLOCK = 1 << 15
 
 
 class ComponentSummary(NamedTuple):
@@ -64,19 +71,24 @@ class ComponentSummary(NamedTuple):
         return self.ids[self.root == self.giant_root]
 
 
-def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ids in 0..n an edge touches, in increasing order, and the edges on
-    their ranks, all in ``id_dtype(n)``.
+def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The ids in 0..n an edge touches, in increasing order and in
+    ``id_dtype(n)``, and the edges with the table that ranks them, as
+    (ids, src, dst, table).
 
-    A sparse graph sorts its endpoints to list the ids and ranks them through
-    an (n + 1)-length map.  A dense one lists them from an (n + 1)-length
-    mask, and the mask's bytes then become an offset table: an id's byte
-    holds the number of touched ids below it in its 256-id block, at most
-    255, and ``base`` holds the number below each block, so rank(id)
-    = base[id >> 8] + off[id] at one byte per id instead of the map's four.
-    An int32 column is copied to intp a block at a time, never whole:
-    ``_HOOK_BLOCK`` ids for the mask and the map, ``_OFFSET_BLOCK`` for the
-    tables.
+    A sparse graph sorts its endpoints to list the ids and ranks its edges
+    through an (n + 1)-length map, which it frees: its edges come back as
+    ranks, and the table is None.  A dense one lists the ids from an
+    (n + 1)-length mask, and the mask's bytes then become an offset table:
+    an id's byte holds the number of touched ids below it in its 256-id
+    block, at most 255, and ``base`` holds the number below each block, so
+    rank(id) = base[id >> 8] + off[id] at one byte per id instead of the
+    map's four.  Its edges come back as given, with the table (base, off),
+    and each pass over them ranks them a block at a time (``_edge_blocks``),
+    so no ranked copy of the edges is held.  An int32 column is copied to
+    intp a block at a time, never whole: ``_HOOK_BLOCK`` ids to fill the
+    map, ``_OFFSET_BLOCK`` otherwise.
     """
     dtype = id_dtype(n)
     if _SPARSE * src.size < n:
@@ -92,68 +104,100 @@ def _rank(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndar
         rank = np.empty(n + 1, dtype=dtype)
         for r in range(0, ids.size, _HOOK_BLOCK):
             rank[ids[r:r + _HOOK_BLOCK]] = np.arange(r, min(r + _HOOK_BLOCK, ids.size), dtype=dtype)
-        return ids, _gather(rank, src), _gather(rank, dst)
+        return ids, _gather(rank, src), _gather(rank, dst), None
     touched = np.zeros(n + 1, dtype=bool)
-    for e in range(0, src.size, _HOOK_BLOCK):
+    for e in range(0, src.size, _OFFSET_BLOCK):
         for col in (src, dst):
-            touched[col[e:e + _HOOK_BLOCK].astype(np.intp, copy=False)] = True
-    ids = np.flatnonzero(touched).astype(dtype, copy=False)
+            touched[col[e:e + _OFFSET_BLOCK].astype(np.intp, copy=False)] = True
+    # listed a block of the mask at a time, so no intp copy of the ids forms
+    ids, r = np.empty(np.count_nonzero(touched), dtype=dtype), 0
+    for b in range(0, n + 1, _OFFSET_BLOCK):
+        block = np.flatnonzero(touched[b:b + _OFFSET_BLOCK])
+        block += b
+        ids[r:r + block.size] = block
+        r += block.size
     # Only touched bytes of the table are ever read, so the mask's are reused.
     off = touched.view(np.uint8)
     base = np.searchsorted(ids, np.arange(0, n + 1, 1 << _OFFSET_BITS, dtype=dtype)).astype(dtype)
     for r in range(0, ids.size, _OFFSET_BLOCK):
         block = ids[r:r + _OFFSET_BLOCK].astype(np.intp, copy=False)
         off[block] = np.arange(r, r + block.size, dtype=dtype) - base.take(block >> _OFFSET_BITS)
-    return ids, _offset_rank(base, off, src), _offset_rank(base, off, dst)
+    return ids, src, dst, (base, off)
 
 
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[index], gathered one ``_HOOK_BLOCK`` of the index at a time.
+    """table[index], gathered one ``_OFFSET_BLOCK`` of the index at a time,
+    so an int32 index is copied to intp 128 KiB at a time.
 
     Mode "wrap" spares ``take`` the copy of each output block that mode
     "raise" makes, and gathers the same on indices in [-table.size,
     table.size), as every caller's are.
     """
     out = np.empty(index.size, dtype=table.dtype)
-    for e in range(0, index.size, _HOOK_BLOCK):
-        table.take(index[e:e + _HOOK_BLOCK], out=out[e:e + _HOOK_BLOCK], mode="wrap")
-    return out
-
-
-def _offset_rank(base: np.ndarray, off: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """base[index >> _OFFSET_BITS] + off[index], gathered one ``_OFFSET_BLOCK``
-    of the index at a time."""
-    out = np.empty(index.size, dtype=base.dtype)
     for e in range(0, index.size, _OFFSET_BLOCK):
-        block = index[e:e + _OFFSET_BLOCK].astype(np.intp, copy=False)
-        np.add(base.take(block >> _OFFSET_BITS), off.take(block), out=out[e:e + _OFFSET_BLOCK])
+        table.take(index[e:e + _OFFSET_BLOCK], out=out[e:e + _OFFSET_BLOCK], mode="wrap")
     return out
 
 
-def _hook(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _edge_blocks(src: np.ndarray, dst: np.ndarray,
+                 table: tuple[np.ndarray, np.ndarray] | None):
+    """The edges as ranks, a block of (src, dst) at a time: ``_HOOK_BLOCK``
+    edges as given with no table, else ``_EDGE_BLOCK`` edges ranked through
+    a dense ranking's table, rank(id) = base[id >> _OFFSET_BITS] + off[id],
+    ``_OFFSET_BLOCK`` ids at a time.  The ranked blocks and the scratch
+    they are ranked through are reused from block to block, so a caller
+    is done with a block before it asks for the next.
+    """
+    if table is None:
+        for e in range(0, src.size, _HOOK_BLOCK):
+            yield src[e:e + _HOOK_BLOCK], dst[e:e + _HOOK_BLOCK]
+        return
+    base, off = table
+    m = min(src.size, _OFFSET_BLOCK)
+    index, low = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.uint8)
+    s, d = (np.empty(min(src.size, _EDGE_BLOCK), dtype=base.dtype) for _ in range(2))
+    for e in range(0, src.size, _EDGE_BLOCK):
+        size = min(_EDGE_BLOCK, src.size - e)
+        for col, ranks in ((src, s), (dst, d)):
+            for f in range(0, size, _OFFSET_BLOCK):
+                k = min(_OFFSET_BLOCK, size - f)
+                out, ids = ranks[f:f + k], index[:k]
+                ids[...] = col[e + f:e + f + k]
+                off.take(ids, out=low[:k], mode="wrap")
+                ids >>= _OFFSET_BITS
+                base.take(ids, out=out, mode="wrap")
+                out += low[:k]
+        yield s[:size], d[:size]
+
+
+def _hook(k: int, src: np.ndarray, dst: np.ndarray,
+          table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Each of ranks 0..k-1's root rank, the smallest in its component.
 
-    A round hooks the larger endpoint of every edge onto the smaller, so
+    The edges are ranks, or ids that ``table`` ranks (see ``_rank``).  A
+    round hooks the larger endpoint of every edge onto the smaller, so
     that sub[r] <= r, and pointer-jumps until every rank points at a root;
     from the identity forest that needs no gathers and no filter.  The
     roots the still-live edges join are then ranked and hooked alike, so
     later rounds skip every settled rank.  Two rounds at least halve those
     roots, so the recursion is O(log k) deep.  Parallel edges and loops
-    need no special case.  Edges and ranks go in blocks of ``_HOOK_BLOCK``,
-    so no temporary grows with the graph.
+    need no special case.  Ranks go in blocks of ``_HOOK_BLOCK`` and edges
+    as ``_edge_blocks`` hands them out, the same blocks in both passes over
+    them, so no temporary grows with the graph.
     """
-    sub = np.arange(k, dtype=src.dtype)
-    for e in range(0, src.size, _HOOK_BLOCK):
-        s, d = src[e:e + _HOOK_BLOCK], dst[e:e + _HOOK_BLOCK]
+    sub = np.arange(k, dtype=src.dtype if table is None else table[0].dtype)
+    for s, d in _edge_blocks(src, dst, table):
         np.minimum.at(sub, np.maximum(s, d), np.minimum(s, d))
+    s = d = None  # a dense ranking's last block, not held through the recursion
     sub = _jump(sub)
-    lo, hi = _live_ends(sub, src, dst)
+    lo, hi = _live_ends(sub, src, dst, table)
     if lo.size:
-        roots, src, dst = _rank(k - 1, lo, hi)
-        del lo, hi  # not held through the later rounds
+        roots, *edges = _rank(k - 1, lo, hi)
+        del lo, hi  # held on only as a dense ranking's edges
         # A joined root points at its group's smallest root, itself a root,
         # so one jump settles every rank.
-        sub[roots] = roots.take(_hook(roots.size, src, dst))
+        sub[roots] = roots.take(_hook(roots.size, *edges))
+        del roots, edges  # not held through the jump
         sub = _jump(sub, settle=False)
     return sub
 
@@ -172,19 +216,22 @@ def _jump(sub: np.ndarray, settle: bool = True) -> np.ndarray:
     """
     for r in range(0, sub.size, _HOOK_BLOCK):
         block = sub[r:r + _HOOK_BLOCK]
-        jumped = sub.take(block)
+        jumped = _gather(sub, block)
         while settle and not np.array_equal(jumped, block):
             block[...] = jumped
-            jumped = sub.take(block)
+            del jumped  # not held beside the next gather
+            jumped = _gather(sub, block)
         block[...] = jumped
     return sub
 
 
-def _live_ends(sub: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """The root pairs (sub[src], sub[dst]) of the edges whose roots differ."""
-    ends = []
-    for e in range(0, max(src.size, 1), _HOOK_BLOCK):  # one block at least, if empty
-        a, b = sub.take(src[e:e + _HOOK_BLOCK]), sub.take(dst[e:e + _HOOK_BLOCK])
+def _live_ends(sub: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               table: tuple[np.ndarray, np.ndarray] | None):
+    """The root pairs (sub[src], sub[dst]) of the edges whose roots differ,
+    the edges ranked through ``table`` if one is given."""
+    ends = [(sub[:0], sub[:0])]  # one pair at least, if no edge is given
+    for s, d in _edge_blocks(src, dst, table):
+        a, b = _gather(sub, s), _gather(sub, d)
         live = a != b
         # np.compress is ~4x faster than a boolean index on these masks
         ends.append((np.compress(live, a), np.compress(live, b)))
@@ -196,12 +243,13 @@ def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     # Loops join nothing; dropping them first keeps the hooking rounds small.
     # A simple graph has none, so it is ranked without copies.
     live = slice(None) if isinstance(g, SimpleGraph) else g.src != g.dst
-    ids, src, dst = _rank(g.n, g.src[live], g.dst[live])
-    root = _hook(ids.size, src, dst)
-    del src, dst
-    # np.bincount(root) would first copy root to intp; add.at does not
-    counts = np.zeros(int(root.max(initial=-1)) + 1, dtype=np.int64)
-    np.add.at(counts, root, 1)
+    ids, *edges = _rank(g.n, g.src[live], g.dst[live])
+    root = _hook(ids.size, *edges)
+    del edges
+    # np.bincount(root) would first copy root to intp; add.at does not.  A
+    # typed increment keeps add.at on its fast path for int32 counts.
+    counts = np.zeros(int(root.max(initial=-1)) + 1, dtype=root.dtype)
+    np.add.at(counts, root, root.dtype.type(1))
     if int(counts.sum()) != ids.size:
         raise AssertionError("component sizes do not partition the vertex set")
     # every rank points at a root exactly when each counted rank is its own root

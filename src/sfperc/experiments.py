@@ -140,6 +140,9 @@ class ExperimentConfig:
             check_output_path(self.output_path)
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
+        if self.output_format != "json" and self.output_path is None:
+            raise ConfigError(f"output_format {self.output_format!r} is a report's format,"
+                              f" and no output_path is given to write one")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
         if self.experiment == "theory_tables" and not (self.a > max(_THEORY_EPS_GRID)):

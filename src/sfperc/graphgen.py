@@ -49,7 +49,9 @@ class MultiGraph(NamedTuple):
 
     ``src[k] <= dst[k]`` for every k, pairs are unique and lexicographically
     sorted, multiplicities are >= 1.  Self-loops keep src == dst.  The
-    samplers give the endpoints ``id_dtype(n)`` and the multiplicities int64.
+    samplers give the endpoints ``id_dtype(n)`` and the multiplicities
+    ``id_dtype(slots)``, as none exceeds the slot count: 12 B per pair below
+    2**31 - 1 ids and slots.
     """
 
     n: int
@@ -176,7 +178,8 @@ def _zipf(n: int, alpha: float, size: int, rng) -> np.ndarray:
 
 def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     """Canonicalize int64 endpoint arrays on ids 1..n into sorted unique
-    (src, dst, mult), the endpoints in ``id_dtype(n)``.
+    (src, dst, mult), the endpoints in ``id_dtype(n)`` and the
+    multiplicities in ``id_dtype`` of the slot count.
 
     Both arrays are consumed: the pair keys are built in ``a`` and sorted
     there.  A caller that keeps no name for them lets ``b`` go before the
@@ -195,9 +198,11 @@ def _aggregate_pairs(n: int, a: np.ndarray, b: np.ndarray):
     np.bitwise_and(key, 0xFFFFFFFF, out=dst, casting="unsafe")
     del key
     src, dst = np.delete(src, repeat + 1), np.delete(dst, repeat + 1)
-    mult = np.ones(src.size, dtype=np.int64)
+    # A multiplicity is at most the slot count, the pairs plus the repeats;
+    # a typed increment keeps add.at off its slow path into int32.
+    mult = np.ones(src.size, dtype=id_dtype(src.size + repeat.size))
     # t dropped slots precede slot repeat[t] + 1, so its pair is the one at repeat[t] - t
-    np.add.at(mult, repeat - np.arange(repeat.size), 1)
+    np.add.at(mult, repeat - np.arange(repeat.size), mult.dtype.type(1))
     return src, dst, mult
 
 
@@ -262,7 +267,7 @@ def percolate_coupled(g: MultiGraph, pi: float, rng) -> tuple[MultiGraph, Simple
         multi_keep = u <= np.where(k == 1, pi, -np.expm1(k * np.log1p(-pi)))
     simple_keep = (u <= pi) & (g.src != g.dst)
 
-    counts = np.zeros(g.src.size, dtype=np.int64)
+    counts = np.zeros(g.src.size, dtype=k.dtype)
     counts[multi_keep & (k == 1)] = 1
     # Pairs with k >= 2 are rare; conditional binomial via rejection.
     for idx in np.nonzero(multi_keep & (k >= 2))[0]:

@@ -133,6 +133,8 @@ _HUGE = 10**400
     ("explore", {}, ["--a", "5"], "reads no core"),
     ("residual", {"experiment": "residual_components"}, ["--a", "5"], "reads no core"),
     ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--a", "5"], "reads no core"),
+    ("giant", {"experiment": "multi_giant"}, ["--format", "csv"], "no output_path"),
+    ("explore", {"output_format": "csv"}, [], "no output_path"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -146,7 +148,7 @@ _HUGE = 10**400
         "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
         "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
         "theory-T-config", "giant-a", "single-vs-multi-a", "explore-a", "residual-a",
-        "repeat-fraction-a"])
+        "repeat-fraction-a", "format-without-out-flag", "format-without-out-config"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):

@@ -266,9 +266,9 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
     import sfperc.components as components
     hook, rank, ranks, ranked = components._hook, components._rank, [], []
 
-    def counted(k, src, dst):
+    def counted(k, src, dst, table=None):
         ranks.append(k)
-        return hook(k, src, dst)
+        return hook(k, src, dst, table)
 
     def listed(n, src, dst):
         ranked.append((n, src.size))
@@ -298,8 +298,9 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
 
 
 def test_blocked_root_resolution_matches_one_block(monkeypatch):
-    # in blocks of 5 ranks and edges, hooking, settling and the jump after
-    # each recursion give the forest, ids and counts of one block, and the
+    # in blocks of 5 ranks and edges (a dense ranking's edges in blocks of
+    # 7, ranked 3 ids at a time), hooking, settling and the jump after each
+    # recursion give the forest, ids and counts of one block, and the
     # summaries still match BFS: on the ranking-path graphs, the edge cases,
     # random multigraphs, a path whose ids descend across 12 blocks (every
     # rank hooks onto the one below it) and a star centred on the last rank
@@ -322,6 +323,9 @@ def test_blocked_root_resolution_matches_one_block(monkeypatch):
               for n, src, dst in cases]
     whole = [component_sizes(g) for g in graphs]
     monkeypatch.setattr(components, "_HOOK_BLOCK", 5)
+    # a dense ranking's edges in blocks of 7, ranked 3 ids at a time
+    monkeypatch.setattr(components, "_EDGE_BLOCK", 7)
+    monkeypatch.setattr(components, "_OFFSET_BLOCK", 3)
     for g, want in zip(graphs, whole):
         got = component_sizes(g)
         for a, b in ((got.ids, want.ids), (got.root, want.root), (got.counts, want.counts)):
@@ -400,30 +404,45 @@ def test_ranking_paths_against_the_oracle():
     check_padded_summary(component_sizes(loops), loops)
 
 
+def ranked(edges, table):
+    """An edge column as the hooking passes read it, ranked through
+    ``table`` block by block, in one array."""
+    import sfperc.components as components
+    blocks = [s.copy() for s, _ in components._edge_blocks(edges, edges, table)]
+    return np.concatenate(blocks) if blocks else edges
+
+
 @pytest.mark.parametrize("n", [255, 256, 257])
 def test_offset_table_edge_cases(n, monkeypatch):
-    # a dense graph ranks through 256-id blocks; every ranking is checked
-    # against np.unique and searchsorted, and each graph against BFS: all
-    # of 0..n touched (block 0 full, offsets up to 255), a path through
-    # every id in random order (the block holding n), ids at 255, 256 and
-    # 257 beside 30 small pairs, and a star on n (its recursion is dense)
+    # a dense graph ranks through 256-id blocks; every ranking's edges, read
+    # through its table, are checked against np.unique and searchsorted, and
+    # each graph against BFS: all of 0..n touched (block 0 full, offsets up
+    # to 255), a path through every id in random order (the block holding
+    # n), ids at 255, 256 and 257 beside 30 small pairs, and a star on n
+    # (its recursion is dense)
     import sfperc.components as components
     rank, dense = components._rank, []
 
     def checked(k, src, dst):
-        ids, rank_src, rank_dst = rank(k, src, dst)
+        ids, edge_src, edge_dst, table = rank(k, src, dst)
         assert ids.tolist() == np.unique(np.concatenate([src, dst])).tolist()
-        assert rank_src.tolist() == np.searchsorted(ids, src).tolist()
-        assert rank_dst.tolist() == np.searchsorted(ids, dst).tolist()
-        if _SPARSE * src.size >= k:
+        for given, edge in ((src, edge_src), (dst, edge_dst)):
+            ranks = ranked(edge, table)
+            assert ranks.dtype == ids.dtype == id_dtype(k)
+            assert ranks.tolist() == np.searchsorted(ids, given).tolist()
+        # a dense ranking hands its edges back unranked, with its table
+        assert (table is not None) == (_SPARSE * src.size >= k)
+        if table is not None:
+            assert edge_src is src and edge_dst is dst
+            assert ranked(ids, table).tolist() == list(range(ids.size))
             dense.append((k, ids.tolist()))
-        return ids, rank_src, rank_dst
+        return ids, edge_src, edge_dst, table
 
     monkeypatch.setattr(components, "_rank", checked)
     for dtype in (np.int32, np.int64):
         every = np.arange(n + 1, dtype=dtype)
-        ids, rank_src, _ = components._rank(n, every, every[::-1])
-        assert ids.tolist() == rank_src.tolist() == list(range(n + 1))
+        ids, edge_src, _, table = components._rank(n, every, every[::-1])
+        assert ids.tolist() == ranked(edge_src, table).tolist() == list(range(n + 1))
     rng = np.random.default_rng(n)
     order = (rng.permutation(n) + 1).tolist()
     near = [i for i in (254, 255, 256, 257) if i <= n]
@@ -481,7 +500,7 @@ def test_component_partition_check_fires(monkeypatch):
     import sfperc.components as comp
 
     hook = comp._hook
-    monkeypatch.setattr(comp, "_hook", lambda k, src, dst: hook(k, src, dst)[:-1])
+    monkeypatch.setattr(comp, "_hook", lambda *edges: hook(*edges)[:-1])
     with pytest.raises(AssertionError, match="do not partition the vertex set"):
         component_sizes(simple_from_pairs(3, [(1, 2)]))
 
@@ -589,18 +608,23 @@ def test_merged_giant_size_at_the_largest_int32_n():
         assert merged_giant_size(base, g) == union_find_giant(base_edges + edges)
 
 
+def core_schedule_graph(n, seed=1):
+    """The coupled simple graph of a core-schedule replica at n."""
+    params = model_params(2.5, 1.0, n)
+    sch = make_schedule(params, "single", LambdaRule("constant", 10.0))
+    return sample_coupled_direct(build_weights(params), sch.pi_n, np.random.default_rng(seed))[1]
+
+
 def test_int32_labeling_peaks_no_higher_than_int64(monkeypatch):
     # int32 ids go to intp one block at a time, never a whole column: on a
     # core-schedule graph at n = 2e5, cut into 4k-id blocks so that it spans
     # many, labeling int32 ids peaks no higher than labeling int64 ids, whose
     # gathers copy nothing, give or take one block's intp copy.  Whole-column
-    # copies read 3.34 against 3.12 MiB; in blocks both read 2.97 MiB.
+    # copies read 3.34 against 3.12 MiB; in blocks both read 2.97 MiB, and
+    # 2.26 MiB with the edges ranked a block at a time.
     import sfperc.components as components
     monkeypatch.setattr(components, "_HOOK_BLOCK", 1 << 12)
-    params = model_params(2.5, 1.0, 200_000)
-    ws = build_weights(params)
-    sch = make_schedule(params, "single", LambdaRule("constant", 10.0))
-    g = sample_coupled_direct(ws, sch.pi_n, np.random.default_rng(1))[1]
+    g = core_schedule_graph(200_000)
     assert g.src.dtype == np.int32 and g.src.size > 16 * components._HOOK_BLOCK
     peaks = []
     for dtype in (np.int32, np.int64):
@@ -617,24 +641,46 @@ def test_int32_labeling_peaks_no_higher_than_int64(monkeypatch):
 
 def test_dense_ranking_holds_less_than_the_rank_map():
     # a dense graph is ranked through its mask's bytes and one count per
-    # 256-id block: on a core-schedule graph at n = 2e5, ranking allocates
-    # less beyond the ids and ranked edges it returns than the 4 (n + 1)
-    # bytes an int32 rank map takes alone (0.69 of them, against 2.31 with
-    # the map)
+    # 256-id block, and hands its edges back unranked: on a core-schedule
+    # graph at n = 2e5, ranking allocates less beyond the ids it returns,
+    # its table and temporaries included, than the 4 (n + 1) bytes an int32
+    # rank map takes alone (0.75 of them; 0.69 beyond the ids and ranked
+    # edges when it returned those, and 2.31 with the map)
     import sfperc.components as components
     n = 200_000
-    params = model_params(2.5, 1.0, n)
-    sch = make_schedule(params, "single", LambdaRule("constant", 10.0))
-    g = sample_coupled_direct(build_weights(params), sch.pi_n, np.random.default_rng(1))[1]
+    g = core_schedule_graph(n)
     assert _SPARSE * g.src.size >= n  # the dense branch
     components._rank(n, g.src, g.dst)  # numpy's one-time set-up
     tracemalloc.start()
     try:
-        out = components._rank(n, g.src, g.dst)
+        ids, src, dst, table = components._rank(n, g.src, g.dst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - sum(a.nbytes for a in out) < 4 * (n + 1)
+    assert src is g.src and dst is g.dst  # no ranked copy of the edges
+    assert peak - ids.nbytes < 4 * (n + 1)
+
+
+def test_dense_labeling_holds_no_ranked_edges():
+    # hooking and the live-ends pass rank a dense graph's edges block by
+    # block as they read them, and counts take the ranks' 4 bytes: labeling
+    # a core-schedule graph at n = 2e5 peaks at 11.9 B/vertex over the
+    # graph, against 20.8 when a ranked copy of the edges (8 B per pair,
+    # 5.6 B/vertex here), whole-block intp copies and int64 counts were
+    # held; a 4-byte rank table in place of the 1-byte one adds 3 B/vertex
+    import sfperc.components as components
+    n = 200_000
+    g = core_schedule_graph(n)
+    assert _SPARSE * g.src.size >= n  # the dense branch
+    component_sizes(g)  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        summary = component_sizes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.counts.dtype == summary.root.dtype == np.int32
+    assert peak / n <= 13.0
 
 
 # --------------------------------------------------------------------------

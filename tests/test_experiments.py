@@ -153,7 +153,7 @@ def test_walk_horizon_must_take_a_step():
 
 
 def test_config_dict_round_trip():
-    config = small_walk(T=2.0, output_format="csv")
+    config = small_walk(T=2.0, output_path="report.csv", output_format="csv")
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
@@ -615,6 +615,17 @@ def test_every_config_field_is_read_or_refused(kind):
     assert ignored == [], f"{kind} accepts and ignores {ignored}"
 
 
+def test_output_format_is_written_or_refused(tmp_path):
+    # the format is read only where a report is written, so a non-default
+    # one with no output path is refused rather than accepted and ignored
+    with pytest.raises(ConfigError, match="no output_path"):
+        small_config(output_format="csv")
+    out = tmp_path / "records.csv"
+    result = run(small_config(n_grid=(200,), replicas=2, output_path=str(out),
+                              output_format="csv"))
+    assert out.read_text().splitlines()[0] == ",".join(result.records[0].keys())
+
+
 def test_limit_grid_built_once_per_n(monkeypatch):
     import sfperc.experiments as xp
 
@@ -654,6 +665,26 @@ def test_walk_replica_memory_per_step():
     finally:
         tracemalloc.stop()
     assert peak / steps <= 44.0
+
+
+def test_core_replica_memory_per_vertex():
+    # One one_neighborhood replica at n = 2e5 peaks at 17.8 B/vertex, where
+    # the full graph's labeling (ids, ranks, counts and a 1 B/vertex offset
+    # table over the graph, its edges ranked a block at a time) sets it,
+    # just over the coupled sampler's 16.8.  Labeling through a ranked copy
+    # of the edges, with int64 counts and multiplicities, peaked at 26.7.
+    n = 200_000
+    config = ExperimentConfig("one_neighborhood", n_grid=(n,), replicas=1)
+    ctx = _build_context(config, n)
+    # the first generator in a process also imports numpy's seeding modules
+    _replica_record(config, ctx, 1, derive_seed(1, n, 1))
+    tracemalloc.start()
+    try:
+        _replica_record(config, ctx, 0, derive_seed(1, n, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 20.0
 
 
 def test_repeat_fraction_records_and_theory():

@@ -21,6 +21,7 @@ from sfperc.graphgen import (
     _aggregate_pairs,
     _simple_kept,
     draw_marks,
+    id_dtype,
     percolate_coupled,
     sample_coupled_direct,
     sample_mnr,
@@ -94,7 +95,8 @@ def test_aggregate_pairs_matches_counter():
         assert [((i, j), m) for i, j, m in zip(src.tolist(), dst.tolist(), mult.tolist())] \
             == expected
         assert src.dtype == dst.dtype == (np.int32 if n <= top else np.int64)
-        assert mult.dtype == np.int64
+        # a multiplicity is at most the slot count
+        assert mult.dtype == id_dtype(a.size) == np.int32
 
 
 def test_degrees_count_loops_twice():
@@ -746,10 +748,10 @@ def test_screen_forms_id_products_in_int64():
 
 def test_sample_coupled_direct_memory_per_pair():
     # on a core-schedule graph at n = 2e5 the sampler holds its three graphs
-    # (24 B per pair: int32 ids, int64 multiplicities) and little more: one
+    # (20 B per pair: int32 ids and multiplicities) and little more: one
     # mask, no per-pair rates or uniforms, no float temporaries beside the
-    # marks.  With int64 ids it read 41.3 B per pair, and 44.8 with those
-    # temporaries.
+    # marks.  It read 25.3 B per pair with int64 multiplicities, 41.3 with
+    # int64 ids, and 44.8 with those temporaries.
     params = model_params(2.5, 1.0, 200_000)
     ws = build_weights(params)
     pi = make_schedule(params, "single", LambdaRule("constant", 10.0)).pi_n
@@ -912,7 +914,7 @@ def test_simple_kept_stops_each_pair_at_its_window_on_core_graphs(monkeypatch):
 
 def test_sample_coupled_direct_memory_is_pair_bounded():
     # the coupled sampler's peak stays within a fixed number of bytes per
-    # pair of the percolated multigraph (the three graphs it returns hold 40)
+    # pair of the percolated multigraph (the three graphs it returns hold 20)
     ws = build_weights(model_params(2.5, 1.0, 200_000))
     tracemalloc.start()
     try:
