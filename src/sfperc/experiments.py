@@ -500,6 +500,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if not (is_number(threads, numbers.Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     contexts = {n: _build_context(config, n) for n in config.n_grid}
+    theory = _theory_block(config, contexts)  # draws nothing, so its failures come first
     jobs = [
         (n, r, derive_seed(config.master_seed, n, r))
         for n in config.n_grid
@@ -520,12 +521,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     else:
         records = [work(job) for job in jobs]
 
-    result = ExperimentResult(
-        config=config,
-        records=records,
-        aggregates=_aggregate(records),
-        theory=_theory_block(config, contexts),
-    )
+    result = ExperimentResult(config=config, records=records, aggregates=_aggregate(records),
+                              theory=theory)
     if config.output_path is not None:
         write_result(result, config.output_path, config.output_format)
     return result

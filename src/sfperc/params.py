@@ -17,13 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError
 
 MODES = ("multi", "single")
 LAMBDA_RULE_KINDS = ("constant", "power", "logpower")
-
-# Relative agreement required between equivalent closed forms of the same scale.
-_CROSS_CHECK_RTOL = 1e-12
 
 # Largest n whose pair keys i*(n+1) + j, at most (n+1)**2 - 1, fit in int64.
 _MAX_N = math.isqrt(2**63 - 1) - 1
@@ -201,7 +198,9 @@ class PercolationSchedule(NamedTuple):
     multi mode:  pi_n = lambda_n * n**-eta,   eta   = (3-tau)/(tau-1)
     single mode: pi_n = lambda_n * n**-eta_s, eta_s = (3-tau)/2
     beta_n = n * pi_n**(1/(3-tau)) is the component scale; in single mode
-    N_n = n * pi_n**((tau-1)/(3-tau)) is the core scale and is None otherwise.
+    N_n = n * pi_n**((tau-1)/(3-tau)) is the core scale, evaluated as
+    lambda_n**((tau-1)/(3-tau)) * n**((3-tau)/2), and is None otherwise.
+    Each scale is evaluated once; the tests check it against its other forms.
     """
 
     params: ModelParams
@@ -228,31 +227,11 @@ def make_schedule(params: ModelParams, mode: str, lambda_rule: LambdaRule) -> Pe
         raise DomainError(
             f"pi_n={pi_n:.6g} outside (0, 1) for n={n}, lambda_n={lam:.6g}, mode={mode}"
         )
-    beta_n = n * pi_n ** (1.0 / (3.0 - tau))
-    # Same scale written directly in terms of (n, lambda_n); both must agree.
-    beta_direct = float(n) ** (1.0 - exponent / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau))
-    _cross_check("beta_n", beta_n, beta_direct)
-
     N_n = None
     if mode == "single":
         N_n = lam ** ((tau - 1.0) / (3.0 - tau)) * float(n) ** ((3.0 - tau) / 2.0)
-        N_direct = n * pi_n ** ((tau - 1.0) / (3.0 - tau))
-        _cross_check("N_n", N_n, N_direct)
-    return PercolationSchedule(
-        params=params,
-        mode=mode,
-        lambda_n=lam,
-        pi_n=pi_n,
-        beta_n=beta_n,
-        N_n=N_n,
-    )
-
-
-def _cross_check(name: str, primary: float, alternate: float) -> None:
-    if abs(primary - alternate) > _CROSS_CHECK_RTOL * max(abs(primary), abs(alternate)):
-        raise NumericalFailureError(
-            f"{name} closed forms disagree: {primary!r} vs {alternate!r}"
-        )
+    return PercolationSchedule(params=params, mode=mode, lambda_n=lam, pi_n=pi_n,
+                               beta_n=n * pi_n ** (1.0 / (3.0 - tau)), N_n=N_n)
 
 
 def check_total_weight(pi: float, total: float) -> None:

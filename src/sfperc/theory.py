@@ -44,26 +44,22 @@ def c_F_bar(params: ModelParams) -> float:
 
 
 def compute_constants(params: ModelParams) -> TheoryConstants:
-    """Evaluate the limit constants, cross-checking equivalent closed forms."""
-    tau, cf, mu = params.tau, params.c_F, params.mu
+    """Evaluate the limit constants, one closed form each.
+
+    Raises DomainError where tau is so near 3 that a constant leaves float range.
+    """
+    tau = params.tau
     g = math.gamma(3.0 - tau)
-    kappa = cf ** (tau - 2.0) * g
-    cbar = c_F_bar(params)
-    if abs(cbar - cf) > 1e-10 * cf:
-        raise NumericalFailureError(f"c_F_bar={cbar!r} drifted from c_F={cf!r}")
-    rho_star_inf = g ** (1.0 / (3.0 - tau)) * cbar ** ((tau - 2.0) / (3.0 - tau))
-    zeta = mu * kappa ** (1.0 / (3.0 - tau))
-    # Independent route through the scaled survival probability.
-    zeta_alt = (
-        g ** (1.0 / (3.0 - tau))
-        * cf
-        * cbar ** ((tau - 2.0) / (3.0 - tau))
-        * (tau - 1.0)
-        / (tau - 2.0)
-    )
-    if abs(zeta - zeta_alt) > 1e-10 * max(zeta, zeta_alt):
-        raise NumericalFailureError(f"zeta closed forms disagree: {zeta!r} vs {zeta_alt!r}")
-    return TheoryConstants(kappa=kappa, zeta=zeta, rho_star_inf=rho_star_inf)
+    kappa = params.c_F ** (tau - 2.0) * g
+    try:
+        constants = TheoryConstants(
+            kappa=kappa, zeta=params.mu * kappa ** (1.0 / (3.0 - tau)),
+            rho_star_inf=g ** (1.0 / (3.0 - tau)) * c_F_bar(params) ** ((tau - 2.0) / (3.0 - tau)))
+    except OverflowError:
+        constants = None
+    if constants is None or not all(map(math.isfinite, constants)):
+        raise DomainError(f"tau={tau} puts the limit constants past float range")
+    return constants
 
 
 def limit_curve_z(t, params: ModelParams, constants: TheoryConstants):
@@ -145,6 +141,24 @@ def _adaptive_simpson(f, lo: float, hi: float) -> float:
 # --------------------------------------------------------------------------
 
 
+def _survival(scale: float, alpha: float, inv_p: float = 1.0):
+    """The integrand y -> 1 - exp(-scale * u**(-alpha)) at u = y**inv_p, the chance
+    that a type-u particle survives, with its limit 1 where u is 0 or u**(-alpha)
+    is past float range."""
+    neg_alpha = -alpha
+
+    def g(y: float) -> float:
+        u = y**inv_p
+        if u <= 0.0:
+            return 1.0
+        try:
+            return -math.expm1(-scale * u**neg_alpha)
+        except OverflowError:
+            return 1.0
+
+    return g
+
+
 def survival_map(rho: float, a: float, params: ModelParams) -> float:
     """One application of the consistency map whose largest fixed point is rho_star_a.
 
@@ -160,20 +174,12 @@ def survival_map(rho: float, a: float, params: ModelParams) -> float:
         raise DomainError(f"rho must lie in [0, 1], got rho={rho}")
     if rho == 0.0:
         return 0.0
-    alpha = params.alpha
-    p = 1.0 - alpha
-    inv_p = 1.0 / p
-    scale = c_F_bar(params) * a**p * rho
-
+    p = 1.0 - params.alpha
     # u = y**(1/(1-alpha)) removes the u**(-alpha) endpoint singularity:
     # integral_0^a u**(-alpha) g(u) du = (1/(1-alpha)) integral_0^{a**(1-alpha)} g(u(y)) dy,
     # and g(u) -> 1 as u -> 0+.
-    def h(y: float) -> float:
-        if y <= 0.0:
-            return 1.0
-        return -math.expm1(-scale * (y**inv_p) ** (-alpha))
-
-    integral = _adaptive_simpson(h, 0.0, a**p) / p
+    survival = _survival(c_F_bar(params) * a**p * rho, params.alpha, 1.0 / p)
+    integral = _adaptive_simpson(survival, 0.0, a**p) / p
     return p / a**p * integral
 
 
@@ -221,16 +227,9 @@ def core_limit(a: float, params: ModelParams) -> CoreLimit:
     zeta_a = c_F * a**(1-alpha) * rho_star_a / (1-alpha).
     """
     rho_star = rho_star_fixed_point(a, params)
-    alpha = params.alpha
-    p = 1.0 - alpha
-    scale = c_F_bar(params) * a**p * rho_star
-
-    def f(u: float) -> float:
-        if u <= 0.0:
-            return 1.0
-        return -math.expm1(-scale * u ** (-alpha))
-
-    return CoreLimit(a=a, rho_star_a=rho_star, rho_a=_adaptive_simpson(f, 0.0, a) / a,
+    p = 1.0 - params.alpha
+    survival = _survival(c_F_bar(params) * a**p * rho_star, params.alpha)
+    return CoreLimit(a=a, rho_star_a=rho_star, rho_a=_adaptive_simpson(survival, 0.0, a) / a,
                      zeta_a=params.c_F * a**p * rho_star / p)
 
 

@@ -135,6 +135,9 @@ _HUGE = 10**400
     ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--a", "5"], "reads no core"),
     ("giant", {"experiment": "multi_giant"}, ["--format", "csv"], "no output_path"),
     ("explore", {"output_format": "csv"}, [], "no output_path"),
+    ("giant", {"experiment": "multi_giant", "n_grid": [1000000]},
+     ["--tau", "2.995", "--lambda-kind", "constant", "--lambda-value", "1"],
+     "tau=2.995 puts the limit constants past float range"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -148,7 +151,8 @@ _HUGE = 10**400
         "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
         "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
         "theory-T-config", "giant-a", "single-vs-multi-a", "explore-a", "residual-a",
-        "repeat-fraction-a", "format-without-out-flag", "format-without-out-config"])
+        "repeat-fraction-a", "format-without-out-flag", "format-without-out-config",
+        "giant-tau-2.995"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):
@@ -160,6 +164,36 @@ def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, m
                                 "replicas": 1, **fields}))
     rc = main([command, "--config", str(path), *flags])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["giant", "--tau", "2.992", "--C", "3e-6", "--lambda-kind", "constant",
+      "--lambda-value", "1"], "c1_over_beta_mean"),
+    (["giant", "--tau", "2.0000003670597803", "--C", "2.382500962357463e-06"],
+     "c1_over_beta_mean"),
+    (["theory", "--tau", "2.001"], "rho_star_a"),
+], ids=["giant-tiny-zeta", "giant-tau-near-2", "theory-tau-2.001"])
+def test_runs_near_both_ends_of_tau_exit_0(argv, key, capsys):
+    # a zeta of 4e-85, a c_F_bar that rounds 1e-10 off c_F, and a survival
+    # integrand whose u = y**(1/(1-alpha)) underflows to 0 all run
+    assert main([*argv, "--n-grid", "1000", "--replicas", "1"]) == 0
+    assert key in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget, message", [
+    ("QUAD_MAX_PANELS", "adaptive Simpson exceeded 1 panels"),
+    ("FIXED_POINT_MAX_ITER", "did not converge within 1 iterations"),
+], ids=["quadrature", "fixed-point"])
+def test_numerical_failure_exits_2_before_sampling(budget, message, monkeypatch, capsys):
+    def no_sampling(*_):
+        raise AssertionError("a replica was sampled before the theory block")
+
+    monkeypatch.setattr(f"sfperc.theory.{budget}", 1)
+    monkeypatch.setattr(xp, "sample_coupled_direct", no_sampling)
+    assert main(["core", "--n-grid", "100000", "--replicas", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err

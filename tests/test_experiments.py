@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from sfperc.components import core_report
-from sfperc.errors import ConfigError, DomainError, SfpercError
+from sfperc.errors import ConfigError, DomainError, NumericalFailureError, SfpercError
 from sfperc.experiments import (
     EXPERIMENTS,
     RESULT_VERSION,
@@ -613,6 +614,61 @@ def test_every_config_field_is_read_or_refused(kind):
         if _report_body(config) == body:
             ignored.append(name)
     assert ignored == [], f"{kind} accepts and ignores {ignored}"
+
+
+def _sweep_configs(count: int, seed: int):
+    """Seeded configs of the four rows that run no walk: tau near 2, near 3 and
+    across (2, 3), C over 1e-6..1e3, n up to 2000 and every rule kind, each
+    rule putting lambda_n in the lower half of its row's window in log scale,
+    so pi_n < 1 and no sampled graph is large."""
+    rng = random.Random(seed)
+    rows = ("theory_tables", "multi_giant", "single_vs_multi", "one_neighborhood")
+    for i in range(count):
+        tau = (2.0 + 10 ** rng.uniform(-7, -2), 3.0 - 10 ** rng.uniform(-4, -1.5),
+               rng.uniform(2.01, 2.99))[i % 3]
+        experiment, n = rows[i % 4], rng.randint(3, 2000)
+        window = (3.0 - tau) / (tau - 1.0 if EXPERIMENTS[experiment].mode == "multi" else 2.0)
+        log_lam = rng.uniform(0.05, 0.5) * window * math.log(n)
+        kind = rng.choice(("constant", "power", "logpower"))
+        value = {"constant": math.exp(log_lam), "power": log_lam / math.log(n),
+                 "logpower": log_lam / math.log(math.log(n))}[kind]
+        yield dict(experiment=experiment, tau=tau, C=10 ** rng.uniform(-6, 3), n_grid=(n,),
+                   lambda_rule=LambdaRule(kind, value), replicas=1)
+
+
+def test_config_sweep_runs_or_fails_closed():
+    # every config is built and run, or refused with the package's own error;
+    # an OverflowError or a ZeroDivisionError from the theory side is a crash
+    ran, escaped = 0, []
+    for kwargs in _sweep_configs(100, seed=0):
+        try:
+            run(ExperimentConfig(**kwargs))
+            ran += 1
+        except SfpercError:
+            pass
+        except Exception as e:
+            escaped.append(f"{kwargs}: {e!r}")
+    assert escaped == [], f"{len(escaped)} configs escaped SfpercError, first {escaped[0]}"
+    assert 50 <= ran < 100  # the sweep reaches both outcomes
+
+
+@pytest.mark.parametrize("kind", ["theory_tables", "one_neighborhood"])
+def test_theory_fails_before_any_replica(kind, monkeypatch):
+    # the theory block draws nothing, so it is built before the first replica:
+    # a failure there costs no sampling
+    import sfperc.experiments as xp
+
+    def fail(*_):
+        raise NumericalFailureError("no fixed point")
+
+    def forbidden(*_):
+        raise AssertionError("a replica ran before the theory block")
+
+    monkeypatch.setattr(xp, "core_limit", fail)
+    monkeypatch.setitem(EXPERIMENTS, kind, EXPERIMENTS[kind]._replace(record=forbidden))
+    n = {"theory_tables": 1000, "one_neighborhood": 10**5}[kind]
+    with pytest.raises(NumericalFailureError, match="no fixed point"):
+        run(ExperimentConfig(kind, n_grid=(n,), replicas=2))
 
 
 def test_output_format_is_written_or_refused(tmp_path):

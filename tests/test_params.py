@@ -225,18 +225,41 @@ def test_lambda_rule_dict_round_trip():
         LambdaRule.from_dict({"kind": "power"})
 
 
+# tau across the range the acceptance criteria sample
+_SCHEDULE_TAUS = (2.05, 2.2, 2.5, 2.8, 2.95)
+
+
 def test_multi_schedule_closed_forms():
     n = 10**6
+    for tau in _SCHEDULE_TAUS:
+        eta = (3.0 - tau) / (tau - 1.0)
+        # lambda_n halfway into the window in log scale
+        sch = make_schedule(model_params(tau, 1.0, n), "multi", LambdaRule("power", eta / 2))
+        lam = n ** (eta / 2)
+        assert sch.lambda_n == pytest.approx(lam, rel=1e-12), tau
+        assert sch.pi_n == pytest.approx(lam * n ** -eta, rel=1e-12), tau
+        assert sch.beta_n == pytest.approx(n * sch.pi_n ** (1.0 / (3.0 - tau)), rel=1e-12), tau
+        # the same scale in (n, lambda_n)
+        assert sch.beta_n == pytest.approx(
+            n ** (1.0 - eta / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau)), rel=1e-12), tau
+        assert sch.N_n is None
     sch = make_schedule(model_params(2.5, 1.0, n), "multi", LambdaRule("power", 0.1))
-    lam = n ** 0.1
-    assert sch.lambda_n == pytest.approx(lam, rel=1e-12)
-    assert sch.pi_n == pytest.approx(lam * n ** (-1.0 / 3.0), rel=1e-12)
+    assert sch.pi_n == pytest.approx(n ** 0.1 * n ** (-1.0 / 3.0), rel=1e-12)
     assert sch.beta_n == pytest.approx(n * sch.pi_n ** 2.0, rel=1e-12)
-    assert sch.N_n is None
 
 
 def test_single_schedule_closed_forms():
     n = 10**6
+    for tau in _SCHEDULE_TAUS:
+        eta_s = (3.0 - tau) / 2.0
+        lam = n ** (eta_s / 2)
+        sch = make_schedule(model_params(tau, 1.0, n), "single", LambdaRule("constant", lam))
+        assert sch.pi_n == pytest.approx(lam * n ** -eta_s, rel=1e-12), tau
+        assert sch.beta_n == pytest.approx(n * sch.pi_n ** (1.0 / (3.0 - tau)), rel=1e-12), tau
+        assert sch.beta_n == pytest.approx(
+            n ** (1.0 - eta_s / (3.0 - tau)) * lam ** (1.0 / (3.0 - tau)), rel=1e-12), tau
+        assert sch.N_n == pytest.approx(
+            n * sch.pi_n ** ((tau - 1.0) / (3.0 - tau)), rel=1e-12), tau
     sch = make_schedule(model_params(2.5, 1.0, n), "single", LambdaRule("constant", 10.0))
     assert sch.pi_n == pytest.approx(10.0 * n ** -0.25, rel=1e-12)
     assert sch.beta_n == pytest.approx(n * sch.pi_n ** 2.0, rel=1e-12)

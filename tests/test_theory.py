@@ -76,6 +76,14 @@ def test_two_zeta_forms_agree(tau, c):
     assert th.compute_constants(p).zeta == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("tau, C", [(2.995, 1.0), (2.98883, 1e3)],
+                         ids=["power-overflows", "product-overflows"])
+def test_constants_past_float_range_are_refused(tau, C):
+    # near tau = 3 a power raises OverflowError, or finite powers multiply to inf
+    with pytest.raises(DomainError, match=f"tau={tau} puts the limit constants past float range"):
+        th.compute_constants(model_params(tau, C, 10))
+
+
 # --------------------------------------------------------------------------
 # limit drift curve
 # --------------------------------------------------------------------------
@@ -169,6 +177,18 @@ def test_survival_map_monotone_in_rho():
     hi = th.survival_map(0.8, 1.0, P)
     assert 0.0 < lo < hi
     assert th.survival_map(0.0, 1.0, P) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_survival_integrand_limits():
+    # 1 - exp(-scale * u**(-alpha)) bit for bit, at u = y or u = y**inv_p, and its
+    # limit 1 at u = 0, where y**inv_p underflows to 0, and where u**(-alpha) overflows
+    g, h = th._survival(2.0, 0.999), th._survival(2.0, 2.0 / 3.0, 3.0)
+    for y in (1e-3, 0.3, 1.0, 7.0):
+        assert g(y) == -math.expm1(-2.0 * y ** (-0.999))
+        assert h(y) == -math.expm1(-2.0 * (y**3.0) ** (-2.0 / 3.0))
+    assert g(0.0) == h(0.0) == 1.0
+    assert g(5e-324) == 1.0
+    assert th._survival(2.0, 0.999, 1001.0)(0.25) == 1.0
 
 
 def test_scaled_fixed_point_increases_toward_limit():
