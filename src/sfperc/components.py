@@ -14,13 +14,13 @@ points at its component's smallest rank, the component's smallest id.
 Hooking makes every rank point at or below itself, so pointer jumping
 settles the ranks in cache-sized blocks, in rank order, each block jumping
 only within itself once the blocks before it are final; edges go in blocks
-too, so labeling holds its ids, its ranks, a sparse graph's edges on them
-or a dense graph's table, and a few blocks.  Every other id is
-a singleton, so sizes and the giant come from the touched ranks alone, and
-a sparse graph is labeled with no pass over all n ids.  The giant is the
-largest component, with ties broken by smallest contained vertex id, so
-summaries are reproducible run to run.  A summary's per-root counts give the
-giant of its graph plus a few more edges at a cost that grows with those alone.
+too, so labeling holds its ids, its ranks, one level's edges (a sparse graph's
+ranked, a dense graph's with its table) and a few blocks.  Every other id is a
+singleton, so sizes and the giant come from the touched ranks alone, and a
+sparse graph is labeled with no pass over all n ids.  The giant is the largest
+component, with ties broken by smallest contained vertex id, so summaries are
+reproducible run to run.  A summary's per-root counts give the giant of its
+graph plus a few more edges at a cost that grows with those alone.
 """
 
 from __future__ import annotations
@@ -170,34 +170,35 @@ def _edge_blocks(src: np.ndarray, dst: np.ndarray,
         yield s[:size], d[:size]
 
 
-def _hook(k: int, src: np.ndarray, dst: np.ndarray,
-          table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _hook(k: int, edges: list) -> np.ndarray:
     """Each of ranks 0..k-1's root rank, the smallest in its component.
 
-    The edges are ranks, or ids that ``table`` ranks (see ``_rank``).  A
-    round hooks the larger endpoint of every edge onto the smaller, so
-    that sub[r] <= r, and pointer-jumps until every rank points at a root;
-    from the identity forest that needs no gathers and no filter.  The
-    roots the still-live edges join are then ranked and hooked alike, so
-    later rounds skip every settled rank.  Two rounds at least halve those
-    roots, so the recursion is O(log k) deep.  Parallel edges and loops
-    need no special case.  Ranks go in blocks of ``_HOOK_BLOCK`` and edges
-    as ``_edge_blocks`` hands them out, the same blocks in both passes over
-    them, so no temporary grows with the graph.
+    ``edges`` is ``_rank``'s [src, dst, table]: ranks, or ids that ``table``
+    ranks; the list is emptied before the recursion.  A round hooks the larger
+    endpoint of every edge onto the smaller, so that sub[r] <= r, and
+    pointer-jumps until every rank points at a root; from the identity forest
+    that needs no gathers and no filter.  The roots the still-live edges join
+    are then ranked and hooked alike, so later rounds skip every settled rank.
+    Two rounds at least halve those roots, so the recursion is O(log k) deep.
+    Parallel edges and loops need no special case.  Ranks go in blocks of
+    ``_HOOK_BLOCK`` and edges as ``_edge_blocks`` hands them out, the same
+    blocks in both passes over them, so no temporary grows with the graph.
     """
+    src, dst, table = edges
     sub = np.arange(k, dtype=src.dtype if table is None else table[0].dtype)
     for s, d in _edge_blocks(src, dst, table):
         np.minimum.at(sub, np.maximum(s, d), np.minimum(s, d))
     s = d = None  # a dense ranking's last block, not held through the recursion
     sub = _jump(sub)
     lo, hi = _live_ends(sub, src, dst, table)
+    del src, dst, table, edges[:]  # the caller's list empties too
     if lo.size:
         roots, *edges = _rank(k - 1, lo, hi)
         del lo, hi  # held on only as a dense ranking's edges
         # A joined root points at its group's smallest root, itself a root,
         # so one jump settles every rank.
-        sub[roots] = roots.take(_hook(roots.size, *edges))
-        del roots, edges  # not held through the jump
+        sub[roots] = roots.take(_hook(roots.size, edges))
+        del roots  # not held through the jump
         sub = _jump(sub, settle=False)
     return sub
 
@@ -244,8 +245,7 @@ def component_sizes(g: MultiGraph | SimpleGraph) -> ComponentSummary:
     # A simple graph has none, so it is ranked without copies.
     live = slice(None) if isinstance(g, SimpleGraph) else g.src != g.dst
     ids, *edges = _rank(g.n, g.src[live], g.dst[live])
-    root = _hook(ids.size, *edges)
-    del edges
+    root = _hook(ids.size, edges)
     # np.bincount(root) would first copy root to intp; add.at does not.  A
     # typed increment keeps add.at on its fast path for int32 counts.
     counts = np.zeros(int(root.max(initial=-1)) + 1, dtype=root.dtype)
@@ -302,8 +302,10 @@ def merged_giant_size(base: ComponentSummary, g: MultiGraph | SimpleGraph) -> in
     size = np.ones(nodes.size, dtype=np.int64)
     rooted = nodes < base.ids.size
     size[rooted] = base.counts[nodes[rooted]]
+    edges = [*np.split(node, 2), None]
+    del node  # held on only by edges, which _hook lets go
     group = np.zeros(nodes.size, dtype=np.int64)
-    np.add.at(group, _hook(nodes.size, *np.split(node, 2)), size)
+    np.add.at(group, _hook(nodes.size, edges), size)
     return max(base.giant_size, int(group.max(initial=0)))
 
 

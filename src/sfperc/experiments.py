@@ -64,7 +64,7 @@ class Experiment(NamedTuple):
     lambda_rule: LambdaRule
     n_grid: tuple[int, ...]
     record: Callable[..., dict]  # (config, ctx, replica, rng) -> a replica's own keys
-    theory: Callable[..., dict] | None = None  # (config, largest n's ctx, contexts) -> keys
+    theory: Callable[..., dict] | None = None  # (config, contexts[-1], contexts) -> keys
     horizon: Callable[..., float] | None = None  # (params, constants) -> a walk's default T
 
 
@@ -150,21 +150,10 @@ class ExperimentConfig:
                 f"the theory tables need a > {max(_THEORY_EPS_GRID)} for their operator norms,"
                 f" got a={self.a}"
             )
-        # every schedule, the Poisson rates of a sampling experiment, the core
-        # experiment's core and a walk's first step and first-draw keys must
-        # be feasible before any sampling happens
+        # every n must be feasible before any sampling happens
         for n in self.n_grid:
             try:
-                ctx = _model_at(self, n)
-                if self.experiment != "theory_tables":  # mu * n bounds ell_n from above
-                    check_total_weight(ctx.schedule.pi_n, ctx.schedule.params.mu * n)
-                if self.experiment == "one_neighborhood":
-                    core_prefix_size(ctx.schedule, self.a)
-                if ctx.steps == 0 and self.experiment != "residual_components":
-                    raise DomainError(f"the walk horizon {ctx.horizon!r} takes no step"
-                                      f" (beta_n={ctx.schedule.beta_n!r})")
-                if ctx.steps:
-                    _check_key_range(n, ctx.steps)
+                _model_at(self, n)
             except SfpercError as e:
                 raise ConfigError(f"infeasible schedule at n={n}: {e}") from e
 
@@ -232,7 +221,8 @@ def derive_seed(master_seed: int, n: int, replica: int) -> int:
 
 
 class _Context(NamedTuple):
-    """Shared read-only state for all replicas at one n."""
+    """Shared read-only state for all replicas at one n, a run's cell: `run`
+    builds one per n of the grid, in n order, and reads all it reports off them."""
 
     n: int
     weights: WeightSequence | None  # None only in _model_at's feasibility context
@@ -247,17 +237,28 @@ class _Context(NamedTuple):
 def _model_at(config: ExperimentConfig, n: int) -> _Context:
     """The context at n without the weights or the limit grid: a walk's horizon
     is T when given, else its row's default, in rescaled time, and the walk takes
-    floor(horizon * beta_n) steps; both are None without a walk."""
+    floor(horizon * beta_n) steps; both are None without a walk.  Raises
+    SfpercError where n is infeasible: its schedule, a sampling row's Poisson
+    rates, the core row's core, or a walk's first step or first-draw keys."""
     params = model_params(config.tau, config.C, n)
     sch = make_schedule(params, config.mode, config.lambda_rule)
     constants = compute_constants(params)
     default = EXPERIMENTS[config.experiment].horizon
-    if default is None:
-        return _Context(n, None, sch, constants, None, None)
-    horizon = config.T if config.T is not None else default(params, constants)
-    if not math.isfinite(horizon * sch.beta_n):
-        raise DomainError(f"the walk horizon {horizon!r} overflows at beta_n={sch.beta_n!r}")
-    return _Context(n, None, sch, constants, horizon, math.floor(horizon * sch.beta_n))
+    horizon = steps = None
+    if default is not None:
+        horizon = config.T if config.T is not None else default(params, constants)
+        if not math.isfinite(horizon * sch.beta_n):
+            raise DomainError(f"the walk horizon {horizon!r} overflows at beta_n={sch.beta_n!r}")
+        steps = math.floor(horizon * sch.beta_n)
+    if config.experiment != "theory_tables":  # mu * n bounds ell_n from above
+        check_total_weight(sch.pi_n, params.mu * n)
+    if config.experiment == "one_neighborhood":
+        core_prefix_size(sch, config.a)
+    if steps == 0 and config.experiment != "residual_components":
+        raise DomainError(f"the walk horizon {horizon!r} takes no step (beta_n={sch.beta_n!r})")
+    if steps:
+        _check_key_range(n, steps)
+    return _Context(n, None, sch, constants, horizon, steps)
 
 
 def _build_context(config: ExperimentConfig, n: int) -> _Context:
@@ -274,7 +275,8 @@ def _schedule_row(sch: PercolationSchedule) -> dict:
     return {"lambda_n": sch.lambda_n, "pi_n": sch.pi_n, "beta_n": sch.beta_n, "N_n": sch.N_n}
 
 
-def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int, seed: int) -> dict:
+def _replica_record(config: ExperimentConfig, ctx: _Context, replica: int) -> dict:
+    seed = derive_seed(config.master_seed, ctx.n, replica)
     own = EXPERIMENTS[config.experiment].record(config, ctx, replica, np.random.default_rng(seed))
     return {"n": ctx.n, "replica": replica, "seed": seed, **own}
 
@@ -355,8 +357,8 @@ _THEORY_A_GRID = (1.0, 4.0, 10.0, 100.0, 1000.0, 10000.0)
 _THEORY_EPS_GRID = (0.1, 0.01, 0.001)
 
 
-def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> dict:
-    last = contexts[max(config.n_grid)]
+def _theory_block(config: ExperimentConfig, contexts: list[_Context]) -> dict:
+    last = contexts[-1]
     params, constants = last.schedule.params, last.constants
     block = {
         "alpha": params.alpha,
@@ -364,7 +366,7 @@ def _theory_block(config: ExperimentConfig, contexts: dict[int, _Context]) -> di
         "kappa": constants.kappa,
         "zeta": constants.zeta,
         "rho_star_inf": constants.rho_star_inf,
-        "schedules": {str(n): _schedule_row(ctx.schedule) for n, ctx in contexts.items()},
+        "schedules": {str(ctx.n): _schedule_row(ctx.schedule) for ctx in contexts},
     }
     theory = EXPERIMENTS[config.experiment].theory
     if theory is not None:
@@ -422,8 +424,7 @@ EXPERIMENTS = {
     "residual_components": Experiment(
         "residual", "largest component left after the exploration horizon", "multi", _POWER,
         (10**4, 10**5), _residual_record,
-        lambda config, last, contexts: {"horizon": {str(n): ctx.horizon
-                                                    for n, ctx in contexts.items()}},
+        lambda config, last, contexts: {"horizon": {str(ctx.n): ctx.horizon for ctx in contexts}},
         lambda params, constants: horizon_for_forward_degree(params)),
     "repeat_fraction": Experiment(
         "repeat-fraction", "repeat-rate diagnostic of the exploration walk", "multi", _POWER,
@@ -467,26 +468,20 @@ _NON_STAT_KEYS = ("n", "replica", "seed")
 
 
 def _aggregate(records: list) -> dict:
-    by_n: dict[int, list] = {}
-    for rec in records:
-        by_n.setdefault(rec["n"], []).append(rec)
-    out = {}
-    for n in sorted(by_n):
-        recs = by_n[n]
-        stats = {}
-        for key, value in recs[0].items():
-            if key in _NON_STAT_KEYS or not isinstance(value, (int, float)):
-                continue
-            xs = np.array([r[key] for r in recs], dtype=float)
-            stats[key] = {
-                "mean": float(xs.mean()),
-                "median": float(np.median(xs)),
-                "std": float(xs.std(ddof=1)) if xs.size > 1 else 0.0,
-                "q05": float(np.quantile(xs, 0.05)),
-                "q95": float(np.quantile(xs, 0.95)),
-            }
-        out[str(n)] = stats
-    return out
+    """Each numeric key's statistics over one n's records."""
+    stats = {}
+    for key, value in records[0].items():
+        if key in _NON_STAT_KEYS or not isinstance(value, (int, float)):
+            continue
+        xs = np.array([r[key] for r in records], dtype=float)
+        stats[key] = {
+            "mean": float(xs.mean()),
+            "median": float(np.median(xs)),
+            "std": float(xs.std(ddof=1)) if xs.size > 1 else 0.0,
+            "q05": float(np.quantile(xs, 0.05)),
+            "q95": float(np.quantile(xs, 0.95)),
+        }
+    return stats
 
 
 def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -499,17 +494,12 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if not (is_number(threads, numbers.Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    contexts = {n: _build_context(config, n) for n in config.n_grid}
+    contexts = [_build_context(config, n) for n in config.n_grid]
     theory = _theory_block(config, contexts)  # draws nothing, so its failures come first
-    jobs = [
-        (n, r, derive_seed(config.master_seed, n, r))
-        for n in config.n_grid
-        for r in range(config.replicas)
-    ]
+    jobs = [(ctx, r) for ctx in contexts for r in range(config.replicas)]
 
     def work(job):
-        n, r, seed = job
-        return _replica_record(config, contexts[n], r, seed)
+        return _replica_record(config, *job)
 
     if threads > 1:
         # Imported here, like csv below, so a run that needs neither pays
@@ -521,8 +511,10 @@ def run(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     else:
         records = [work(job) for job in jobs]
 
-    result = ExperimentResult(config=config, records=records, aggregates=_aggregate(records),
-                              theory=theory)
+    per_n = config.replicas
+    aggregates = {str(ctx.n): _aggregate(records[i * per_n:(i + 1) * per_n])
+                  for i, ctx in enumerate(contexts)}
+    result = ExperimentResult(config, records, aggregates, theory)
     if config.output_path is not None:
         write_result(result, config.output_path, config.output_format)
     return result
@@ -542,7 +534,6 @@ def summarize(result: ExperimentResult) -> list:
             if isinstance(value, (int, float)):
                 row[key] = value
         rows.append(row)
-    rows.sort(key=lambda row: row["n"])
     return rows
 
 

@@ -268,6 +268,10 @@ def forward_degree_asymptote(t: float, params: ModelParams) -> float:
 
 
 def horizon_for_forward_degree(params: ModelParams) -> float:
-    """Smallest t at which the forward-degree envelope drops to FORWARD_DEGREE_LEVEL."""
+    """Smallest t at which the forward-degree envelope drops to FORWARD_DEGREE_LEVEL;
+    DomainError where tau is so near 3 that t leaves float range."""
     coef = forward_degree_asymptote(1.0, params)
-    return (coef / FORWARD_DEGREE_LEVEL) ** (1.0 / (3.0 - params.tau))
+    try:
+        return (coef / FORWARD_DEGREE_LEVEL) ** (1.0 / (3.0 - params.tau))
+    except OverflowError:
+        raise DomainError(f"tau={params.tau} puts the forward-degree horizon past float range")

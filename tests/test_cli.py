@@ -138,6 +138,10 @@ _HUGE = 10**400
     ("giant", {"experiment": "multi_giant", "n_grid": [1000000]},
      ["--tau", "2.995", "--lambda-kind", "constant", "--lambda-value", "1"],
      "tau=2.995 puts the limit constants past float range"),
+    ("residual", {"experiment": "residual_components"},
+     ["--tau", "2.9883325954778868", "--C", "483.61401510629656", "--n-grid", "528",
+      "--lambda-kind", "constant", "--lambda-value", "1.0083661475085375"],
+     "puts the forward-degree horizon past float range"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
         "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
         "replicas-float", "seed-float",
@@ -152,7 +156,7 @@ _HUGE = 10**400
         "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
         "theory-T-config", "giant-a", "single-vs-multi-a", "explore-a", "residual-a",
         "repeat-fraction-a", "format-without-out-flag", "format-without-out-config",
-        "giant-tau-2.995"])
+        "giant-tau-2.995", "residual-tau-near-3"])
 def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, monkeypatch,
                                     capsys):
     def no_weights(*_):

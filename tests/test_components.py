@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -266,9 +267,9 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
     import sfperc.components as components
     hook, rank, ranks, ranked = components._hook, components._rank, [], []
 
-    def counted(k, src, dst, table=None):
+    def counted(k, edges):
         ranks.append(k)
-        return hook(k, src, dst, table)
+        return hook(k, edges)
 
     def listed(n, src, dst):
         ranked.append((n, src.size))
@@ -295,6 +296,33 @@ def test_hooking_rounds_halve_the_roots(monkeypatch):
         assert len(ranks) <= 2 * math.log2(max(ranks[0], 2)) + 1, ranks
     # the sparse graph, labeled last: a recursion level took the sorting path
     assert any(_SPARSE * m < n for n, m in ranked[1:]), ranked
+
+
+@pytest.mark.parametrize("n, m", [(1_000, 999), (100_000, 2_999)], ids=["dense", "sparse"])
+def test_a_level_lets_its_edges_go_before_it_recurses(n, m, monkeypatch):
+    # when the first recursion level is ranked, of what the top-level
+    # ranking returned only the ids are alive: its edges and a dense
+    # graph's table are gone, not held through the recursion
+    import sfperc.components as components
+    rank, returned, alive = components._rank, [], []
+
+    def watched(n, src, dst):
+        out = rank(n, src, dst)
+        if not returned:
+            ids, src, dst, table = out
+            returned.extend(weakref.ref(a) for a in (ids, src, dst, *(table or ())))
+        else:
+            alive.append([ref() is not None for ref in returned])
+        return out
+
+    monkeypatch.setattr(components, "_rank", watched)
+    order = np.random.default_rng(8).permutation(n)[:m + 1] + 1  # a path: several rounds
+    g = multi_from_pairs(n, [(i, j, 1) for i, j in zip(order[:-1].tolist(),
+                                                       order[1:].tolist())])
+    assert (_SPARSE * g.src.size < n) == (n == 100_000)
+    assert component_sizes(g).giant_size == m + 1
+    assert len(returned) == (3 if n == 100_000 else 5) and alive, (returned, alive)
+    assert alive[0] == [True] + [False] * (len(returned) - 1), alive
 
 
 def test_blocked_root_resolution_matches_one_block(monkeypatch):

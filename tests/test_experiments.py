@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -77,6 +78,23 @@ def test_config_defaults_per_experiment():
     assert svm.lambda_rule == LambdaRule("power", 0.1)
 
 
+def _refused(kind: str, match: str, **fields) -> None:
+    """A per-n refusal is _model_at's own: construction raises it as the
+    cause of a ConfigError, and _model_at raises it unwrapped, at the same n,
+    on a config whose fields were set past construction's checks."""
+    with pytest.raises(ConfigError, match=re.escape(match)) as wrapped:
+        ExperimentConfig(kind, **fields)
+    config = ExperimentConfig(kind)
+    for name, value in fields.items():
+        object.__setattr__(config, name, value)
+    with pytest.raises(SfpercError, match=re.escape(match)) as raised:
+        for n in config.n_grid:
+            _model_at(config, n)
+    assert not isinstance(raised.value, ConfigError)
+    cause = wrapped.value.__cause__
+    assert (type(cause), str(cause)) == (type(raised.value), str(raised.value))
+
+
 def test_config_validation_errors():
     # core_giant and core_weight were folded into one_neighborhood
     for name in ("no_such_experiment", "core_giant", "core_weight"):
@@ -100,8 +118,10 @@ def test_config_validation_errors():
         small_config(master_seed=2**64)
     # a core level whose core is empty or larger than the graph
     for a in (0.0, 1e-6, 1e9, 1e308):
-        with pytest.raises(ConfigError):
-            ExperimentConfig("one_neighborhood", n_grid=(100_000,), a=a)
+        _refused("one_neighborhood", "core", n_grid=(100_000,), a=a)
+    # Poisson rates past numpy's draws
+    _refused("multi_giant", "past 2**62", n_grid=(1000,), C=1e25)
+    _refused("one_neighborhood", "past 2**62", n_grid=(100_000,), C=1e30)
     # constant-10 single schedule has pi >= 1 at n = 10^4
     with pytest.raises(ConfigError):
         ExperimentConfig("one_neighborhood", n_grid=(10_000,))
@@ -147,8 +167,7 @@ def test_walk_horizon_must_take_a_step():
     beta = make_schedule(model_params(2.5, 1.0, 1000), "multi", LambdaRule("power", 0.1)).beta_n
     for kind in ("exploration_limit", "repeat_fraction"):
         for T in (1e-9, 0.5 / beta):
-            with pytest.raises(ConfigError, match="takes no step"):
-                ExperimentConfig(kind, n_grid=(1000, 10_000), T=T)
+            _refused(kind, "takes no step", n_grid=(1000, 10_000), T=T)
         assert ExperimentConfig(kind, n_grid=(1000,), T=1.0 / beta).T == 1.0 / beta
     assert ExperimentConfig("residual_components", n_grid=(1000,), T=1e-9).T == 1e-9
 
@@ -521,11 +540,13 @@ def test_a_horizon_past_floating_point_is_refused(monkeypatch):
 
     monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
     for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
-        with pytest.raises(ConfigError, match="overflows"):
-            ExperimentConfig(kind, n_grid=(1000,), T=1e308)
+        _refused(kind, "overflows", n_grid=(1000,), T=1e308)
         # a finite step count whose first-draw keys mark * steps + step pass int64
-        with pytest.raises(ConfigError, match="overflow the int64 first-draw keys"):
-            ExperimentConfig(kind, n_grid=(1000,), T=1e17)
+        _refused(kind, "overflow the int64 first-draw keys", n_grid=(1000,), T=1e17)
+    # the residual walk's default horizon, past float range near tau = 3
+    _refused("residual_components", "forward-degree horizon past float range",
+             tau=2.9883325954778868, C=483.61401510629656, n_grid=(528,),
+             lambda_rule=LambdaRule("constant", 1.0083661475085375))
 
 
 def test_T_fails_closed_where_no_walk_reads_it(monkeypatch):
@@ -713,10 +734,10 @@ def test_walk_replica_memory_per_step():
     ctx = _build_context(config, n)
     steps = math.floor(ctx.horizon * ctx.schedule.beta_n)
     # the first generator in a process also imports numpy's seeding modules
-    _replica_record(config, ctx, 1, derive_seed(1, n, 1))
+    _replica_record(config, ctx, 1)
     tracemalloc.start()
     try:
-        _replica_record(config, ctx, 0, derive_seed(1, n, 0))
+        _replica_record(config, ctx, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,10 +754,10 @@ def test_core_replica_memory_per_vertex():
     config = ExperimentConfig("one_neighborhood", n_grid=(n,), replicas=1)
     ctx = _build_context(config, n)
     # the first generator in a process also imports numpy's seeding modules
-    _replica_record(config, ctx, 1, derive_seed(1, n, 1))
+    _replica_record(config, ctx, 1)
     tracemalloc.start()
     try:
-        _replica_record(config, ctx, 0, derive_seed(1, n, 0))
+        _replica_record(config, ctx, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -285,6 +285,11 @@ def test_horizon_for_forward_degree():
     # the envelope inverts in closed form at any other level
     t = (th.forward_degree_asymptote(1.0, P) / 0.1) ** (1.0 / (3.0 - P.tau))
     assert th.forward_degree_asymptote(t, P) == pytest.approx(0.1, rel=1e-10)
+    # near tau = 3 the power leaves float range after the constants have not
+    near_3 = model_params(2.9883325954778868, 483.61401510629656, 528)
+    th.compute_constants(near_3)
+    with pytest.raises(DomainError, match="forward-degree horizon past float range"):
+        th.horizon_for_forward_degree(near_3)
 
 
 # --------------------------------------------------------------------------
