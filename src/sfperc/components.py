@@ -35,14 +35,10 @@ from .params import PercolationSchedule, WeightSequence, core_prefix_size
 
 _SPARSE = 10  # below n / _SPARSE edges, sorting beats scanning a mask for touched ids
 _OFFSET_BITS = 8  # a dense ranking counts touched ids in blocks of 2**8, so offsets fit a byte
-# Scatters and gathers copy 2**14 ids to intp at a time: 128 KiB, against
-# 1 MiB in _HOOK_BLOCK steps, and no slower.
+# Scatters and gathers copy 2**14 ids to intp at a time, and a dense ranking's
+# edges are ranked and hooked that many at a time: 128 KiB, against 1 MiB in
+# _HOOK_BLOCK steps, and no slower.
 _OFFSET_BLOCK = 1 << 14
-# A dense ranking's edges are ranked and hooked 2**15 at a time, through
-# reused buffers: as fast as ranked edges held whole at n = 1e6, where
-# 2**14-edge blocks with fresh temporaries took 8-9% longer and 2**17-edge
-# blocks hold 1.2 MiB more at a core-1e6 replica's peak.
-_EDGE_BLOCK = 1 << 15
 
 
 class ComponentSummary(NamedTuple):
@@ -142,11 +138,11 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _edge_blocks(src: np.ndarray, dst: np.ndarray,
                  table: tuple[np.ndarray, np.ndarray] | None):
     """The edges as ranks, a block of (src, dst) at a time: ``_HOOK_BLOCK``
-    edges as given with no table, else ``_EDGE_BLOCK`` edges ranked through
-    a dense ranking's table, rank(id) = base[id >> _OFFSET_BITS] + off[id],
-    ``_OFFSET_BLOCK`` ids at a time.  The ranked blocks and the scratch
-    they are ranked through are reused from block to block, so a caller
-    is done with a block before it asks for the next.
+    edges as given with no table, else ``_OFFSET_BLOCK`` edges ranked
+    through a dense ranking's table, rank(id) = base[id >> _OFFSET_BITS] +
+    off[id].  The ranked blocks and the scratch they are ranked through are
+    reused from block to block, so a caller is done with a block before it
+    asks for the next.
     """
     if table is None:
         for e in range(0, src.size, _HOOK_BLOCK):
@@ -155,19 +151,17 @@ def _edge_blocks(src: np.ndarray, dst: np.ndarray,
     base, off = table
     m = min(src.size, _OFFSET_BLOCK)
     index, low = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.uint8)
-    s, d = (np.empty(min(src.size, _EDGE_BLOCK), dtype=base.dtype) for _ in range(2))
-    for e in range(0, src.size, _EDGE_BLOCK):
-        size = min(_EDGE_BLOCK, src.size - e)
-        for col, ranks in ((src, s), (dst, d)):
-            for f in range(0, size, _OFFSET_BLOCK):
-                k = min(_OFFSET_BLOCK, size - f)
-                out, ids = ranks[f:f + k], index[:k]
-                ids[...] = col[e + f:e + f + k]
-                off.take(ids, out=low[:k], mode="wrap")
-                ids >>= _OFFSET_BITS
-                base.take(ids, out=out, mode="wrap")
-                out += low[:k]
-        yield s[:size], d[:size]
+    s, d = (np.empty(m, dtype=base.dtype) for _ in range(2))
+    for e in range(0, src.size, _OFFSET_BLOCK):
+        k = min(_OFFSET_BLOCK, src.size - e)
+        ids, lo = index[:k], low[:k]
+        for col, ranks in ((src, s[:k]), (dst, d[:k])):
+            ids[...] = col[e:e + k]
+            off.take(ids, out=lo, mode="wrap")
+            ids >>= _OFFSET_BITS
+            base.take(ids, out=ranks, mode="wrap")
+            ranks += lo
+        yield s[:k], d[:k]
 
 
 def _hook(k: int, edges: list) -> np.ndarray:

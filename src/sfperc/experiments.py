@@ -24,7 +24,7 @@ from .components import component_sizes, core_report, merged_giant_size
 from .errors import ConfigError, DomainError, SfpercError
 from .exploration import (
     ExplorationTrace,
-    _check_key_range,
+    check_walk,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
@@ -239,7 +239,7 @@ def _model_at(config: ExperimentConfig, n: int) -> _Context:
     is T when given, else its row's default, in rescaled time, and the walk takes
     floor(horizon * beta_n) steps; both are None without a walk.  Raises
     SfpercError where n is infeasible: its schedule, a sampling row's Poisson
-    rates, the core row's core, or a walk's first step or first-draw keys."""
+    rates, the core row's core, or a walk's step count (``check_walk``)."""
     params = model_params(config.tau, config.C, n)
     sch = make_schedule(params, config.mode, config.lambda_rule)
     constants = compute_constants(params)
@@ -254,10 +254,8 @@ def _model_at(config: ExperimentConfig, n: int) -> _Context:
         check_total_weight(sch.pi_n, params.mu * n)
     if config.experiment == "one_neighborhood":
         core_prefix_size(sch, config.a)
-    if steps == 0 and config.experiment != "residual_components":
-        raise DomainError(f"the walk horizon {horizon!r} takes no step (beta_n={sch.beta_n!r})")
-    if steps:
-        _check_key_range(n, steps)
+    if steps is not None:
+        check_walk(n, steps)
     return _Context(n, None, sch, constants, horizon, steps)
 
 

@@ -63,20 +63,32 @@ class ExplorationTrace(NamedTuple):
         return repeats
 
 
-def _check_key_range(n: int, m: int) -> None:
-    """Fail unless the keys mark * m + step of m draws from 1..n fit in int64."""
-    if m * (n + 1) > np.iinfo(np.int64).max:
-        raise DomainError(f"{m} steps over {n} vertices overflow the int64 first-draw keys")
+# A walk peaks at 33-40 B per step (n 1e6 and 1e7), so 2**25 steps hold about
+# 1.3 GB; every default horizon takes far fewer (the most, residual at n = 1e6,
+# 59,749), and with n <= params._MAX_N the first-draw keys stay below 1.02e17.
+_MAX_STEPS = 1 << 25
+
+
+def check_walk(n: int, steps) -> None:
+    """Fail unless steps is an integer count of 1 to ``_MAX_STEPS`` walk steps
+    whose first-draw keys mark * steps + step, marks in 1..n, fit in int64."""
+    if not (is_number(steps, numbers.Integral) and steps >= 1):
+        raise DomainError(f"a walk takes no step unless its step count is an integer >= 1,"
+                          f" got {steps!r}")
+    if steps > _MAX_STEPS:
+        raise DomainError(f"a walk of {steps} steps passes the cap of {_MAX_STEPS} steps")
+    if int(steps) * (n + 1) > np.iinfo(np.int64).max:  # in Python ints, which cannot wrap
+        raise DomainError(f"{steps} steps over {n} vertices overflow the int64 first-draw keys")
 
 
 def _first_draws(marks: np.ndarray) -> tuple[np.ndarray, int]:
     """Flags of each mark's first draw, and the number of distinct marks.
 
     The flags equal the ``np.unique(marks, return_index=True)`` indices set
-    True.  One unstable sort of the distinct keys mark * m + step, which the
-    caller has checked fit in int64: a mark's draws sort together by step,
-    so its first draw is where key - key % m (that is, mark * m) changes,
-    and its step is key % m.
+    True.  One unstable sort of the distinct keys mark * m + step, which
+    ``check_walk`` has checked fit in int64: a mark's draws sort together by
+    step, so its first draw is where key - key % m (that is, mark * m)
+    changes, and its step is key % m.
     """
     m = marks.size
     key = np.multiply(marks, m, dtype=np.int64)
@@ -91,19 +103,12 @@ def _first_draws(marks: np.ndarray) -> tuple[np.ndarray, int]:
     return new, int(np.count_nonzero(first))
 
 
-def _check_steps(steps, least: int) -> None:
-    """Fail unless steps is an integer count of walk steps >= least."""
-    if not (is_number(steps, numbers.Integral) and steps >= least):
-        raise DomainError(f"a step count must be an integer >= {least}, got {steps!r}")
-
-
 def run_exploration(weights: WeightSequence, schedule: PercolationSchedule,
                     max_steps: int, rng) -> ExplorationTrace:
     """Run the exploration for max_steps mark draws.  It reads only pi_n of
     the schedule, so a schedule on either window serves."""
-    _check_steps(max_steps, 1)
+    check_walk(weights.n, max_steps)
     m = int(max_steps)
-    _check_key_range(weights.n, m)
     check_total_weight(schedule.pi_n, weights.ell_n)
 
     marks = draw_marks(weights, m, rng)
@@ -156,10 +161,8 @@ def residual_largest_component(weights: WeightSequence, schedule: PercolationSch
     rates.  Returns 0 when everything was explored, and counts isolated
     survivors as size 1.
     """
-    _check_steps(steps, 0)
     explored = np.zeros(weights.n + 1, dtype=bool)
-    if steps >= 1:
-        explored[run_exploration(weights, schedule, steps, rng).marks] = True
+    explored[run_exploration(weights, schedule, steps, rng).marks] = True
     if np.count_nonzero(explored) == weights.n:
         return 0
     g = sample_percolated_mnr_direct(weights, schedule.pi_n, rng)

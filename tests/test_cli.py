@@ -81,6 +81,7 @@ _HUGE = 10**400
     ("explore", {}, ["--T", _JUST_BELOW_ONE_STEP], "takes no step"),
     ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", _JUST_BELOW_ONE_STEP],
      "takes no step"),
+    ("residual", {"experiment": "residual_components"}, ["--T", "1e-9"], "takes no step"),
     ("explore", {"replicas": 2.5}, [], "replicas must be an integer"),
     ("explore", {"master_seed": 1.5}, [], "master_seed must be an integer"),
     ("explore", {"n_grid": [10000.7]}, [], "whole numbers"),
@@ -109,11 +110,13 @@ _HUGE = 10**400
     ("explore", {}, ["--replicas", "1" + "0" * 300], "replicas must lie in [1, 2**64)"),
     ("explore", {"replicas": 2**64}, [], "replicas must lie in [1, 2**64)"),
     ("explore", {}, ["--T", "1e308"], "overflows"),
-    ("explore", {}, ["--T", "1e17"], "overflow the int64 first-draw keys"),
-    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", "1e17"],
-     "overflow the int64 first-draw keys"),
-    ("residual", {"experiment": "residual_components"}, ["--T", "1e17"],
-     "overflow the int64 first-draw keys"),
+    # steps whose first-draw keys would pass int64 pass the step cap first
+    ("explore", {}, ["--T", "1e17"], "passes the cap"),
+    ("repeat-fraction", {"experiment": "repeat_fraction"}, ["--T", "1e17"], "passes the cap"),
+    ("residual", {"experiment": "residual_components"}, ["--T", "1e17"], "passes the cap"),
+    ("explore", {"n_grid": [63]}, ["--tau", "2.9045753022943743", "--C", "0.342656481881694",
+                                   "--lambda-kind", "constant", "--lambda-value", "1"],
+     "a walk of 1858821224 steps passes the cap"),
     ("theory", {"experiment": "theory_tables", "n_grid": [1000]}, ["--C", "1e300"],
      "c_F**2 past float range"),
     ("giant", {"experiment": "multi_giant", "n_grid": [1000]}, ["--C", "1e25"], "past 2**62"),
@@ -143,7 +146,7 @@ _HUGE = 10**400
       "--lambda-kind", "constant", "--lambda-value", "1.0083661475085375"],
      "puts the forward-degree horizon past float range"),
 ], ids=["T-nan", "T-inf", "T-zero", "T-negative", "T-no-step", "T-no-step-repeat-fraction",
-        "T-just-below-one-step", "T-just-below-one-step-repeat-fraction",
+        "T-just-below-one-step", "T-just-below-one-step-repeat-fraction", "T-no-step-residual",
         "replicas-float", "seed-float",
         "n_grid-fraction", "n_grid-scalar", "lambda_rule-scalar", "lambda_value-string",
         "tau-string", "C-string", "a-string", "output_path-number", "experiment-list",
@@ -151,7 +154,7 @@ _HUGE = 10**400
         "a-huge-int", "tau-huge-int", "C-huge-int", "T-huge-int", "lambda_value-huge-int",
         "replicas-huge-int", "n_grid-huge-int", "replicas-past-64-bits-flag",
         "replicas-past-64-bits-config", "T-overflows", "T-overflows-keys",
-        "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual",
+        "T-overflows-keys-repeat-fraction", "T-overflows-keys-residual", "explore-past-step-cap",
         "theory-C-1e300", "giant-C-1e25", "core-C-1e30", "single-vs-multi-C-1e150",
         "repeat-fraction-C-1e150", "giant-T", "single-vs-multi-T", "core-T",
         "theory-T-config", "giant-a", "single-vs-multi-a", "explore-a", "residual-a",
@@ -218,12 +221,6 @@ def test_generate_refuses_rates_past_the_poisson_draws(mode, tmp_path, monkeypat
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "past 2**62" in err
     assert not out.exists()
-
-
-def test_residual_accepts_a_walk_of_no_steps(capsys):
-    # the residual experiment explores floor(T * beta_n) = 0 steps and sizes the whole graph
-    assert main(["residual", "--n-grid", "400", "--replicas", "1", "--T", "1e-9"]) == 0
-    assert "residual_largest_mean" in capsys.readouterr().out
 
 
 def test_core_variant_flag(tmp_path, monkeypatch, capsys):

@@ -326,10 +326,10 @@ def test_a_level_lets_its_edges_go_before_it_recurses(n, m, monkeypatch):
 
 
 def test_blocked_root_resolution_matches_one_block(monkeypatch):
-    # in blocks of 5 ranks and edges (a dense ranking's edges in blocks of
-    # 7, ranked 3 ids at a time), hooking, settling and the jump after each
-    # recursion give the forest, ids and counts of one block, and the
-    # summaries still match BFS: on the ranking-path graphs, the edge cases,
+    # in blocks of 5 ranks and edges (a dense ranking's edges ranked in
+    # blocks of 3), hooking, settling and the jump after each recursion give
+    # the forest, ids and counts of one block, and the summaries still match
+    # BFS: on the ranking-path graphs, the edge cases,
     # random multigraphs, a path whose ids descend across 12 blocks (every
     # rank hooks onto the one below it) and a star centred on the last rank
     import sfperc.components as components
@@ -351,8 +351,7 @@ def test_blocked_root_resolution_matches_one_block(monkeypatch):
               for n, src, dst in cases]
     whole = [component_sizes(g) for g in graphs]
     monkeypatch.setattr(components, "_HOOK_BLOCK", 5)
-    # a dense ranking's edges in blocks of 7, ranked 3 ids at a time
-    monkeypatch.setattr(components, "_EDGE_BLOCK", 7)
+    # a dense ranking's edges, and ids copied to intp, in blocks of 3
     monkeypatch.setattr(components, "_OFFSET_BLOCK", 3)
     for g, want in zip(graphs, whole):
         got = component_sizes(g)

@@ -27,7 +27,7 @@ from sfperc.experiments import (
     write_result,
     write_trace_csv,
 )
-from sfperc.exploration import run_exploration, sup_distance_to_limit
+from sfperc.exploration import _MAX_STEPS, run_exploration, sup_distance_to_limit
 from sfperc.graphgen import MultiGraph, sample_coupled_direct
 from sfperc.params import (
     LambdaRule,
@@ -163,13 +163,12 @@ def test_config_validation_errors():
 
 def test_walk_horizon_must_take_a_step():
     # floor(T * beta_n) = 0 at some n of the grid fails at construction, for
-    # both walk experiments; the residual walk may take no step at all
+    # every walk experiment
     beta = make_schedule(model_params(2.5, 1.0, 1000), "multi", LambdaRule("power", 0.1)).beta_n
-    for kind in ("exploration_limit", "repeat_fraction"):
+    for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
         for T in (1e-9, 0.5 / beta):
             _refused(kind, "takes no step", n_grid=(1000, 10_000), T=T)
         assert ExperimentConfig(kind, n_grid=(1000,), T=1.0 / beta).T == 1.0 / beta
-    assert ExperimentConfig("residual_components", n_grid=(1000,), T=1e-9).T == 1e-9
 
 
 def test_config_dict_round_trip():
@@ -541,12 +540,38 @@ def test_a_horizon_past_floating_point_is_refused(monkeypatch):
     monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
     for kind in ("exploration_limit", "repeat_fraction", "residual_components"):
         _refused(kind, "overflows", n_grid=(1000,), T=1e308)
-        # a finite step count whose first-draw keys mark * steps + step pass int64
-        _refused(kind, "overflow the int64 first-draw keys", n_grid=(1000,), T=1e17)
+        # a finite step count whose first-draw keys mark * steps + step would
+        # pass int64 passes the step cap first
+        _refused(kind, "passes the cap", n_grid=(1000,), T=1e17)
     # the residual walk's default horizon, past float range near tau = 3
     _refused("residual_components", "forward-degree horizon past float range",
              tau=2.9883325954778868, C=483.61401510629656, n_grid=(528,),
              lambda_rule=LambdaRule("constant", 1.0083661475085375))
+
+
+def test_a_walk_past_the_step_cap_is_refused(monkeypatch):
+    # default horizons of 1.86e9 (near tau = 3) and 1.22e9 (near tau = 2)
+    # exploration steps, and 8.8e14 residual steps, are refused before any
+    # weights or limit grid are built
+    def no_weights(*_):
+        raise AssertionError("weights were built for a bad config")
+
+    monkeypatch.setattr("sfperc.experiments.build_weights", no_weights)
+    near_3 = dict(tau=2.9045753022943743, C=0.342656481881694, n_grid=(63,),
+                  lambda_rule=LambdaRule("constant", 1.0))
+    near_2 = dict(tau=2.0000146, C=183.0, n_grid=(1053,), lambda_rule=LambdaRule("constant", 65.0))
+    for kind, fields in (("exploration_limit", near_3), ("exploration_limit", near_2),
+                         ("residual_components", near_3)):
+        _refused(kind, f"passes the cap of {_MAX_STEPS} steps", **fields)
+
+
+def test_default_walks_sit_far_below_the_step_cap():
+    # the most any row's default horizon takes up to n = 1e6 is residual's
+    # 59,749 steps, under 1/500 of the cap
+    steps = [_model_at(ExperimentConfig(kind), n).steps
+             for kind in ("exploration_limit", "repeat_fraction", "residual_components")
+             for n in (10**4, 10**5, 10**6)]
+    assert 500 * max(steps) < _MAX_STEPS
 
 
 def test_T_fails_closed_where_no_walk_reads_it(monkeypatch):
@@ -637,24 +662,29 @@ def test_every_config_field_is_read_or_refused(kind):
     assert ignored == [], f"{kind} accepts and ignores {ignored}"
 
 
+def _sweep_config(rng: random.Random, experiment: str, regime: int) -> dict:
+    """One seeded config of a row: tau near 2, near 3 or across (2, 3) as
+    regime is 0, 1 or 2, C over 1e-6..1e3, n up to 2000 and any rule kind,
+    the rule putting lambda_n in the lower half of the row's window in log
+    scale, so pi_n < 1 and no sampled graph is large."""
+    tau = (2.0 + 10 ** rng.uniform(-7, -2), 3.0 - 10 ** rng.uniform(-4, -1.5),
+           rng.uniform(2.01, 2.99))[regime]
+    n = rng.randint(3, 2000)
+    window = (3.0 - tau) / (tau - 1.0 if EXPERIMENTS[experiment].mode == "multi" else 2.0)
+    log_lam = rng.uniform(0.05, 0.5) * window * math.log(n)
+    kind = rng.choice(("constant", "power", "logpower"))
+    value = {"constant": math.exp(log_lam), "power": log_lam / math.log(n),
+             "logpower": log_lam / math.log(math.log(n))}[kind]
+    return dict(experiment=experiment, tau=tau, C=10 ** rng.uniform(-6, 3), n_grid=(n,),
+                lambda_rule=LambdaRule(kind, value), replicas=1)
+
+
 def _sweep_configs(count: int, seed: int):
-    """Seeded configs of the four rows that run no walk: tau near 2, near 3 and
-    across (2, 3), C over 1e-6..1e3, n up to 2000 and every rule kind, each
-    rule putting lambda_n in the lower half of its row's window in log scale,
-    so pi_n < 1 and no sampled graph is large."""
+    """Seeded configs of the four rows that run no walk, each tau regime in turn."""
     rng = random.Random(seed)
     rows = ("theory_tables", "multi_giant", "single_vs_multi", "one_neighborhood")
     for i in range(count):
-        tau = (2.0 + 10 ** rng.uniform(-7, -2), 3.0 - 10 ** rng.uniform(-4, -1.5),
-               rng.uniform(2.01, 2.99))[i % 3]
-        experiment, n = rows[i % 4], rng.randint(3, 2000)
-        window = (3.0 - tau) / (tau - 1.0 if EXPERIMENTS[experiment].mode == "multi" else 2.0)
-        log_lam = rng.uniform(0.05, 0.5) * window * math.log(n)
-        kind = rng.choice(("constant", "power", "logpower"))
-        value = {"constant": math.exp(log_lam), "power": log_lam / math.log(n),
-                 "logpower": log_lam / math.log(math.log(n))}[kind]
-        yield dict(experiment=experiment, tau=tau, C=10 ** rng.uniform(-6, 3), n_grid=(n,),
-                   lambda_rule=LambdaRule(kind, value), replicas=1)
+        yield _sweep_config(rng, rows[i % 4], i % 3)
 
 
 def test_config_sweep_runs_or_fails_closed():
@@ -671,6 +701,33 @@ def test_config_sweep_runs_or_fails_closed():
             escaped.append(f"{kwargs}: {e!r}")
     assert escaped == [], f"{len(escaped)} configs escaped SfpercError, first {escaped[0]}"
     assert 50 <= ran < 100  # the sweep reaches both outcomes
+
+
+def test_walk_config_sweep_is_capped_and_runs_or_fails_closed():
+    # every walk config is refused or takes 1 to _MAX_STEPS steps; those of
+    # at most 1e5 steps are run, and run or raise the package's own error
+    rng = random.Random(0)
+    rows = ("exploration_limit", "repeat_fraction", "residual_components")
+    refused, ran, escaped = 0, 0, []
+    for i in range(900):  # each row meets each tau regime 100 times
+        kwargs = _sweep_config(rng, rows[i // 3 % 3], i % 3)
+        try:
+            config = ExperimentConfig(**kwargs)
+        except ConfigError:
+            refused += 1
+            continue
+        steps = _model_at(config, config.n_grid[0]).steps
+        assert 1 <= steps <= _MAX_STEPS, kwargs
+        if steps <= 10**5:
+            try:
+                run(config)
+                ran += 1
+            except SfpercError:
+                pass
+            except Exception as e:
+                escaped.append(f"{kwargs}: {e!r}")
+    assert escaped == [], f"{len(escaped)} configs escaped SfpercError, first {escaped[0]}"
+    assert refused >= 100 and ran >= 100  # the sweep reaches both outcomes
 
 
 @pytest.mark.parametrize("kind", ["theory_tables", "one_neighborhood"])

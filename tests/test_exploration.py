@@ -14,16 +14,24 @@ from sfperc.components import component_sizes
 from sfperc.errors import DomainError
 from sfperc.experiments import write_trace_csv
 from sfperc.exploration import (
+    _MAX_STEPS,
     ExplorationTrace,
-    _check_key_range,
     _first_draws,
+    check_walk,
     repeat_fraction,
     residual_largest_component,
     run_exploration,
     sup_distance_to_limit,
 )
 from sfperc.graphgen import draw_marks, sample_percolated_mnr_direct
-from sfperc.params import LambdaRule, WeightSequence, build_weights, make_schedule, model_params
+from sfperc.params import (
+    _MAX_N,
+    LambdaRule,
+    WeightSequence,
+    build_weights,
+    make_schedule,
+    model_params,
+)
 from sfperc.theory import compute_constants, limit_curve_z
 
 from oracles import as_tuples, excursions, explored, labels_from_summary, weight_array, weight_of
@@ -115,16 +123,28 @@ def test_first_draw_keys_must_fit_int64():
     # keys are mark * m + step < m * (n + 1); m = 3 steps here
     marks = np.array([2, 1, 2], dtype=np.int64)
     largest = np.iinfo(np.int64).max // 3 - 1
-    _check_key_range(largest, 3)
+    check_walk(largest, 3)
+    check_walk(largest, np.int64(3))  # the product is formed in Python ints, not int64
     assert _first_draws(marks)[0].tolist() == [True, True, False]
-    with pytest.raises(DomainError):
-        _check_key_range(largest + 1, 3)
+    for steps in (3, np.int64(3)):
+        with pytest.raises(DomainError, match="overflow the int64 first-draw keys"):
+            check_walk(largest + 1, steps)
     # run_exploration refuses before it draws a single mark
     params, ws, sch, rng = multi_setup()
     state = rng.bit_generator.state
     with pytest.raises(DomainError):
         run_exploration(SimpleNamespace(n=largest + 1), sch, 3, rng)
     assert rng.bit_generator.state == state
+
+
+def test_walk_step_cap():
+    # the cap is checked before the int64 keys, and at the cap no n the
+    # weights accept overflows them
+    check_walk(_MAX_N, _MAX_STEPS)
+    with pytest.raises(DomainError, match=f"passes the cap of {_MAX_STEPS} steps"):
+        check_walk(10, _MAX_STEPS + 1)
+    with pytest.raises(DomainError, match="passes the cap"):
+        check_walk(np.iinfo(np.int64).max, 10**17)
 
 
 def test_exploration_rejects_bad_inputs():
@@ -229,7 +249,8 @@ def test_repeat_fraction_manual(monkeypatch):
 
 
 @pytest.mark.parametrize("steps, error", [(-1, DomainError), (1.5, DomainError),
-                                          (2.0, DomainError), (True, DomainError)])
+                                          (2.0, DomainError), (True, DomainError),
+                                          (_MAX_STEPS + 1, DomainError)])
 def test_step_counts_fail_closed(steps, error):
     params, ws, sch, rng = multi_setup(seed=17)
     # refused before the walk draws anything
@@ -276,9 +297,13 @@ def test_fresh_probability_negative_correlation():
 
 
 def test_residual_when_nothing_explored():
+    # a walk of no steps is refused, as for the other walks, before any draw:
+    # sizing the whole graph is the multigraph giant's own job
     params, ws, sch, rng = multi_setup(seed=21)
-    size = residual_largest_component(ws, sch, 0, rng)
-    assert size >= 1
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="takes no step"):
+        residual_largest_component(ws, sch, 0, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_residual_when_everything_explored():
