@@ -69,25 +69,15 @@ def _lambda_rule_from_args(args) -> LambdaRule | None:
 
 
 def _config_from_args(args) -> xp.ExperimentConfig:
-    base = {}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(xp.ExperimentConfig)}
+    flags["lambda_rule"] = _lambda_rule_from_args(args)
+    flags = {name: value for name, value in flags.items() if value is not None}
     if args.config:
-        base = xp.ExperimentConfig.from_json_file(args.config).to_dict()
-        if base["experiment"] != args.experiment:
-            raise ConfigError(f"config file is for {base['experiment']!r} but the subcommand"
-                              f" wants {args.experiment!r}")
-    for f in fields(xp.ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            base[f.name] = value
-    rule = _lambda_rule_from_args(args)
-    if rule is not None:
-        base["lambda_rule"] = rule.to_dict()
-    return xp.ExperimentConfig.from_dict(base)
+        return xp.ExperimentConfig.from_json_file(args.config, **flags)
+    return xp.ExperimentConfig(**flags)
 
 
 def _print_table(rows: list) -> None:
-    if not rows:
-        return
     keys = list(rows[0].keys())
     widths = {k: max(len(k), *(len(_fmt(row.get(k))) for row in rows)) for k in keys}
     print("  ".join(k.rjust(widths[k]) for k in keys))

@@ -183,7 +183,10 @@ class ExperimentConfig:
                       if key in names and value is not None})
 
     @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
+    def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
+        """The config in a JSON file with ``overrides`` laid over its fields
+        before anything is checked.  An overriding experiment must be the
+        file's; a file that names no known experiment is refused as it stands."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -191,6 +194,11 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read the config at {path}: {e.strerror}") from e
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config at {path} is not valid JSON: {e}") from e
+        if isinstance(data, dict) and data.get("experiment") in tuple(EXPERIMENTS):
+            if overrides.get("experiment", data["experiment"]) != data["experiment"]:
+                raise ConfigError(f"config file is for {data['experiment']!r} but the subcommand"
+                                  f" wants {overrides['experiment']!r}")
+            data = {**data, **overrides}
         return cls.from_dict(data)
 
 

@@ -66,7 +66,7 @@ def derive_constants(tau: float, C: float) -> dict[str, float]:
         raise DomainError(f"tail constant C must be a positive finite number, got C={C}")
     alpha = 1.0 / (tau - 1.0)
     c_F = C ** (1.0 / (tau - 1.0))
-    if not math.isfinite(c_F * c_F):  # c_F**2 scales every pair rate and c_F_bar
+    if not math.isfinite(c_F * c_F):  # c_F**2 scales every pair rate
         raise DomainError(f"tail constant C={C} puts c_F**2 past float range at tau={tau}")
     return {
         "alpha": alpha,

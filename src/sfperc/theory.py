@@ -29,8 +29,7 @@ class TheoryConstants(NamedTuple):
     kappa        = c_F**(tau-2) * Gamma(3-tau)
     zeta         = mu * kappa**(1/(3-tau)), the positive root of z(t) and the
                    limit of |C_(1)| / beta_n
-    rho_star_inf = Gamma(3-tau)**(1/(3-tau)) * c_F_bar**((tau-2)/(3-tau)),
-                   the limit of a**(1-alpha) * rho_star_a
+    rho_star_inf = kappa**(1/(3-tau)), the limit of a**(1-alpha) * rho_star_a
     """
 
     kappa: float
@@ -38,26 +37,19 @@ class TheoryConstants(NamedTuple):
     rho_star_inf: float
 
 
-def c_F_bar(params: ModelParams) -> float:
-    """c_F_bar = c_F**2 / (mu * (1-alpha)); algebraically equal to c_F."""
-    return params.c_F**2 / (params.mu * (1.0 - params.alpha))
-
-
 def compute_constants(params: ModelParams) -> TheoryConstants:
-    """Evaluate the limit constants, one closed form each.
+    """Evaluate the limit constants from one power of kappa.
 
-    Raises DomainError where tau is so near 3 that a constant leaves float range.
+    Raises DomainError where tau is so near 3 that a constant leaves normal float range.
     """
     tau = params.tau
-    g = math.gamma(3.0 - tau)
-    kappa = params.c_F ** (tau - 2.0) * g
+    kappa = params.c_F ** (tau - 2.0) * math.gamma(3.0 - tau)
     try:
-        constants = TheoryConstants(
-            kappa=kappa, zeta=params.mu * kappa ** (1.0 / (3.0 - tau)),
-            rho_star_inf=g ** (1.0 / (3.0 - tau)) * c_F_bar(params) ** ((tau - 2.0) / (3.0 - tau)))
+        root = kappa ** (1.0 / (3.0 - tau))
     except OverflowError:
-        constants = None
-    if constants is None or not all(map(math.isfinite, constants)):
+        root = math.inf
+    constants = TheoryConstants(kappa=kappa, zeta=params.mu * root, rho_star_inf=root)
+    if not all(np.finfo(float).tiny <= c < math.inf for c in constants):
         raise DomainError(f"tau={tau} puts the limit constants past float range")
     return constants
 
@@ -163,10 +155,11 @@ def survival_map(rho: float, a: float, params: ModelParams) -> float:
     """One application of the consistency map whose largest fixed point is rho_star_a.
 
     Phi(rho) = ((1-alpha)/a**(1-alpha)) *
-               integral_0^a u**(-alpha) * (1 - exp(-c_F_bar * a**(1-alpha) * u**(-alpha) * rho)) du
+               integral_0^a u**(-alpha) * (1 - exp(-c_F * a**(1-alpha) * u**(-alpha) * rho)) du
 
-    The outer factor is the normalized size-biased type density; Phi maps
-    [0, 1] into [0, 1], fixes 0, and is concave increasing.
+    The outer factor is the normalized size-biased type density, and c_F is
+    the offspring scale c_F**2 / (mu * (1-alpha)), since mu * (1-alpha) = c_F.
+    Phi maps [0, 1] into [0, 1], fixes 0, and is concave increasing.
     """
     if not (a > 0.0):
         raise DomainError(f"core level a must be positive, got a={a}")
@@ -178,13 +171,14 @@ def survival_map(rho: float, a: float, params: ModelParams) -> float:
     # u = y**(1/(1-alpha)) removes the u**(-alpha) endpoint singularity:
     # integral_0^a u**(-alpha) g(u) du = (1/(1-alpha)) integral_0^{a**(1-alpha)} g(u(y)) dy,
     # and g(u) -> 1 as u -> 0+.
-    survival = _survival(c_F_bar(params) * a**p * rho, params.alpha, 1.0 / p)
+    survival = _survival(params.c_F * a**p * rho, params.alpha, 1.0 / p)
     integral = _adaptive_simpson(survival, 0.0, a**p) / p
     return p / a**p * integral
 
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 100_000
+FIXED_POINT_RESOLUTION = 1e-6
 
 
 def rho_star_fixed_point(a: float, params: ModelParams) -> float:
@@ -192,12 +186,17 @@ def rho_star_fixed_point(a: float, params: ModelParams) -> float:
 
     Phi is concave with Phi(0) = 0 and infinite slope at 0, so iterates from
     rho_0 = 1 decrease monotonically to the unique positive fixed point.
-    Stops when successive iterates differ by less than FIXED_POINT_TOL.
+    Stops when successive iterates differ by less than FIXED_POINT_TOL; a last
+    step above FIXED_POINT_RESOLUTION of the value is unresolved and raises
+    NumericalFailureError.
     """
     rho = 1.0
     for _ in range(FIXED_POINT_MAX_ITER):
         nxt = survival_map(rho, a, params)
         if abs(nxt - rho) < FIXED_POINT_TOL:
+            if abs(nxt - rho) > FIXED_POINT_RESOLUTION * nxt:
+                raise NumericalFailureError(f"fixed point at a={a} stopped at {nxt:.3e} on a step"
+                                            f" of {abs(nxt - rho):.3e}, which it cannot resolve")
             return nxt
         rho = nxt
     raise NumericalFailureError(
@@ -220,7 +219,7 @@ class CoreLimit(NamedTuple):
 def core_limit(a: float, params: ModelParams) -> CoreLimit:
     """Solve the level-a fixed point once and derive rho_a and zeta_a from it.
 
-    With rho_a(u) = 1 - exp(-c_F_bar * a**(1-alpha) * u**(-alpha) * rho_star_a),
+    With rho_a(u) = 1 - exp(-c_F * a**(1-alpha) * u**(-alpha) * rho_star_a),
     rho_a = (1/a) * integral_0^a rho_a(u) du, and
     zeta_a = integral_0^a c_F * u**(-alpha) * rho_a(u) du increases to zeta.
     The latter is the integral survival_map takes, so at its fixed point
@@ -228,7 +227,7 @@ def core_limit(a: float, params: ModelParams) -> CoreLimit:
     """
     rho_star = rho_star_fixed_point(a, params)
     p = 1.0 - params.alpha
-    survival = _survival(c_F_bar(params) * a**p * rho_star, params.alpha)
+    survival = _survival(params.c_F * a**p * rho_star, params.alpha)
     return CoreLimit(a=a, rho_star_a=rho_star, rho_a=_adaptive_simpson(survival, 0.0, a) / a,
                      zeta_a=params.c_F * a**p * rho_star / p)
 

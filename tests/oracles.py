@@ -4,7 +4,8 @@ No experiment runs these.  They are the slow, direct forms of laws the
 library samples or solves another way: the two-step percolation of a raw
 multigraph and its collapse (criteria 3 and 9), the coupled sampler's
 keep rule evaluated one pair at a time and its k-series summed over the
-widest window, the closed survival probability of a type-u particle and a
+widest window, the paper's size-biased offspring scale ``c_F_bar`` (criterion
+1's second zeta form), the closed survival probability of a type-u particle and a
 Monte Carlo branching process that estimates it (criterion 2), the exact
 Laplace-type sum behind the exploration drift (criterion 4), and the
 finite-n core kernel next to its limit (criterion 7).  The rest are views
@@ -25,7 +26,6 @@ from sfperc.errors import DomainError
 from sfperc.graphgen import (MultiGraph, SimpleGraph, _aggregate_pairs, _check_pi,
                              sample_percolated_mnr_direct)
 from sfperc.params import ModelParams, PercolationSchedule, WeightSequence, core_prefix_size
-from sfperc.theory import c_F_bar
 
 # --------------------------------------------------------------------------
 # graphs from lists of tuples, and back
@@ -224,6 +224,13 @@ def laplace_sum_exact(w: np.ndarray, t: float, beta_n: float) -> float:
 # --------------------------------------------------------------------------
 # survival of a type-u particle in the level-a branching process on (0, a]
 # --------------------------------------------------------------------------
+
+
+def c_F_bar(params: ModelParams) -> float:
+    """The offspring scale of a size-biased type, c_F**2 / (mu * (1-alpha)),
+    written as the paper does.  It equals c_F, since mu * (1-alpha) = c_F;
+    the library writes c_F."""
+    return params.c_F**2 / (params.mu * (1.0 - params.alpha))
 
 
 def rho_a_of_u(u: float, a: float, rho_star_a: float, params: ModelParams) -> float:

@@ -48,12 +48,13 @@ from sfperc.params import (
     make_schedule,
     model_params,
 )
-from sfperc.theory import c_F_bar, compute_constants, core_limit
+from sfperc.theory import compute_constants, core_limit
 
 from oracles import (
     all_sizes,
     as_tuples,
     branching_survival_mc,
+    c_F_bar,
     collapse_to_simple,
     degrees,
     explored,

@@ -182,10 +182,13 @@ def test_explore_bad_config_exits_2(command, fields, flags, message, tmp_path, m
     (["giant", "--tau", "2.0000003670597803", "--C", "2.382500962357463e-06"],
      "c1_over_beta_mean"),
     (["theory", "--tau", "2.001"], "rho_star_a"),
-], ids=["giant-tiny-zeta", "giant-tau-near-2", "theory-tau-2.001"])
+    (["giant", "--tau", "2.9949250178002256", "--C", "1.7033877620340737e-05",
+      "--lambda-kind", "constant", "--lambda-value", "1"], "rho_star_inf"),
+], ids=["giant-tiny-zeta", "giant-tau-near-2", "theory-tau-2.001", "giant-tau-near-3"])
 def test_runs_near_both_ends_of_tau_exit_0(argv, key, capsys):
-    # a zeta of 4e-85, a c_F_bar that rounds 1e-10 off c_F, and a survival
-    # integrand whose u = y**(1/(1-alpha)) underflows to 0 all run
+    # a zeta of 4e-85, a tau where c_F**2 / (mu * (1 - alpha)) rounds 1e-10 off
+    # c_F, a survival integrand whose u = y**(1/(1-alpha)) underflows to 0, and
+    # constants in float range whose two-factor form would leave it all run
     assert main([*argv, "--n-grid", "1000", "--replicas", "1"]) == 0
     assert key in capsys.readouterr().out
 
@@ -204,6 +207,21 @@ def test_numerical_failure_exits_2_before_sampling(budget, message, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_unresolved_fixed_point_exits_2_before_sampling(monkeypatch, capsys):
+    # the survival fixed point lies far below the absolute stop FIXED_POINT_TOL
+    def no_replica(*_):
+        raise AssertionError("a replica ran before the theory block")
+
+    monkeypatch.setitem(EXPERIMENTS, "theory_tables",
+                        EXPERIMENTS["theory_tables"]._replace(record=no_replica))
+    assert main(["theory", "--tau", "2.9920949467410725", "--C", "4.1230068801288385e-06",
+                 "--lambda-kind", "constant", "--lambda-value", "1", "--n-grid", "1000",
+                 "--replicas", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "fixed point at a=1.0 stopped at 2.149e-14" in err
 
 
 @pytest.mark.parametrize("mode", ["raw", "multi"])
@@ -321,6 +339,22 @@ def test_config_file_with_overrides(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["config"]["replicas"] == 2
     assert data["config"]["master_seed"] == 5
+
+
+@pytest.mark.parametrize("command, fields, flags", [
+    ("core", {"experiment": "one_neighborhood", "n_grid": [50]},
+     ["--n-grid", "100000", "--replicas", "1"]),
+    ("giant", {"experiment": "multi_giant", "replicas": 0}, ["--replicas", "1"]),
+], ids=["n_grid", "replicas"])
+def test_flags_override_a_config_file_before_it_is_checked(command, fields, flags, tmp_path):
+    # a file value that a flag replaces is never checked: n = 50 has no
+    # feasible core schedule, and 0 replicas are refused
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    out = tmp_path / "r.json"
+    assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["replicas"] == 1 and config["n_grid"][0] != 50
 
 
 def test_generate_raw_edge_list(tmp_path):

@@ -5,9 +5,11 @@ import math
 import os
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sfperc.experiments import (
     EXPERIMENTS,
     RESULT_VERSION,
     ExperimentConfig,
+    _atomic_write,
     _build_context,
     _model_at,
     _replica_record,
@@ -351,6 +354,25 @@ def test_write_result_csv(tmp_path):
     assert len(lines) == 3
     with pytest.raises(DomainError):
         write_result(result._replace(records=[]), path, output_format="csv")
+
+
+def test_write_result_refuses_an_unknown_format(tmp_path):
+    result = run(small_config(n_grid=(200,), replicas=1))
+    with pytest.raises(ConfigError, match="output_format must be 'csv' or 'json', got 'xml'"):
+        write_result(result, tmp_path / "report.xml", "xml")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_reraises_when_its_temporary_file_is_gone(tmp_path):
+    # the cleanup's failed unlink gives way to the error that started it
+    def write(fh):
+        for tmp in tmp_path.glob("*.tmp"):
+            tmp.unlink()
+        raise ValueError("the write failed")
+
+    with pytest.raises(ValueError, match="the write failed"):
+        _atomic_write(tmp_path / "report.json", write)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -701,6 +723,36 @@ def test_config_sweep_runs_or_fails_closed():
             escaped.append(f"{kwargs}: {e!r}")
     assert escaped == [], f"{len(escaped)} configs escaped SfpercError, first {escaped[0]}"
     assert 50 <= ran < 100  # the sweep reaches both outcomes
+
+
+def test_constants_sweep_is_refused_exactly_past_float_range():
+    # compute_constants takes one power of kappa, so over the sweep's tau and C
+    # regimes it refuses exactly the draws whose constants leave the normal float
+    # range; the rest lie within 16 ulp / (3 - tau) of 60 digits.  The
+    # two-factor rho_star_inf it replaced refused 110 of the accepted draws
+    # and read 0.0 at two others.
+    rng = random.Random(48)
+    lo, hi = sys.float_info.min, sys.float_info.max
+    refused = 0
+    for i in range(3000):
+        kwargs = _sweep_config(rng, "multi_giant", i % 3)
+        tau, C = kwargs["tau"], kwargs["C"]
+        with mpmath.workdps(60):
+            t = mpmath.mpf(tau)
+            c_F = mpmath.mpf(C) ** (1 / (t - 1))
+            kappa = c_F ** (t - 2) * mpmath.gamma(3 - t)
+            root = kappa ** (1 / (3 - t))
+            exact = (kappa, c_F * (t - 1) / (t - 2) * root, root)
+        params = model_params(tau, C, 10)
+        if not all(lo <= x <= hi for x in exact):
+            with pytest.raises(DomainError, match="past float range"):
+                compute_constants(params)
+            refused += 1
+            continue
+        got = compute_constants(params)
+        for value, want in zip(got[1:], exact[1:]):  # zeta and rho_star_inf
+            assert abs(value - want) <= 16 * 2.0**-52 / (3.0 - tau) * want, kwargs
+    assert refused == 650
 
 
 def test_walk_config_sweep_is_capped_and_runs_or_fails_closed():

@@ -193,6 +193,8 @@ def test_lambda_rules_evaluate():
 def test_lambda_rule_validation():
     with pytest.raises(DomainError):
         LambdaRule("cubic", 1.0)
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        LambdaRule("constant", 1.0).evaluate(0)
     with pytest.raises(DomainError):
         LambdaRule("constant", 0.5)
     with pytest.raises(DomainError):

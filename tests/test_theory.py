@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfperc.errors import DomainError
+from sfperc.errors import DomainError, NumericalFailureError
 from sfperc.params import LambdaRule, build_weights, make_schedule, model_params
 from sfperc import theory as th
 
-from oracles import branching_survival_mc, laplace_sum_exact, rho_a_of_u, weight_array
+from oracles import branching_survival_mc, c_F_bar, laplace_sum_exact, rho_a_of_u, weight_array
 
 P = model_params(2.5, 1.0, 10**6)
 
@@ -47,39 +47,37 @@ def test_reference_constants():
     assert c.kappa == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert c.zeta == pytest.approx(3.0 * math.pi, rel=1e-12)
     assert c.rho_star_inf == pytest.approx(math.pi, rel=1e-9)
-    assert th.c_F_bar(P) == pytest.approx(1.0, rel=1e-12)
+    assert c_F_bar(P) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_size_biased_scale_identity():
-    # c_F_bar = c_F**2 / (mu * (1 - alpha)) collapses to c_F at tau = 2.5
-    p = model_params(2.5, 3.0, 10)
-    assert th.c_F_bar(p) == pytest.approx(p.c_F, rel=1e-12)
-    p = model_params(2.2, 1.0, 10)
-    expected = p.c_F**2 / (p.mu * (1.0 - p.alpha))
-    assert th.c_F_bar(p) == pytest.approx(expected, rel=1e-12)
+    # the library writes c_F where the paper writes c_F_bar = c_F**2 / (mu * (1 - alpha))
+    for tau, C in [(2.5, 3.0), (2.2, 1.0), (2.05, 1e-6), (2.95, 1e3)]:
+        p = model_params(tau, C, 10)
+        assert c_F_bar(p) == pytest.approx(p.c_F, rel=1e-12)
 
 
 @given(tau=st.floats(min_value=2.1, max_value=2.9), c=st.floats(min_value=0.2, max_value=5.0))
 @settings(max_examples=30, deadline=None)
 def test_two_zeta_forms_agree(tau, c):
+    # the paper's two-factor forms against the library's one power of kappa
     p = model_params(tau, c, 10)
     kappa = p.c_F ** (tau - 2.0) * math.gamma(3.0 - tau)
     direct = p.mu * kappa ** (1.0 / (3.0 - tau))
-    alt = (
-        math.gamma(3.0 - tau) ** (1.0 / (3.0 - tau))
-        * p.c_F
-        * th.c_F_bar(p) ** ((tau - 2.0) / (3.0 - tau))
-        * (tau - 1.0)
-        / (tau - 2.0)
-    )
+    rho_alt = (math.gamma(3.0 - tau) ** (1.0 / (3.0 - tau))
+               * c_F_bar(p) ** ((tau - 2.0) / (3.0 - tau)))
+    alt = rho_alt * p.c_F * (tau - 1.0) / (tau - 2.0)
     assert direct == pytest.approx(alt, rel=1e-10)
-    assert th.compute_constants(p).zeta == pytest.approx(direct, rel=1e-10)
+    c = th.compute_constants(p)
+    assert c.zeta == direct
+    assert c.rho_star_inf == pytest.approx(rho_alt, rel=1e-10)
 
 
-@pytest.mark.parametrize("tau, C", [(2.995, 1.0), (2.98883, 1e3)],
-                         ids=["power-overflows", "product-overflows"])
+@pytest.mark.parametrize("tau, C", [(2.995, 1.0), (2.98883, 1e3), (2.99, 1e-300)],
+                         ids=["power-overflows", "product-overflows", "power-underflows"])
 def test_constants_past_float_range_are_refused(tau, C):
-    # near tau = 3 a power raises OverflowError, or finite powers multiply to inf
+    # near tau = 3 the power of kappa raises OverflowError, reaches inf after
+    # the factor mu, or rounds to 0
     with pytest.raises(DomainError, match=f"tau={tau} puts the limit constants past float range"):
         th.compute_constants(model_params(tau, C, 10))
 
@@ -228,7 +226,7 @@ def test_rho_a_of_u_formula():
     a = 4.0
     rho = th.rho_star_fixed_point(a, P)
     u = 1.3
-    expected = 1.0 - math.exp(-th.c_F_bar(P) * a ** (1.0 / 3.0) * u ** (-2.0 / 3.0) * rho)
+    expected = 1.0 - math.exp(-c_F_bar(P) * a ** (1.0 / 3.0) * u ** (-2.0 / 3.0) * rho)
     assert rho_a_of_u(u, a, rho, P) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(DomainError):
         rho_a_of_u(5.0, a, rho, P)
@@ -246,6 +244,28 @@ def test_domain_checks_on_fixed_point_inputs():
         th.rho_star_fixed_point(0.0, P)
     with pytest.raises(DomainError):
         th.core_limit(-1.0, P)
+    for rho in (-0.1, 1.5):
+        with pytest.raises(DomainError, match="rho must lie in"):
+            th.survival_map(rho, 1.0, P)
+    with pytest.raises(DomainError, match="empty integration interval"):
+        th._adaptive_simpson(math.exp, 1.0, 1.0)
+
+
+def test_a_fixed_point_the_absolute_stop_cannot_resolve_is_refused():
+    # the iterates fall below FIXED_POINT_TOL long before the fixed point: the
+    # stop comes on a step of 2.4e-13 at 2.1e-14, whose next image is 1.9e-15
+    p = model_params(2.9920949467410725, 4.1230068801288385e-06, 1000)
+    with pytest.raises(NumericalFailureError, match="cannot resolve"):
+        th.rho_star_fixed_point(1.0, p)
+
+
+@pytest.mark.parametrize("tau, C", [(2.05, 1.0), (2.2, 1.0), (2.35, 3.0), (2.5, 1.0),
+                                    (2.8, 1.0), (2.95, 1.0)])
+def test_fixed_points_in_the_window_are_resolved(tau, C):
+    # the last step stays far under FIXED_POINT_RESOLUTION of the value
+    p = model_params(tau, C, 1000)
+    for a in (1.0, 1e2, 1e5):
+        th.rho_star_fixed_point(a, p)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +291,9 @@ def test_truncated_operator_norm_diverges():
 
 def test_forward_degree_envelope():
     assert th.forward_degree_asymptote(1.0, P) == pytest.approx(1.5349900619197327, rel=1e-12)
+    for t in (0.0, -1.0):
+        with pytest.raises(DomainError, match="time must be positive"):
+            th.forward_degree_asymptote(t, P)
     # decays like t**(-(3-tau)) = t**(-1/2)
     assert th.forward_degree_asymptote(4.0, P) == pytest.approx(
         th.forward_degree_asymptote(1.0, P) / 2.0, rel=1e-12
